@@ -12,7 +12,7 @@ Core pieces:
 - :mod:`geckit.experiment`: reproducible experiment configs and sweeps.
 """
 
-from .align import OverlapError, apply_edits, extract_edits, overlaps
+from .align import EditTable, OverlapError, apply_edits, extract_edits, overlaps
 from .corpus import (
     Edit,
     GoldSentence,
@@ -66,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Edit",
+    "EditTable",
     "ExperimentConfig",
     "ExperimentResult",
     "GoldSentence",

@@ -119,6 +119,41 @@ def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit
     return edits
 
 
+class EditTable:
+    """The edits of (source, hypothesis) pairs, each distinct pair extracted once.
+
+    Ensembling, oracles, ranking and scoring all ask for the edits of the
+    same member outputs; pass one table to all of them to share the work.
+    Entries are keyed on the sentences themselves (no copies) and compared
+    by value, which is exact because extraction depends on token values
+    only. A table lives as long as its owner keeps it: there is no global
+    cache.
+
+    >>> table = EditTable()
+    >>> src, hyp = TokenSentence.parse("a b"), TokenSentence.parse("a c")
+    >>> table.edits(src, hyp)
+    [Edit(start=1, end=2, replacement=('c',))]
+    """
+
+    __slots__ = ("_edits",)
+
+    def __init__(self) -> None:
+        self._edits: dict[tuple[TokenSentence, TokenSentence], tuple[Edit, ...]] = {}
+
+    def edits(self, source: TokenSentence, hypothesis: TokenSentence) -> list[Edit]:
+        """:func:`extract_edits` of the pair, as a new list on every call.
+
+        The copy keeps the table intact when a caller changes the list, and
+        keeps list comparisons (``edits == [...]``) meaning what they mean
+        for :func:`extract_edits`.
+        """
+        key = (source, hypothesis)
+        edits = self._edits.get(key)
+        if edits is None:
+            edits = self._edits[key] = tuple(extract_edits(source, hypothesis))
+        return list(edits)
+
+
 def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:
     """Apply a valid, pairwise non-overlapping edit set to source.
 

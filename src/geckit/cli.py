@@ -18,7 +18,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .align import apply_edits, extract_edits
+from .align import EditTable, apply_edits, extract_edits
 from .corpus import (
     Edit,
     M2ParseError,
@@ -201,8 +201,9 @@ def _cmd_aggr_rank(args) -> int:
     sources = load_parallel(args.src)
     primary = load_parallel(args.primary, expected_len=len(sources))
     alternative = load_parallel(args.alt, expected_len=len(sources))
+    table = EditTable()
     chosen = [
-        aggr_rank(p, a, s) for p, a, s in zip(primary, alternative, sources)
+        aggr_rank(p, a, s, table) for p, a, s in zip(primary, alternative, sources)
     ]
     _emit(serialize_parallel(chosen), args.out)
     return 0

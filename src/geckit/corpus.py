@@ -64,7 +64,9 @@ class TokenSentence(tuple):
     @classmethod
     def parse(cls, text: str) -> "TokenSentence":
         """Split ``text`` on whitespace. The empty string gives zero tokens."""
-        return cls(text.split())
+        # str.split() yields only non-empty tokens free of every character
+        # str.isspace() accepts, so the token checks of __new__ cannot fail.
+        return tuple.__new__(cls, text.split())
 
     @property
     def text(self) -> str:

@@ -4,7 +4,8 @@ A JSON config names the gold corpus, the member system outputs, a
 combination method and its parameters; running it produces the combined
 output file, its score report, and a one-row machine-readable TSV, all
 deterministic given the config and seeds. Remove-one ablations and
-vote-threshold sweeps reuse the same runner.
+vote-threshold sweeps reuse the same runner; they read and validate their
+input files once and share one edit table across all their runs.
 
 Config schema (JSON object):
 
@@ -39,10 +40,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .align import EditTable
 from .corpus import (
     GoldSentence,
     ScoreFile,
     SystemOutput,
+    TokenSentence,
     ValidationError,
     atomic_write_text,
     load_m2,
@@ -192,8 +195,18 @@ def _parse_system_entry(entry, resolve) -> tuple[str, Path]:
     raise ValidationError(f"bad system entry: {entry!r}")
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one configured experiment and write its artifacts."""
+@dataclass
+class _Inputs:
+    """A config's input files, read and validated once, and the edit table
+    shared by every run over them."""
+
+    gold: list[GoldSentence]
+    sources: list[TokenSentence]
+    members: dict[str, SystemOutput]  # by system name
+    table: EditTable = field(default_factory=EditTable)
+
+
+def _load_inputs(config: ExperimentConfig) -> _Inputs:
     gold = load_m2(config.gold_path)
     sources = [gs.source for gs in gold]
     if config.source_path is not None:
@@ -203,21 +216,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 raise ValidationError(
                     f"sentence {i}: source file disagrees with gold M2 source"
                 )
-    outputs = [
-        load_system_output(path, name, expected_len=len(gold))
+    members = {
+        name: load_system_output(path, name, expected_len=len(gold))
         for name, path in config.systems
-    ]
+    }
+    return _Inputs(gold, sources, members)
+
+
+def run_experiment(
+    config: ExperimentConfig, *, _inputs: _Inputs | None = None
+) -> ExperimentResult:
+    """Run one configured experiment and write its artifacts.
+
+    ``_inputs`` is for sweeps and ablations: inputs already loaded for a
+    config with the same gold, source and member files, from which this
+    run takes its members by name.
+    """
+    inputs = _inputs if _inputs is not None else _load_inputs(config)
+    gold, sources, table = inputs.gold, inputs.sources, inputs.table
+    outputs = [inputs.members[name] for name, _ in config.systems]
 
     artifacts: list[Path] = []
     combined: list[SystemOutput]
     if config.method in ("vote", "second-order-vote"):
-        combined = [majority_vote_corpus(sources, outputs, config.n_min)]
+        combined = [majority_vote_corpus(sources, outputs, config.n_min, table=table)]
     elif config.method == "oracle-ensemble":
-        result, choices = oracle_ensemble_corpus(gold, outputs)
+        result, choices = oracle_ensemble_corpus(gold, outputs, table=table)
         combined = [result]
         artifacts.append(_write(config, "audit.tsv", choices_tsv(choices)))
     elif config.method == "oracle-rank":
-        result, choices = oracle_rank_corpus(gold, outputs)
+        result, choices = oracle_rank_corpus(gold, outputs, table=table)
         combined = [result]
         artifacts.append(_write(config, "audit.tsv", choices_tsv(choices)))
     elif config.method in ("rank", "rank-w"):
@@ -228,7 +256,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for i, source in enumerate(sources):
             try:
                 sentences.append(
-                    aggr_rank(primary.sentences[i], alternative.sentences[i], source)
+                    aggr_rank(primary.sentences[i], alternative.sentences[i], source, table)
                 )
             except ValidationError as err:
                 raise ValidationError(f"sentence {i}: {err}") from None
@@ -251,7 +279,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for run_index, output in enumerate(combined):
         suffix = f"run{run_index}.txt" if len(combined) > 1 else "out.txt"
         artifacts.append(_write(config, suffix, serialize_parallel(output.sentences)))
-        reports.append(score_corpus(output, gold))
+        reports.append(score_corpus(output, gold, table=table))
 
     result = ExperimentResult(config, tuple(combined), tuple(reports), tuple(artifacts))
     artifacts.append(_write(config, "report.txt", report_table(result.report)))
@@ -284,14 +312,15 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
     """The full ensemble plus one rerun per left-out member system."""
     if len(config.systems) < 3:
         raise ValidationError("remove-one ablation needs at least 3 member systems")
-    rows = [("full", run_experiment(config))]
+    inputs = _load_inputs(config)
+    rows = [("full", run_experiment(config, _inputs=inputs))]
     for name, _ in config.systems:
         reduced = _with(
             config,
             name=f"{config.name}.wo-{name}",
             systems=tuple(s for s in config.systems if s[0] != name),
         )
-        rows.append((f"w/o {name}", run_experiment(reduced)))
+        rows.append((f"w/o {name}", run_experiment(reduced, _inputs=inputs)))
     table = ablation_tsv(rows)
     atomic_write_text(config.output_dir / f"{config.name}.ablation.tsv", table)
     return rows
@@ -305,10 +334,11 @@ def sweep_n_min(
         raise ValidationError("n_min sweep applies to vote methods only")
     if values is None:
         values = range(0, len(config.systems) + 1)
+    inputs = _load_inputs(config)
     rows = []
     for n_min in values:
         variant = _with(config, name=f"{config.name}.nmin{n_min}", n_min=n_min)
-        rows.append((n_min, run_experiment(variant)))
+        rows.append((n_min, run_experiment(variant, _inputs=inputs)))
     lines = ["n_min\tP\tR\tF0.5"]
     for n_min, result in rows:
         r = result.report

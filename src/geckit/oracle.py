@@ -9,7 +9,10 @@ Two oracles bound what ensembling and ranking could ever achieve:
 * Oracle-ranking picks, per sentence, the member output with the best
   (F0.5, n_correct, -n_proposed) against its most favorable annotator.
 
-Both emit audit records of what they chose for offline inspection.
+Both emit audit records of what they chose for offline inspection. Edits
+are read from an :class:`geckit.align.EditTable`, so oracle-ranking's
+second look at each winner, and scoring that shares the table, extract
+nothing again.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .align import apply_edits, extract_edits
+from .align import EditTable, apply_edits
 from .corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
-from .scoring import f_beta, sentence_counts
+from .scoring import prf, sentence_counts
 
 
 @dataclass(frozen=True)
@@ -37,13 +40,18 @@ def oracle_ensemble(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
     gold: GoldSentence,
+    table: EditTable | None = None,
 ) -> TokenSentence:
     """Apply the largest pool-and-annotation edit intersection."""
-    sentence, _, _ = _ensemble_choice(source, outputs, gold)
+    if table is None:
+        table = EditTable()
+    sentence, _, _ = _ensemble_choice(source, outputs, gold, table)
     return sentence
 
 
-def _stable_subset(source: TokenSentence, edits: tuple[Edit, ...]) -> tuple[Edit, ...]:
+def _stable_subset(
+    source: TokenSentence, edits: tuple[Edit, ...], table: EditTable
+) -> tuple[Edit, ...]:
     """Greedily keep (in position order) edits whose application re-extracts
     verbatim.
 
@@ -55,7 +63,7 @@ def _stable_subset(source: TokenSentence, edits: tuple[Edit, ...]) -> tuple[Edit
     kept: list[Edit] = []
     for edit in edits:
         trial = kept + [edit]
-        if extract_edits(source, apply_edits(source, trial)) == trial:
+        if table.edits(source, apply_edits(source, trial)) == trial:
             kept.append(edit)
     return tuple(kept)
 
@@ -64,10 +72,11 @@ def _ensemble_choice(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
     gold: GoldSentence,
+    table: EditTable,
 ) -> tuple[TokenSentence, int, tuple[Edit, ...]]:
     pool: set[Edit] = set()
     for _, sentence in outputs:
-        pool.update(extract_edits(source, sentence))
+        pool.update(table.edits(source, sentence))
     best_id = 0
     best: set[Edit] = set()
     for ann_id, ann in enumerate(gold.annotations):
@@ -77,24 +86,22 @@ def _ensemble_choice(
             best_id, best = ann_id, selected
     chosen = tuple(sorted(best))
     applied = apply_edits(source, chosen)
-    if extract_edits(source, applied) != list(chosen):
-        chosen = _stable_subset(source, chosen)
+    if table.edits(source, applied) != list(chosen):
+        chosen = _stable_subset(source, chosen, table)
         applied = apply_edits(source, chosen)
     return applied, best_id, chosen
 
 
 def _candidate_key(
-    source: TokenSentence, sentence: TokenSentence, gold: GoldSentence
+    source: TokenSentence, sentence: TokenSentence, gold: GoldSentence, table: EditTable
 ) -> tuple[tuple[float, int, int], int]:
     """Best per-annotator (f05, n_correct, -n_proposed) for one candidate."""
-    edits = extract_edits(source, sentence)
+    edits = table.edits(source, sentence)
     best_key: tuple[float, int, int] | None = None
     best_ann = 0
     for ann_id, ann in enumerate(gold.annotations):
         c = sentence_counts(edits, ann)
-        p = c.n_correct / c.n_proposed if c.n_proposed else 1.0
-        r = c.n_correct / c.n_gold if c.n_gold else 1.0
-        key = (f_beta(p, r), c.n_correct, -c.n_proposed)
+        key = (prf(c)[2], c.n_correct, -c.n_proposed)
         if best_key is None or key > best_key:
             best_key, best_ann = key, ann_id
     assert best_key is not None
@@ -105,6 +112,7 @@ def oracle_rank(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
     gold: GoldSentence,
+    table: EditTable | None = None,
 ) -> tuple[str, TokenSentence]:
     """Select the candidate with the best score against its best annotator.
 
@@ -112,9 +120,11 @@ def oracle_rank(
     """
     if not outputs:
         raise ValidationError("oracle_rank needs at least one candidate")
+    if table is None:
+        table = EditTable()
     best = max(
         outputs,
-        key=lambda cand: _candidate_key(source, cand[1], gold)[0],
+        key=lambda cand: _candidate_key(source, cand[1], gold, table)[0],
     )
     return best
 
@@ -123,14 +133,20 @@ def oracle_ensemble_corpus(
     gold: Sequence[GoldSentence],
     outputs: Sequence[SystemOutput],
     name: str = "oracle-ensemble",
+    table: EditTable | None = None,
 ) -> tuple[SystemOutput, list[OracleChoice]]:
-    """Corpus-level oracle ensembling with an audit trail."""
+    """Corpus-level oracle ensembling with an audit trail.
+
+    Edits are read from ``table``, a new one when none is given.
+    """
     _check_aligned(gold, outputs)
+    if table is None:
+        table = EditTable()
     sentences = []
     choices = []
     for i, gs in enumerate(gold):
         per_system = [(out.name, out.sentences[i]) for out in outputs]
-        sentence, ann_id, selected = _ensemble_choice(gs.source, per_system, gs)
+        sentence, ann_id, selected = _ensemble_choice(gs.source, per_system, gs, table)
         sentences.append(sentence)
         choices.append(OracleChoice(i, "oracle-ensemble", ann_id, None, len(selected)))
     return SystemOutput(name, tuple(sentences)), choices
@@ -140,15 +156,21 @@ def oracle_rank_corpus(
     gold: Sequence[GoldSentence],
     outputs: Sequence[SystemOutput],
     name: str = "oracle-rank",
+    table: EditTable | None = None,
 ) -> tuple[SystemOutput, list[OracleChoice]]:
-    """Corpus-level oracle ranking with an audit trail."""
+    """Corpus-level oracle ranking with an audit trail.
+
+    Edits are read from ``table``, a new one when none is given.
+    """
     _check_aligned(gold, outputs)
+    if table is None:
+        table = EditTable()
     sentences = []
     choices = []
     for i, gs in enumerate(gold):
         per_system = [(out.name, out.sentences[i]) for out in outputs]
-        sys_name, sentence = oracle_rank(gs.source, per_system, gs)
-        key, ann_id = _candidate_key(gs.source, sentence, gs)
+        sys_name, sentence = oracle_rank(gs.source, per_system, gs, table)
+        key, ann_id = _candidate_key(gs.source, sentence, gs, table)
         sentences.append(sentence)
         choices.append(OracleChoice(i, "oracle-rank", ann_id, sys_name, key[1]))
     return SystemOutput(name, tuple(sentences)), choices

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
-from .align import extract_edits
+from .align import EditTable
 from .corpus import SystemOutput, TokenSentence, ValidationError
 
 
@@ -107,16 +107,22 @@ def rank_weighted(
 
 
 def aggr_rank(
-    primary: TokenSentence, alternative: TokenSentence, source: TokenSentence
+    primary: TokenSentence,
+    alternative: TokenSentence,
+    source: TokenSentence,
+    table: EditTable | None = None,
 ) -> TokenSentence:
     """Keep the primary candidate only when it is the less aggressive one.
 
     Primary wins iff it proposes strictly fewer edits than the alternative
     and proposes at least one; everything else falls back to the
-    alternative.
+    alternative. Edits are read from ``table``, a new one when none is
+    given.
     """
-    e_p = len(extract_edits(source, primary))
-    e_a = len(extract_edits(source, alternative))
+    if table is None:
+        table = EditTable()
+    e_p = len(table.edits(source, primary))
+    e_a = len(table.edits(source, alternative))
     return primary if 1 <= e_p < e_a else alternative
 
 

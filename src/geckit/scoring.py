@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, NamedTuple, Sequence
 
-from .align import extract_edits
+from .align import EditTable
 from .corpus import Edit, GoldSentence, SystemOutput, ValidationError
 
 
@@ -70,38 +70,51 @@ def sentence_counts(hyp_edits: Iterable[Edit], gold_edits: Iterable[Edit]) -> Se
     return SentenceCounts(len(hyp & gold), len(hyp), len(gold))
 
 
-def _prf(totals: SentenceCounts, beta: float) -> tuple[float, float, float]:
-    # Zero-denominator conventions: no proposals means perfect precision,
-    # no gold edits means perfect recall.
+def prf(totals: SentenceCounts, beta: float = 0.5) -> tuple[float, float, float]:
+    """Precision, recall and F-beta of edit counts.
+
+    Zero-denominator conventions: no proposals means perfect precision, no
+    gold edits means perfect recall.
+
+    >>> prf(SentenceCounts(0, 0, 0))
+    (1.0, 1.0, 1.0)
+    """
     p = totals.n_correct / totals.n_proposed if totals.n_proposed else 1.0
     r = totals.n_correct / totals.n_gold if totals.n_gold else 1.0
     return p, r, f_beta(p, r, beta)
 
 
 def score_corpus(
-    hypothesis: SystemOutput, gold: Sequence[GoldSentence], beta: float = 0.5
+    hypothesis: SystemOutput,
+    gold: Sequence[GoldSentence],
+    beta: float = 0.5,
+    table: EditTable | None = None,
 ) -> ScoreReport:
     """Score a system against a multi-annotator gold corpus.
 
-    Hypothesis edits are recovered with :func:`geckit.align.extract_edits`
-    against each gold source. Raises :class:`ValidationError` when the
-    hypothesis and gold corpus lengths differ.
+    Hypothesis edits against each gold source are read from ``table`` (a
+    new :class:`geckit.align.EditTable` when none is given), so a table
+    shared with the method that built the hypothesis extracts each pair
+    once. Raises :class:`ValidationError` when the hypothesis and gold
+    corpus lengths differ.
     """
     if len(hypothesis.sentences) != len(gold):
         raise ValidationError(
             f"hypothesis {hypothesis.name!r} has {len(hypothesis.sentences)} sentences, "
             f"gold corpus has {len(gold)}"
         )
+    if table is None:
+        table = EditTable()
     totals = SentenceCounts(0, 0, 0)
     chosen: list[tuple[int, SentenceCounts]] = []
     for gs, hyp_sentence in zip(gold, hypothesis.sentences):
-        hyp_edits = extract_edits(gs.source, hyp_sentence)
+        hyp_edits = table.edits(gs.source, hyp_sentence)
         best_key: tuple[float, int, int] | None = None
         best: tuple[int, SentenceCounts] | None = None
         for ann_id, ann in enumerate(gs.annotations):
             counts = sentence_counts(hyp_edits, ann)
             candidate = totals.plus(counts)
-            _, _, f = _prf(candidate, beta)
+            _, _, f = prf(candidate, beta)
             key = (f, candidate.n_correct, -candidate.n_proposed)
             # Strict comparison: the lowest annotator id wins full ties.
             if best_key is None or key > best_key:
@@ -110,7 +123,7 @@ def score_corpus(
         assert best is not None  # GoldSentence guarantees >= 1 annotation
         totals = totals.plus(best[1])
         chosen.append(best)
-    p, r, f = _prf(totals, beta)
+    p, r, f = prf(totals, beta)
     return ScoreReport(p, r, f, totals, tuple(chosen))
 
 

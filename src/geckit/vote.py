@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .align import _nested_insertion, apply_edits, extract_edits, overlaps
+from .align import EditTable, _nested_insertion, apply_edits, overlaps
 from .corpus import Edit, SystemOutput, TokenSentence, ValidationError
 
 
@@ -37,16 +37,20 @@ class VotedEdit:
 
 
 def pool_edits(
-    source: TokenSentence, outputs: Sequence[tuple[str, TokenSentence]]
+    source: TokenSentence,
+    outputs: Sequence[tuple[str, TokenSentence]],
+    table: EditTable | None = None,
 ) -> list[VotedEdit]:
-    """Extract and pool all member edits for one sentence.
+    """Pool all member edits for one sentence, read from ``table``.
 
     Returns one :class:`VotedEdit` per distinct (start, end, replacement)
     key, sorted by position.
     """
+    if table is None:
+        table = EditTable()
     by_edit: dict[Edit, set[str]] = {}
     for name, sentence in outputs:
-        for edit in extract_edits(source, sentence):
+        for edit in table.edits(source, sentence):
             by_edit.setdefault(edit, set()).add(name)
     return [
         VotedEdit(edit, len(names), frozenset(names))
@@ -58,6 +62,7 @@ def majority_vote(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
     n_min: int,
+    table: EditTable | None = None,
 ) -> TokenSentence:
     """Apply the edits proposed by strictly more than ``n_min`` members.
 
@@ -65,7 +70,7 @@ def majority_vote(
     (start, end, replacement)); an edit conflicting with one already
     applied is skipped.
     """
-    kept = voted_edits(source, outputs, n_min)
+    kept = voted_edits(source, outputs, n_min, table)
     return apply_edits(source, kept)
 
 
@@ -73,9 +78,10 @@ def voted_edits(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
     n_min: int,
+    table: EditTable | None = None,
 ) -> list[Edit]:
     """The edit set majority_vote applies, in application order."""
-    survivors = [ve for ve in pool_edits(source, outputs) if ve.votes > n_min]
+    survivors = [ve for ve in pool_edits(source, outputs, table) if ve.votes > n_min]
     survivors.sort(key=lambda ve: (-ve.votes, ve.edit))
     kept: list[Edit] = []
     for ve in survivors:
@@ -95,11 +101,13 @@ def majority_vote_corpus(
     outputs: Sequence[SystemOutput],
     n_min: int,
     name: str | None = None,
+    table: EditTable | None = None,
 ) -> SystemOutput:
     """Per-sentence majority vote over aligned member systems.
 
     The ensemble's name records the members and the threshold unless an
-    explicit ``name`` is given.
+    explicit ``name`` is given. Member edits are read from ``table``, a
+    new one when none is given.
     """
     for out in outputs:
         if len(out.sentences) != len(sources):
@@ -109,12 +117,14 @@ def majority_vote_corpus(
             )
     if not (0 <= n_min <= len(outputs)):
         raise ValidationError(f"n_min must be within 0..{len(outputs)}, got {n_min}")
+    if table is None:
+        table = EditTable()
     members = [out.name for out in outputs]
     sentences = []
     for i, source in enumerate(sources):
         per_system = [(out.name, out.sentences[i]) for out in outputs]
         try:
-            sentences.append(majority_vote(source, per_system, n_min))
+            sentences.append(majority_vote(source, per_system, n_min, table))
         except ValidationError as err:
             raise ValidationError(f"sentence {i}: {err}") from None
     label = name or f"majority-vote(n_min={n_min})[{'+'.join(members)}]"

@@ -1,10 +1,12 @@
 """Edit extraction/application: pinned examples plus the roundtrip property."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import sentence_pairs
-from geckit.align import OverlapError, apply_edits, extract_edits, overlaps
+from geckit.align import EditTable, OverlapError, apply_edits, extract_edits, overlaps
 from geckit.corpus import Edit, TokenSentence, ValidationError
 
 
@@ -136,3 +138,49 @@ def test_result_type_is_token_sentence():
     out = apply_edits(("a", "b"), [Edit(0, 1, ("x",))])
     assert isinstance(out, TokenSentence)
     assert out.text == "x b"
+
+
+# --------------------------------------------------------------------------
+# EditTable: a lookup must equal a fresh extraction, hit or miss
+
+
+def test_edit_table_equals_extract_edits_on_random_pairs():
+    rng = random.Random(303)
+    table = EditTable()
+    pairs = []
+    for _ in range(10_000):
+        alphabet = [f"w{j}" for j in range(rng.randint(2, 50))]
+        source = TokenSentence(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        if pairs and rng.random() < 0.2:
+            source = rng.choice(pairs)[0]  # one source, several hypotheses
+        if rng.random() < 0.5:
+            hyp = TokenSentence(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        else:
+            hyp = TokenSentence(t for t in source if rng.random() < 0.9)
+        pairs.append((source, hyp))
+        assert table.edits(source, hyp) == extract_edits(source, hyp)
+    # second lookups hit, also through equal but distinct sentence objects
+    for source, hyp in pairs[::7]:
+        assert table.edits(TokenSentence(source), hyp) == extract_edits(source, hyp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentence_pairs())
+def test_edit_table_equals_extract_edits(pair):
+    src, hyp = TokenSentence(pair[0]), TokenSentence(pair[1])
+    table = EditTable()
+    expected = extract_edits(src, hyp)
+    assert table.edits(src, hyp) == expected  # miss
+    assert table.edits(src, hyp) == expected  # hit
+
+
+def test_edit_table_lookup_survives_caller_mutation():
+    table = EditTable()
+    src, hyp = TokenSentence("a b c d".split()), TokenSentence("x b c y".split())
+    first = table.edits(src, hyp)
+    expected = list(first)
+    first.append(Edit(1, 1, ("z",)))
+    first[0] = Edit(0, 0, ("q",))
+    second = table.edits(src, hyp)
+    assert second == expected == extract_edits(src, hyp)
+    assert type(second) is list and second is not first

@@ -1,6 +1,10 @@
 """M2, parallel-text, and score-file round trips and error reporting."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geckit.corpus import (
     Edit,
@@ -162,6 +166,40 @@ def test_token_sentence_rejects_whitespace_tokens():
         TokenSentence(("a b",))
     with pytest.raises(ValidationError):
         TokenSentence(("",))
+
+
+# Every code point that str.isspace() accepts, plus characters that look
+# like separators but are not whitespace (zero-width space, word joiner).
+_SPACES = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+_LOOKALIKES = ["\u200b", "\u2060", "\ufeff"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.sampled_from(_SPACES + _LOOKALIKES), st.characters(), st.sampled_from("ab")
+        ),
+        max_size=30,
+    )
+)
+def test_parse_equals_validated_construction(text):
+    """parse skips the per-token checks; the validating constructor accepts
+    the same tokens and builds the same sentence."""
+    parsed = TokenSentence.parse(text)
+    assert type(parsed) is TokenSentence
+    assert parsed == TokenSentence(text.split())
+
+
+def test_split_and_isspace_agree_on_every_code_point():
+    """The fact TokenSentence.parse relies on: a character is a str.split()
+    separator exactly when str.isspace() is true of it."""
+    disagree = [
+        hex(cp)
+        for cp in range(sys.maxunicode + 1)
+        if (chr(cp).split() == []) != chr(cp).isspace()
+    ]
+    assert disagree == []
 
 
 def test_gold_sentence_needs_an_annotation():

@@ -1,9 +1,13 @@
 """Config loading, experiment dispatch, ablations, and rerun determinism."""
 
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+import geckit.align
+import geckit.experiment
 from geckit.corpus import ValidationError, load_parallel
 from geckit.experiment import (
     ExperimentConfig,
@@ -240,3 +244,94 @@ def test_sweep_rejects_non_vote_methods(tmp_path):
     config = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError):
         sweep_n_min(config)
+
+
+# --------------------------------------------------------------------------
+# Sweeps and ablations load their inputs once and share one edit table; the
+# artifacts must not change.
+
+
+def _artifacts(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _shared_and_standalone(tmp_path, method):
+    payload = write_fixture(tmp_path, systems=("a", "b", "c", "noise"))
+    payload.update(method=method, source="src.txt")
+    (tmp_path / "src.txt").write_text(
+        "".join(line[2:] + "\n" for line in GOLD.splitlines() if line.startswith("S ")),
+        encoding="utf-8",
+    )
+    config = load_config(write_config(tmp_path, payload))
+    alone = replace(config, output_dir=tmp_path / "alone")
+    return config, alone
+
+
+def test_sweep_artifacts_equal_standalone_runs(tmp_path):
+    config, alone = _shared_and_standalone(tmp_path, "vote")
+    rows = sweep_n_min(config)
+    for n_min, _ in rows:
+        run_experiment(replace(alone, name=f"{config.name}.nmin{n_min}", n_min=n_min))
+    shared = _artifacts(config.output_dir)
+    assert shared.pop("fixture.sweep.tsv")
+    assert shared == _artifacts(alone.output_dir)
+
+
+@pytest.mark.parametrize("method", ["vote", "oracle-ensemble", "oracle-rank"])
+def test_ablation_artifacts_equal_standalone_runs(tmp_path, method):
+    config, alone = _shared_and_standalone(tmp_path, method)
+    ablation_remove_one(config)
+    run_experiment(alone)
+    for name, _ in config.systems:
+        systems = tuple(s for s in config.systems if s[0] != name)
+        run_experiment(replace(alone, name=f"{config.name}.wo-{name}", systems=systems))
+    shared = _artifacts(config.output_dir)
+    assert shared.pop("fixture.ablation.tsv")
+    assert shared == _artifacts(alone.output_dir)
+
+
+@pytest.mark.parametrize("repeat", [sweep_n_min, ablation_remove_one])
+def test_repeated_runs_extract_each_pair_once_and_load_each_file_once(
+    tmp_path, monkeypatch, repeat
+):
+    payload = write_fixture(tmp_path)  # then cut down to 2 sentences
+    gold = GOLD.split("\n\n")[:2]
+    (tmp_path / "gold.m2").write_text("\n\n".join(gold) + "\n", encoding="utf-8")
+    for name in ("a", "b", "c"):
+        (tmp_path / f"{name}.txt").write_text(
+            "".join(line + "\n" for line in SYSTEMS[name][:2]), encoding="utf-8"
+        )
+    config = load_config(write_config(tmp_path, payload))
+
+    extracted = Counter()
+    real_extract = geckit.align.extract_edits
+
+    def counting_extract(source, hypothesis):
+        extracted[(tuple(source), tuple(hypothesis))] += 1
+        return real_extract(source, hypothesis)
+
+    loaded = Counter()
+
+    def counting(fn):
+        def wrapper(path, *args, **kwargs):
+            loaded[path] += 1
+            return fn(path, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(geckit.align, "extract_edits", counting_extract)
+    for loader in ("load_m2", "load_system_output"):
+        monkeypatch.setattr(
+            geckit.experiment, loader, counting(getattr(geckit.experiment, loader))
+        )
+    repeat(config)
+
+    sources = [stanza.split("\n")[0][2:].split() for stanza in gold]
+    member_pairs = {
+        (tuple(src), tuple(SYSTEMS[name][i].split()))
+        for name in ("a", "b", "c")
+        for i, src in enumerate(sources)
+    }
+    assert member_pairs <= set(extracted)
+    assert set(extracted.values()) == {1}
+    assert loaded == Counter([config.gold_path] + [path for _, path in config.systems])
