@@ -158,11 +158,8 @@ def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:
     """Apply a valid, pairwise non-overlapping edit set to source.
 
     Order-independent: any permutation of the same set gives the same
-    result. Raises :class:`OverlapError` for conflicting edits (including a
-    zero-width insertion strictly inside another edit's span, which the
-    :func:`overlaps` predicate deliberately does not flag but which admits
-    no coherent application), :class:`ValidationError` for out-of-bounds or
-    no-op edits.
+    result. Raises :class:`OverlapError` for a pair that :func:`conflicts`,
+    :class:`ValidationError` for out-of-bounds or no-op edits.
     """
     src = tuple(source)
     ordered = sorted(edits, key=lambda e: (e.start, e.end))
@@ -170,7 +167,7 @@ def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:
         check_edit(e, src)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
-            if overlaps(a, b) or _nested_insertion(a, b):
+            if conflicts(a, b):
                 raise OverlapError(f"conflicting edits: {a} / {b}")
     out: list[str] = []
     pos = 0
@@ -199,9 +196,20 @@ def overlaps(a: Edit, b: Edit) -> bool:
     return a.start == b.start and (a.start == a.end or b.start == b.end)
 
 
+def conflicts(a: Edit, b: Edit) -> bool:
+    """True iff two edits on the same source cannot both be applied.
+
+    That is :func:`overlaps`, plus a zero-width insertion strictly inside
+    the other edit's span, which overlaps() deliberately does not flag but
+    which no application order could honor.
+
+    >>> conflicts(Edit(2, 2, ("x",)), Edit(1, 3, ("y",)))
+    True
+    """
+    return overlaps(a, b) or _nested_insertion(a, b)
+
+
 def _nested_insertion(a: Edit, b: Edit) -> bool:
-    # An insertion strictly inside another edit's open interval: not caught
-    # by overlaps(), but the pair has no order-independent application.
     return (a.start == a.end and b.start < a.start < b.end) or (
         b.start == b.end and a.start < b.start < a.end
     )

@@ -16,19 +16,21 @@ import argparse
 import json
 import sys
 import traceback
-from pathlib import Path
 
-from .align import EditTable, apply_edits, extract_edits
+from .align import apply_edits, extract_edits
 from .corpus import (
-    Edit,
     M2ParseError,
     SystemOutput,
     ValidationError,
     atomic_write_text,
+    check_source_file,
+    load_edit_tsv,
     load_m2,
     load_parallel,
     load_score_file,
     load_system_output,
+    parse_system_spec,
+    serialize_edit_tsv,
     serialize_parallel,
 )
 from .experiment import (
@@ -42,19 +44,16 @@ from .experiment import (
 from .llm import llm_rank_corpus, make_backend
 from .oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
 from .ranking import (
-    aggr_rank,
+    aggr_rank_corpus,
     cluster_systems,
     clusters_tsv,
     matrix_tsv,
-    rank_by_score,
-    rank_weighted,
+    rank_corpus,
     similarity_matrix,
 )
 from .scoring import report_table, report_tsv, score_corpus
 from .seeds import derive_seed
 from .vote import majority_vote_corpus
-
-_EMPTY = "-NONE-"  # empty replacement marker in edit TSVs, as in M2
 
 
 class _UsageError(Exception):
@@ -79,10 +78,7 @@ def _emit(text: str, out: str | None) -> None:
 def _load_systems(specs: list[str], expected_len: int | None = None) -> list[SystemOutput]:
     systems = []
     for spec in specs:
-        if "=" in spec:
-            name, _, path = spec.partition("=")
-        else:
-            name, path = Path(spec).stem, spec
+        name, path = parse_system_spec(spec)
         systems.append(load_system_output(path, name, expected_len=expected_len))
     if len({s.name for s in systems}) != len(systems):
         raise ValidationError(f"duplicate system names in {specs}")
@@ -96,42 +92,18 @@ def _load_systems(specs: list[str], expected_len: int | None = None) -> list[Sys
 def _cmd_extract(args) -> int:
     sources = load_parallel(args.src)
     hyps = load_parallel(args.hyp, expected_len=len(sources))
-    lines = ["sentence_index\tstart\tend\treplacement"]
-    for i, (src, hyp) in enumerate(zip(sources, hyps)):
-        for e in extract_edits(src, hyp):
-            repl = " ".join(e.replacement) if e.replacement else _EMPTY
-            lines.append(f"{i}\t{e.start}\t{e.end}\t{repl}")
-    _emit("\n".join(lines) + "\n", args.out)
+    edits = [extract_edits(src, hyp) for src, hyp in zip(sources, hyps)]
+    _emit(serialize_edit_tsv(edits), args.out)
     return 0
 
 
 def _cmd_apply(args) -> int:
     sources = load_parallel(args.src)
-    per_sentence: dict[int, list[Edit]] = {}
-    text = Path(args.edits).read_text(encoding="utf-8")
-    lines = text.rstrip("\n").split("\n")
-    if not lines or lines[0].rstrip("\r") != "sentence_index\tstart\tend\treplacement":
-        raise ValidationError("edit file must start with the extract TSV header")
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.rstrip("\r")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValidationError(f"edit file line {lineno}: expected 4 columns")
-        try:
-            idx, start, end = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValidationError(f"edit file line {lineno}: non-integer field") from None
-        repl = () if parts[3] == _EMPTY else tuple(parts[3].split())
-        per_sentence.setdefault(idx, []).append(Edit(start, end, repl))
-    out_of_range = [i for i in per_sentence if not 0 <= i < len(sources)]
-    if out_of_range:
-        raise ValidationError(f"edit file references unknown sentences: {out_of_range}")
+    edits = load_edit_tsv(args.edits, len(sources))
     edited = []
     for i, src in enumerate(sources):
         try:
-            edited.append(apply_edits(src, per_sentence.get(i, [])))
+            edited.append(apply_edits(src, edits[i]))
         except ValidationError as err:
             raise ValidationError(f"sentence {i}: {err}") from None
     _emit(serialize_parallel(edited), args.out)
@@ -141,12 +113,7 @@ def _cmd_apply(args) -> int:
 def _cmd_score(args) -> int:
     gold = load_m2(args.gold)
     if args.src:
-        file_sources = load_parallel(args.src, expected_len=len(gold))
-        for i, (a, gs) in enumerate(zip(file_sources, gold)):
-            if a != gs.source:
-                raise ValidationError(
-                    f"sentence {i}: --src disagrees with the gold M2 source"
-                )
+        check_source_file(args.src, gold)
     hyp = load_system_output(args.hyp, expected_len=len(gold))
     report = score_corpus(hyp, gold)
     text = report_tsv(report) if args.tsv else report_table(report)
@@ -177,35 +144,18 @@ def _cmd_oracle(method: str, args) -> int:
 
 def _cmd_rank(method: str, args) -> int:
     systems = _load_systems(args.sys)
-    n = len(systems[0].sentences)
-    for s in systems[1:]:
-        if len(s.sentences) != n:
-            raise ValidationError(
-                f"system {s.name!r} has {len(s.sentences)} sentences, expected {n}"
-            )
     scores = load_score_file(args.scores)
-    select = rank_by_score if method == "rank" else rank_weighted
-    chosen = []
-    for i in range(n):
-        candidates = [(s.name, s.sentences[i]) for s in systems]
-        try:
-            per_candidate = [scores.get(name, i) for name, _ in candidates]
-            chosen.append(select(candidates, per_candidate)[1])
-        except (KeyError, ValidationError) as err:
-            raise ValidationError(f"sentence {i}: {err}") from None
-    _emit(serialize_parallel(chosen), args.out)
+    ranked = rank_corpus(systems, scores, weighted=method == "rank-w")
+    _emit(serialize_parallel(ranked.sentences), args.out)
     return 0
 
 
 def _cmd_aggr_rank(args) -> int:
     sources = load_parallel(args.src)
-    primary = load_parallel(args.primary, expected_len=len(sources))
-    alternative = load_parallel(args.alt, expected_len=len(sources))
-    table = EditTable()
-    chosen = [
-        aggr_rank(p, a, s, table) for p, a, s in zip(primary, alternative, sources)
-    ]
-    _emit(serialize_parallel(chosen), args.out)
+    primary = load_system_output(args.primary, expected_len=len(sources))
+    alternative = load_system_output(args.alt, expected_len=len(sources))
+    chosen = aggr_rank_corpus(sources, primary, alternative)
+    _emit(serialize_parallel(chosen.sentences), args.out)
     return 0
 
 
@@ -270,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        return p
+        return sub.add_parser(name, help=help_text)
 
     p = add("extract", "extract edit spans between source and hypothesis files")
     p.add_argument("--src", required=True, help="source parallel text")

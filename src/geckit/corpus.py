@@ -1,6 +1,6 @@
 """Corpus data model and file formats.
 
-Three file formats are handled here:
+Four file formats are handled here:
 
 * M2 gold files: stanzas of one ``S`` source line followed by ``A`` edit
   lines, blank-line separated. Each ``A`` line carries a token span, an
@@ -10,6 +10,10 @@ Three file formats are handled here:
   across files.
 * Score files: TSV with a ``system<TAB>sentence_index<TAB>score`` header,
   one row per (system, sentence) pair.
+* Edit TSVs (``extract`` output, ``apply`` input): one row per edit under a
+  ``sentence_index<TAB>start<TAB>end<TAB>replacement`` header.
+
+Loaders name the file in every error. Checks across inputs live here too.
 
 Tokenization is whitespace-only throughout and comparisons are
 case-sensitive. All writes go through :func:`atomic_write_text` so readers
@@ -22,7 +26,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class M2ParseError(ValueError):
@@ -57,7 +61,8 @@ class TokenSentence(tuple):
         for t in toks:
             if not isinstance(t, str) or not t:
                 raise ValidationError(f"empty or non-string token: {t!r}")
-            if any(c.isspace() for c in t):
+            # str.split() separators are exactly the str.isspace() characters
+            if t.split() != [t]:
                 raise ValidationError(f"token contains whitespace: {t!r}")
         return super().__new__(cls, toks)
 
@@ -106,16 +111,13 @@ def check_edit(edit: Edit, source: Sequence[str]) -> None:
 
 def _check_annotation(source: Sequence[str], edits: Sequence[Edit]) -> None:
     # Deferred import: align needs Edit from this module.
-    from .align import _nested_insertion, overlaps
+    from .align import conflicts
 
     for e in edits:
         check_edit(e, source)
     for i, a in enumerate(edits):
         for b in edits[i + 1 :]:
-            # an annotation is one coherent correction, so it must also be
-            # applicable: reject insertions nested inside a replaced span,
-            # which overlaps() alone does not flag
-            if overlaps(a, b) or _nested_insertion(a, b):
+            if conflicts(a, b):
                 raise ValidationError(f"overlapping edits in one annotation: {a} / {b}")
 
 
@@ -144,12 +146,6 @@ class GoldSentence:
         for ann in anns:
             _check_annotation(self.source, ann)
 
-    def corrected(self, annotator: int) -> TokenSentence:
-        """The source with annotator's edits applied."""
-        from .align import apply_edits
-
-        return apply_edits(self.source, self.annotations[annotator])
-
 
 @dataclass(frozen=True)
 class SystemOutput:
@@ -165,6 +161,21 @@ class SystemOutput:
             s if isinstance(s, TokenSentence) else TokenSentence(s) for s in self.sentences
         )
         object.__setattr__(self, "sentences", sents)
+
+
+def check_aligned(outputs: Sequence[SystemOutput], n: int) -> None:
+    """Raise :class:`ValidationError` unless every output has ``n`` sentences."""
+    for out in outputs:
+        if len(out.sentences) != n:
+            raise ValidationError(
+                f"system {out.name!r} has {len(out.sentences)} sentences, expected {n}"
+            )
+
+
+def parse_system_spec(spec: str) -> tuple[str, Path]:
+    """Split a ``name=path`` member spec; a bare path is named by its file stem."""
+    name, sep, path = spec.partition("=")
+    return (name, Path(path)) if sep else (Path(spec).stem, Path(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +264,8 @@ def serialize_m2(sentences: Sequence[GoldSentence]) -> str:
     """Render gold sentences as M2 text; inverse of :func:`parse_m2`.
 
     Types are emitted as ``UNK`` (they are not modeled), empty replacements
-    as ``-NONE-``, and explicit empty annotation sets as ``noop`` lines, so
-    ``parse_m2(serialize_m2(xs)) == xs``.
+    in the M2 spelling, and explicit empty annotation sets as ``noop``
+    lines, so ``parse_m2(serialize_m2(xs)) == xs``.
     """
     chunks: list[str] = []
     for gs in sentences:
@@ -273,7 +284,15 @@ def serialize_m2(sentences: Sequence[GoldSentence]) -> str:
 
 
 def load_m2(path: str | Path) -> list[GoldSentence]:
-    return parse_m2(Path(path).read_text(encoding="utf-8"))
+    return _load(parse_m2, path)
+
+
+def check_source_file(path: str | Path, gold: Sequence[GoldSentence]) -> None:
+    """Raise :class:`ValidationError` unless the parallel file at ``path``
+    holds exactly the source sentences of ``gold``."""
+    for i, (a, gs) in enumerate(zip(load_parallel(path, expected_len=len(gold)), gold)):
+        if a != gs.source:
+            raise ValidationError(f"{path}: sentence {i} disagrees with the gold M2 source")
 
 
 def save_m2(path: str | Path, sentences: Sequence[GoldSentence]) -> None:
@@ -346,19 +365,26 @@ class ScoreFile:
         return tuple(sorted({sys for sys, _ in self.scores}))
 
 
-def parse_score_file(text: str) -> ScoreFile:
-    """Parse score TSV. Requires the exact header; rejects duplicate keys."""
+def _tsv_rows(text: str, header: str, kind: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank row below the exact ``header``."""
     lines = text.rstrip("\n").split("\n")
-    if not lines or lines[0].rstrip("\r") != SCORE_FILE_HEADER:
-        raise ValidationError(f"score file must start with header {SCORE_FILE_HEADER!r}")
-    scores: dict[tuple[str, int], float] = {}
+    if lines[0].rstrip("\r") != header:
+        raise ValidationError(f"{kind} file must start with header {header!r}")
+    n_columns = header.count("\t") + 1
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.rstrip("\r")
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValidationError(f"score file line {lineno}: expected 3 columns")
+        if len(parts) != n_columns:
+            raise ValidationError(f"{kind} file line {lineno}: expected {n_columns} columns")
+        yield lineno, parts
+
+
+def parse_score_file(text: str) -> ScoreFile:
+    """Parse score TSV. Requires the exact header; rejects duplicate keys."""
+    scores: dict[tuple[str, int], float] = {}
+    for lineno, parts in _tsv_rows(text, SCORE_FILE_HEADER, "score"):
         try:
             key = (parts[0], int(parts[1]))
             value = float(parts[2])
@@ -371,7 +397,7 @@ def parse_score_file(text: str) -> ScoreFile:
 
 
 def load_score_file(path: str | Path) -> ScoreFile:
-    return parse_score_file(Path(path).read_text(encoding="utf-8"))
+    return _load(parse_score_file, path)
 
 
 def serialize_score_file(scores: ScoreFile) -> str:
@@ -382,6 +408,52 @@ def serialize_score_file(scores: ScoreFile) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Edit TSVs
+
+EDIT_TSV_HEADER = "sentence_index\tstart\tend\treplacement"
+
+
+def serialize_edit_tsv(edits: Sequence[Sequence[Edit]]) -> str:
+    """Render one edit list per sentence as TSV; inverse of :func:`parse_edit_tsv`."""
+    lines = [EDIT_TSV_HEADER]
+    for i, sentence_edits in enumerate(edits):
+        for e in sentence_edits:
+            lines.append(f"{i}\t{e.start}\t{e.end}\t{' '.join(e.replacement) or _M2_EMPTY}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_edit_tsv(text: str, n: int) -> list[list[Edit]]:
+    """Parse edit TSV into one edit list per sentence of an ``n``-sentence corpus.
+
+    Edits keep their file order. Spans are checked when the edits are applied.
+    """
+    edits: list[list[Edit]] = [[] for _ in range(n)]
+    for lineno, parts in _tsv_rows(text, EDIT_TSV_HEADER, "edit"):
+        try:
+            index, start, end = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValidationError(f"edit file line {lineno}: non-integer field") from None
+        if not 0 <= index < n:
+            raise ValidationError(f"edit file line {lineno}: sentence {index} not in 0..{n - 1}")
+        repl = () if parts[3] == _M2_EMPTY else tuple(parts[3].split())
+        edits[index].append(Edit(start, end, repl))
+    return edits
+
+
+def load_edit_tsv(path: str | Path, n: int) -> list[list[Edit]]:
+    return _load(parse_edit_tsv, path, n)
+
+
+# ---------------------------------------------------------------------------
+
+
+def _load(parse: Callable, path: str | Path, *args):
+    """``parse`` the text of the file at ``path``; errors name the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text, *args)
+    except (M2ParseError, ValidationError) as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

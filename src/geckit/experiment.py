@@ -36,27 +36,27 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 from .align import EditTable
 from .corpus import (
     GoldSentence,
-    ScoreFile,
     SystemOutput,
     TokenSentence,
     ValidationError,
     atomic_write_text,
+    check_source_file,
     load_m2,
-    load_parallel,
     load_score_file,
     load_system_output,
+    parse_system_spec,
     serialize_parallel,
 )
 from .llm import llm_rank_corpus, make_backend
 from .oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
-from .ranking import aggr_rank, rank_by_score, rank_weighted
+from .ranking import aggr_rank_corpus, rank_corpus
 from .scoring import ScoreReport, report_table, round_score, score_corpus
 from .seeds import derive_seed
 from .vote import majority_vote_corpus
@@ -131,13 +131,8 @@ class ExperimentResult:
     def report(self) -> ScoreReport:
         return self.reports[0]
 
-    def mean_f05(self) -> float:
-        return statistics.fmean(r.f05 for r in self.reports)
-
     def spread_f05(self) -> float:
         """2 x population std of F0.5 across runs; 0.0 for a single run."""
-        if len(self.reports) < 2:
-            return 0.0
         return 2 * statistics.pstdev(r.f05 for r in self.reports)
 
 
@@ -187,11 +182,8 @@ def _parse_system_entry(entry, resolve) -> tuple[str, Path]:
             raise ValidationError(f"system entry needs exactly name and path: {entry}")
         return entry["name"], resolve(entry["path"])
     if isinstance(entry, str):
-        if "=" in entry:
-            name, _, p = entry.partition("=")
-            return name, resolve(p)
-        p = resolve(entry)
-        return p.stem, p
+        name, path = parse_system_spec(entry)
+        return name, resolve(path)
     raise ValidationError(f"bad system entry: {entry!r}")
 
 
@@ -208,19 +200,13 @@ class _Inputs:
 
 def _load_inputs(config: ExperimentConfig) -> _Inputs:
     gold = load_m2(config.gold_path)
-    sources = [gs.source for gs in gold]
     if config.source_path is not None:
-        file_sources = load_parallel(config.source_path, expected_len=len(gold))
-        for i, (a, b) in enumerate(zip(file_sources, sources)):
-            if a != b:
-                raise ValidationError(
-                    f"sentence {i}: source file disagrees with gold M2 source"
-                )
+        check_source_file(config.source_path, gold)
     members = {
         name: load_system_output(path, name, expected_len=len(gold))
         for name, path in config.systems
     }
-    return _Inputs(gold, sources, members)
+    return _Inputs(gold, [gs.source for gs in gold], members)
 
 
 def run_experiment(
@@ -240,28 +226,17 @@ def run_experiment(
     combined: list[SystemOutput]
     if config.method in ("vote", "second-order-vote"):
         combined = [majority_vote_corpus(sources, outputs, config.n_min, table=table)]
-    elif config.method == "oracle-ensemble":
-        result, choices = oracle_ensemble_corpus(gold, outputs, table=table)
-        combined = [result]
-        artifacts.append(_write(config, "audit.tsv", choices_tsv(choices)))
-    elif config.method == "oracle-rank":
-        result, choices = oracle_rank_corpus(gold, outputs, table=table)
+    elif config.method in ("oracle-ensemble", "oracle-rank"):
+        ensemble = config.method == "oracle-ensemble"
+        oracle = oracle_ensemble_corpus if ensemble else oracle_rank_corpus
+        result, choices = oracle(gold, outputs, table=table)
         combined = [result]
         artifacts.append(_write(config, "audit.tsv", choices_tsv(choices)))
     elif config.method in ("rank", "rank-w"):
-        combined = [_rank_corpus(config, sources, outputs)]
+        scores = load_score_file(config.score_path)
+        combined = [rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
     elif config.method == "aggr-rank":
-        primary, alternative = outputs
-        sentences = []
-        for i, source in enumerate(sources):
-            try:
-                sentences.append(
-                    aggr_rank(primary.sentences[i], alternative.sentences[i], source, table)
-                )
-            except ValidationError as err:
-                raise ValidationError(f"sentence {i}: {err}") from None
-        name = f"aggr-rank[{primary.name}|{alternative.name}]"
-        combined = [SystemOutput(name, tuple(sentences))]
+        combined = [aggr_rank_corpus(sources, *outputs, table)]
     else:  # llm-rank
         backend = make_backend(
             config.backend, base_url=config.base_url, model=config.model
@@ -288,26 +263,6 @@ def run_experiment(
     return result
 
 
-def _rank_corpus(
-    config: ExperimentConfig,
-    sources: Sequence,
-    outputs: Sequence[SystemOutput],
-) -> SystemOutput:
-    scores = load_score_file(config.score_path)
-    select = rank_by_score if config.method == "rank" else rank_weighted
-    sentences = []
-    for i in range(len(sources)):
-        candidates = [(out.name, out.sentences[i]) for out in outputs]
-        try:
-            per_candidate = [scores.get(name, i) for name, _ in candidates]
-            _, sentence = select(candidates, per_candidate)
-        except (KeyError, ValidationError) as err:
-            raise ValidationError(f"sentence {i}: {err}") from None
-        sentences.append(sentence)
-    members = "+".join(out.name for out in outputs)
-    return SystemOutput(f"{config.method}[{members}]", tuple(sentences))
-
-
 def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentResult]]:
     """The full ensemble plus one rerun per left-out member system."""
     if len(config.systems) < 3:
@@ -315,38 +270,26 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
     inputs = _load_inputs(config)
     rows = [("full", run_experiment(config, _inputs=inputs))]
     for name, _ in config.systems:
-        reduced = _with(
+        reduced = replace(
             config,
             name=f"{config.name}.wo-{name}",
             systems=tuple(s for s in config.systems if s[0] != name),
         )
         rows.append((f"w/o {name}", run_experiment(reduced, _inputs=inputs)))
-    table = ablation_tsv(rows)
-    atomic_write_text(config.output_dir / f"{config.name}.ablation.tsv", table)
+    _write(config, "ablation.tsv", ablation_tsv(rows))
     return rows
 
 
-def sweep_n_min(
-    config: ExperimentConfig, values: Sequence[int] | None = None
-) -> list[tuple[int, ExperimentResult]]:
-    """Rerun a vote experiment across n_min values (default 0..N_sys)."""
+def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
+    """Rerun a vote experiment at every n_min from 0 to the member count."""
     if config.method not in ("vote", "second-order-vote"):
         raise ValidationError("n_min sweep applies to vote methods only")
-    if values is None:
-        values = range(0, len(config.systems) + 1)
     inputs = _load_inputs(config)
     rows = []
-    for n_min in values:
-        variant = _with(config, name=f"{config.name}.nmin{n_min}", n_min=n_min)
+    for n_min in range(len(config.systems) + 1):
+        variant = replace(config, name=f"{config.name}.nmin{n_min}", n_min=n_min)
         rows.append((n_min, run_experiment(variant, _inputs=inputs)))
-    lines = ["n_min\tP\tR\tF0.5"]
-    for n_min, result in rows:
-        r = result.report
-        lines.append(
-            f"{n_min}\t{round_score(r.precision):.1f}\t{round_score(r.recall):.1f}"
-            f"\t{round_score(r.f05):.1f}"
-        )
-    atomic_write_text(config.output_dir / f"{config.name}.sweep.tsv", "\n".join(lines) + "\n")
+    _write(config, "sweep.tsv", _prf_tsv("n_min", rows))
     return rows
 
 
@@ -374,7 +317,12 @@ def result_row_tsv(results: Sequence[ExperimentResult]) -> str:
 
 
 def ablation_tsv(rows: Sequence[tuple[str, ExperimentResult]]) -> str:
-    lines = ["variant\tP\tR\tF0.5"]
+    return _prf_tsv("variant", rows)
+
+
+def _prf_tsv(key: str, rows: Sequence[tuple[object, ExperimentResult]]) -> str:
+    """One P/R/F0.5 row per (label, result), under a ``key`` column."""
+    lines = [f"{key}\tP\tR\tF0.5"]
     for label, result in rows:
         r = result.report
         lines.append(
@@ -388,9 +336,3 @@ def _write(config: ExperimentConfig, suffix: str, text: str) -> Path:
     path = config.output_dir / f"{config.name}.{suffix}"
     atomic_write_text(path, text)
     return path
-
-
-def _with(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(config, **overrides)

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .corpus import SystemOutput, TokenSentence, ValidationError
+from .corpus import SystemOutput, TokenSentence, ValidationError, check_aligned
 from .seeds import derive_rng, derive_seed
 
 Backend = Callable[[str, str, float], str]
@@ -226,12 +226,7 @@ class HttpChatBackend:
 
 
 def make_backend(
-    kind: str,
-    *,
-    base_url: str | None = None,
-    model: str | None = None,
-    api_key_env: str = "GECKIT_API_KEY",
-    timeout: float = 60.0,
+    kind: str, *, base_url: str | None = None, model: str | None = None
 ) -> Backend:
     """Build a backend from a config/CLI name.
 
@@ -245,7 +240,7 @@ def make_backend(
     if kind == "http":
         if not base_url or not model:
             raise ValidationError("http backend needs base_url and model")
-        return HttpChatBackend(base_url, model, api_key_env=api_key_env, timeout=timeout)
+        return HttpChatBackend(base_url, model)
     raise ValidationError(f"unknown backend {kind!r}")
 
 
@@ -293,11 +288,9 @@ def llm_rank_corpus(
     *,
     shuffle: bool = True,
     jobs: int = 1,
-    task_description: str = DEFAULT_TASK_DESCRIPTION,
     temperature: float = 1.0,
     retries: int = 3,
     backoff: float = 1.0,
-    name_prefix: str = "llm-rank",
 ) -> list[RankedRun]:
     """Rank every sentence once per run; runs stay separate.
 
@@ -312,12 +305,7 @@ def llm_rank_corpus(
         seeds = [derive_seed(0, "run", r) for r in range(runs)]
     if len(seeds) != runs:
         raise ValidationError(f"{runs} runs but {len(seeds)} seeds")
-    for out in outputs:
-        if len(out.sentences) != len(sources):
-            raise ValidationError(
-                f"system {out.name!r} has {len(out.sentences)} sentences, "
-                f"expected {len(sources)}"
-            )
+    check_aligned(outputs, len(sources))
 
     results: list[RankedRun] = []
     for run_index, run_seed in enumerate(seeds):
@@ -329,7 +317,7 @@ def llm_rank_corpus(
             by_label = dict(prompt.candidates)
             try:
                 raw = call_with_retries(
-                    backend, task_description, prompt.text, temperature,
+                    backend, DEFAULT_TASK_DESCRIPTION, prompt.text, temperature,
                     retries=retries, backoff=backoff,
                 )
             except Exception:
@@ -345,6 +333,6 @@ def llm_rank_corpus(
 
         sentences = tuple(sentence for sentence, _ in ranked)
         flagged = tuple(i for i, (_, fb) in enumerate(ranked) if fb)
-        output = SystemOutput(f"{name_prefix}-{variant}[run{run_index}]", sentences)
+        output = SystemOutput(f"llm-rank-{variant}[run{run_index}]", sentences)
         results.append(RankedRun(output, run_index, run_seed, flagged))
     return results

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .align import EditTable, apply_edits
-from .corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
+from .corpus import (
+    Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError, check_aligned,
+)
 from .scoring import prf, sentence_counts
 
 
@@ -132,14 +134,13 @@ def oracle_rank(
 def oracle_ensemble_corpus(
     gold: Sequence[GoldSentence],
     outputs: Sequence[SystemOutput],
-    name: str = "oracle-ensemble",
     table: EditTable | None = None,
 ) -> tuple[SystemOutput, list[OracleChoice]]:
     """Corpus-level oracle ensembling with an audit trail.
 
     Edits are read from ``table``, a new one when none is given.
     """
-    _check_aligned(gold, outputs)
+    check_aligned(outputs, len(gold))
     if table is None:
         table = EditTable()
     sentences = []
@@ -149,20 +150,19 @@ def oracle_ensemble_corpus(
         sentence, ann_id, selected = _ensemble_choice(gs.source, per_system, gs, table)
         sentences.append(sentence)
         choices.append(OracleChoice(i, "oracle-ensemble", ann_id, None, len(selected)))
-    return SystemOutput(name, tuple(sentences)), choices
+    return SystemOutput("oracle-ensemble", tuple(sentences)), choices
 
 
 def oracle_rank_corpus(
     gold: Sequence[GoldSentence],
     outputs: Sequence[SystemOutput],
-    name: str = "oracle-rank",
     table: EditTable | None = None,
 ) -> tuple[SystemOutput, list[OracleChoice]]:
     """Corpus-level oracle ranking with an audit trail.
 
     Edits are read from ``table``, a new one when none is given.
     """
-    _check_aligned(gold, outputs)
+    check_aligned(outputs, len(gold))
     if table is None:
         table = EditTable()
     sentences = []
@@ -173,7 +173,7 @@ def oracle_rank_corpus(
         key, ann_id = _candidate_key(gs.source, sentence, gs, table)
         sentences.append(sentence)
         choices.append(OracleChoice(i, "oracle-rank", ann_id, sys_name, key[1]))
-    return SystemOutput(name, tuple(sentences)), choices
+    return SystemOutput("oracle-rank", tuple(sentences)), choices
 
 
 def choices_tsv(choices: Sequence[OracleChoice]) -> str:
@@ -184,12 +184,3 @@ def choices_tsv(choices: Sequence[OracleChoice]) -> str:
             f"{ch.sentence_index}\t{ch.method}\t{ch.annotator}\t{ch.system or '-'}\t{ch.n_selected}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _check_aligned(gold: Sequence[GoldSentence], outputs: Sequence[SystemOutput]) -> None:
-    for out in outputs:
-        if len(out.sentences) != len(gold):
-            raise ValidationError(
-                f"system {out.name!r} has {len(out.sentences)} sentences, "
-                f"gold corpus has {len(gold)}"
-            )

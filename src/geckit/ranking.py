@@ -29,7 +29,7 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
 from .align import EditTable
-from .corpus import SystemOutput, TokenSentence, ValidationError
+from .corpus import ScoreFile, SystemOutput, TokenSentence, ValidationError, check_aligned
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,44 @@ def aggr_rank(
     return primary if 1 <= e_p < e_a else alternative
 
 
+def rank_corpus(
+    outputs: Sequence[SystemOutput], scores: ScoreFile, weighted: bool = False
+) -> SystemOutput:
+    """Per-sentence :func:`rank_by_score` (:func:`rank_weighted` when
+    ``weighted``) over aligned member outputs, with scores from ``scores``."""
+    n = len(outputs[0].sentences)
+    check_aligned(outputs, n)
+    select = rank_weighted if weighted else rank_by_score
+    sentences = []
+    for i in range(n):
+        candidates = [(out.name, out.sentences[i]) for out in outputs]
+        try:
+            per_candidate = [scores.get(name, i) for name, _ in candidates]
+            sentences.append(select(candidates, per_candidate)[1])
+        except (KeyError, ValidationError) as err:
+            raise ValidationError(f"sentence {i}: {err}") from None
+    members = "+".join(out.name for out in outputs)
+    return SystemOutput(f"{'rank-w' if weighted else 'rank'}[{members}]", tuple(sentences))
+
+
+def aggr_rank_corpus(
+    sources: Sequence[TokenSentence],
+    primary: SystemOutput,
+    alternative: SystemOutput,
+    table: EditTable | None = None,
+) -> SystemOutput:
+    """Per-sentence :func:`aggr_rank`; edits are read from ``table``, a new
+    one when none is given."""
+    check_aligned((primary, alternative), len(sources))
+    if table is None:
+        table = EditTable()
+    sentences = tuple(
+        aggr_rank(p, a, s, table)
+        for p, a, s in zip(primary.sentences, alternative.sentences, sources)
+    )
+    return SystemOutput(f"aggr-rank[{primary.name}|{alternative.name}]", sentences)
+
+
 # ---------------------------------------------------------------------------
 # System clustering
 
@@ -141,12 +179,7 @@ def similarity_matrix(outputs: Sequence[SystemOutput]) -> SimilarityMatrix:
         raise ValidationError("similarity needs at least 2 systems")
     n_sys = len(outputs)
     n_sentences = len(outputs[0].sentences)
-    for out in outputs[1:]:
-        if len(out.sentences) != n_sentences:
-            raise ValidationError(
-                f"system {out.name!r} has {len(out.sentences)} sentences, "
-                f"expected {n_sentences}"
-            )
+    check_aligned(outputs, n_sentences)
     if n_sentences == 0:
         raise ValidationError("similarity needs at least 1 sentence")
 

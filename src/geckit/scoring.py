@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, NamedTuple, Sequence
 
 from .align import EditTable
-from .corpus import Edit, GoldSentence, SystemOutput, ValidationError
+from .corpus import Edit, GoldSentence, SystemOutput, check_aligned
 
 
 class SentenceCounts(NamedTuple):
@@ -70,8 +70,8 @@ def sentence_counts(hyp_edits: Iterable[Edit], gold_edits: Iterable[Edit]) -> Se
     return SentenceCounts(len(hyp & gold), len(hyp), len(gold))
 
 
-def prf(totals: SentenceCounts, beta: float = 0.5) -> tuple[float, float, float]:
-    """Precision, recall and F-beta of edit counts.
+def prf(totals: SentenceCounts) -> tuple[float, float, float]:
+    """Precision, recall and F0.5 of edit counts.
 
     Zero-denominator conventions: no proposals means perfect precision, no
     gold edits means perfect recall.
@@ -81,13 +81,12 @@ def prf(totals: SentenceCounts, beta: float = 0.5) -> tuple[float, float, float]
     """
     p = totals.n_correct / totals.n_proposed if totals.n_proposed else 1.0
     r = totals.n_correct / totals.n_gold if totals.n_gold else 1.0
-    return p, r, f_beta(p, r, beta)
+    return p, r, f_beta(p, r)
 
 
 def score_corpus(
     hypothesis: SystemOutput,
     gold: Sequence[GoldSentence],
-    beta: float = 0.5,
     table: EditTable | None = None,
 ) -> ScoreReport:
     """Score a system against a multi-annotator gold corpus.
@@ -98,11 +97,7 @@ def score_corpus(
     once. Raises :class:`ValidationError` when the hypothesis and gold
     corpus lengths differ.
     """
-    if len(hypothesis.sentences) != len(gold):
-        raise ValidationError(
-            f"hypothesis {hypothesis.name!r} has {len(hypothesis.sentences)} sentences, "
-            f"gold corpus has {len(gold)}"
-        )
+    check_aligned([hypothesis], len(gold))
     if table is None:
         table = EditTable()
     totals = SentenceCounts(0, 0, 0)
@@ -114,7 +109,7 @@ def score_corpus(
         for ann_id, ann in enumerate(gs.annotations):
             counts = sentence_counts(hyp_edits, ann)
             candidate = totals.plus(counts)
-            _, _, f = prf(candidate, beta)
+            _, _, f = prf(candidate)
             key = (f, candidate.n_correct, -candidate.n_proposed)
             # Strict comparison: the lowest annotator id wins full ties.
             if best_key is None or key > best_key:
@@ -123,7 +118,7 @@ def score_corpus(
         assert best is not None  # GoldSentence guarantees >= 1 annotation
         totals = totals.plus(best[1])
         chosen.append(best)
-    p, r, f = prf(totals, beta)
+    p, r, f = prf(totals)
     return ScoreReport(p, r, f, totals, tuple(chosen))
 
 

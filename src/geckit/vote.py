@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .align import EditTable, _nested_insertion, apply_edits, overlaps
-from .corpus import Edit, SystemOutput, TokenSentence, ValidationError
+from .align import EditTable, apply_edits, conflicts
+from .corpus import Edit, SystemOutput, TokenSentence, ValidationError, check_aligned
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,8 @@ def voted_edits(
     survivors.sort(key=lambda ve: (-ve.votes, ve.edit))
     kept: list[Edit] = []
     for ve in survivors:
-        edit = ve.edit
-        # overlaps() is the contract predicate; the nested-insertion guard
-        # additionally drops zero-width edits falling strictly inside an
-        # applied span, which the predicate leaves unflagged but which no
-        # application order could honor.
-        if any(overlaps(edit, k) or _nested_insertion(edit, k) for k in kept):
-            continue
-        kept.append(edit)
+        if not any(conflicts(ve.edit, k) for k in kept):
+            kept.append(ve.edit)
     return kept
 
 
@@ -109,12 +103,7 @@ def majority_vote_corpus(
     explicit ``name`` is given. Member edits are read from ``table``, a
     new one when none is given.
     """
-    for out in outputs:
-        if len(out.sentences) != len(sources):
-            raise ValidationError(
-                f"system {out.name!r} has {len(out.sentences)} sentences, "
-                f"expected {len(sources)}"
-            )
+    check_aligned(outputs, len(sources))
     if not (0 <= n_min <= len(outputs)):
         raise ValidationError(f"n_min must be within 0..{len(outputs)}, got {n_min}")
     if table is None:

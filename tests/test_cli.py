@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and determinism of the command-line interface."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -238,6 +239,95 @@ def test_experiment_cli(data, capsys):
     assert (data / "results" / "cli-exp.out.txt").exists()
     assert main(["experiment", "--config", str(config), "--ablation"]) == 0
     assert "w/o" in capsys.readouterr().out
+
+
+# (bad file contents, arguments that read it as the given path)
+_BAD_INPUTS = {
+    "score": (
+        "S a b\nA zero 1|||X|||x|||R|||-NONE-|||0\n",
+        lambda bad: ["score", "--hyp", "a.txt", "--gold", bad],
+    ),
+    "rank": (
+        "system\tsentence_index\tscore\na\t0\t1\na\tone\t1\n",
+        lambda bad: ["rank", "--sys", "a.txt", "--scores", bad],
+    ),
+    "apply": (
+        "wrong\theader\n",
+        lambda bad: ["apply", "--src", "src.txt", "--edits", bad],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BAD_INPUTS))
+def test_errors_name_the_bad_file(data, capsys, monkeypatch, command):
+    monkeypatch.chdir(data)
+    contents, argv = _BAD_INPUTS[command]
+    bad = str(data / "bad.input")
+    Path(bad).write_text(contents, encoding="utf-8")
+    assert main(argv(bad)) == 1
+    assert f"error: {bad}: " in capsys.readouterr().err
+
+
+_MEMBERS = ["--sys", "a.txt", "--sys", "b.txt", "--sys", "c.txt"]
+_ORACLE_ARGS = ["--gold", "gold.m2", *_MEMBERS, "--out", "cli.txt", "--audit", "cli.tsv"]
+_ORACLE_FILES = {"cli.txt": "out.txt", "cli.tsv": "audit.tsv"}
+_RANK_ARGS = [*_MEMBERS, "--scores", "scores.tsv", "--out", "cli.txt"]
+_OUT = {"cli.txt": "out.txt"}
+# rank outputs c, the best-scored member. rank-w outputs SYS_A: on sentence 0
+# only c keeps "likes", and that unique output halves its weighted score.
+_SCORES = "system\tsentence_index\tscore\n" + "".join(
+    f"{name}\t{i}\t{score}\n"
+    for i in range(2)
+    for name, score in (("a", 0.6), ("b", 0.6), ("c", 0.9))
+)
+
+
+# method: (experiment config keys, subcommand arguments,
+#          {subcommand output file: experiment artifact suffix})
+_FRONT_ENDS = {
+    "vote": ({"n_min": 1}, ["--src", "src.txt", *_MEMBERS, "--nmin", "1", "--out", "cli.txt"],
+             _OUT),
+    "oracle-ensemble": ({}, _ORACLE_ARGS, _ORACLE_FILES),
+    "oracle-rank": ({}, _ORACLE_ARGS, _ORACLE_FILES),
+    "rank": ({"scores": "scores.tsv"}, _RANK_ARGS, _OUT),
+    "rank-w": ({"scores": "scores.tsv"}, _RANK_ARGS, _OUT),
+    "aggr-rank": (
+        {"systems": ["b.txt", "a.txt"]},
+        ["--src", "src.txt", "--primary", "b.txt", "--alt", "a.txt", "--out", "cli.txt"],
+        _OUT,
+    ),
+    "llm-rank": (
+        {"runs": 2, "seed": 5, "backend": "mock-lexmin"},
+        ["--src", "src.txt", *_MEMBERS, "--runs", "2", "--seed", "5", "--mock", "lexmin",
+         "--out-prefix", "cli"],
+        {"cli.run0.txt": "run0.txt", "cli.run1.txt": "run1.txt"},
+    ),
+}
+
+
+@pytest.mark.parametrize("method", list(_FRONT_ENDS))
+def test_subcommand_and_experiment_write_identical_bytes(data, monkeypatch, method):
+    """Each method has one implementation behind both front ends."""
+    config, argv, files = _FRONT_ENDS[method]
+    monkeypatch.chdir(data)
+    (data / "scores.tsv").write_text(_SCORES, encoding="utf-8")
+    payload = {"name": "exp", "method": method, "gold": "gold.m2", "output_dir": "results",
+               "systems": ["a.txt", "b.txt", "c.txt"], **config}
+    (data / "exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main([method, *argv]) == 0
+    assert main(["experiment", "--config", "exp.json"]) == 0
+    for cli_file, suffix in files.items():
+        assert (data / cli_file).read_bytes() == (data / "results" / f"exp.{suffix}").read_bytes()
+
+
+def test_rank_and_rank_w_fixture_tells_them_apart(data, monkeypatch, capsys):
+    monkeypatch.chdir(data)
+    (data / "scores.tsv").write_text(_SCORES, encoding="utf-8")
+    outputs = []
+    for method in ("rank", "rank-w"):
+        assert main([method, *_MEMBERS, "--scores", "scores.tsv"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == [SYS_C, SYS_A]
 
 
 def _console_script() -> list[str]:

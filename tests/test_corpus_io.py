@@ -1,4 +1,4 @@
-"""M2, parallel-text, and score-file round trips and error reporting."""
+"""M2, parallel-text, score-file and edit-TSV round trips and error reporting."""
 
 import sys
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import annotations, vocab
 from geckit.corpus import (
     Edit,
     GoldSentence,
@@ -14,8 +15,10 @@ from geckit.corpus import (
     ValidationError,
     atomic_write_text,
     load_parallel,
+    parse_edit_tsv,
     parse_m2,
     parse_score_file,
+    serialize_edit_tsv,
     serialize_m2,
     serialize_score_file,
 )
@@ -202,6 +205,30 @@ def test_split_and_isspace_agree_on_every_code_point():
     assert disagree == []
 
 
+def test_token_check_equals_the_per_character_check_on_every_code_point():
+    """TokenSentence rejects a token exactly when a frozen copy of its former
+    per-character whitespace test does, for every code point on its own and
+    inside a token."""
+
+    def former_rejects(token):
+        return any(c.isspace() for c in token)
+
+    def rejects(token):
+        try:
+            TokenSentence((token,))
+        except ValidationError:
+            return True
+        return False
+
+    disagree = [
+        hex(cp)
+        for cp in range(sys.maxunicode + 1)
+        for token in (chr(cp), f"a{chr(cp)}b")
+        if rejects(token) != former_rejects(token)
+    ]
+    assert disagree == []
+
+
 def test_gold_sentence_needs_an_annotation():
     with pytest.raises(ValidationError):
         GoldSentence(TokenSentence(("a",)), ())
@@ -240,3 +267,41 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     atomic_write_text(p, "new contents\n")
     assert p.read_text(encoding="utf-8") == "new contents\n"
     assert list(tmp_path.iterdir()) == [p]  # no temp files left behind
+
+
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def edit_lists(draw):
+    """One coherent edit list per sentence of a small random corpus."""
+    sources = draw(
+        st.lists(st.lists(st.sampled_from(vocab(5)), min_size=1, max_size=8), max_size=4)
+    )
+    return [list(draw(annotations(tuple(source)))) for source in sources]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edit_lists())
+def test_edit_tsv_roundtrip(edits):
+    assert parse_edit_tsv(serialize_edit_tsv(edits), len(edits)) == edits
+
+
+_EDIT_HEADER = "sentence_index\tstart\tend\treplacement\n"
+
+
+@pytest.mark.parametrize(
+    "row, fragment",
+    [
+        ("0\t1\t2\n", "expected 4 columns"),
+        ("0\t1\t2\tx\ty\n", "expected 4 columns"),
+        ("0\tone\t2\tx\n", "non-integer field"),
+        ("2\t1\t2\tx\n", "sentence 2 not in 0..1"),
+        ("-1\t1\t2\tx\n", "sentence -1 not in 0..1"),
+    ],
+)
+def test_edit_tsv_rejects_bad_rows_with_their_line(row, fragment):
+    with pytest.raises(ValidationError) as exc:
+        parse_edit_tsv(_EDIT_HEADER + "0\t0\t1\tok\n" + row, 2)
+    assert fragment in str(exc.value)
+    assert "line 3" in str(exc.value)
