@@ -2,7 +2,7 @@
 
 Core pieces:
 
-- :mod:`geckit.corpus`: M2 and parallel-text I/O, the Edit type.
+- :mod:`geckit.corpus`: file formats, the Edit type and edit-set validity.
 - :mod:`geckit.align`: edit extraction and application.
 - :mod:`geckit.scoring`: MaxMatch-style F0.5 scoring.
 - :mod:`geckit.vote`: majority-vote edit ensembling.
@@ -12,15 +12,17 @@ Core pieces:
 - :mod:`geckit.experiment`: reproducible experiment configs and sweeps.
 """
 
-from .align import EditTable, OverlapError, apply_edits, extract_edits, overlaps
+from .align import EditTable, apply_edits, extract_edits
 from .corpus import (
     Edit,
     GoldSentence,
     M2ParseError,
+    OverlapError,
     ScoreFile,
     SystemOutput,
     TokenSentence,
     ValidationError,
+    conflicts,
     load_m2,
     load_parallel,
     load_score_file,
@@ -88,6 +90,7 @@ __all__ = [
     "apply_edits",
     "build_prompt",
     "cluster_systems",
+    "conflicts",
     "derive_rng",
     "derive_seed",
     "extract_edits",
@@ -105,7 +108,6 @@ __all__ = [
     "oracle_ensemble_corpus",
     "oracle_rank",
     "oracle_rank_corpus",
-    "overlaps",
     "parse_response",
     "pool_edits",
     "rank_by_score",

@@ -12,17 +12,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .corpus import Edit, TokenSentence, ValidationError, check_edit
-
-
-class OverlapError(ValidationError):
-    """An edit set that cannot be applied to one source unambiguously."""
+from .corpus import Edit, TokenSentence, check_edits
 
 
 def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit]:
     """Extract the canonical minimal edit set turning source into hypothesis.
 
-    The result is sorted by position, pairwise non-overlapping, free of
+    The result is sorted by position, pairwise non-conflicting, free of
     no-ops, and ``apply_edits(source, result) == hypothesis`` exactly.
 
     >>> extract_edits("I likes turtles very much .".split(),
@@ -155,20 +151,15 @@ class EditTable:
 
 
 def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:
-    """Apply a valid, pairwise non-overlapping edit set to source.
+    """Apply an edit set that passes :func:`geckit.corpus.check_edits` to source.
 
     Order-independent: any permutation of the same set gives the same
-    result. Raises :class:`OverlapError` for a pair that :func:`conflicts`,
-    :class:`ValidationError` for out-of-bounds or no-op edits.
+    result. Raises what :func:`~geckit.corpus.check_edits` raises for an
+    invalid set.
     """
     src = tuple(source)
     ordered = sorted(edits, key=lambda e: (e.start, e.end))
-    for e in ordered:
-        check_edit(e, src)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if conflicts(a, b):
-                raise OverlapError(f"conflicting edits: {a} / {b}")
+    check_edits(src, ordered)
     out: list[str] = []
     pos = 0
     for e in ordered:
@@ -177,39 +168,3 @@ def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:
         pos = e.end
     out.extend(src[pos:])
     return TokenSentence(out)
-
-
-def overlaps(a: Edit, b: Edit) -> bool:
-    """True iff two edits on the same source conflict.
-
-    Spans conflict when they intersect as half-open intervals. Insertions
-    (start == end) additionally conflict with anything starting at the same
-    index, but not with a span ending there:
-
-    >>> overlaps(Edit(2, 2, ("x",)), Edit(2, 3, ("y",)))
-    True
-    >>> overlaps(Edit(2, 2, ("x",)), Edit(1, 2, ("y",)))
-    False
-    """
-    if max(a.start, b.start) < min(a.end, b.end):
-        return True
-    return a.start == b.start and (a.start == a.end or b.start == b.end)
-
-
-def conflicts(a: Edit, b: Edit) -> bool:
-    """True iff two edits on the same source cannot both be applied.
-
-    That is :func:`overlaps`, plus a zero-width insertion strictly inside
-    the other edit's span, which overlaps() deliberately does not flag but
-    which no application order could honor.
-
-    >>> conflicts(Edit(2, 2, ("x",)), Edit(1, 3, ("y",)))
-    True
-    """
-    return overlaps(a, b) or _nested_insertion(a, b)
-
-
-def _nested_insertion(a: Edit, b: Edit) -> bool:
-    return (a.start == a.end and b.start < a.start < b.end) or (
-        b.start == b.end and a.start < b.start < a.end
-    )

@@ -41,7 +41,7 @@ from .experiment import (
     run_experiment,
     sweep_n_min,
 )
-from .llm import llm_rank_corpus, make_backend
+from .llm import llm_rank_corpus, make_backend, run_seeds
 from .oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
 from .ranking import (
     aggr_rank_corpus,
@@ -52,7 +52,6 @@ from .ranking import (
     similarity_matrix,
 )
 from .scoring import report_table, report_tsv, score_corpus
-from .seeds import derive_seed
 from .vote import majority_vote_corpus
 
 
@@ -99,13 +98,8 @@ def _cmd_extract(args) -> int:
 
 def _cmd_apply(args) -> int:
     sources = load_parallel(args.src)
-    edits = load_edit_tsv(args.edits, len(sources))
-    edited = []
-    for i, src in enumerate(sources):
-        try:
-            edited.append(apply_edits(src, edits[i]))
-        except ValidationError as err:
-            raise ValidationError(f"sentence {i}: {err}") from None
+    edits = load_edit_tsv(args.edits, sources)
+    edited = [apply_edits(src, sentence_edits) for src, sentence_edits in zip(sources, edits)]
     _emit(serialize_parallel(edited), args.out)
     return 0
 
@@ -178,9 +172,8 @@ def _cmd_llm_rank(args) -> int:
         base_url=args.base_url,
         model=args.model,
     )
-    seeds = [derive_seed(args.seed, "run", r) for r in range(args.runs)]
     runs = llm_rank_corpus(
-        sources, systems, args.variant, args.runs, seeds, backend,
+        sources, systems, args.variant, args.runs, run_seeds(args.seed, args.runs), backend,
         shuffle=not args.no_shuffle, jobs=args.jobs,
     )
     for run in runs:

@@ -96,29 +96,51 @@ class Edit(NamedTuple):
     replacement: tuple[str, ...]
 
 
-def check_edit(edit: Edit, source: Sequence[str]) -> None:
-    """Raise :class:`ValidationError` unless ``edit`` is valid on ``source``."""
-    if not (0 <= edit.start <= edit.end <= len(source)):
-        raise ValidationError(
-            f"edit span ({edit.start},{edit.end}) out of bounds for "
-            f"{len(source)}-token sentence"
-        )
-    if tuple(edit.replacement) == tuple(source[edit.start : edit.end]):
-        raise ValidationError(
-            f"no-op edit at ({edit.start},{edit.end}): replacement equals source span"
-        )
+class OverlapError(ValidationError):
+    """An edit set that cannot be applied to one source unambiguously."""
 
 
-def _check_annotation(source: Sequence[str], edits: Sequence[Edit]) -> None:
-    # Deferred import: align needs Edit from this module.
-    from .align import conflicts
+def conflicts(a: Edit, b: Edit) -> bool:
+    """True iff two edits on the same source cannot both be applied.
 
+    Two edits conflict when they start at the same index or one starts
+    strictly inside the other's span. For spans that is intersection as
+    half-open intervals. An insertion (start == end) conflicts with another
+    edit starting at its index, since their order would be ambiguous, and
+    with a span around it, which would swallow its position, but not with a
+    span ending there:
+
+    >>> conflicts(Edit(2, 2, ("x",)), Edit(2, 3, ("y",)))
+    True
+    >>> conflicts(Edit(2, 2, ("x",)), Edit(1, 2, ("y",)))
+    False
+    >>> conflicts(Edit(2, 2, ("x",)), Edit(1, 3, ("y",)))
+    True
+    """
+    return a.start == b.start or a.start < b.start < a.end or b.start < a.start < b.end
+
+
+def check_edits(source: Sequence[str], edits: Sequence[Edit]) -> None:
+    """Raise unless ``edits`` is a valid edit set on ``source``.
+
+    Every edit must lie within the source and change it
+    (:class:`ValidationError`), and no two may :func:`conflicts`
+    (:class:`OverlapError`).
+    """
     for e in edits:
-        check_edit(e, source)
+        if not (0 <= e.start <= e.end <= len(source)):
+            raise ValidationError(
+                f"edit span ({e.start},{e.end}) out of bounds for "
+                f"{len(source)}-token sentence"
+            )
+        if tuple(e.replacement) == tuple(source[e.start : e.end]):
+            raise ValidationError(
+                f"no-op edit at ({e.start},{e.end}): replacement equals source span"
+            )
     for i, a in enumerate(edits):
         for b in edits[i + 1 :]:
             if conflicts(a, b):
-                raise ValidationError(f"overlapping edits in one annotation: {a} / {b}")
+                raise OverlapError(f"conflicting edits: {a} / {b}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +166,7 @@ class GoldSentence:
         if not anns:
             raise ValidationError("a gold sentence needs at least one annotation set")
         for ann in anns:
-            _check_annotation(self.source, ann)
+            check_edits(self.source, ann)
 
 
 @dataclass(frozen=True)
@@ -193,8 +215,8 @@ def parse_m2(text: str) -> list[GoldSentence]:
     ascending order of the ids found in the file.
 
     Raises :class:`M2ParseError` (with the 1-based line number) on
-    malformed lines, :class:`ValidationError` on out-of-bounds spans or
-    overlapping edits within one annotator.
+    malformed lines, :class:`ValidationError` on an annotator's edit set
+    that :func:`check_edits` rejects.
     """
     sentences: list[GoldSentence] = []
     source: TokenSentence | None = None
@@ -422,11 +444,13 @@ def serialize_edit_tsv(edits: Sequence[Sequence[Edit]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edit_tsv(text: str, n: int) -> list[list[Edit]]:
-    """Parse edit TSV into one edit list per sentence of an ``n``-sentence corpus.
+def parse_edit_tsv(text: str, sources: Sequence[Sequence[str]]) -> list[list[Edit]]:
+    """Parse edit TSV into one edit list per sentence of ``sources``.
 
-    Edits keep their file order. Spans are checked when the edits are applied.
+    Edits keep their file order. Each row is checked as it is read: with
+    the rows before it, its sentence's edits must pass :func:`check_edits`.
     """
+    n = len(sources)
     edits: list[list[Edit]] = [[] for _ in range(n)]
     for lineno, parts in _tsv_rows(text, EDIT_TSV_HEADER, "edit"):
         try:
@@ -437,11 +461,15 @@ def parse_edit_tsv(text: str, n: int) -> list[list[Edit]]:
             raise ValidationError(f"edit file line {lineno}: sentence {index} not in 0..{n - 1}")
         repl = () if parts[3] == _M2_EMPTY else tuple(parts[3].split())
         edits[index].append(Edit(start, end, repl))
+        try:
+            check_edits(sources[index], edits[index])
+        except ValidationError as err:
+            raise type(err)(f"edit file line {lineno}: {err}") from None
     return edits
 
 
-def load_edit_tsv(path: str | Path, n: int) -> list[list[Edit]]:
-    return _load(parse_edit_tsv, path, n)
+def load_edit_tsv(path: str | Path, sources: Sequence[Sequence[str]]) -> list[list[Edit]]:
+    return _load(parse_edit_tsv, path, sources)
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,10 @@ from .corpus import (
     parse_system_spec,
     serialize_parallel,
 )
-from .llm import llm_rank_corpus, make_backend
+from .llm import llm_rank_corpus, make_backend, run_seeds
 from .oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
 from .ranking import aggr_rank_corpus, rank_corpus
 from .scoring import ScoreReport, report_table, round_score, score_corpus
-from .seeds import derive_seed
 from .vote import majority_vote_corpus
 
 METHODS = (
@@ -241,11 +240,9 @@ def run_experiment(
         backend = make_backend(
             config.backend, base_url=config.base_url, model=config.model
         )
-        seeds = config.seeds or tuple(
-            derive_seed(config.seed, "run", r) for r in range(config.runs)
-        )
+        seeds = config.seeds or run_seeds(config.seed, config.runs)
         runs = llm_rank_corpus(
-            sources, outputs, config.variant, config.runs, list(seeds), backend,
+            sources, outputs, config.variant, config.runs, seeds, backend,
             jobs=config.jobs,
         )
         combined = [run.output for run in runs]

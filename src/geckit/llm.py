@@ -278,31 +278,34 @@ class RankedRun:
     fallbacks: tuple[int, ...]  # sentence indices that fell back to label A
 
 
+def run_seeds(root: int, runs: int) -> list[int]:
+    """The shuffle seed of each of ``runs`` runs, derived from ``root``."""
+    return [derive_seed(root, "run", r) for r in range(runs)]
+
+
 def llm_rank_corpus(
     sources: Sequence[TokenSentence],
     outputs: Sequence[SystemOutput],
     variant: str,
     runs: int,
-    seeds: Sequence[int] | None,
+    seeds: Sequence[int],
     backend: Backend,
     *,
     shuffle: bool = True,
     jobs: int = 1,
-    temperature: float = 1.0,
     retries: int = 3,
     backoff: float = 1.0,
 ) -> list[RankedRun]:
     """Rank every sentence once per run; runs stay separate.
 
-    Each run reshuffles candidates with its own seed. Evaluation averages
+    Each run reshuffles candidates with its own seed (see :func:`run_seeds`)
+    and samples the backend at temperature 1.0. Evaluation averages
     scores across the returned runs; the runs are never merged into one
     output. Backend failures that survive the retry budget select label A
     for that sentence and are recorded in the run's ``fallbacks``.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
-    if seeds is None:
-        seeds = [derive_seed(0, "run", r) for r in range(runs)]
     if len(seeds) != runs:
         raise ValidationError(f"{runs} runs but {len(seeds)} seeds")
     check_aligned(outputs, len(sources))
@@ -317,7 +320,7 @@ def llm_rank_corpus(
             by_label = dict(prompt.candidates)
             try:
                 raw = call_with_retries(
-                    backend, DEFAULT_TASK_DESCRIPTION, prompt.text, temperature,
+                    backend, DEFAULT_TASK_DESCRIPTION, prompt.text, 1.0,
                     retries=retries, backoff=backoff,
                 )
             except Exception:

@@ -24,7 +24,7 @@ from .align import EditTable, apply_edits
 from .corpus import (
     Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError, check_aligned,
 )
-from .scoring import prf, sentence_counts
+from .scoring import best_annotator
 
 
 @dataclass(frozen=True)
@@ -94,22 +94,6 @@ def _ensemble_choice(
     return applied, best_id, chosen
 
 
-def _candidate_key(
-    source: TokenSentence, sentence: TokenSentence, gold: GoldSentence, table: EditTable
-) -> tuple[tuple[float, int, int], int]:
-    """Best per-annotator (f05, n_correct, -n_proposed) for one candidate."""
-    edits = table.edits(source, sentence)
-    best_key: tuple[float, int, int] | None = None
-    best_ann = 0
-    for ann_id, ann in enumerate(gold.annotations):
-        c = sentence_counts(edits, ann)
-        key = (prf(c)[2], c.n_correct, -c.n_proposed)
-        if best_key is None or key > best_key:
-            best_key, best_ann = key, ann_id
-    assert best_key is not None
-    return best_key, best_ann
-
-
 def oracle_rank(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
@@ -124,11 +108,7 @@ def oracle_rank(
         raise ValidationError("oracle_rank needs at least one candidate")
     if table is None:
         table = EditTable()
-    best = max(
-        outputs,
-        key=lambda cand: _candidate_key(source, cand[1], gold, table)[0],
-    )
-    return best
+    return max(outputs, key=lambda cand: best_annotator(table.edits(source, cand[1]), gold)[2])
 
 
 def oracle_ensemble_corpus(
@@ -170,9 +150,9 @@ def oracle_rank_corpus(
     for i, gs in enumerate(gold):
         per_system = [(out.name, out.sentences[i]) for out in outputs]
         sys_name, sentence = oracle_rank(gs.source, per_system, gs, table)
-        key, ann_id = _candidate_key(gs.source, sentence, gs, table)
+        ann_id, counts, _ = best_annotator(table.edits(gs.source, sentence), gs)
         sentences.append(sentence)
-        choices.append(OracleChoice(i, "oracle-rank", ann_id, sys_name, key[1]))
+        choices.append(OracleChoice(i, "oracle-rank", ann_id, sys_name, counts.n_correct))
     return SystemOutput("oracle-rank", tuple(sentences)), choices
 
 

@@ -84,6 +84,26 @@ def prf(totals: SentenceCounts) -> tuple[float, float, float]:
     return p, r, f_beta(p, r)
 
 
+def best_annotator(
+    hyp_edits: Sequence[Edit], gold: GoldSentence, base: SentenceCounts = SentenceCounts(0, 0, 0)
+) -> tuple[int, SentenceCounts, tuple[float, int, int]]:
+    """The annotator of ``gold`` that scores ``hyp_edits`` best on top of ``base``.
+
+    Returns the annotator id, the sentence's counts against that annotator
+    and the key ``(F0.5, n_correct, -n_proposed)`` of ``base`` plus those
+    counts, which the annotator maximizes. The lowest id wins full ties.
+    """
+    best: tuple[int, SentenceCounts, tuple[float, int, int]] | None = None
+    for ann_id, ann in enumerate(gold.annotations):
+        counts = sentence_counts(hyp_edits, ann)
+        total = base.plus(counts)
+        key = (prf(total)[2], total.n_correct, -total.n_proposed)
+        if best is None or key > best[2]:
+            best = (ann_id, counts, key)
+    assert best is not None  # GoldSentence guarantees >= 1 annotation
+    return best
+
+
 def score_corpus(
     hypothesis: SystemOutput,
     gold: Sequence[GoldSentence],
@@ -103,21 +123,9 @@ def score_corpus(
     totals = SentenceCounts(0, 0, 0)
     chosen: list[tuple[int, SentenceCounts]] = []
     for gs, hyp_sentence in zip(gold, hypothesis.sentences):
-        hyp_edits = table.edits(gs.source, hyp_sentence)
-        best_key: tuple[float, int, int] | None = None
-        best: tuple[int, SentenceCounts] | None = None
-        for ann_id, ann in enumerate(gs.annotations):
-            counts = sentence_counts(hyp_edits, ann)
-            candidate = totals.plus(counts)
-            _, _, f = prf(candidate)
-            key = (f, candidate.n_correct, -candidate.n_proposed)
-            # Strict comparison: the lowest annotator id wins full ties.
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (ann_id, counts)
-        assert best is not None  # GoldSentence guarantees >= 1 annotation
-        totals = totals.plus(best[1])
-        chosen.append(best)
+        ann_id, counts, _ = best_annotator(table.edits(gs.source, hyp_sentence), gs, totals)
+        totals = totals.plus(counts)
+        chosen.append((ann_id, counts))
     p, r, f = prf(totals)
     return ScoreReport(p, r, f, totals, tuple(chosen))
 

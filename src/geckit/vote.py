@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .align import EditTable, apply_edits, conflicts
-from .corpus import Edit, SystemOutput, TokenSentence, ValidationError, check_aligned
+from .align import EditTable, apply_edits
+from .corpus import Edit, SystemOutput, TokenSentence, ValidationError, check_aligned, conflicts
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,11 @@ class VotedEdit:
     """An edit plus the members that proposed it."""
 
     edit: Edit
-    votes: int
     systems: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "systems", frozenset(self.systems))
-        if self.votes != len(self.systems):
-            raise ValidationError(
-                f"vote count {self.votes} != {len(self.systems)} proposing systems"
-            )
+    @property
+    def votes(self) -> int:
+        return len(self.systems)
 
 
 def pool_edits(
@@ -52,10 +48,7 @@ def pool_edits(
     for name, sentence in outputs:
         for edit in table.edits(source, sentence):
             by_edit.setdefault(edit, set()).add(name)
-    return [
-        VotedEdit(edit, len(names), frozenset(names))
-        for edit, names in sorted(by_edit.items())
-    ]
+    return [VotedEdit(edit, frozenset(names)) for edit, names in sorted(by_edit.items())]
 
 
 def majority_vote(

@@ -7,8 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from geckit.align import _nested_insertion, overlaps
-from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence
+from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, conflicts
 
 
 def vocab(n: int, prefix: str = "w") -> list[str]:
@@ -42,7 +41,7 @@ def annotations(draw, source, max_edits=4, repl_vocab=None):
         if not replacement and start == end:
             continue  # also a no-op
         e = Edit(start, end, replacement)
-        if any(overlaps(e, k) or _nested_insertion(e, k) for k in kept):
+        if any(conflicts(e, k) for k in kept):
             continue
         kept.append(e)
     return tuple(sorted(kept, key=lambda e: (e.start, e.end)))

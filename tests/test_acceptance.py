@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 from bruteforce import brute_force_score
-from geckit.align import _nested_insertion, apply_edits, extract_edits, overlaps
+from geckit.align import apply_edits, extract_edits
 from geckit.corpus import (
     Edit,
     GoldSentence,
     SystemOutput,
     TokenSentence,
     atomic_write_text,
+    conflicts,
     load_m2,
     load_system_output,
     serialize_parallel,
@@ -98,7 +99,7 @@ def _random_annotation(rng, source, alphabet, max_edits=4):
             cand = Edit(start, end, repl)
             if repl == tuple(source[start:end]):
                 continue  # no-op
-            if any(overlaps(cand, e) or _nested_insertion(cand, e) for e in edits):
+            if any(conflicts(cand, e) for e in edits):
                 continue
             edits.append(cand)
             break
@@ -199,7 +200,7 @@ def test_criterion_1_roundtrip_10k_pairs_under_10s():
             # strictly separated in position order, hence mutually
             # non-overlapping for every pair
             assert nxt.start > prev.end
-            assert not overlaps(prev, nxt)
+            assert not conflicts(prev, nxt)
     elapsed = time.monotonic() - started
     _verdict(
         1,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import sentence_pairs
-from geckit.align import EditTable, OverlapError, apply_edits, extract_edits, overlaps
-from geckit.corpus import Edit, TokenSentence, ValidationError
+from geckit.align import EditTable, apply_edits, extract_edits
+from geckit.corpus import Edit, OverlapError, TokenSentence, ValidationError, conflicts
 
 
 def ext(src: str, hyp: str):
@@ -94,12 +94,35 @@ def test_apply_allows_insertion_at_replacement_boundary():
         (Edit(1, 1, ("x",)), Edit(1, 2, ("y",)), True),  # insertion at span start
         (Edit(1, 2, ("x",)), Edit(1, 2, ("y",)), True),  # identical spans
         (Edit(1, 1, ("x",)), Edit(0, 1, ("y",)), False),  # insertion at span end
-        (Edit(1, 1, ("x",)), Edit(0, 2, ("y",)), False),  # inside: deliberately unflagged
+        (Edit(1, 1, ("x",)), Edit(0, 2, ("y",)), True),  # insertion inside a span
     ],
 )
-def test_overlaps_truth_table(a, b, expected):
-    assert overlaps(a, b) is expected
-    assert overlaps(b, a) is expected  # symmetric
+def test_conflicts_truth_table(a, b, expected):
+    assert conflicts(a, b) is expected
+    assert conflicts(b, a) is expected  # symmetric
+
+
+def _two_part_conflict_rule(a, b):
+    """The conflict rule as two predicates, frozen for the differential test:
+    span overlap with same-start insertions, plus an insertion strictly
+    inside the other edit's span."""
+    if max(a.start, b.start) < min(a.end, b.end):
+        overlap = True
+    else:
+        overlap = a.start == b.start and (a.start == a.end or b.start == b.end)
+    nested = (a.start == a.end and b.start < a.start < b.end) or (
+        b.start == b.end and a.start < b.start < a.end
+    )
+    return overlap or nested
+
+
+def test_conflicts_equals_the_two_part_rule_on_every_span_pair():
+    # every span of a 6-token sentence, insertions (start == end) included
+    spans = [Edit(s, e, ("x",)) for s in range(7) for e in range(s, 7)]
+    pairs = [(a, b) for a in spans for b in spans]
+    assert len(pairs) == 28 * 28
+    for a, b in pairs:
+        assert conflicts(a, b) is _two_part_conflict_rule(a, b), (a, b)
 
 
 # --------------------------------------------------------------------------
@@ -115,7 +138,7 @@ def test_roundtrip(pair):
     assert tuple(apply_edits(src, edits)) == hyp
     for i, a in enumerate(edits):
         for b in edits[i + 1 :]:
-            assert not overlaps(a, b)
+            assert not conflicts(a, b)
     # no degenerate members
     for e in edits:
         assert tuple(e.replacement) != tuple(src[e.start : e.end])

@@ -255,6 +255,10 @@ _BAD_INPUTS = {
         "wrong\theader\n",
         lambda bad: ["apply", "--src", "src.txt", "--edits", bad],
     ),
+    "apply-span": (
+        "sentence_index\tstart\tend\treplacement\n0\t0\t9\tx\n",
+        lambda bad: ["apply", "--src", "src.txt", "--edits", bad],
+    ),
 }
 
 

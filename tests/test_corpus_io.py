@@ -278,13 +278,14 @@ def edit_lists(draw):
     sources = draw(
         st.lists(st.lists(st.sampled_from(vocab(5)), min_size=1, max_size=8), max_size=4)
     )
-    return [list(draw(annotations(tuple(source)))) for source in sources]
+    return sources, [list(draw(annotations(tuple(source)))) for source in sources]
 
 
 @settings(max_examples=200, deadline=None)
 @given(edit_lists())
-def test_edit_tsv_roundtrip(edits):
-    assert parse_edit_tsv(serialize_edit_tsv(edits), len(edits)) == edits
+def test_edit_tsv_roundtrip(sources_and_edits):
+    sources, edits = sources_and_edits
+    assert parse_edit_tsv(serialize_edit_tsv(edits), sources) == edits
 
 
 _EDIT_HEADER = "sentence_index\tstart\tend\treplacement\n"
@@ -298,10 +299,13 @@ _EDIT_HEADER = "sentence_index\tstart\tend\treplacement\n"
         ("0\tone\t2\tx\n", "non-integer field"),
         ("2\t1\t2\tx\n", "sentence 2 not in 0..1"),
         ("-1\t1\t2\tx\n", "sentence -1 not in 0..1"),
+        ("1\t0\t9\tx\n", "edit span (0,9) out of bounds for 2-token sentence"),
+        ("1\t0\t1\tc\n", "no-op edit at (0,1)"),
+        ("0\t0\t2\tx\n", "conflicting edits"),
     ],
 )
 def test_edit_tsv_rejects_bad_rows_with_their_line(row, fragment):
     with pytest.raises(ValidationError) as exc:
-        parse_edit_tsv(_EDIT_HEADER + "0\t0\t1\tok\n" + row, 2)
+        parse_edit_tsv(_EDIT_HEADER + "0\t0\t1\tok\n" + row, ["a b".split(), "c d".split()])
     assert fragment in str(exc.value)
     assert "line 3" in str(exc.value)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sentence_pairs, vocab
-from geckit.align import overlaps
-from geckit.corpus import Edit, SystemOutput, TokenSentence, ValidationError
+from geckit.corpus import Edit, SystemOutput, TokenSentence, ValidationError, conflicts
 from geckit.vote import majority_vote, majority_vote_corpus, pool_edits, voted_edits
 
 
@@ -172,7 +171,7 @@ def test_applied_edits_cleared_the_threshold_and_are_compatible(instance):
         assert all(pool[e] > n_min for e in kept)
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
-                assert not overlaps(a, b)
+                assert not conflicts(a, b)
 
 
 @settings(max_examples=100, deadline=None)
