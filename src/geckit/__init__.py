@@ -41,6 +41,7 @@ from .experiment import (
     sweep_n_min,
 )
 from .llm import (
+    BackendSetupError,
     MockLabelBackend,
     MockLexminBackend,
     RankedRun,
@@ -67,6 +68,7 @@ from .vote import VotedEdit, majority_vote, majority_vote_corpus, pool_edits, vo
 __version__ = "0.1.0"
 
 __all__ = [
+    "BackendSetupError",
     "Edit",
     "EditTable",
     "ExperimentConfig",

@@ -9,8 +9,10 @@ is remembered so parsed labels map back to systems.
 The backend is any callable from (system message, user message,
 temperature) to response text. A real HTTP chat-completions client and
 deterministic offline mocks both satisfy it, so every test runs without
-network access. Responses that cannot be parsed fall back to label A and
-are flagged; a corpus run never aborts on a bad response.
+network access. Responses that cannot be parsed, and backend failures that
+outlast the retries, fall back to label A and are flagged. A backend that
+cannot work as configured (:class:`BackendSetupError`, such as a missing
+API key) is neither retried nor falls back: it stops the run at once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ from .corpus import SystemOutput, TokenSentence, ValidationError, check_aligned
 from .seeds import derive_rng, derive_seed
 
 Backend = Callable[[str, str, float], str]
+
+
+class BackendSetupError(ValidationError, RuntimeError):
+    """A backend that cannot work as configured, such as a missing API key.
+
+    Retrying cannot help, so it is raised at once, never retried and never
+    replaced by a fallback label.
+    """
+
 
 DEFAULT_TASK_DESCRIPTION = (
     "You are an expert English proofreader. You will see an original "
@@ -198,11 +209,12 @@ class HttpChatBackend:
     def __call__(self, system_message: str, user_message: str, temperature: float) -> str:
         import os
 
-        import requests
-
         key = os.environ.get(self.api_key_env)
         if not key:
-            raise RuntimeError(f"environment variable {self.api_key_env} is not set")
+            raise BackendSetupError(f"environment variable {self.api_key_env} is not set")
+
+        import requests
+
         body = {
             "model": self.model,
             "messages": [
@@ -252,11 +264,16 @@ def call_with_retries(
     retries: int = 3,
     backoff: float = 1.0,
 ) -> str:
-    """Call the backend, retrying failures with exponential backoff."""
+    """Call the backend, retrying failures with exponential backoff.
+
+    A :class:`BackendSetupError` is raised at once, without retries.
+    """
     attempt = 0
     while True:
         try:
             return backend(system_message, user_message, temperature)
+        except BackendSetupError:
+            raise
         except Exception:
             if attempt >= retries:
                 raise
@@ -302,7 +319,8 @@ def llm_rank_corpus(
     and samples the backend at temperature 1.0. Evaluation averages
     scores across the returned runs; the runs are never merged into one
     output. Backend failures that survive the retry budget select label A
-    for that sentence and are recorded in the run's ``fallbacks``.
+    for that sentence and are recorded in the run's ``fallbacks``; a
+    :class:`BackendSetupError` propagates instead.
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
@@ -323,6 +341,8 @@ def llm_rank_corpus(
                     backend, DEFAULT_TASK_DESCRIPTION, prompt.text, 1.0,
                     retries=retries, backoff=backoff,
                 )
+            except BackendSetupError:
+                raise
             except Exception:
                 return by_label[prompt.labels[0]], True
             response = parse_response(raw, prompt)

@@ -15,6 +15,12 @@ pairwise cosine similarities are averaged across the corpus into one
 matrix, and average-linkage agglomerative clustering cuts the dendrogram
 at a distance threshold. One representative per cluster keeps ensembles
 from double-counting families of similar systems.
+
+The linkage is written here, not imported: it repeats the floating-point
+operations of SciPy's average linkage (nearest-neighbour chain,
+Lance-Williams update) and its ``fcluster(criterion="distance")`` cut, so
+it gives the same partition. numpy is imported only inside
+:func:`similarity_matrix`, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -22,14 +28,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
+from typing import TYPE_CHECKING, Sequence
 
 from .align import EditTable
 from .corpus import ScoreFile, SystemOutput, TokenSentence, ValidationError, check_aligned
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -175,6 +180,8 @@ def similarity_matrix(outputs: Sequence[SystemOutput]) -> SimilarityMatrix:
     union vocabulary of that sentence's variants, scaled by smoothed IDF
     (ln((1+N)/(1+df)) + 1, N = number of systems) and L2-normalized.
     """
+    import numpy as np
+
     if len(outputs) < 2:
         raise ValidationError("similarity needs at least 2 systems")
     n_sys = len(outputs)
@@ -225,21 +232,30 @@ def cluster_systems(
     """
     sim = matrix if matrix is not None else similarity_matrix(outputs)
     names = sim.names
-    dist = 1.0 - sim.values
-    np.fill_diagonal(dist, 0.0)
-    merges = linkage(squareform(dist, checks=False), method="average")
-    labels = fcluster(merges, t=threshold, criterion="distance")
+    n = len(names)
+    if n < 2:
+        raise ValidationError(f"clustering needs at least 2 systems, got {n}")
+    if sim.values.shape != (n, n):
+        raise ValidationError(
+            f"similarity matrix has shape {sim.values.shape} for {n} systems"
+        )
+    values = sim.values.tolist()
+    for i, row in enumerate(values):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise ValidationError(f"similarity matrix entry ({i}, {j}) is {v}")
+    labels = _flat_clusters(_average_linkage((1.0 - sim.values).tolist()), threshold)
 
     by_label: dict[int, list[int]] = {}
     for idx, label in enumerate(labels):
-        by_label.setdefault(int(label), []).append(idx)
+        by_label.setdefault(label, []).append(idx)
     clusters = []
     for members in sorted(by_label.values(), key=lambda ms: ms[0]):
         best = members[0]
         if len(members) > 1:
             best_mean = -1.0
             for i in members:
-                mean_sim = sum(sim.values[i, j] for j in members if j != i) / (
+                mean_sim = sum(values[i][j] for j in members if j != i) / (
                     len(members) - 1
                 )
                 if mean_sim > best_mean:
@@ -248,6 +264,64 @@ def cluster_systems(
             SystemCluster(tuple(names[i] for i in members), names[best])
         )
     return clusters
+
+
+def _average_linkage(dist: list[list[float]]) -> list[tuple[float, int, int]]:
+    """The merges ``(height, x, y)`` of average linkage over ``dist``, sorted
+    stably by height: the rows of SciPy's ``linkage(d, "average")``, with the
+    same arithmetic, except that ``x`` and ``y`` are points of the two merged
+    clusters rather than cluster ids.
+
+    The tree is built by the nearest-neighbour chain (Müllner 2011,
+    arXiv:1109.2378) with the Lance-Williams average update. Only the upper
+    triangle of ``dist`` is read.
+    """
+    n = len(dist)
+    d = [[dist[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    size = [1] * n
+    merges = []
+    chain: list[int] = []
+    for _ in range(n - 1):
+        if not chain:
+            chain = [next(i for i in range(n) if size[i])]  # lowest live index
+        while True:
+            x = chain[-1]
+            # A tie keeps the chain's previous element, so the chain cannot cycle.
+            y, best = (chain[-2], d[x][chain[-2]]) if len(chain) > 1 else (-1, math.inf)
+            for i in range(n):
+                if size[i] and i != x and d[x][i] < best:
+                    y, best = i, d[x][i]
+            if len(chain) > 1 and y == chain[-2]:
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)  # y becomes the merged cluster
+        nx, ny = size[x], size[y]
+        merges.append((best, x, y))
+        size[x], size[y] = 0, nx + ny
+        for i in range(n):
+            if size[i] and i != y:
+                d[i][y] = d[y][i] = (nx * d[i][x] + ny * d[i][y]) / (nx + ny)
+    return sorted(merges, key=lambda m: m[0])
+
+
+def _flat_clusters(merges: list[tuple[float, int, int]], threshold: float) -> list[int]:
+    """A cluster label per point, cutting the :func:`_average_linkage` tree
+    as SciPy's ``fcluster(criterion="distance")`` does: a subtree stays one
+    cluster iff the highest merge inside it is <= ``threshold``."""
+    n = len(merges) + 1
+    labels = list(range(n))
+    owner = list(range(n))  # point -> node of its current cluster
+    nodes = {i: ([i], -math.inf) for i in range(n)}  # node -> (points, highest merge)
+    for node, (height, x, y) in enumerate(merges, start=n):
+        (px, hx), (py, hy) = nodes.pop(owner[x]), nodes.pop(owner[y])
+        points, top = px + py, max(height, hx, hy)
+        nodes[node] = (points, top)
+        for p in points:
+            owner[p] = node
+            if top <= threshold:
+                labels[p] = node
+    return labels
 
 
 def matrix_tsv(matrix: SimilarityMatrix) -> str:

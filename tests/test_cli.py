@@ -324,6 +324,29 @@ def test_subcommand_and_experiment_write_identical_bytes(data, monkeypatch, meth
         assert (data / cli_file).read_bytes() == (data / "results" / f"exp.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["llm-rank", "--src", "src.txt", *_MEMBERS, "--base-url", "http://localhost:1",
+         "--model", "m", "--out-prefix", "cli"],
+        ["experiment", "--config", "exp.json"],
+    ],
+    ids=["llm-rank", "experiment"],
+)
+def test_http_backend_without_api_key_exits_one_at_once(data, monkeypatch, capsys, argv):
+    monkeypatch.chdir(data)
+    monkeypatch.delenv("GECKIT_API_KEY", raising=False)
+    sleeps = []
+    monkeypatch.setattr("geckit.llm.time.sleep", sleeps.append)
+    payload = {"name": "exp", "method": "llm-rank", "gold": "gold.m2", "output_dir": "results",
+               "systems": ["a.txt", "b.txt", "c.txt"], "backend": "http",
+               "base_url": "http://localhost:1", "model": "m"}
+    (data / "exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: environment variable GECKIT_API_KEY is not set\n"
+    assert sleeps == []
+
+
 def test_rank_and_rank_w_fixture_tells_them_apart(data, monkeypatch, capsys):
     monkeypatch.chdir(data)
     (data / "scores.tsv").write_text(_SCORES, encoding="utf-8")

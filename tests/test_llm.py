@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from geckit.corpus import SystemOutput, TokenSentence, ValidationError
 from geckit.llm import (
+    BackendSetupError,
     MockLabelBackend,
     MockLexminBackend,
     build_prompt,
@@ -259,6 +260,18 @@ def test_rank_corpus_backend_failure_falls_back_and_is_recorded():
     )
     assert run.output.sentences == outputs[0].sentences  # label A = first
     assert run.fallbacks == (0, 1, 2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_missing_api_key_stops_the_run_without_retries(monkeypatch, jobs):
+    monkeypatch.delenv("GECKIT_API_KEY", raising=False)
+    sleeps = []
+    monkeypatch.setattr("geckit.llm.time.sleep", sleeps.append)
+    backend = make_backend("http", base_url="http://localhost:1", model="m")
+    sources, outputs = corpus_fixture()
+    with pytest.raises(BackendSetupError, match="GECKIT_API_KEY"):
+        llm_rank_corpus(sources, outputs, "a", 1, [0], backend, jobs=jobs)
+    assert sleeps == []
 
 
 def test_rank_corpus_parallel_matches_serial():

@@ -1,6 +1,8 @@
 """Score-based selection, frequency weighting, and similarity clustering."""
 
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 from conftest import vocab
 from geckit.corpus import SystemOutput, TokenSentence, ValidationError
 from geckit.ranking import (
+    SimilarityMatrix,
+    _average_linkage,
+    _flat_clusters,
     aggr_rank,
     cluster_systems,
     rank_by_score,
@@ -234,3 +239,64 @@ def test_matrix_invariants_on_random_outputs(n_sys, n_sent, seed):
     # permutation of systems permutes the matrix accordingly
     flipped = similarity_matrix(list(reversed(outs)))
     assert np.allclose(np.flip(m.values), flipped.values)
+
+
+@pytest.mark.parametrize(
+    "names, values, problem",
+    [
+        (("a",), [[1.0]], "at least 2 systems"),
+        (("a", "b", "c"), [[1.0, 0.5], [0.5, 1.0]], "shape (2, 2) for 3 systems"),
+        (("a", "b"), [[1.0, math.nan], [math.nan, 1.0]], "entry (0, 1) is nan"),
+    ],
+    ids=["one-system", "wrong-shape", "non-finite"],
+)
+def test_cluster_rejects_bad_matrix(names, values, problem):
+    matrix = SimilarityMatrix(names, np.array(values))
+    with pytest.raises(ValidationError, match=re.escape(problem)):
+        cluster_systems([], 0.11, matrix=matrix)
+
+
+def _random_distances(rng, n, kind):
+    if kind == "ties":
+        draw = lambda: rng.choice((0.0, 0.25, 0.5, 0.5, 0.75, 1.0))  # noqa: E731
+    elif kind == "similarity":  # 1 - cosine of mostly near-duplicate systems
+        draw = lambda: 1.0 - rng.betavariate(5, 1)  # noqa: E731
+    elif kind == "ulp":  # distances a few ulps apart
+        base = rng.random()
+        draw = lambda: base + rng.randint(-2, 2) * math.ulp(base)  # noqa: E731
+    else:
+        draw = rng.random
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = draw()
+    return dist
+
+
+def _partition(labels):
+    first = {}
+    return [first.setdefault(int(label), len(first)) for label in labels]
+
+
+def test_average_linkage_matches_scipy_on_random_matrices():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    from scipy.spatial.distance import squareform
+
+    rng = random.Random(20240423)
+    for k in range(10_000):
+        n = rng.randint(2, 9)
+        dist = _random_distances(rng, n, ("ties", "similarity", "ulp", "uniform")[k % 4])
+        tree = hierarchy.linkage(squareform(np.array(dist), checks=False), method="average")
+        merges = _average_linkage(dist)
+        heights = tree[:, 2].tolist()
+        assert [height for height, _, _ in merges] == heights, f"matrix {k}: {dist}"
+        thresholds = {0.0, 0.11, 1.5}
+        for height in heights:
+            thresholds |= {
+                height, math.nextafter(height, -math.inf), math.nextafter(height, math.inf)
+            }
+        for t in sorted(thresholds):
+            expected = hierarchy.fcluster(tree, t=t, criterion="distance")
+            assert _partition(_flat_clusters(merges, t)) == _partition(expected), (
+                f"matrix {k} ({dist}) at threshold {t!r}"
+            )
