@@ -2,10 +2,23 @@
 
 Edits are recovered from (source, hypothesis) pairs by unit-cost
 Levenshtein alignment over tokens, then maximal runs of contiguous
-non-match operations are merged into single span edits. The traceback is
-deterministic (preference match > substitute > delete > insert, ties
-resolved toward the top-left of the DP matrix), which keeps edit keys
-stable across runs and platforms: voting depends on that.
+non-match operations are merged into single span edits.
+
+The alignment is exact and bit-parallel: Myers' bit-vector recurrence
+(Myers 1999, JACM 46(3)) in Hyyrö's global edit-distance form, with Python
+ints as bit vectors over the source tokens. Let ``d[i][j]`` be the cost of
+aligning ``src[:i]`` to ``hyp[:j]``. Column ``j`` of the matrix is kept as
+two ints, ``VP_j`` and ``VN_j``: bit ``i - 1`` is set in ``VP_j`` when
+``d[i][j] - d[i-1][j] == +1`` and in ``VN_j`` when it is ``-1``. Since
+``d[0][j] == j``, any cell is
+``d[i][j] = j + (VP_j & mask_i).bit_count() - (VN_j & mask_i).bit_count()``
+with ``mask_i = (1 << i) - 1``, so a column costs one pass of word
+operations and the traceback reads only the cells it visits.
+
+The traceback walks back from the bottom-right corner ``d[m][n]`` and at
+each cell takes the first move whose cost is consistent with the matrix,
+in the preference order match > substitute > delete > insert. That keeps
+edit keys stable across runs and platforms: voting depends on that.
 """
 
 from __future__ import annotations
@@ -24,6 +37,11 @@ def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit
     >>> extract_edits("I likes turtles very much .".split(),
     ...               "I like turtles very much .".split())
     [Edit(start=1, end=2, replacement=('like',))]
+
+    Of two equal tokens, the walk back from the end keeps the later one:
+
+    >>> extract_edits("a a b".split(), "a b".split())
+    [Edit(start=0, end=1, replacement=())]
     """
     src = tuple(source)
     hyp = tuple(hypothesis)
@@ -41,47 +59,60 @@ def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit
     m = len(src) - k
     n = len(hyp) - k
 
-    # Cost matrix, row by row. d[i][j] = cost of aligning src[:i] to hyp[:j].
-    rows = [list(range(n + 1))]
-    for i in range(1, m + 1):
-        s_tok = src[i - 1]
-        prev = rows[-1]
-        cur = [0] * (n + 1)
-        cur[0] = i
-        left = i
-        for j in range(1, n + 1):
-            best = prev[j - 1]  # diagonal: match or substitute
-            if s_tok != hyp[j - 1]:
-                best += 1
-            up = prev[j] + 1
-            if up < best:
-                best = up
-            left += 1
-            if left < best:
-                best = left
-            cur[j] = left = best
-        rows.append(cur)
+    # Match masks: bit i of peq[t] is set when src[i] == t.
+    peq: dict[str, int] = {}
+    for i, tok in enumerate(src[:m]):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+
+    # Columns 0..n as vertical-delta pairs. Column 0 is d[i][0] == i, all +1.
+    # Per column: d0 marks the cells equal to their diagonal neighbour,
+    # hp/hn the horizontal deltas +1/-1. The carry into row 1 is 1 because
+    # d[0][j] - d[0][j-1] == +1 (global distance; approximate search would
+    # shift in 0). The complement sets every bit from m up, so VP is masked
+    # to m bits. VN needs no mask: the add can carry into bit m of d0 only
+    # through VP's bit m-1, and then hp's bit m is clear.
+    full = (1 << m) - 1
+    vp, vn = full, 0
+    vps, vns = [vp], [vn]
+    for tok in hyp[:n]:
+        eq = peq.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        hp = (hp << 1) | 1
+        vn = hp & d0
+        vp = ((hn << 1) | ~(hp | d0)) & full
+        vps.append(vp)
+        vns.append(vn)
 
     # Traceback from the bottom-right corner. At each cell take the first
     # move in preference order whose cost is consistent with the matrix.
+    # cost is d[i][j]: every move but a match lowers it by one.
     ops: list[str] = []
     i, j = m, n
-    while i > 0 or j > 0:
-        cost = rows[i][j]
-        if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and rows[i - 1][j - 1] == cost:
+    cost = n + vp.bit_count() - vn.bit_count()
+    while i > 0 and j > 0:
+        if src[i - 1] == hyp[j - 1]:
+            # Equal tokens always give d[i-1][j-1] == d[i][j].
             ops.append("m")
             i -= 1
             j -= 1
-        elif i > 0 and j > 0 and src[i - 1] != hyp[j - 1] and rows[i - 1][j - 1] + 1 == cost:
+            continue
+        mask = (1 << (i - 1)) - 1
+        if j + (vps[j - 1] & mask).bit_count() - (vns[j - 1] & mask).bit_count() == cost:
             ops.append("s")
             i -= 1
             j -= 1
-        elif i > 0 and rows[i - 1][j] + 1 == cost:
+        elif j + 1 + (vps[j] & mask).bit_count() - (vns[j] & mask).bit_count() == cost:
             ops.append("d")
             i -= 1
         else:
             ops.append("i")
             j -= 1
+        cost -= 1
+    # On the top row only insertions remain, in the left column only deletions.
+    ops.extend("d" * i)
+    ops.extend("i" * j)
     ops.reverse()
 
     # Merge contiguous non-match runs into single edits.

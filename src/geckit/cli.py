@@ -24,6 +24,7 @@ from .corpus import (
     ValidationError,
     atomic_write_text,
     check_source_file,
+    check_unique_names,
     load_edit_tsv,
     load_m2,
     load_parallel,
@@ -75,13 +76,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_systems(specs: list[str], expected_len: int | None = None) -> list[SystemOutput]:
-    systems = []
-    for spec in specs:
-        name, path = parse_system_spec(spec)
-        systems.append(load_system_output(path, name, expected_len=expected_len))
-    if len({s.name for s in systems}) != len(systems):
-        raise ValidationError(f"duplicate system names in {specs}")
-    return systems
+    named = [parse_system_spec(spec) for spec in specs]
+    check_unique_names(name for name, _ in named)
+    return [load_system_output(path, name, expected_len=expected_len) for name, path in named]
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,15 @@ def check_aligned(outputs: Sequence[SystemOutput], n: int) -> None:
             )
 
 
+def check_unique_names(names: Iterable[str]) -> None:
+    """Raise :class:`ValidationError` naming the first system name given twice."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValidationError(f"duplicate system name {name!r}")
+        seen.add(name)
+
+
 def parse_system_spec(spec: str) -> tuple[str, Path]:
     """Split a ``name=path`` member spec; a bare path is named by its file stem."""
     name, sep, path = spec.partition("=")

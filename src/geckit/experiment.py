@@ -48,6 +48,7 @@ from .corpus import (
     ValidationError,
     atomic_write_text,
     check_source_file,
+    check_unique_names,
     load_m2,
     load_score_file,
     load_system_output,
@@ -112,9 +113,7 @@ class ExperimentConfig:
             )
         if self.method == "llm-rank" and self.variant not in ("a", "b"):
             raise ValidationError(f"unknown prompt variant {self.variant!r}")
-        names = [name for name, _ in self.systems]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate system names: {names}")
+        check_unique_names(name for name, _ in self.systems)
 
 
 @dataclass

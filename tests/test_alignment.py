@@ -207,3 +207,139 @@ def test_edit_table_lookup_survives_caller_mutation():
     second = table.edits(src, hyp)
     assert second == expected == extract_edits(src, hyp)
     assert type(second) is list and second is not first
+
+
+# --------------------------------------------------------------------------
+# the bit-parallel alignment against the full-matrix DP it replaced
+
+
+def _reference_extract_edits(source, hypothesis):
+    """The O(mn) full-matrix DP and traceback, frozen for the differential test."""
+    src = tuple(source)
+    hyp = tuple(hypothesis)
+    k = 0
+    limit = min(len(src), len(hyp))
+    while k < limit and src[len(src) - 1 - k] == hyp[len(hyp) - 1 - k]:
+        k += 1
+    m = len(src) - k
+    n = len(hyp) - k
+
+    rows = [list(range(n + 1))]
+    for i in range(1, m + 1):
+        s_tok = src[i - 1]
+        prev = rows[-1]
+        cur = [0] * (n + 1)
+        cur[0] = i
+        left = i
+        for j in range(1, n + 1):
+            best = prev[j - 1]
+            if s_tok != hyp[j - 1]:
+                best += 1
+            up = prev[j] + 1
+            if up < best:
+                best = up
+            left += 1
+            if left < best:
+                best = left
+            cur[j] = left = best
+        rows.append(cur)
+
+    ops = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        cost = rows[i][j]
+        if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and rows[i - 1][j - 1] == cost:
+            ops.append("m")
+            i -= 1
+            j -= 1
+        elif i > 0 and j > 0 and src[i - 1] != hyp[j - 1] and rows[i - 1][j - 1] + 1 == cost:
+            ops.append("s")
+            i -= 1
+            j -= 1
+        elif i > 0 and rows[i - 1][j] + 1 == cost:
+            ops.append("d")
+            i -= 1
+        else:
+            ops.append("i")
+            j -= 1
+    ops.reverse()
+
+    edits = []
+    si = hi = 0
+    run_start = None
+
+    def close_run(si_end, hi_end):
+        nonlocal run_start
+        if run_start is not None:
+            s0, h0 = run_start
+            edits.append(Edit(s0, si_end, tuple(hyp[h0:hi_end])))
+            run_start = None
+
+    for op in ops:
+        if op == "m":
+            close_run(si, hi)
+            si += 1
+            hi += 1
+        else:
+            if run_start is None:
+                run_start = (si, hi)
+            if op == "s":
+                si += 1
+                hi += 1
+            elif op == "d":
+                si += 1
+            else:
+                hi += 1
+    close_run(si, hi)
+    return edits
+
+
+def _mutated(rng, tokens, alphabet, rate):
+    """tokens with each one kept, substituted, deleted or followed by an insertion."""
+    out = []
+    for t in tokens:
+        roll = rng.random()
+        if roll < rate:
+            out.append(rng.choice(alphabet))
+        elif roll < 2 * rate:
+            continue
+        else:
+            out.append(t)
+        if rng.random() < rate:
+            out.append(rng.choice(alphabet))
+    return out
+
+
+def test_extract_edits_equals_reference_dp():
+    rng = random.Random(20261018)
+
+    # short pairs over 1-5 token alphabets: few distinct tokens force ties
+    for _ in range(100_000):
+        alphabet = "abcde"[: rng.randint(1, 5)]
+        src = [rng.choice(alphabet) for _ in range(rng.randint(0, 14))]
+        hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, 14))]
+        assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp), (src, hyp)
+
+    # long pairs: bit vectors wider than CPython's 30-bit digits and than 64 bits
+    wide = 0
+    for _ in range(1_000):
+        alphabet = [f"w{t}" for t in range(rng.choice((1, 2, 3, 5, 40)))]
+        src = [rng.choice(alphabet) for _ in range(rng.randint(25, 130))]
+        if rng.random() < 0.5:
+            hyp = [rng.choice(alphabet) for _ in range(rng.randint(25, 130))]
+        else:
+            hyp = _mutated(rng, src, alphabet + ["x"], rng.uniform(0.02, 0.3))
+        assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp), (src, hyp)
+        suffix = 0
+        while suffix < min(len(src), len(hyp)) and src[~suffix] == hyp[~suffix]:
+            suffix += 1
+        wide += len(src) - suffix > 64
+    assert wide >= 300  # enough pairs keep more than 64 rows after the suffix strip
+
+    @settings(max_examples=500, deadline=None)
+    @given(sentence_pairs())
+    def matches_reference(pair):
+        src, hyp = pair
+        assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp)
+
+    matches_reference()

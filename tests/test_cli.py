@@ -156,6 +156,25 @@ def test_vote_duplicate_names_rejected(data, capsys):
     assert code == 1
 
 
+def test_duplicate_system_name_is_named_on_stderr(data, capsys):
+    code = main([
+        "vote", "--src", str(data / "src.txt"),
+        "--sys", str(data / "b.txt"), "--sys", str(data / "a.txt"),
+        "--sys", str(data / "a.txt"), "--nmin", "0", "--out", str(data / "x.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: duplicate system name 'a'\n"
+
+    config = data / "exp.json"
+    config.write_text(
+        '{"name": "dup", "method": "vote", "gold": "gold.m2",'
+        ' "systems": ["a.txt", "c=b.txt", "c.txt"]}',
+        encoding="utf-8",
+    )
+    assert main(["experiment", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: duplicate system name 'c'\n"
+
+
 def test_oracle_subcommands_write_audit(data):
     for method in ("oracle-ensemble", "oracle-rank"):
         out = data / f"{method}.txt"
