@@ -35,6 +35,7 @@ from .corpus import (
     serialize_parallel,
 )
 from .experiment import (
+    ExperimentResult,
     ablation_remove_one,
     ablation_tsv,
     load_config,
@@ -73,6 +74,11 @@ def _emit(text: str, out: str | None) -> None:
         atomic_write_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _fallback_note(fallbacks: tuple[int, ...]) -> str:
+    """The stderr note on an LLM run, naming how many sentences fell back to label A."""
+    return f", {len(fallbacks)} fallback sentences" if fallbacks else ""
 
 
 def _load_systems(specs: list[str], expected_len: int | None = None) -> list[SystemOutput]:
@@ -176,8 +182,7 @@ def _cmd_llm_rank(args) -> int:
     for run in runs:
         path = f"{args.out_prefix}.run{run.run_index}.txt"
         atomic_write_text(path, serialize_parallel(run.output.sentences))
-        note = f", {len(run.fallbacks)} fallback sentences" if run.fallbacks else ""
-        print(f"wrote {path}{note}", file=sys.stderr)
+        print(f"wrote {path}{_fallback_note(run.fallbacks)}", file=sys.stderr)
     return 0
 
 
@@ -190,6 +195,8 @@ def _cmd_experiment(args) -> int:
         config.seeds = None
     if args.ablation:
         rows = ablation_remove_one(config)
+        for _, result in rows:
+            _print_fallbacks(result)
         sys.stdout.write(ablation_tsv(rows))
         return 0
     if args.sweep_nmin:
@@ -198,8 +205,16 @@ def _cmd_experiment(args) -> int:
             print(f"n_min={n_min}: F0.5={result.report.f05:.4f}", file=sys.stderr)
         return 0
     result = run_experiment(config)
+    _print_fallbacks(result)
     sys.stdout.write(result_row_tsv([result]))
     return 0
+
+
+def _print_fallbacks(result: ExperimentResult) -> None:
+    for run_index, fallbacks in enumerate(result.fallbacks):
+        if fallbacks:
+            print(f"{result.config.name} run{run_index}{_fallback_note(fallbacks)}",
+                  file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

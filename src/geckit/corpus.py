@@ -23,6 +23,7 @@ never observe a half-written file.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,15 +69,28 @@ class TokenSentence(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "TokenSentence":
-        """Split ``text`` on whitespace. The empty string gives zero tokens."""
+        """Split ``text`` on whitespace. The empty string gives zero tokens.
+
+        Tokens are interned, as are the replacement tokens the M2 and edit
+        TSV parsers read, so equal tokens read anywhere in one process are
+        one string object. Equality and hashing still go by value. Interned
+        strings are freed once unreferenced on CPython 3.10 and 3.11 but
+        kept for the life of the process on 3.12; either way the cost is
+        bounded by the vocabulary.
+        """
         # str.split() yields only non-empty tokens free of every character
         # str.isspace() accepts, so the token checks of __new__ cannot fail.
-        return tuple.__new__(cls, text.split())
+        return tuple.__new__(cls, _tokens(text))
 
     @property
     def text(self) -> str:
         """Tokens joined by single spaces."""
         return " ".join(self)
+
+
+def _tokens(text: str) -> tuple[str, ...]:
+    """The whitespace tokens of ``text``, interned (see :meth:`TokenSentence.parse`)."""
+    return tuple(map(sys.intern, text.split()))
 
 
 class Edit(NamedTuple):
@@ -128,19 +142,26 @@ def check_edits(source: Sequence[str], edits: Sequence[Edit]) -> None:
     (:class:`OverlapError`).
     """
     for e in edits:
-        if not (0 <= e.start <= e.end <= len(source)):
-            raise ValidationError(
-                f"edit span ({e.start},{e.end}) out of bounds for "
-                f"{len(source)}-token sentence"
-            )
-        if tuple(e.replacement) == tuple(source[e.start : e.end]):
-            raise ValidationError(
-                f"no-op edit at ({e.start},{e.end}): replacement equals source span"
-            )
+        _check_span(source, e)
     for i, a in enumerate(edits):
         for b in edits[i + 1 :]:
-            if conflicts(a, b):
-                raise OverlapError(f"conflicting edits: {a} / {b}")
+            _check_pair(a, b)
+
+
+def _check_span(source: Sequence[str], e: Edit) -> None:
+    if not (0 <= e.start <= e.end <= len(source)):
+        raise ValidationError(
+            f"edit span ({e.start},{e.end}) out of bounds for {len(source)}-token sentence"
+        )
+    if tuple(e.replacement) == tuple(source[e.start : e.end]):
+        raise ValidationError(
+            f"no-op edit at ({e.start},{e.end}): replacement equals source span"
+        )
+
+
+def _check_pair(a: Edit, b: Edit) -> None:
+    if conflicts(a, b):
+        raise OverlapError(f"conflicting edits: {a} / {b}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +304,7 @@ def parse_m2(text: str) -> list[GoldSentence]:
             if start == -1 and end == -1:
                 continue  # noop marker: annotator registered, no edit
             repl_field = fields[2].strip()
-            replacement = () if repl_field == _M2_EMPTY else tuple(repl_field.split())
+            replacement = () if repl_field == _M2_EMPTY else _tokens(repl_field)
             edits.append(Edit(start, end, replacement))
         else:
             raise M2ParseError(f"line {lineno}: expected S or A prefix: {line!r}")
@@ -458,6 +479,8 @@ def parse_edit_tsv(text: str, sources: Sequence[Sequence[str]]) -> list[list[Edi
 
     Edits keep their file order. Each row is checked as it is read: with
     the rows before it, its sentence's edits must pass :func:`check_edits`.
+    Since those rows have passed already, only the new row is checked: its
+    span, then against each earlier row of its sentence, in file order.
     """
     n = len(sources)
     edits: list[list[Edit]] = [[] for _ in range(n)]
@@ -468,12 +491,15 @@ def parse_edit_tsv(text: str, sources: Sequence[Sequence[str]]) -> list[list[Edi
             raise ValidationError(f"edit file line {lineno}: non-integer field") from None
         if not 0 <= index < n:
             raise ValidationError(f"edit file line {lineno}: sentence {index} not in 0..{n - 1}")
-        repl = () if parts[3] == _M2_EMPTY else tuple(parts[3].split())
-        edits[index].append(Edit(start, end, repl))
+        edit = Edit(start, end, () if parts[3] == _M2_EMPTY else _tokens(parts[3]))
+        prior = edits[index]
         try:
-            check_edits(sources[index], edits[index])
+            _check_span(sources[index], edit)
+            for a in prior:
+                _check_pair(a, edit)
         except ValidationError as err:
             raise type(err)(f"edit file line {lineno}: {err}") from None
+        prior.append(edit)
     return edits
 
 

@@ -124,6 +124,8 @@ class ExperimentResult:
     outputs: tuple[SystemOutput, ...]  # one per run (one except llm-rank)
     reports: tuple[ScoreReport, ...]  # aligned with outputs
     artifacts: tuple[Path, ...] = field(default_factory=tuple)
+    # llm-rank only: per run, the sentence indices that fell back to label A
+    fallbacks: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
     @property
     def report(self) -> ScoreReport:
@@ -222,6 +224,7 @@ def run_experiment(
 
     artifacts: list[Path] = []
     combined: list[SystemOutput]
+    fallbacks: list[tuple[int, ...]] = []
     if config.method in ("vote", "second-order-vote"):
         combined = [majority_vote_corpus(sources, outputs, config.n_min, table=table)]
     elif config.method in ("oracle-ensemble", "oracle-rank"):
@@ -245,6 +248,7 @@ def run_experiment(
             jobs=config.jobs,
         )
         combined = [run.output for run in runs]
+        fallbacks = [run.fallbacks for run in runs]
 
     reports = []
     for run_index, output in enumerate(combined):
@@ -252,7 +256,9 @@ def run_experiment(
         artifacts.append(_write(config, suffix, serialize_parallel(output.sentences)))
         reports.append(score_corpus(output, gold, table=table))
 
-    result = ExperimentResult(config, tuple(combined), tuple(reports), tuple(artifacts))
+    result = ExperimentResult(
+        config, tuple(combined), tuple(reports), tuple(artifacts), tuple(fallbacks)
+    )
     artifacts.append(_write(config, "report.txt", report_table(result.report)))
     artifacts.append(_write(config, "row.tsv", result_row_tsv([result])))
     result.artifacts = tuple(artifacts)

@@ -9,15 +9,15 @@ is remembered so parsed labels map back to systems.
 The backend is any callable from (system message, user message,
 temperature) to response text. A real HTTP chat-completions client and
 deterministic offline mocks both satisfy it, so every test runs without
-network access. Responses that cannot be parsed, and backend failures that
-outlast the retries, fall back to label A and are flagged. A backend that
-cannot work as configured (:class:`BackendSetupError`, such as a missing
-API key) is neither retried nor falls back: it stops the run at once.
+network access. Responses that cannot be parsed, and transient backend
+failures that outlast the retries, fall back to label A and are flagged. A
+backend that cannot work as configured (:class:`BackendSetupError`: a
+missing API key, a request the server rejects, a malformed reply) is
+neither retried nor falls back: it stops the run at once.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import string
 import time
@@ -32,7 +32,8 @@ Backend = Callable[[str, str, float], str]
 
 
 class BackendSetupError(ValidationError, RuntimeError):
-    """A backend that cannot work as configured, such as a missing API key.
+    """A backend that cannot work as configured: a missing API key, an HTTP
+    4xx status other than 429, or a reply that is not a chat completion.
 
     Retrying cannot help, so it is raised at once, never retried and never
     replaced by a fallback label.
@@ -192,6 +193,10 @@ class HttpChatBackend:
 
     The bearer token is read from the environment (default variable
     GECKIT_API_KEY) so credentials never appear in configs or argv.
+    Timeouts, connection errors, 429 and 5xx raise ordinary exceptions,
+    which :func:`call_with_retries` retries. Any other 4xx, and a reply
+    without a string at ``choices[0].message.content``, raise
+    :class:`BackendSetupError`.
     """
 
     def __init__(
@@ -223,18 +228,22 @@ class HttpChatBackend:
             ],
             "temperature": temperature,
         }
+        url = f"{self.base_url}/chat/completions"
         resp = requests.post(
-            f"{self.base_url}/chat/completions",
-            headers={"Authorization": f"Bearer {key}"},
-            json=body,
-            timeout=self.timeout,
+            url, headers={"Authorization": f"Bearer {key}"}, json=body, timeout=self.timeout
         )
+        if 400 <= resp.status_code < 500 and resp.status_code != 429:
+            raise BackendSetupError(
+                f"{url} answered HTTP {resp.status_code}: {resp.text[:200]}"
+            )
         resp.raise_for_status()
-        payload = resp.json()
         try:
-            return payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise RuntimeError(f"malformed chat response: {json.dumps(payload)[:200]}")
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise BackendSetupError(f"{url}: malformed chat response: {resp.text[:200]}")
+        return content
 
 
 def make_backend(

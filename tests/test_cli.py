@@ -366,6 +366,40 @@ def test_http_backend_without_api_key_exits_one_at_once(data, monkeypatch, capsy
     assert sleeps == []
 
 
+def test_llm_rank_experiment_reports_fallbacks_like_the_subcommand(data, monkeypatch, capsys):
+    """A backend that answers garbage falls back to label A on every sentence.
+    Both front ends say so on stderr per run; the experiment's stdout and
+    artifacts are byte for byte those of a backend that answers label A."""
+    monkeypatch.chdir(data)
+
+    def experiment(output_dir):
+        payload = {"name": "exp", "method": "llm-rank", "gold": "gold.m2", "runs": 2,
+                   "systems": ["a.txt", "b.txt", "c.txt"], "backend": "mock-label-a",
+                   "output_dir": output_dir}
+        (data / "exp.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["experiment", "--config", "exp.json"]) == 0
+        return capsys.readouterr()
+
+    label_a = experiment("label-a")
+    garbage_backend = lambda *args, **kwargs: lambda system, user, temperature: "???"
+    monkeypatch.setattr("geckit.experiment.make_backend", garbage_backend)
+    garbage = experiment("garbage")
+    assert label_a.err == ""
+    assert garbage.err == "exp run0, 2 fallback sentences\nexp run1, 2 fallback sentences\n"
+    assert garbage.out == label_a.out
+    names = sorted(path.name for path in (data / "label-a").iterdir())
+    assert names == sorted(path.name for path in (data / "garbage").iterdir())
+    for name in names:
+        assert (data / "garbage" / name).read_bytes() == (data / "label-a" / name).read_bytes()
+
+    monkeypatch.setattr("geckit.cli.make_backend", garbage_backend)
+    assert main(["llm-rank", "--src", "src.txt", *_MEMBERS, "--runs", "2",
+                 "--out-prefix", "cli"]) == 0
+    assert capsys.readouterr().err == (
+        "wrote cli.run0.txt, 2 fallback sentences\nwrote cli.run1.txt, 2 fallback sentences\n"
+    )
+
+
 def test_rank_and_rank_w_fixture_tells_them_apart(data, monkeypatch, capsys):
     monkeypatch.chdir(data)
     (data / "scores.tsv").write_text(_SCORES, encoding="utf-8")

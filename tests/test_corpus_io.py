@@ -1,16 +1,21 @@
 """M2, parallel-text, score-file and edit-TSV round trips and error reporting."""
 
+import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import annotations, vocab
+from geckit import corpus
+from geckit.align import extract_edits
 from geckit.corpus import (
     Edit,
     GoldSentence,
     M2ParseError,
+    OverlapError,
     TokenSentence,
     ValidationError,
     atomic_write_text,
@@ -309,3 +314,139 @@ def test_edit_tsv_rejects_bad_rows_with_their_line(row, fragment):
         parse_edit_tsv(_EDIT_HEADER + "0\t0\t1\tok\n" + row, ["a b".split(), "c d".split()])
     assert fragment in str(exc.value)
     assert "line 3" in str(exc.value)
+
+
+def _parse_edit_tsv_rechecking_every_pair(text, sources):
+    """Frozen reference: the per-row loop that re-ran the whole-set check on
+    the row's sentence, with a frozen copy of that check."""
+
+    def check_edits(source, edits):
+        for e in edits:
+            if not (0 <= e.start <= e.end <= len(source)):
+                raise ValidationError(
+                    f"edit span ({e.start},{e.end}) out of bounds for "
+                    f"{len(source)}-token sentence"
+                )
+            if tuple(e.replacement) == tuple(source[e.start : e.end]):
+                raise ValidationError(
+                    f"no-op edit at ({e.start},{e.end}): replacement equals source span"
+                )
+        for i, a in enumerate(edits):
+            for b in edits[i + 1 :]:
+                if a.start == b.start or a.start < b.start < a.end or b.start < a.start < b.end:
+                    raise OverlapError(f"conflicting edits: {a} / {b}")
+
+    lines = text.rstrip("\n").split("\n")
+    if lines[0].rstrip("\r") != _EDIT_HEADER.rstrip("\n"):
+        raise ValidationError(f"edit file must start with header {_EDIT_HEADER.rstrip()!r}")
+    n = len(sources)
+    edits = [[] for _ in range(n)]
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.rstrip("\r")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ValidationError(f"edit file line {lineno}: expected 4 columns")
+        try:
+            index, start, end = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValidationError(f"edit file line {lineno}: non-integer field") from None
+        if not 0 <= index < n:
+            raise ValidationError(f"edit file line {lineno}: sentence {index} not in 0..{n - 1}")
+        repl = () if parts[3] == "-NONE-" else tuple(parts[3].split())
+        edits[index].append(Edit(start, end, repl))
+        try:
+            check_edits(sources[index], edits[index])
+        except ValidationError as err:
+            raise type(err)(f"edit file line {lineno}: {err}") from None
+    return edits
+
+
+def _random_edit_file(rng):
+    """Sources and an edit TSV: the extracted edits of random hypotheses in
+    shuffled order, with random rows mixed in about half the time."""
+    words = vocab(4)
+    sources = [
+        [rng.choice(words) for _ in range(rng.randint(1, 8))] for _ in range(rng.randint(1, 4))
+    ]
+    rows = []
+    for i, source in enumerate(sources):
+        hyp = [rng.choice(words) for _ in range(rng.randint(0, 9))]
+        rows += [(i, e.start, e.end, " ".join(e.replacement) or "-NONE-")
+                 for e in extract_edits(source, hyp)]
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(-1, len(sources))
+            start = rng.randint(-1, 9)
+            repl = " ".join(rng.choice(words) for _ in range(rng.randint(0, 2)))
+            rows.append((i, start, start + rng.randint(-1, 3), repl or "-NONE-"))
+    rng.shuffle(rows)
+    text = _EDIT_HEADER + "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    if rng.random() < 0.05:
+        text += "0\tx\t1\tw0\n"
+    return sources, text
+
+
+def test_edit_tsv_per_row_check_equals_rechecking_every_pair():
+    def outcome(parse, text, sources):
+        try:
+            return parse(text, sources)
+        except ValidationError as err:
+            return type(err), str(err)
+
+    rng = random.Random(20240801)
+    kinds = set()
+    for _ in range(3000):
+        sources, text = _random_edit_file(rng)
+        expected = outcome(_parse_edit_tsv_rechecking_every_pair, text, sources)
+        assert outcome(parse_edit_tsv, text, sources) == expected, text
+        if isinstance(expected, list):
+            kinds.add("valid")
+        else:  # the first word after "edit file line N: " names the check
+            kinds.add(expected[1].split(": ", 1)[1].split(" ")[0])
+    assert kinds == {"valid", "edit", "no-op", "conflicting", "sentence", "non-integer"}
+
+
+def test_edit_tsv_checks_each_pair_of_rows_once(monkeypatch):
+    calls = []
+    real = corpus.conflicts
+    monkeypatch.setattr(corpus, "conflicts", lambda a, b: calls.append(1) or real(a, b))
+    k = 26
+    source = [f"t{i}" for i in range(k)]
+    rows = "".join(f"0\t{i}\t{i + 1}\tr{i}\n" for i in reversed(range(k)))
+    (edits,) = parse_edit_tsv(_EDIT_HEADER + rows, [source])
+    assert len(edits) == k
+    assert 0 < len(calls) <= k * (k - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# Token sharing
+
+
+def test_equal_tokens_read_anywhere_are_one_object(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("The turtles sleep .\n", encoding="utf-8")
+    b.write_text("Two turtles slept .\n", encoding="utf-8")
+    ((sa,), (sb,)) = load_parallel(a), load_parallel(b)
+    assert sa[1] is sb[1]
+    (gold,) = parse_m2("S Many turtles .\nA 1 2|||N|||tortoises|||REQUIRED|||-NONE-|||0\n")
+    ((tsv_edit,),) = parse_edit_tsv(_EDIT_HEADER + "0\t0\t1\ttortoises turtles\n", [sa])
+    assert gold.source[1] is sa[1]
+    assert gold.annotations[0][0].replacement[0] is tsv_edit.replacement[0]
+    assert tsv_edit.replacement[1] is sa[1]
+
+
+def test_repeated_lines_cost_one_string_per_distinct_token(tmp_path):
+    p = tmp_path / "x.txt"
+    line = " ".join(f"repeat{i}" for i in range(20))
+    p.write_text((line + "\n") * 2000, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        sentences = load_parallel(p)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sentences) == 2000
+    # With one string per token occurrence this load holds about 3.1 MB.
+    assert size < 1_200_000

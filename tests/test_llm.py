@@ -1,12 +1,17 @@
-"""Prompt building, response parsing, mocks, and rank-run determinism."""
+"""Prompt building, response parsing, mocks, backends, and rank-run determinism."""
+
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geckit.corpus import SystemOutput, TokenSentence, ValidationError
 from geckit.llm import (
     BackendSetupError,
+    HttpChatBackend,
     MockLabelBackend,
     MockLexminBackend,
     build_prompt,
@@ -272,6 +277,123 @@ def test_missing_api_key_stops_the_run_without_retries(monkeypatch, jobs):
     with pytest.raises(BackendSetupError, match="GECKIT_API_KEY"):
         llm_rank_corpus(sources, outputs, "a", 1, [0], backend, jobs=jobs)
     assert sleeps == []
+
+
+class _QuietServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has closed its socket
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """Start a chat-completions endpoint on 127.0.0.1 in a thread.
+
+    ``start(*replies, delay=0)`` answers the n-th POST with the n-th
+    ``(status, body)`` reply, repeating the last, after ``delay`` seconds.
+    It returns the base URL and the list of Authorization headers received.
+    """
+    monkeypatch.setenv("GECKIT_API_KEY", "test-key")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # never route to a configured proxy
+    servers = []
+
+    def start(*replies, delay=0.0):
+        received = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                received.append(self.headers["Authorization"])
+                status, body = replies[min(len(received), len(replies)) - 1]
+                threading.Event().wait(delay)  # time.sleep may be patched
+                data = body.encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        server = _QuietServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}", received
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff sleeps of call_with_retries, recorded instead of slept."""
+    recorded = []
+    monkeypatch.setattr("geckit.llm.time.sleep", recorded.append)
+    return recorded
+
+
+_REPLY_B = '{"choices": [{"message": {"content": "OUTPUT:\\nB"}}]}'
+
+
+@pytest.mark.parametrize(
+    "status, body",
+    [
+        (400, '{"error": "bad request"}'),
+        (401, '{"error": "bad key"}'),
+        (404, "not found"),
+        (200, "not json"),
+        (200, '{"choices": []}'),
+        (200, '{"choices": [{"message": {"content": null}}]}'),
+    ],
+)
+def test_http_rejection_or_malformed_reply_stops_the_run_at_once(
+    chat_server, sleeps, status, body
+):
+    url, received = chat_server((status, body))
+    backend = make_backend("http", base_url=url, model="m")
+    sources, outputs = corpus_fixture()
+    with pytest.raises(BackendSetupError, match=str(status) if status != 200 else "malformed"):
+        llm_rank_corpus(sources, outputs, "a", 1, [0], backend)
+    assert received == ["Bearer test-key"]
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("status", [429, 500, 503])
+def test_http_transient_errors_are_retried_then_fall_back(chat_server, sleeps, status):
+    url, received = chat_server((status, '{"error": "busy"}'))
+    backend = make_backend("http", base_url=url, model="m")
+    sources, outputs = corpus_fixture()
+    (run,) = llm_rank_corpus(sources, outputs, "a", 1, [0], backend, shuffle=False)
+    assert run.fallbacks == (0, 1, 2)
+    assert run.output.sentences == outputs[0].sentences
+    assert len(received) == 3 * 4
+    assert sleeps == [1.0, 2.0, 4.0] * 3
+
+
+def test_http_transient_error_then_success_uses_the_answer(chat_server, sleeps):
+    url, received = chat_server((503, "busy"), (200, _REPLY_B))
+    backend = make_backend("http", base_url=url, model="m")
+    assert call_with_retries(backend, "s", "u", 1.0) == "OUTPUT:\nB"
+    assert len(received) == 2
+    assert sleeps == [1.0]
+
+
+def test_http_timeout_is_retried(chat_server, sleeps):
+    url, received = chat_server((200, _REPLY_B), delay=2.0)
+    backend = HttpChatBackend(url, "m", timeout=0.2)
+    with pytest.raises(requests.Timeout):
+        call_with_retries(backend, "s", "u", 1.0, retries=1)
+    assert len(received) == 2
+    assert sleeps == [1.0]
 
 
 def test_rank_corpus_parallel_matches_serial():
