@@ -412,10 +412,6 @@ class ScoreFile:
         except KeyError:
             raise KeyError(f"no score for system {system!r}, sentence {index}") from None
 
-    @property
-    def systems(self) -> tuple[str, ...]:
-        return tuple(sorted({sys for sys, _ in self.scores}))
-
 
 def _tsv_rows(text: str, header: str, kind: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row below the exact ``header``."""

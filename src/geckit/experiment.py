@@ -23,13 +23,16 @@ Config schema (JSON object):
     variant       llm prompt variant "a" | "b" (default "a")
     runs          llm run count (default 1)
     seed          root seed (default 0); per-run seeds derive from it
-    seeds         explicit per-run seed list (overrides seed derivation)
+    seeds         explicit non-empty per-run seed list (overrides seed
+                  derivation)
     backend       llm backend: mock-lexmin | mock-label-a | http
     base_url      chat-completions endpoint (http backend)
     model         model name (http backend)
     jobs          request concurrency for llm-rank (default 1)
 
 Relative paths are resolved against the config file's directory.
+``n_min``, ``runs``, ``seed``, ``jobs`` and each ``seeds`` entry must be
+JSON integers; a float, string or boolean is an error, not rounded.
 """
 
 from __future__ import annotations
@@ -154,8 +157,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
+    def integer(key: str, value: object) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(
+                f"{path}: key {key!r} must be an integer, got {json.dumps(value)}"
+            )
+        return value
+
     systems = tuple(_parse_system_entry(entry, resolve) for entry in raw["systems"])
-    seeds = tuple(raw["seeds"]) if raw.get("seeds") is not None else None
+    seeds = None
+    if "seeds" in raw:
+        if not isinstance(raw["seeds"], list) or not raw["seeds"]:
+            raise ValidationError(
+                f"{path}: key 'seeds' must be a non-empty list, got {json.dumps(raw['seeds'])}"
+            )
+        seeds = tuple(integer(f"seeds[{k}]", seed) for k, seed in enumerate(raw["seeds"]))
     return ExperimentConfig(
         name=raw["name"],
         gold_path=resolve(raw["gold"]),
@@ -163,16 +179,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
         method=raw["method"],
         source_path=resolve(raw["source"]) if raw.get("source") else None,
         output_dir=resolve(raw.get("output_dir", "results")),
-        n_min=int(raw.get("n_min", 0)),
+        n_min=integer("n_min", raw.get("n_min", 0)),
         score_path=resolve(raw["scores"]) if raw.get("scores") else None,
         variant=raw.get("variant", "a"),
-        runs=int(raw.get("runs", 1)),
-        seed=int(raw.get("seed", 0)),
+        runs=integer("runs", raw.get("runs", 1)),
+        seed=integer("seed", raw.get("seed", 0)),
         seeds=seeds,
         backend=raw.get("backend", "mock-lexmin"),
         base_url=raw.get("base_url"),
         model=raw.get("model"),
-        jobs=int(raw.get("jobs", 1)),
+        jobs=integer("jobs", raw.get("jobs", 1)),
     )
 
 
@@ -242,7 +258,7 @@ def run_experiment(
         backend = make_backend(
             config.backend, base_url=config.base_url, model=config.model
         )
-        seeds = config.seeds or run_seeds(config.seed, config.runs)
+        seeds = config.seeds if config.seeds is not None else run_seeds(config.seed, config.runs)
         runs = llm_rank_corpus(
             sources, outputs, config.variant, config.runs, seeds, backend,
             jobs=config.jobs,

@@ -18,6 +18,8 @@ neither retried nor falls back: it stops the run at once.
 
 from __future__ import annotations
 
+import json
+import os
 import re
 import string
 import time
@@ -194,17 +196,13 @@ class HttpChatBackend:
     The bearer token is read from the environment (default variable
     GECKIT_API_KEY) so credentials never appear in configs or argv.
     Timeouts, connection errors, 429 and 5xx raise ordinary exceptions,
-    which :func:`call_with_retries` retries. Any other 4xx, and a reply
-    without a string at ``choices[0].message.content``, raise
-    :class:`BackendSetupError`.
+    which :func:`call_with_retries` retries. Any other 4xx, with the
+    ``urllib.error.HTTPError`` as its cause, and a reply without a string
+    at ``choices[0].message.content`` raise :class:`BackendSetupError`.
     """
 
     def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key_env: str = "GECKIT_API_KEY",
-        timeout: float = 60.0,
+        self, base_url: str, model: str, api_key_env: str = "GECKIT_API_KEY", timeout: float = 60.0
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -212,14 +210,9 @@ class HttpChatBackend:
         self.timeout = timeout
 
     def __call__(self, system_message: str, user_message: str, temperature: float) -> str:
-        import os
-
         key = os.environ.get(self.api_key_env)
         if not key:
             raise BackendSetupError(f"environment variable {self.api_key_env} is not set")
-
-        import requests
-
         body = {
             "model": self.model,
             "messages": [
@@ -228,21 +221,26 @@ class HttpChatBackend:
             ],
             "temperature": temperature,
         }
+        # Imported here, as http.client, email and ssl add ~25 ms to every start-up
+        import urllib.error
+        import urllib.request
         url = f"{self.base_url}/chat/completions"
-        resp = requests.post(
-            url, headers={"Authorization": f"Bearer {key}"}, json=body, timeout=self.timeout
-        )
-        if 400 <= resp.status_code < 500 and resp.status_code != 429:
-            raise BackendSetupError(
-                f"{url} answered HTTP {resp.status_code}: {resp.text[:200]}"
-            )
-        resp.raise_for_status()
+        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+        request = urllib.request.Request(url, json.dumps(body).encode(), headers)
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                text = resp.read().decode(errors="replace")
+        except urllib.error.HTTPError as err:
+            if 400 <= err.code < 500 and err.code != 429:
+                detail = err.read().decode(errors="replace")[:200]
+                raise BackendSetupError(f"{url} answered HTTP {err.code}: {detail}") from err
+            raise
+        try:
+            content = json.loads(text)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
             content = None
         if not isinstance(content, str):
-            raise BackendSetupError(f"{url}: malformed chat response: {resp.text[:200]}")
+            raise BackendSetupError(f"{url}: malformed chat response: {text[:200]}")
         return content
 
 

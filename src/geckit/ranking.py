@@ -19,8 +19,9 @@ from double-counting families of similar systems.
 The linkage is written here, not imported: it repeats the floating-point
 operations of SciPy's average linkage (nearest-neighbour chain,
 Lance-Williams update) and its ``fcluster(criterion="distance")`` cut, so
-it gives the same partition. numpy is imported only inside
-:func:`similarity_matrix`, so importing this module does not load it.
+it gives the same partition. The similarity matrix is plain Python too:
+every sum over tokens is a :func:`math.fsum`, whose correctly rounded
+result does not depend on iteration order, hash seed or Python version.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain
+from operator import mul
+from typing import Sequence
 
 from .align import EditTable
 from .corpus import ScoreFile, SystemOutput, TokenSentence, ValidationError, check_aligned
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,10 @@ class SimilarityMatrix:
     """Mean pairwise cosine similarities between systems."""
 
     names: tuple[str, ...]
-    values: np.ndarray  # shape (N, N), symmetric, unit diagonal
+    values: tuple[tuple[float, ...], ...]  # N rows of N, symmetric, unit diagonal
 
     def sim(self, a: str, b: str) -> float:
-        return float(self.values[self.names.index(a), self.names.index(b)])
+        return self.values[self.names.index(a)][self.names.index(b)]
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,10 @@ def similarity_matrix(outputs: Sequence[SystemOutput]) -> SimilarityMatrix:
 
     Per sentence, each system's output is a raw-count token vector over the
     union vocabulary of that sentence's variants, scaled by smoothed IDF
-    (ln((1+N)/(1+df)) + 1, N = number of systems) and L2-normalized.
+    (ln((1+N)/(1+df)) + 1, N = number of systems) and L2-normalized. Each
+    pair is computed once, its per-sentence cosines added in corpus order;
+    the norms and dot products are :func:`math.fsum` sums.
     """
-    import numpy as np
-
     if len(outputs) < 2:
         raise ValidationError("similarity needs at least 2 systems")
     n_sys = len(outputs)
@@ -190,32 +190,28 @@ def similarity_matrix(outputs: Sequence[SystemOutput]) -> SimilarityMatrix:
     if n_sentences == 0:
         raise ValidationError("similarity needs at least 1 sentence")
 
-    acc = np.zeros((n_sys, n_sys))
+    acc = [[0.0] * n_sys for _ in range(n_sys)]  # upper triangle only
     for i in range(n_sentences):
         docs = [Counter(out.sentences[i]) for out in outputs]
-        vocab = sorted(set().union(*docs))
-        index = {tok: k for k, tok in enumerate(vocab)}
-        df = Counter(tok for doc in docs for tok in doc)
-        idf = np.array(
-            [math.log((1 + n_sys) / (1 + df[tok])) + 1 for tok in vocab]
-        )
-        vectors = np.zeros((n_sys, len(vocab)))
-        for s, doc in enumerate(docs):
-            for tok, count in doc.items():
-                vectors[s, index[tok]] = count
-        vectors *= idf
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        if not norms.all():
-            empty = outputs[int(np.argmin(norms))].name
-            raise ValidationError(f"sentence {i}: empty output from {empty!r}")
-        vectors /= norms
-        acc += vectors @ vectors.T
+        df = Counter(chain.from_iterable(docs))  # the sentence's vocabulary
+        idf = [(tok, math.log((1 + n_sys) / (1 + d)) + 1) for tok, d in df.items()]
+        vectors = []
+        for out, doc in zip(outputs, docs):
+            vec = [doc.get(tok, 0) * w for tok, w in idf]
+            norm = math.sqrt(math.fsum(map(mul, vec, vec)))
+            if not norm:
+                raise ValidationError(f"sentence {i}: empty output from {out.name!r}")
+            vectors.append([x / norm for x in vec])
+        for a, u in enumerate(vectors):
+            for b in range(a + 1, n_sys):
+                acc[a][b] += math.fsum(map(mul, u, vectors[b]))
 
-    mean = acc / n_sentences
-    mean = (mean + mean.T) / 2  # exact symmetry despite float noise
-    mean = np.clip(mean, 0.0, 1.0)
-    np.fill_diagonal(mean, 1.0)
-    return SimilarityMatrix(tuple(out.name for out in outputs), mean)
+    mean = [[1.0] * n_sys for _ in range(n_sys)]
+    for a in range(n_sys):
+        for b in range(a + 1, n_sys):
+            # Cosines of non-negative vectors are >= 0; rounding can pass 1.
+            mean[a][b] = mean[b][a] = min(acc[a][b] / n_sentences, 1.0)
+    return SimilarityMatrix(tuple(out.name for out in outputs), tuple(map(tuple, mean)))
 
 
 def cluster_systems(
@@ -235,16 +231,19 @@ def cluster_systems(
     n = len(names)
     if n < 2:
         raise ValidationError(f"clustering needs at least 2 systems, got {n}")
-    if sim.values.shape != (n, n):
+    values = sim.values
+    columns = next((len(row) for row in values if len(row) != n), n)
+    if len(values) != n or columns != n:
         raise ValidationError(
-            f"similarity matrix has shape {sim.values.shape} for {n} systems"
+            f"similarity matrix has shape ({len(values)}, {columns}) for {n} systems"
         )
-    values = sim.values.tolist()
     for i, row in enumerate(values):
         for j, v in enumerate(row):
             if not math.isfinite(v):
                 raise ValidationError(f"similarity matrix entry ({i}, {j}) is {v}")
-    labels = _flat_clusters(_average_linkage((1.0 - sim.values).tolist()), threshold)
+    labels = _flat_clusters(
+        _average_linkage([[1.0 - v for v in row] for row in values]), threshold
+    )
 
     by_label: dict[int, list[int]] = {}
     for idx, label in enumerate(labels):
@@ -326,9 +325,8 @@ def _flat_clusters(merges: list[tuple[float, int, int]], threshold: float) -> li
 
 def matrix_tsv(matrix: SimilarityMatrix) -> str:
     lines = ["system\t" + "\t".join(matrix.names)]
-    for i, name in enumerate(matrix.names):
-        row = "\t".join(f"{matrix.values[i, j]:.6f}" for j in range(len(matrix.names)))
-        lines.append(f"{name}\t{row}")
+    for name, row in zip(matrix.names, matrix.values):
+        lines.append(name + "\t" + "\t".join(f"{v:.6f}" for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,8 @@
 """Exit codes, file outputs, and determinism of the command-line interface."""
 
 import json
+import os
+import random
 import shutil
 import subprocess
 import sys
@@ -225,6 +227,44 @@ def test_cluster_writes_matrix(data, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "system\tcluster\trepresentative"
     assert matrix.read_text(encoding="utf-8").startswith("system\t")
+
+
+def test_cluster_matrix_bytes_do_not_depend_on_hash_seed(tmp_path):
+    """Two fresh interpreters with different string hashes, so different
+    set and dict orders, write the same matrix, clusters and exact values."""
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(40)]
+    base = [rng.choices(words, k=rng.randint(5, 25)) for _ in range(30)]
+    paths = []
+    for k in range(5):
+        lines = [" ".join(t if rng.random() > 0.1 * k else rng.choice(words) for t in tokens)
+                 for tokens in base]
+        paths.append(tmp_path / f"s{k}.txt")
+        paths[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from geckit.cli import main\n"
+        "from geckit.corpus import load_system_output\n"
+        "from geckit.ranking import similarity_matrix\n"
+        "paths = sys.argv[2:]\n"
+        "argv = ['cluster', '--matrix', sys.argv[1]]\n"
+        "for p in paths:\n"
+        "    argv += ['--sys', p]\n"
+        "assert main(argv) == 0\n"
+        "outs = [load_system_output(p, p) for p in paths]\n"
+        "print([v.hex() for row in similarity_matrix(outs).values for v in row])\n"
+    )
+    runs = []
+    for hash_seed in ("0", "1"):
+        matrix = tmp_path / f"matrix{hash_seed}.tsv"
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(matrix), *map(str, paths)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append((matrix.read_bytes(), result.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0].startswith(b"system\ts0\t")
 
 
 def test_llm_rank_is_deterministic_across_invocations(data):

@@ -246,7 +246,7 @@ def test_score_file_roundtrip():
     text = "system\tsentence_index\tscore\nsysA\t0\t0.25\nsysA\t1\t-1.5\nsysB\t0\t3\n"
     sf = parse_score_file(text)
     assert sf.get("sysA", 1) == -1.5
-    assert sf.systems == ("sysA", "sysB")
+    assert sorted(sf.scores) == [("sysA", 0), ("sysA", 1), ("sysB", 0)]
     assert parse_score_file(serialize_score_file(sf)).get("sysB", 0) == 3.0
 
 

@@ -1,6 +1,7 @@
 """Config loading, experiment dispatch, ablations, and rerun determinism."""
 
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -79,6 +80,38 @@ def test_load_config_requires_core_keys(tmp_path):
     del payload["method"]
     with pytest.raises(ValidationError):
         load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("n_min", 0.9, "key 'n_min' must be an integer, got 0.9"),
+        ("runs", "2", 'key \'runs\' must be an integer, got "2"'),
+        ("seed", 1.5, "key 'seed' must be an integer, got 1.5"),
+        ("jobs", True, "key 'jobs' must be an integer, got true"),
+        ("seeds", [], "key 'seeds' must be a non-empty list, got []"),
+        ("seeds", 5, "key 'seeds' must be a non-empty list, got 5"),
+        ("seeds", [3, 4.0], "key 'seeds[1]' must be an integer, got 4.0"),
+    ],
+    ids=["n_min-float", "runs-string", "seed-float", "jobs-bool", "seeds-empty",
+         "seeds-not-a-list", "seeds-float-entry"],
+)
+def test_config_numbers_must_be_json_integers(tmp_path, key, value, problem):
+    payload = write_fixture(tmp_path)
+    payload[key] = value
+    path = write_config(tmp_path, payload)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: {problem}")):
+        load_config(path)
+
+
+def test_config_integers_load_as_given(tmp_path):
+    payload = write_fixture(tmp_path)
+    payload.update(n_min=2, runs=3, seed=-4, jobs=2, seeds=[5, 6, 7])
+    config = load_config(write_config(tmp_path, payload))
+    assert (config.n_min, config.runs, config.seed, config.jobs) == (2, 3, -4, 2)
+    assert config.seeds == (5, 6, 7)
+    del payload["seeds"]
+    assert load_config(write_config(tmp_path, payload)).seeds is None
 
 
 def test_config_validation_rules(tmp_path):

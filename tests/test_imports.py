@@ -1,5 +1,4 @@
-"""Importing geckit, or running a command other than `cluster`, loads neither
-numpy nor scipy; `cluster` loads numpy but never scipy."""
+"""Importing geckit, or running `cluster`, loads neither numpy nor scipy."""
 
 import subprocess
 import sys
@@ -21,7 +20,7 @@ def test_import_loads_neither_numpy_nor_scipy(module):
     assert result.stdout == "[]\n"
 
 
-def test_cluster_command_never_imports_scipy(tmp_path):
+def test_cluster_command_loads_neither_numpy_nor_scipy(tmp_path):
     argv = ["cluster"]
     for name, text in (("a", "x y z .\np q .\n"), ("b", "x y z .\np r .\n"),
                        ("c", "m n o .\nr s .\n")):
@@ -31,8 +30,8 @@ def test_cluster_command_never_imports_scipy(tmp_path):
         "import sys\n"
         "from geckit.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(code, 'scipy' in sys.modules)\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == "0 []"
     assert result.stdout.startswith("system\tcluster\trepresentative\n")

@@ -4,7 +4,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -390,7 +389,7 @@ def test_http_transient_error_then_success_uses_the_answer(chat_server, sleeps):
 def test_http_timeout_is_retried(chat_server, sleeps):
     url, received = chat_server((200, _REPLY_B), delay=2.0)
     backend = HttpChatBackend(url, "m", timeout=0.2)
-    with pytest.raises(requests.Timeout):
+    with pytest.raises(TimeoutError):
         call_with_retries(backend, "s", "u", 1.0, retries=1)
     assert len(received) == 2
     assert sleeps == [1.0]

@@ -3,14 +3,14 @@
 import math
 import random
 import re
+from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import vocab
-from geckit.corpus import SystemOutput, TokenSentence, ValidationError
+from geckit.corpus import SystemOutput, TokenSentence, ValidationError, check_aligned
 from geckit.ranking import (
     SimilarityMatrix,
     _average_linkage,
@@ -151,16 +151,35 @@ def test_disjoint_systems_have_similarity_zero():
     assert m.sim("a", "b") == pytest.approx(0.0)
 
 
+def test_rounding_never_lifts_a_similarity_past_one():
+    # unclipped, the cosine of this sentence with itself is 1.0000000000000002
+    a = sys_out("a", "x x y y y z z z w")
+    b = sys_out("b", "x x y y y z z z w")
+    assert similarity_matrix([a, b]).values == ((1.0, 1.0), (1.0, 1.0))
+
+
 def test_matrix_is_symmetric_unit_diagonal_bounded():
     outs = [
         sys_out("a", "x y z", "p q"),
         sys_out("b", "x y w", "p q"),
         sys_out("c", "m n o", "r s"),
     ]
-    m = similarity_matrix(outs)
-    assert np.allclose(m.values, m.values.T)
-    assert np.allclose(np.diag(m.values), 1.0)
-    assert (m.values >= 0).all() and (m.values <= 1).all()
+    _assert_matrix_invariants(outs)
+
+
+def _assert_matrix_invariants(outs):
+    """Exact symmetry, a diagonal of exactly 1.0, entries in [0, 1], and
+    reversing the systems reverses the matrix bit for bit."""
+    values = similarity_matrix(outs).values
+    n = len(outs)
+    assert len(values) == n and all(len(row) == n for row in values)
+    for i in range(n):
+        assert values[i][i] == 1.0
+        for j in range(n):
+            assert values[i][j] == values[j][i]
+            assert 0.0 <= values[i][j] <= 1.0
+    flipped = similarity_matrix(list(reversed(outs))).values
+    assert flipped == tuple(tuple(reversed(row)) for row in reversed(values))
 
 
 def test_identical_twins_cluster_together():
@@ -218,8 +237,6 @@ def test_empty_output_sentence_rejected():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 10_000))
 def test_matrix_invariants_on_random_outputs(n_sys, n_sent, seed):
-    import random
-
     rng = random.Random(seed)
     words = vocab(8)
     outs = [
@@ -232,28 +249,112 @@ def test_matrix_invariants_on_random_outputs(n_sys, n_sent, seed):
         )
         for k in range(n_sys)
     ]
-    m = similarity_matrix(outs)
-    assert np.allclose(m.values, m.values.T)
-    assert np.allclose(np.diag(m.values), 1.0)
-    assert (m.values >= 0).all() and (m.values <= 1).all()
-    # permutation of systems permutes the matrix accordingly
-    flipped = similarity_matrix(list(reversed(outs)))
-    assert np.allclose(np.flip(m.values), flipped.values)
+    _assert_matrix_invariants(outs)
 
 
 @pytest.mark.parametrize(
     "names, values, problem",
     [
-        (("a",), [[1.0]], "at least 2 systems"),
-        (("a", "b", "c"), [[1.0, 0.5], [0.5, 1.0]], "shape (2, 2) for 3 systems"),
-        (("a", "b"), [[1.0, math.nan], [math.nan, 1.0]], "entry (0, 1) is nan"),
+        (("a",), ((1.0,),), "at least 2 systems"),
+        (("a", "b", "c"), ((1.0, 0.5), (0.5, 1.0)), "shape (2, 2) for 3 systems"),
+        (("a", "b"), ((1.0, math.nan), (math.nan, 1.0)), "entry (0, 1) is nan"),
     ],
     ids=["one-system", "wrong-shape", "non-finite"],
 )
 def test_cluster_rejects_bad_matrix(names, values, problem):
-    matrix = SimilarityMatrix(names, np.array(values))
+    matrix = SimilarityMatrix(names, values)
     with pytest.raises(ValidationError, match=re.escape(problem)):
         cluster_systems([], 0.11, matrix=matrix)
+
+
+def _numpy_similarity_matrix(outputs):
+    """Frozen copy of the numpy similarity_matrix that the pure-Python one
+    replaced; returns the (N, N) array."""
+    import numpy as np
+
+    if len(outputs) < 2:
+        raise ValidationError("similarity needs at least 2 systems")
+    n_sys = len(outputs)
+    n_sentences = len(outputs[0].sentences)
+    check_aligned(outputs, n_sentences)
+    if n_sentences == 0:
+        raise ValidationError("similarity needs at least 1 sentence")
+
+    acc = np.zeros((n_sys, n_sys))
+    for i in range(n_sentences):
+        docs = [Counter(out.sentences[i]) for out in outputs]
+        vocab = sorted(set().union(*docs))
+        index = {tok: k for k, tok in enumerate(vocab)}
+        df = Counter(tok for doc in docs for tok in doc)
+        idf = np.array(
+            [math.log((1 + n_sys) / (1 + df[tok])) + 1 for tok in vocab]
+        )
+        vectors = np.zeros((n_sys, len(vocab)))
+        for s, doc in enumerate(docs):
+            for tok, count in doc.items():
+                vectors[s, index[tok]] = count
+        vectors *= idf
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+        if not norms.all():
+            empty = outputs[int(np.argmin(norms))].name
+            raise ValidationError(f"sentence {i}: empty output from {empty!r}")
+        vectors /= norms
+        acc += vectors @ vectors.T
+
+    mean = acc / n_sentences
+    mean = (mean + mean.T) / 2  # exact symmetry despite float noise
+    mean = np.clip(mean, 0.0, 1.0)
+    np.fill_diagonal(mean, 1.0)
+    return mean
+
+
+def _near_duplicate_outputs(rng):
+    """2-9 systems over 1-40 sentences of a small vocabulary: each system is
+    an exact copy of an earlier one, or the base output with its tokens
+    substituted, inserted or deleted at a rate between 0 and 0.5."""
+    words = vocab(rng.randint(2, 12))
+    base = [rng.choices(words, k=rng.randint(1, 10)) for _ in range(rng.randint(1, 40))]
+    outs = []
+    for k in range(rng.randint(2, 9)):
+        if outs and rng.random() < 0.2:
+            outs.append(SystemOutput(f"s{k}", rng.choice(outs).sentences))
+            continue
+        rate = rng.choice((0.0, 0.02, 0.1, 0.5))
+        sentences = []
+        for tokens in base:
+            tokens = [rng.choice(words) if rng.random() < rate else t for t in tokens]
+            if rng.random() < rate:
+                tokens.insert(rng.randint(0, len(tokens)), rng.choice(words))
+            if len(tokens) > 1 and rng.random() < rate:
+                del tokens[rng.randrange(len(tokens))]
+            sentences.append(TokenSentence(tokens))
+        outs.append(SystemOutput(f"s{k}", tuple(sentences)))
+    return outs
+
+
+def test_similarity_matrix_matches_numpy_reference():
+    pytest.importorskip("numpy")
+    rng = random.Random(20240422)
+    for k in range(2_000):
+        outs = _near_duplicate_outputs(rng)
+        got = similarity_matrix(outs)
+        reference = _numpy_similarity_matrix(outs).tolist()
+        ref = SimilarityMatrix(got.names, tuple(map(tuple, reference)))
+        for i, (row, ref_row) in enumerate(zip(got.values, ref.values)):
+            for j, (v, r) in enumerate(zip(row, ref_row)):
+                assert abs(v - r) <= 1e-12, f"corpus {k}: entry ({i}, {j}) {v!r} vs {r!r}"
+        # Entries may differ by 1e-12, and so may merge heights: heights
+        # closer than twice that are one height (identical twins, say, are
+        # 0.0 apart here and 1.1e-16 apart in the reference).
+        dist = [[1.0 - v for v in row] for row in ref.values]
+        heights = sorted({height for height, _, _ in _average_linkage(dist)})
+        thresholds = [0.11] + [
+            (lo + hi) / 2 for lo, hi in zip(heights, heights[1:]) if hi - lo > 2e-12
+        ]
+        for t in thresholds:
+            members = [c.members for c in cluster_systems(outs, t, matrix=got)]
+            expected = [c.members for c in cluster_systems(outs, t, matrix=ref)]
+            assert members == expected, f"corpus {k} at threshold {t!r}"
 
 
 def _random_distances(rng, n, kind):
@@ -279,6 +380,7 @@ def _partition(labels):
 
 
 def test_average_linkage_matches_scipy_on_random_matrices():
+    np = pytest.importorskip("numpy")
     hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
     from scipy.spatial.distance import squareform
 
