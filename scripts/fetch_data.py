@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import http.client
 import io
 import sys
 import tarfile
+import urllib.error
+import urllib.request
 from pathlib import Path
-
-import requests
 
 DEFAULT_BASE = "https://raw.githubusercontent.com/grammarly/pillars-of-gec/main"
 CONLL_TARBALL = "https://www.comp.nus.edu.sg/~nlp/conll14st/conll14st-test-data.tar.gz"
@@ -71,15 +72,22 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def try_get(session: requests.Session, url: str) -> bytes | None:
+def try_get(session: urllib.request.OpenerDirector, url: str) -> bytes | None:
+    """The body of a 200 reply to GET ``url``, else None.
+
+    Another status is a candidate path that does not exist, and returns None
+    quietly; a connection error or timeout (30 s) also prints the URL and
+    the error.
+    """
     try:
-        resp = session.get(url, timeout=30)
-    except requests.RequestException as err:
+        with session.open(url, timeout=30) as resp:
+            return resp.read() if resp.status == 200 else None
+    except urllib.error.HTTPError as err:
+        err.close()
+        return None
+    except (OSError, http.client.HTTPException) as err:
         print(f"  {url}: {err}", file=sys.stderr)
         return None
-    if resp.status_code != 200:
-        return None
-    return resp.content
 
 
 def fetch_system(session, base: str, slug: str, dataset: str, expected: int) -> bytes | None:
@@ -124,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
 
     data_dir: Path = args.data_dir
     data_dir.mkdir(parents=True, exist_ok=True)
-    session = requests.Session()
+    session = urllib.request.build_opener()
     checksums: list[tuple[str, str]] = []
     missing: list[str] = []
 

@@ -314,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("experiment", "run a JSON experiment config")
     p.add_argument("--config", required=True)
-    p.add_argument("--ablation", action="store_true", help="remove-one member ablation")
-    p.add_argument("--sweep-nmin", action="store_true", help="sweep the vote threshold")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--ablation", action="store_true", help="remove-one member ablation")
+    mode.add_argument("--sweep-nmin", action="store_true", help="sweep the vote threshold")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--jobs", type=int, help="override the config jobs")
     p.set_defaults(func=_cmd_experiment)

@@ -5,7 +5,8 @@ combination method and its parameters; running it produces the combined
 output file, its score report, and a one-row machine-readable TSV, all
 deterministic given the config and seeds. Remove-one ablations and
 vote-threshold sweeps reuse the same runner; they read and validate their
-input files once and share one edit table across all their runs.
+input files once and share one edit table across all their runs, and their
+vote runs share each sentence's member edits, pooled once.
 
 Config schema (JSON object):
 
@@ -62,7 +63,7 @@ from .llm import llm_rank_corpus, make_backend, run_seeds
 from .oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
 from .ranking import aggr_rank_corpus, rank_corpus
 from .scoring import ScoreReport, report_table, round_score, score_corpus
-from .vote import majority_vote_corpus
+from .vote import VotedEdit, majority_vote_corpus, pool_corpus
 
 METHODS = (
     "vote",
@@ -206,12 +207,14 @@ def _parse_system_entry(entry, resolve) -> tuple[str, Path]:
 @dataclass
 class _Inputs:
     """A config's input files, read and validated once, and the edit table
-    shared by every run over them."""
+    and vote pools shared by every run over them."""
 
     gold: list[GoldSentence]
     sources: list[TokenSentence]
     members: dict[str, SystemOutput]  # by system name
     table: EditTable = field(default_factory=EditTable)
+    # each sentence's edits pooled over all members; built by the first vote run
+    pools: list[list[VotedEdit]] | None = None
 
 
 def _load_inputs(config: ExperimentConfig) -> _Inputs:
@@ -242,7 +245,13 @@ def run_experiment(
     combined: list[SystemOutput]
     fallbacks: list[tuple[int, ...]] = []
     if config.method in ("vote", "second-order-vote"):
-        combined = [majority_vote_corpus(sources, outputs, config.n_min, table=table)]
+        if inputs.pools is None:
+            inputs.pools = pool_corpus(sources, list(inputs.members.values()), table)
+        combined = [
+            majority_vote_corpus(
+                sources, outputs, config.n_min, table=table, _pools=inputs.pools
+            )
+        ]
     elif config.method in ("oracle-ensemble", "oracle-rank"):
         ensemble = config.method == "oracle-ensemble"
         oracle = oracle_ensemble_corpus if ensemble else oracle_rank_corpus

@@ -180,7 +180,8 @@ def similarity_matrix(outputs: Sequence[SystemOutput]) -> SimilarityMatrix:
     union vocabulary of that sentence's variants, scaled by smoothed IDF
     (ln((1+N)/(1+df)) + 1, N = number of systems) and L2-normalized. Each
     pair is computed once, its per-sentence cosines added in corpus order;
-    the norms and dot products are :func:`math.fsum` sums.
+    the norms and dot products are :func:`math.fsum` sums. Systems with the
+    same output share its vector and their products with the others.
     """
     if len(outputs) < 2:
         raise ValidationError("similarity needs at least 2 systems")
@@ -192,19 +193,30 @@ def similarity_matrix(outputs: Sequence[SystemOutput]) -> SimilarityMatrix:
 
     acc = [[0.0] * n_sys for _ in range(n_sys)]  # upper triangle only
     for i in range(n_sentences):
-        docs = [Counter(out.sentences[i]) for out in outputs]
-        df = Counter(chain.from_iterable(docs))  # the sentence's vocabulary
+        # Members often agree: one vector per distinct output, one product
+        # per distinct pair of them (fsum of exact products is symmetric).
+        distinct: dict[TokenSentence, int] = {}
+        slot = [distinct.setdefault(out.sentences[i], len(distinct)) for out in outputs]
+        docs = [Counter(sentence) for sentence in distinct]
+        # the sentence's vocabulary; df counts systems, not distinct outputs
+        df = Counter(chain.from_iterable(docs[k] for k in slot))
         idf = [(tok, math.log((1 + n_sys) / (1 + d)) + 1) for tok, d in df.items()]
         vectors = []
-        for out, doc in zip(outputs, docs):
+        for k, doc in enumerate(docs):
             vec = [doc.get(tok, 0) * w for tok, w in idf]
             norm = math.sqrt(math.fsum(map(mul, vec, vec)))
             if not norm:
-                raise ValidationError(f"sentence {i}: empty output from {out.name!r}")
+                name = outputs[slot.index(k)].name
+                raise ValidationError(f"sentence {i}: empty output from {name!r}")
             vectors.append([x / norm for x in vec])
-        for a, u in enumerate(vectors):
+        dots: dict[tuple[int, int], float] = {}
+        for a in range(n_sys):
             for b in range(a + 1, n_sys):
-                acc[a][b] += math.fsum(map(mul, u, vectors[b]))
+                key = (slot[a], slot[b]) if slot[a] <= slot[b] else (slot[b], slot[a])
+                dot = dots.get(key)
+                if dot is None:
+                    dot = dots[key] = math.fsum(map(mul, vectors[key[0]], vectors[key[1]]))
+                acc[a][b] += dot
 
     mean = [[1.0] * n_sys for _ in range(n_sys)]
     for a in range(n_sys):

@@ -5,7 +5,10 @@ source; identical edits (same span, same replacement) pool their votes.
 Edits surviving the vote threshold are applied greedily in decreasing-vote
 order, skipping anything that conflicts with an edit already applied.
 Second-order ensembling is the same operation with ensemble outputs as the
-members; there is no separate code path.
+members; there is no separate code path. Pooling and thresholding are two
+steps, so the runs of a threshold sweep or a remove-one ablation pool each
+sentence once over the full member list and each count only their own
+members' votes.
 
 All tie-breaking depends only on edit content, so results are invariant
 under reordering of the member systems.
@@ -74,13 +77,48 @@ def voted_edits(
     table: EditTable | None = None,
 ) -> list[Edit]:
     """The edit set majority_vote applies, in application order."""
-    survivors = [ve for ve in pool_edits(source, outputs, table) if ve.votes > n_min]
-    survivors.sort(key=lambda ve: (-ve.votes, ve.edit))
+    members = frozenset(name for name, _ in outputs)
+    return _kept_edits(pool_edits(source, outputs, table), members, n_min)
+
+
+def _kept_edits(pool: Sequence[VotedEdit], members: frozenset[str], n_min: int) -> list[Edit]:
+    """The edits of ``pool`` that strictly more than ``n_min`` of ``members``
+    proposed, in application order: decreasing votes, ties by (start, end,
+    replacement), each skipped if it conflicts with an edit kept before it.
+
+    Only the votes of ``members`` count, so a pool built over more systems
+    serves every subset of them.
+    """
+    survivors = []
+    for ve in pool:
+        votes = len(ve.systems & members)
+        if votes > n_min:
+            survivors.append((-votes, ve.edit))
+    survivors.sort()
     kept: list[Edit] = []
-    for ve in survivors:
-        if not any(conflicts(ve.edit, k) for k in kept):
-            kept.append(ve.edit)
+    for _, edit in survivors:
+        if not any(conflicts(edit, k) for k in kept):
+            kept.append(edit)
     return kept
+
+
+def pool_corpus(
+    sources: Sequence[TokenSentence],
+    outputs: Sequence[SystemOutput],
+    table: EditTable | None = None,
+) -> list[list[VotedEdit]]:
+    """Each sentence's :func:`pool_edits` over all of ``outputs``.
+
+    A sweep or ablation pools once over its full member list and passes the
+    result to every :func:`majority_vote_corpus` run over those members.
+    """
+    check_aligned(outputs, len(sources))
+    if table is None:
+        table = EditTable()
+    return [
+        pool_edits(source, [(out.name, out.sentences[i]) for out in outputs], table)
+        for i, source in enumerate(sources)
+    ]
 
 
 def majority_vote_corpus(
@@ -89,25 +127,32 @@ def majority_vote_corpus(
     n_min: int,
     name: str | None = None,
     table: EditTable | None = None,
+    *,
+    _pools: Sequence[Sequence[VotedEdit]] | None = None,
 ) -> SystemOutput:
     """Per-sentence majority vote over aligned member systems.
 
     The ensemble's name records the members and the threshold unless an
     explicit ``name`` is given. Member edits are read from ``table``, a
     new one when none is given.
+
+    ``_pools`` is for sweeps and ablations: :func:`pool_corpus` of
+    ``sources`` over these members, or over more systems that include them
+    under the same names, of which only these members' votes count.
     """
     check_aligned(outputs, len(sources))
     if not (0 <= n_min <= len(outputs)):
         raise ValidationError(f"n_min must be within 0..{len(outputs)}, got {n_min}")
-    if table is None:
-        table = EditTable()
-    members = [out.name for out in outputs]
+    pools = _pools if _pools is not None else pool_corpus(sources, outputs, table)
+    names = [out.name for out in outputs]
+    members = frozenset(names)
     sentences = []
-    for i, source in enumerate(sources):
-        per_system = [(out.name, out.sentences[i]) for out in outputs]
+    for i, (source, pool) in enumerate(zip(sources, pools)):
+        kept = _kept_edits(pool, members, n_min)
         try:
-            sentences.append(majority_vote(source, per_system, n_min, table))
+            # apply_edits(source, []) equals source
+            sentences.append(apply_edits(source, kept) if kept else source)
         except ValidationError as err:
             raise ValidationError(f"sentence {i}: {err}") from None
-    label = name or f"majority-vote(n_min={n_min})[{'+'.join(members)}]"
+    label = name or f"majority-vote(n_min={n_min})[{'+'.join(names)}]"
     return SystemOutput(label, tuple(sentences))

@@ -300,6 +300,22 @@ def test_experiment_cli(data, capsys):
     assert "w/o" in capsys.readouterr().out
 
 
+def test_experiment_ablation_and_sweep_are_exclusive(data, capsys):
+    # Each writes its own table; given both, the command must not quietly
+    # run one of them.
+    config = data / "exp.json"
+    config.write_text(
+        '{"name": "both", "method": "vote", "gold": "gold.m2", "n_min": 1,'
+        ' "output_dir": "results", "systems": ["a.txt", "b.txt", "c.txt"]}',
+        encoding="utf-8",
+    )
+    argv = ["experiment", "--config", str(config), "--ablation", "--sweep-nmin"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--ablation" in err.splitlines()[-1] and "--sweep-nmin" in err.splitlines()[-1]
+    assert not (data / "results").exists()
+
+
 # (bad file contents, arguments that read it as the given path)
 _BAD_INPUTS = {
     "score": (

@@ -4,6 +4,8 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import chain
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from geckit.ranking import (
     _flat_clusters,
     aggr_rank,
     cluster_systems,
+    matrix_tsv,
     rank_by_score,
     rank_weighted,
     similarity_matrix,
@@ -355,6 +358,62 @@ def test_similarity_matrix_matches_numpy_reference():
             members = [c.members for c in cluster_systems(outs, t, matrix=got)]
             expected = [c.members for c in cluster_systems(outs, t, matrix=ref)]
             assert members == expected, f"corpus {k} at threshold {t!r}"
+
+
+def _similarity_matrix_per_system(outputs):
+    """similarity_matrix as it was before it shared vectors and products
+    between systems with the same output: one vector per system, one
+    product per system pair. Frozen as the reference of the test below."""
+    n_sys = len(outputs)
+    n_sentences = len(outputs[0].sentences)
+    acc = [[0.0] * n_sys for _ in range(n_sys)]
+    for i in range(n_sentences):
+        docs = [Counter(out.sentences[i]) for out in outputs]
+        df = Counter(chain.from_iterable(docs))
+        idf = [(tok, math.log((1 + n_sys) / (1 + d)) + 1) for tok, d in df.items()]
+        vectors = []
+        for out, doc in zip(outputs, docs):
+            vec = [doc.get(tok, 0) * w for tok, w in idf]
+            norm = math.sqrt(math.fsum(map(mul, vec, vec)))
+            if not norm:
+                raise ValidationError(f"sentence {i}: empty output from {out.name!r}")
+            vectors.append([x / norm for x in vec])
+        for a, u in enumerate(vectors):
+            for b in range(a + 1, n_sys):
+                acc[a][b] += math.fsum(map(mul, u, vectors[b]))
+    mean = [[1.0] * n_sys for _ in range(n_sys)]
+    for a in range(n_sys):
+        for b in range(a + 1, n_sys):
+            mean[a][b] = mean[b][a] = min(acc[a][b] / n_sentences, 1.0)
+    return SimilarityMatrix(tuple(out.name for out in outputs), tuple(map(tuple, mean)))
+
+
+def test_similarity_matrix_equals_the_per_system_computation():
+    """Sharing work between repeated outputs changes no bit of the matrix."""
+    rng = random.Random(20240918)
+    repeated = 0
+    for k in range(1_000):
+        outs = _near_duplicate_outputs(rng)
+        repeated += any(
+            len({out.sentences[i] for out in outs}) < len(outs)
+            for i in range(len(outs[0].sentences))
+        )
+        got = similarity_matrix(outs)
+        reference = _similarity_matrix_per_system(outs)
+        assert got == reference, f"corpus {k}"
+        assert matrix_tsv(got) == matrix_tsv(reference), f"corpus {k}"
+    assert repeated > 500  # most corpora repeat some output
+
+
+def test_empty_output_error_names_the_first_empty_system():
+    outs = [sys_out("a", "x"), SystemOutput("b", (TokenSentence(()),)),
+            SystemOutput("c", (TokenSentence(()),))]
+    errors = []
+    for compute in (similarity_matrix, _similarity_matrix_per_system):
+        with pytest.raises(ValidationError) as err:
+            compute(outs)
+        errors.append(str(err.value))
+    assert errors == ["sentence 0: empty output from 'b'"] * 2
 
 
 def _random_distances(rng, n, kind):

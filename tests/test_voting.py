@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sentence_pairs, vocab
+from conftest import corpora_with_hypotheses, oracle_corpora, sentence_pairs, vocab
+from geckit.align import apply_edits, extract_edits
 from geckit.corpus import Edit, SystemOutput, TokenSentence, ValidationError, conflicts
-from geckit.vote import majority_vote, majority_vote_corpus, pool_edits, voted_edits
+from geckit.vote import (
+    majority_vote,
+    majority_vote_corpus,
+    pool_corpus,
+    pool_edits,
+    voted_edits,
+)
 
 
 def members(*pairs):
@@ -182,3 +189,126 @@ def test_self_ensemble_reproduces_the_system(pair):
     source = TokenSentence(src)
     systems = [(f"c{i}", TokenSentence(hyp)) for i in range(3)]
     assert tuple(majority_vote(source, systems, 2)) == hyp
+
+
+# --------------------------------------------------------------------------
+# Pool once, threshold per run: sweeps and ablations pool each sentence's
+# edits over the full member list and let every run count only its own
+# members' votes. Checked against a frozen copy of the per-sentence vote.
+
+
+def _reference_vote(source, outputs, n_min):
+    """majority_vote before pooling and thresholding were split: pool these
+    members' edits, keep those with more than n_min votes and apply them in
+    decreasing-vote order, ties by edit, skipping conflicts."""
+    by_edit = {}
+    for name, sentence in outputs:
+        for edit in extract_edits(source, sentence):
+            by_edit.setdefault(edit, set()).add(name)
+    survivors = [(edit, len(names)) for edit, names in by_edit.items() if len(names) > n_min]
+    survivors.sort(key=lambda pair: (-pair[1], pair[0]))
+    kept = []
+    for edit, _ in survivors:
+        if not any(conflicts(edit, k) for k in kept):
+            kept.append(edit)
+    return apply_edits(source, kept)
+
+
+def _full_and_remove_one(outputs):
+    yield list(outputs)
+    if len(outputs) > 1:
+        for k in range(len(outputs)):
+            yield [out for j, out in enumerate(outputs) if j != k]
+
+
+def _assert_pooled_votes_equal_reference(sources, outputs):
+    pools = pool_corpus(sources, outputs)
+    for subset in _full_and_remove_one(outputs):
+        for n_min in range(len(subset) + 1):
+            expected = tuple(
+                _reference_vote(source, [(out.name, out.sentences[i]) for out in subset], n_min)
+                for i, source in enumerate(sources)
+            )
+            pooled = majority_vote_corpus(sources, subset, n_min, _pools=pools)
+            assert pooled.sentences == expected, ([out.name for out in subset], n_min)
+            assert majority_vote_corpus(sources, subset, n_min).sentences == expected
+
+
+def _assert_pooled_votes_ignore_member_order(sources, outputs, rng):
+    shuffled = list(outputs)
+    rng.shuffle(shuffled)
+    pools, shuffled_pools = pool_corpus(sources, outputs), pool_corpus(sources, shuffled)
+    for subset in _full_and_remove_one(outputs):
+        reordered = [out for out in shuffled if out in subset]
+        for n_min in range(len(subset) + 1):
+            one = majority_vote_corpus(sources, subset, n_min, _pools=pools)
+            two = majority_vote_corpus(sources, reordered, n_min, _pools=shuffled_pools)
+            assert one.sentences == two.sentences
+
+
+@st.composite
+def agreeing_members(draw):
+    """A corpus from corpora_with_hypotheses and 5-7 members, each sentence
+    of which is the source, the hypothesis or one annotator's correction:
+    few candidates, so members often agree, and overlapping ones."""
+    gold, hyps = draw(corpora_with_hypotheses(max_sentences=4))
+    candidates = [
+        [gs.source, hyp, *(apply_edits(gs.source, ann) for ann in gs.annotations)]
+        for gs, hyp in zip(gold, hyps)
+    ]
+    outputs = [
+        SystemOutput(f"m{k}", tuple(draw(st.sampled_from(c)) for c in candidates))
+        for k in range(draw(st.integers(5, 7)))
+    ]
+    return [gs.source for gs in gold], outputs
+
+
+def _seeded_members(rng, n_sentences=60, n_members=6):
+    """Members that apply random subsets of a few overlapping edits drawn
+    per sentence, and sometimes copy an earlier member outright."""
+    words, replacements = vocab(6), vocab(4, "r")
+    sources = []
+    chosen = [[] for _ in range(n_members)]
+    for _ in range(n_sentences):
+        source = TokenSentence(rng.choices(words, k=rng.randint(3, 12)))
+        sources.append(source)
+        proposals = []
+        for _ in range(rng.randint(1, 5)):
+            start = rng.randint(0, len(source))
+            end = min(len(source), start + rng.randint(0, 2))
+            width = rng.randint(1 if start == end else 0, 2)
+            proposals.append(Edit(start, end, tuple(rng.choices(replacements, k=width))))
+        for k in range(n_members):
+            if k and rng.random() < 0.3:
+                chosen[k].append(chosen[rng.randrange(k)][-1])
+                continue
+            kept = []
+            for edit in rng.sample(proposals, len(proposals)):
+                if rng.random() < 0.6 and not any(conflicts(edit, e) for e in kept):
+                    kept.append(edit)
+            chosen[k].append(apply_edits(source, kept))
+    return sources, [SystemOutput(f"m{k}", tuple(c)) for k, c in enumerate(chosen)]
+
+
+def test_pooled_votes_equal_per_sentence_votes_on_a_seeded_corpus(rng):
+    for n_members in (5, 6, 7):
+        sources, outputs = _seeded_members(rng, n_members=n_members)
+        _assert_pooled_votes_equal_reference(sources, outputs)
+        _assert_pooled_votes_ignore_member_order(sources, outputs, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_corpora(max_sentences=3, max_systems=7), st.randoms(use_true_random=False))
+def test_pooled_votes_equal_per_sentence_votes_on_oracle_corpora(corpus, order):
+    gold, outputs = corpus
+    sources = [gs.source for gs in gold]
+    _assert_pooled_votes_equal_reference(sources, outputs)
+    _assert_pooled_votes_ignore_member_order(sources, outputs, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(agreeing_members(), st.randoms(use_true_random=False))
+def test_pooled_votes_equal_per_sentence_votes_on_agreeing_members(corpus, order):
+    sources, outputs = corpus
+    _assert_pooled_votes_equal_reference(sources, outputs)
+    _assert_pooled_votes_ignore_member_order(sources, outputs, order)
