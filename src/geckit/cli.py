@@ -16,11 +16,11 @@ import argparse
 import json
 import sys
 import traceback
+from pathlib import Path
 
 from .align import apply_edits, extract_edits
 from .corpus import (
     M2ParseError,
-    SystemOutput,
     ValidationError,
     atomic_write_text,
     check_source_file,
@@ -28,33 +28,26 @@ from .corpus import (
     load_edit_tsv,
     load_m2,
     load_parallel,
-    load_score_file,
     load_system_output,
     parse_system_spec,
     serialize_edit_tsv,
     serialize_parallel,
 )
 from .experiment import (
+    ExperimentConfig,
     ExperimentResult,
     ablation_remove_one,
     ablation_tsv,
+    combine,
     load_config,
+    load_inputs,
     result_row_tsv,
     run_experiment,
     sweep_n_min,
 )
-from .llm import llm_rank_corpus, make_backend, run_seeds
-from .oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
-from .ranking import (
-    aggr_rank_corpus,
-    cluster_systems,
-    clusters_tsv,
-    matrix_tsv,
-    rank_corpus,
-    similarity_matrix,
-)
+from .oracle import choices_tsv
+from .ranking import cluster_systems, clusters_tsv, matrix_tsv, similarity_matrix
 from .scoring import report_table, report_tsv, score_corpus
-from .vote import majority_vote_corpus
 
 
 class _UsageError(Exception):
@@ -79,12 +72,6 @@ def _emit(text: str, out: str | None) -> None:
 def _fallback_note(fallbacks: tuple[int, ...]) -> str:
     """The stderr note on an LLM run, naming how many sentences fell back to label A."""
     return f", {len(fallbacks)} fallback sentences" if fallbacks else ""
-
-
-def _load_systems(specs: list[str], expected_len: int | None = None) -> list[SystemOutput]:
-    named = [parse_system_spec(spec) for spec in specs]
-    check_unique_names(name for name, _ in named)
-    return [load_system_output(path, name, expected_len=expected_len) for name, path in named]
 
 
 # ---------------------------------------------------------------------------
@@ -118,71 +105,51 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _cmd_vote(args) -> int:
-    sources = load_parallel(args.src)
-    systems = _load_systems(args.sys, expected_len=len(sources))
-    ensemble = majority_vote_corpus(sources, systems, args.nmin, name=args.name)
-    atomic_write_text(args.out, serialize_parallel(ensemble.sentences))
-    print(f"wrote {args.out} ({ensemble.name})", file=sys.stderr)
-    return 0
-
-
-def _cmd_oracle(method: str, args) -> int:
-    gold = load_m2(args.gold)
-    systems = _load_systems(args.sys, expected_len=len(gold))
-    runner = oracle_ensemble_corpus if method == "oracle-ensemble" else oracle_rank_corpus
-    output, choices = runner(gold, systems)
-    atomic_write_text(args.out, serialize_parallel(output.sentences))
-    if args.audit:
-        atomic_write_text(args.audit, choices_tsv(choices))
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_rank(method: str, args) -> int:
-    systems = _load_systems(args.sys)
-    scores = load_score_file(args.scores)
-    ranked = rank_corpus(systems, scores, weighted=method == "rank-w")
-    _emit(serialize_parallel(ranked.sentences), args.out)
-    return 0
-
-
-def _cmd_aggr_rank(args) -> int:
-    sources = load_parallel(args.src)
-    primary = load_system_output(args.primary, expected_len=len(sources))
-    alternative = load_system_output(args.alt, expected_len=len(sources))
-    chosen = aggr_rank_corpus(sources, primary, alternative)
-    _emit(serialize_parallel(chosen.sentences), args.out)
+def _cmd_method(method: str, args) -> int:
+    """Run a method subcommand through :func:`experiment.combine`, the method
+    step of an experiment with the same method; write where the flags say."""
+    flags = vars(args)
+    if method == "aggr-rank":  # named by role, so the two files may share a stem
+        systems = (("primary", Path(args.primary)), ("alternative", Path(args.alt)))
+    else:
+        systems = tuple(parse_system_spec(spec) for spec in args.sys)
+    config = ExperimentConfig(  # paths kept as typed: error messages quote them
+        name=method, gold_path=flags.get("gold"), systems=systems, method=method,
+        source_path=flags.get("src"), n_min=flags.get("nmin", 0),
+        score_path=flags.get("scores"), variant=flags.get("variant", "a"),
+        runs=flags.get("runs", 1), seed=flags.get("seed", 0),
+        backend="http" if flags.get("base_url") else f"mock-{flags.get('mock', 'lexmin')}",
+        base_url=flags.get("base_url"), model=flags.get("model"), jobs=flags.get("jobs", 1),
+    )
+    outputs, choices, fallbacks = combine(
+        config, load_inputs(config), shuffle=not flags.get("no_shuffle")
+    )
+    if method == "llm-rank":
+        for run_index, (output, run_fallbacks) in enumerate(zip(outputs, fallbacks)):
+            path = f"{args.out_prefix}.run{run_index}.txt"
+            atomic_write_text(path, serialize_parallel(output.sentences))
+            print(f"wrote {path}{_fallback_note(run_fallbacks)}", file=sys.stderr)
+        return 0
+    _emit(serialize_parallel(outputs[0].sentences), args.out)
+    if choices is not None:
+        if args.audit:
+            atomic_write_text(args.audit, choices_tsv(choices))
+        print(f"wrote {args.out}", file=sys.stderr)
+    elif method == "vote":  # the --name, or the default ensemble name
+        print(f"wrote {args.out} ({args.name or outputs[0].name})", file=sys.stderr)
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    systems = _load_systems(args.sys)
+    named = [parse_system_spec(spec) for spec in args.sys]
+    check_unique_names(name for name, _ in named)
+    systems = [load_system_output(path, name) for name, path in named]
     matrix = similarity_matrix(systems)
     clusters = cluster_systems(systems, args.threshold, matrix=matrix)
     _emit(clusters_tsv(clusters), args.out)
     if args.matrix:
         atomic_write_text(args.matrix, matrix_tsv(matrix))
     print(f"{len(clusters)} clusters at threshold {args.threshold}", file=sys.stderr)
-    return 0
-
-
-def _cmd_llm_rank(args) -> int:
-    sources = load_parallel(args.src)
-    systems = _load_systems(args.sys, expected_len=len(sources))
-    backend = make_backend(
-        "http" if args.base_url else f"mock-{args.mock}",
-        base_url=args.base_url,
-        model=args.model,
-    )
-    runs = llm_rank_corpus(
-        sources, systems, args.variant, args.runs, run_seeds(args.seed, args.runs), backend,
-        shuffle=not args.no_shuffle, jobs=args.jobs,
-    )
-    for run in runs:
-        path = f"{args.out_prefix}.run{run.run_index}.txt"
-        atomic_write_text(path, serialize_parallel(run.output.sentences))
-        print(f"wrote {path}{_fallback_note(run.fallbacks)}", file=sys.stderr)
     return 0
 
 
@@ -253,40 +220,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmin", type=int, required=True, help="keep edits with votes > nmin")
     p.add_argument("--name", help="ensemble name (default records members and nmin)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_vote)
+    p.set_defaults(func=lambda a: _cmd_method("vote", a))
 
     p = add("oracle-ensemble", "gold-informed best edit subset (upper bound)")
     p.add_argument("--gold", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--out", required=True)
     p.add_argument("--audit", help="write per-sentence choice TSV here")
-    p.set_defaults(func=lambda a: _cmd_oracle("oracle-ensemble", a))
+    p.set_defaults(func=lambda a: _cmd_method("oracle-ensemble", a))
 
     p = add("oracle-rank", "gold-informed best candidate per sentence (upper bound)")
     p.add_argument("--gold", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--out", required=True)
     p.add_argument("--audit", help="write per-sentence choice TSV here")
-    p.set_defaults(func=lambda a: _cmd_oracle("oracle-rank", a))
+    p.set_defaults(func=lambda a: _cmd_method("oracle-rank", a))
 
     p = add("rank", "pick the highest-scored candidate per sentence")
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--scores", required=True, help="score TSV (system, sentence_index, score)")
     p.add_argument("--out", help="output text (default: stdout)")
-    p.set_defaults(func=lambda a: _cmd_rank("rank", a))
+    p.set_defaults(func=lambda a: _cmd_method("rank", a))
 
     p = add("rank-w", "rank with output-frequency weighting")
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--scores", required=True)
     p.add_argument("--out", help="output text (default: stdout)")
-    p.set_defaults(func=lambda a: _cmd_rank("rank-w", a))
+    p.set_defaults(func=lambda a: _cmd_method("rank-w", a))
 
     p = add("aggr-rank", "prefer the primary candidate when it edits less (but edits)")
     p.add_argument("--src", required=True)
     p.add_argument("--primary", required=True)
     p.add_argument("--alt", required=True)
     p.add_argument("--out", help="output text (default: stdout)")
-    p.set_defaults(func=_cmd_aggr_rank)
+    p.set_defaults(func=lambda a: _cmd_method("aggr-rank", a))
 
     p = add("cluster", "cluster systems by output similarity; pick representatives")
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
@@ -310,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="concurrent requests")
     p.add_argument("--out-prefix", required=True,
                    help="one output per run: PREFIX.runN.txt")
-    p.set_defaults(func=_cmd_llm_rank)
+    p.set_defaults(func=lambda a: _cmd_method("llm-rank", a))
 
     p = add("experiment", "run a JSON experiment config")
     p.add_argument("--config", required=True)

@@ -22,6 +22,7 @@ never observe a half-written file.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import tempfile
@@ -74,9 +75,9 @@ class TokenSentence(tuple):
         Tokens are interned, as are the replacement tokens the M2 and edit
         TSV parsers read, so equal tokens read anywhere in one process are
         one string object. Equality and hashing still go by value. Interned
-        strings are freed once unreferenced on CPython 3.10 and 3.11 but
-        kept for the life of the process on 3.12; either way the cost is
-        bounded by the vocabulary.
+        strings are freed once unreferenced on CPython 3.10, 3.11 and 3.13
+        but kept for the life of the process on 3.12; either way the cost
+        is bounded by the vocabulary.
         """
         # str.split() yields only non-empty tokens free of every character
         # str.isspace() accepts, so the token checks of __new__ cannot fail.
@@ -430,7 +431,8 @@ def _tsv_rows(text: str, header: str, kind: str) -> Iterator[tuple[int, list[str
 
 
 def parse_score_file(text: str) -> ScoreFile:
-    """Parse score TSV. Requires the exact header; rejects duplicate keys."""
+    """Parse score TSV. Requires the exact header; rejects duplicate keys
+    and non-finite scores, which no comparison could rank."""
     scores: dict[tuple[str, int], float] = {}
     for lineno, parts in _tsv_rows(text, SCORE_FILE_HEADER, "score"):
         try:
@@ -438,6 +440,8 @@ def parse_score_file(text: str) -> ScoreFile:
             value = float(parts[2])
         except ValueError:
             raise ValidationError(f"score file line {lineno}: bad index or score") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"score file line {lineno}: non-finite score {parts[2]!r}")
         if key in scores:
             raise ValidationError(f"score file line {lineno}: duplicate entry for {key}")
         scores[key] = value

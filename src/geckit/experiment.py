@@ -6,7 +6,8 @@ output file, its score report, and a one-row machine-readable TSV, all
 deterministic given the config and seeds. Remove-one ablations and
 vote-threshold sweeps reuse the same runner; they read and validate their
 input files once and share one edit table across all their runs, and their
-vote runs share each sentence's member edits, pooled once.
+vote runs share each sentence's member edits, pooled once. The method step,
+:func:`combine`, is also what the method subcommands of the CLI run.
 
 Config schema (JSON object):
 
@@ -54,13 +55,14 @@ from .corpus import (
     check_source_file,
     check_unique_names,
     load_m2,
+    load_parallel,
     load_score_file,
     load_system_output,
     parse_system_spec,
     serialize_parallel,
 )
 from .llm import llm_rank_corpus, make_backend, run_seeds
-from .oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
+from .oracle import OracleChoice, choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
 from .ranking import aggr_rank_corpus, rank_corpus
 from .scoring import ScoreReport, report_table, round_score, score_corpus
 from .vote import VotedEdit, majority_vote_corpus, pool_corpus
@@ -86,13 +88,13 @@ _KNOWN_KEYS = {
 @dataclass
 class ExperimentConfig:
     name: str
-    gold_path: Path
+    gold_path: str | Path | None  # None: a method subcommand without --gold
     systems: tuple[tuple[str, Path], ...]  # (name, path)
     method: str
-    source_path: Path | None = None
+    source_path: str | Path | None = None
     output_dir: Path = Path("results")
     n_min: int = 0
-    score_path: Path | None = None
+    score_path: str | Path | None = None
     variant: str = "a"
     runs: int = 1
     seed: int = 0
@@ -209,40 +211,46 @@ class _Inputs:
     """A config's input files, read and validated once, and the edit table
     and vote pools shared by every run over them."""
 
-    gold: list[GoldSentence]
-    sources: list[TokenSentence]
+    gold: list[GoldSentence] | None  # None without a gold file
+    sources: list[TokenSentence] | None  # None with neither gold nor source
     members: dict[str, SystemOutput]  # by system name
     table: EditTable = field(default_factory=EditTable)
     # each sentence's edits pooled over all members; built by the first vote run
     pools: list[list[VotedEdit]] | None = None
 
 
-def _load_inputs(config: ExperimentConfig) -> _Inputs:
-    gold = load_m2(config.gold_path)
-    if config.source_path is not None:
-        check_source_file(config.source_path, gold)
+def load_inputs(config: ExperimentConfig) -> _Inputs:
+    """Read and check a config's input files. The sources are the gold's
+    (checked against the source file if given), else the source file's."""
+    gold = sources = None
+    if config.gold_path is not None:
+        gold = load_m2(config.gold_path)
+        if config.source_path is not None:
+            check_source_file(config.source_path, gold)
+        sources = [gs.source for gs in gold]
+    elif config.source_path is not None:
+        sources = load_parallel(config.source_path)
+    n = None if sources is None else len(sources)
     members = {
-        name: load_system_output(path, name, expected_len=len(gold))
-        for name, path in config.systems
+        name: load_system_output(path, name, expected_len=n) for name, path in config.systems
     }
-    return _Inputs(gold, [gs.source for gs in gold], members)
+    return _Inputs(gold, sources, members)
 
 
-def run_experiment(
-    config: ExperimentConfig, *, _inputs: _Inputs | None = None
-) -> ExperimentResult:
-    """Run one configured experiment and write its artifacts.
+def combine(
+    config: ExperimentConfig, inputs: _Inputs, *, shuffle: bool = True
+) -> tuple[list[SystemOutput], list[OracleChoice] | None, list[tuple[int, ...]]]:
+    """The method step: run ``config.method`` over the loaded ``inputs``.
 
-    ``_inputs`` is for sweeps and ablations: inputs already loaded for a
-    config with the same gold, source and member files, from which this
-    run takes its members by name.
+    Returns the outputs (one per run; one except for llm-rank), the oracle
+    choices (None for other methods) and, per llm-rank run, the sentence
+    indices that fell back to label A. ``shuffle=False`` is ``--no-shuffle``.
     """
-    inputs = _inputs if _inputs is not None else _load_inputs(config)
     gold, sources, table = inputs.gold, inputs.sources, inputs.table
     outputs = [inputs.members[name] for name, _ in config.systems]
 
-    artifacts: list[Path] = []
     combined: list[SystemOutput]
+    choices = None
     fallbacks: list[tuple[int, ...]] = []
     if config.method in ("vote", "second-order-vote"):
         if inputs.pools is None:
@@ -257,7 +265,6 @@ def run_experiment(
         oracle = oracle_ensemble_corpus if ensemble else oracle_rank_corpus
         result, choices = oracle(gold, outputs, table=table)
         combined = [result]
-        artifacts.append(_write(config, "audit.tsv", choices_tsv(choices)))
     elif config.method in ("rank", "rank-w"):
         scores = load_score_file(config.score_path)
         combined = [rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
@@ -270,16 +277,35 @@ def run_experiment(
         seeds = config.seeds if config.seeds is not None else run_seeds(config.seed, config.runs)
         runs = llm_rank_corpus(
             sources, outputs, config.variant, config.runs, seeds, backend,
-            jobs=config.jobs,
+            shuffle=shuffle, jobs=config.jobs,
         )
         combined = [run.output for run in runs]
         fallbacks = [run.fallbacks for run in runs]
+    return combined, choices, fallbacks
 
+
+def run_experiment(
+    config: ExperimentConfig, *, _inputs: _Inputs | None = None
+) -> ExperimentResult:
+    """Run one configured experiment and write its artifacts.
+
+    ``_inputs`` is for sweeps and ablations: inputs already loaded for a
+    config with the same gold, source and member files, from which this
+    run takes its members by name.
+    """
+    if config.gold_path is None:
+        raise ValidationError(f"experiment {config.name!r} needs a gold file")
+    inputs = _inputs if _inputs is not None else load_inputs(config)
+    combined, choices, fallbacks = combine(config, inputs)
+
+    artifacts: list[Path] = []
+    if choices is not None:
+        artifacts.append(_write(config, "audit.tsv", choices_tsv(choices)))
     reports = []
     for run_index, output in enumerate(combined):
         suffix = f"run{run_index}.txt" if len(combined) > 1 else "out.txt"
         artifacts.append(_write(config, suffix, serialize_parallel(output.sentences)))
-        reports.append(score_corpus(output, gold, table=table))
+        reports.append(score_corpus(output, inputs.gold, table=inputs.table))
 
     result = ExperimentResult(
         config, tuple(combined), tuple(reports), tuple(artifacts), tuple(fallbacks)
@@ -294,7 +320,7 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
     """The full ensemble plus one rerun per left-out member system."""
     if len(config.systems) < 3:
         raise ValidationError("remove-one ablation needs at least 3 member systems")
-    inputs = _load_inputs(config)
+    inputs = load_inputs(config)
     rows = [("full", run_experiment(config, _inputs=inputs))]
     for name, _ in config.systems:
         reduced = replace(
@@ -311,7 +337,7 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     """Rerun a vote experiment at every n_min from 0 to the member count."""
     if config.method not in ("vote", "second-order-vote"):
         raise ValidationError("n_min sweep applies to vote methods only")
-    inputs = _load_inputs(config)
+    inputs = load_inputs(config)
     rows = []
     for n_min in range(len(config.systems) + 1):
         variant = replace(config, name=f"{config.name}.nmin{n_min}", n_min=n_min)

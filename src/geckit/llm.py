@@ -331,6 +331,8 @@ def llm_rank_corpus(
     """
     if runs < 1:
         raise ValidationError("runs must be >= 1")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     if len(seeds) != runs:
         raise ValidationError(f"{runs} runs but {len(seeds)} seeds")
     check_aligned(outputs, len(sources))

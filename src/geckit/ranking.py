@@ -237,7 +237,10 @@ def cluster_systems(
     similarity to the other members (ties to input order); singletons
     represent themselves. Clusters are ordered by their first member's
     input position. Pass a precomputed ``matrix`` to avoid recomputing it.
+    The threshold must be finite and >= 0.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValidationError(f"cluster threshold must be finite and >= 0, got {threshold}")
     sim = matrix if matrix is not None else similarity_matrix(outputs)
     names = sim.names
     n = len(names)

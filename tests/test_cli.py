@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from geckit.cli import main
+from geckit.experiment import METHODS
 
 GOLD = """S I likes turtles very much .
 A 1 2|||SVA|||like|||REQUIRED|||-NONE-|||0
@@ -139,6 +140,15 @@ def test_vote_writes_output(data, capsys):
     assert out.read_text(encoding="utf-8") == SYS_A  # 2-of-3 on both edits
 
 
+def test_vote_names_the_ensemble_on_stderr(data, capsys):
+    argv = ["vote", "--src", str(data / "src.txt"), "--sys", str(data / "a.txt"),
+            "--sys", str(data / "b.txt"), "--nmin", "1", "--out", str(data / "ens.txt")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == f"wrote {data / 'ens.txt'} (majority-vote(n_min=1)[a+b])\n"
+    assert main([*argv, "--name", "mine"]) == 0
+    assert capsys.readouterr().err == f"wrote {data / 'ens.txt'} (mine)\n"
+
+
 def test_vote_named_systems(data):
     out = data / "ens.txt"
     code = main([
@@ -205,6 +215,24 @@ def test_rank_with_score_file(data, capsys):
     assert capsys.readouterr().out == SYS_A
 
 
+@pytest.mark.parametrize("method", ["rank", "rank-w"])
+def test_rank_rejects_a_nan_score_in_either_member_order(tmp_path, monkeypatch, capsys, method):
+    # No comparison ranks a NaN: h1 would win in one order and h2 in the other.
+    monkeypatch.chdir(tmp_path)
+    Path("h1.txt").write_text("a b .\nx y\n", encoding="utf-8")
+    Path("h2.txt").write_text("a b c\nx y\n", encoding="utf-8")
+    Path("s.tsv").write_text(
+        "system\tsentence_index\tscore\nh1\t0\tnan\nh1\t1\t0.5\nh2\t0\t0.5\nh2\t1\t0.5\n",
+        encoding="utf-8",
+    )
+    for members in (["h1.txt", "h2.txt"], ["h2.txt", "h1.txt"]):
+        argv = [method, "--scores", "s.tsv", *(flag for m in members for flag in ("--sys", m))]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: s.tsv: score file line 2: non-finite score 'nan'\n"
+
+
 def test_aggr_rank_cli(data, capsys):
     code = main([
         "aggr-rank", "--src", str(data / "src.txt"),
@@ -214,6 +242,18 @@ def test_aggr_rank_cli(data, capsys):
     # sentence 0: equal aggressiveness -> alt; sentence 1: primary edits
     # nothing -> alt
     assert capsys.readouterr().out == SYS_A
+
+
+def test_aggr_rank_members_may_share_a_file_stem(data, capsys):
+    for directory, text in (("d1", SYS_B), ("d2", SYS_A)):
+        (data / directory).mkdir()
+        (data / directory / "a.txt").write_text(text, encoding="utf-8")
+    code = main([
+        "aggr-rank", "--src", str(data / "src.txt"),
+        "--primary", str(data / "d1" / "a.txt"), "--alt", str(data / "d2" / "a.txt"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == SYS_A  # as test_aggr_rank_cli
 
 
 def test_cluster_writes_matrix(data, capsys):
@@ -227,6 +267,17 @@ def test_cluster_writes_matrix(data, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "system\tcluster\trepresentative"
     assert matrix.read_text(encoding="utf-8").startswith("system\t")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+def test_cluster_rejects_a_threshold_that_is_not_finite_and_non_negative(data, capsys,
+                                                                         threshold):
+    code = main(["cluster", "--sys", str(data / "a.txt"), "--sys", str(data / "b.txt"),
+                 "--threshold", threshold])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cluster threshold must be finite and >= 0, got {float(threshold)}\n"
+    )
 
 
 def test_cluster_matrix_bytes_do_not_depend_on_hash_seed(tmp_path):
@@ -399,6 +450,35 @@ def test_subcommand_and_experiment_write_identical_bytes(data, monkeypatch, meth
         assert (data / cli_file).read_bytes() == (data / "results" / f"exp.{suffix}").read_bytes()
 
 
+def test_front_ends_cover_every_experiment_method():
+    # second-order-vote is the vote subcommand with ensemble outputs as members
+    assert sorted(_FRONT_ENDS) == sorted(set(METHODS) - {"second-order-vote"})
+
+
+# parameter: (method, experiment config keys, subcommand arguments, error line)
+_BAD_PARAMETERS = {
+    "runs": ("llm-rank", {"runs": 0}, ["--runs", "0"], "error: runs must be >= 1"),
+    "jobs": ("llm-rank", {"jobs": 0}, ["--jobs", "0"], "error: jobs must be >= 1, got 0"),
+    "n_min": ("vote", {"n_min": 4}, ["--nmin", "4"],
+              "error: n_min must be within 0..3, got 4"),
+}
+
+
+@pytest.mark.parametrize("parameter", list(_BAD_PARAMETERS))
+def test_bad_parameter_gives_one_error_from_both_front_ends(data, monkeypatch, capsys,
+                                                           parameter):
+    method, bad_config, bad_argv, error = _BAD_PARAMETERS[parameter]
+    config, argv, _ = _FRONT_ENDS[method]
+    monkeypatch.chdir(data)
+    payload = {"name": "exp", "method": method, "gold": "gold.m2", "output_dir": "results",
+               "systems": ["a.txt", "b.txt", "c.txt"], **config, **bad_config}
+    (data / "exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main([method, *argv, *bad_argv]) == 1  # a repeated flag's last value wins
+    assert capsys.readouterr().err == f"{error}\n"
+    assert main(["experiment", "--config", "exp.json"]) == 1
+    assert capsys.readouterr().err == f"{error}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -448,7 +528,6 @@ def test_llm_rank_experiment_reports_fallbacks_like_the_subcommand(data, monkeyp
     for name in names:
         assert (data / "garbage" / name).read_bytes() == (data / "label-a" / name).read_bytes()
 
-    monkeypatch.setattr("geckit.cli.make_backend", garbage_backend)
     assert main(["llm-rank", "--src", "src.txt", *_MEMBERS, "--runs", "2",
                  "--out-prefix", "cli"]) == 0
     assert capsys.readouterr().err == (

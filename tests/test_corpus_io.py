@@ -259,6 +259,14 @@ def test_score_file_header_and_duplicates():
         )
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_score_file_rejects_non_finite_scores(value):
+    # no comparison ranks a NaN, so it would make the choice depend on member order
+    with pytest.raises(ValidationError) as exc:
+        parse_score_file(f"system\tsentence_index\tscore\nx\t0\t1\nx\t1\t{value}\n")
+    assert str(exc.value) == f"score file line 3: non-finite score {value!r}"
+
+
 def test_score_file_missing_entry_names_the_hole():
     sf = parse_score_file("system\tsentence_index\tscore\nx\t0\t1\n")
     with pytest.raises(KeyError) as exc:

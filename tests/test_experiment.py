@@ -13,7 +13,9 @@ from geckit.corpus import ValidationError, load_parallel
 from geckit.experiment import (
     ExperimentConfig,
     ablation_remove_one,
+    combine,
     load_config,
+    load_inputs,
     run_experiment,
     sweep_n_min,
 )
@@ -129,6 +131,20 @@ def test_config_validation_rules(tmp_path):
         ExperimentConfig(
             **{**base.__dict__, "systems": (("x", tmp_path / "a.txt"),) * 2}
         )
+
+
+def test_only_the_experiment_needs_gold_not_its_method_step(tmp_path):
+    config = load_config(write_config(tmp_path, write_fixture(tmp_path)))
+    (tmp_path / "src.txt").write_text(
+        "I likes turtles very much .\nShe go to school yesterday .\nNothing wrong here .\n",
+        encoding="utf-8",
+    )
+    no_gold = replace(config, gold_path=None, source_path=tmp_path / "src.txt")
+    with pytest.raises(ValidationError, match="experiment 'fixture' needs a gold file"):
+        run_experiment(no_gold)
+    assert not (tmp_path / "results").exists()
+    # without gold, the sources come from the source file
+    assert combine(no_gold, load_inputs(no_gold)) == combine(config, load_inputs(config))
 
 
 def test_system_entries_accept_name_equals_path_and_dicts(tmp_path):

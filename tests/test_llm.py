@@ -404,6 +404,13 @@ def test_rank_corpus_parallel_matches_serial():
     assert serial.output.sentences == parallel.output.sentences
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_rank_corpus_rejects_jobs_below_one(jobs):
+    sources, outputs = corpus_fixture()
+    with pytest.raises(ValidationError, match=f"jobs must be >= 1, got {jobs}"):
+        llm_rank_corpus(sources, outputs, "a", 1, [0], MockLexminBackend(), jobs=jobs)
+
+
 def test_rank_corpus_validates():
     sources, outputs = corpus_fixture()
     with pytest.raises(ValidationError):

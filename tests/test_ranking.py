@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import vocab
-from geckit.corpus import SystemOutput, TokenSentence, ValidationError, check_aligned
+from geckit.corpus import ScoreFile, SystemOutput, TokenSentence, ValidationError, check_aligned
 from geckit.ranking import (
     SimilarityMatrix,
     _average_linkage,
@@ -21,6 +21,7 @@ from geckit.ranking import (
     cluster_systems,
     matrix_tsv,
     rank_by_score,
+    rank_corpus,
     rank_weighted,
     similarity_matrix,
     weight_candidates,
@@ -110,6 +111,26 @@ def test_rank_by_score_invariant_under_exact_positive_rescale(scores, factor):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rank_corpus_is_invariant_under_member_permutation(data):
+    # few distinct sentences and scores, so equal outputs and score ties are common
+    n_sys, n_sent = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    sentence = st.sampled_from([ts("a"), ts("b"), ts("a b"), ts("b a")])
+    score = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1e6, 1e6)
+    outputs = [
+        SystemOutput(f"s{k}", tuple(data.draw(st.lists(sentence, min_size=n_sent,
+                                                       max_size=n_sent))))
+        for k in range(n_sys)
+    ]
+    scores = ScoreFile({(f"s{k}", i): data.draw(score)
+                        for k in range(n_sys) for i in range(n_sent)})
+    permuted = [outputs[k] for k in data.draw(st.permutations(range(n_sys)))]
+    for weighted in (False, True):
+        assert (rank_corpus(permuted, scores, weighted).sentences
+                == rank_corpus(outputs, scores, weighted).sentences)
+
+
 # --------------------------------------------------------------------------
 # aggressiveness: all four (e_p >= 1, e_p < e_a) combinations
 
@@ -195,6 +216,15 @@ def test_identical_twins_cluster_together():
     assert [c.members for c in clusters] == [("a", "a2"), ("b",)]
     assert clusters[0].representative in ("a", "a2")
     assert clusters[1].representative == "b"
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_cluster_rejects_a_threshold_that_is_not_finite_and_non_negative(threshold):
+    outs = [sys_out("a", "x y z"), sys_out("b", "x y")]
+    with pytest.raises(ValidationError) as exc:
+        cluster_systems(outs, threshold)
+    assert str(exc.value) == f"cluster threshold must be finite and >= 0, got {threshold}"
+    assert [c.members for c in cluster_systems(outs, 0.0)] == [("a",), ("b",)]
 
 
 def test_all_disjoint_systems_stay_singletons():
