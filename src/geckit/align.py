@@ -19,6 +19,15 @@ The traceback walks back from the bottom-right corner ``d[m][n]`` and at
 each cell takes the first move whose cost is consistent with the matrix,
 in the preference order match > substitute > delete > insert. That keeps
 edit keys stable across runs and platforms: voting depends on that.
+
+The matrix is only built for the block between the common suffix and the
+common prefix, and both strips are exact. The walk consumes the suffix as
+matches whatever precedes it. Inside the block it makes the full walk's
+moves, since ``d(uA, uB) == d(A, B)`` for unit costs. It leaves the block
+on the top edge (left edge) with the remaining tokens to insert (delete),
+which is also what the full walk does there, unless the last prefix token
+is among them: the full walk then takes a match with it. In that case
+only, the pair is walked again over the matrix with its prefix.
 """
 
 from __future__ import annotations
@@ -42,16 +51,21 @@ def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit
 
     >>> extract_edits("a a b".split(), "a b".split())
     [Edit(start=0, end=1, replacement=())]
+
+    That holds across the common prefix too, so stripping it is not enough:
+
+    >>> extract_edits(["a"], "a a b".split()) == [Edit(0, 0, ('a',)), Edit(1, 1, ('b',))]
+    True
     """
     src = tuple(source)
     hyp = tuple(hypothesis)
+    if src == hyp:
+        return []
 
-    # Strip the common suffix before running the DP. This is exact, not a
-    # heuristic: when the trailing tokens are equal, d[i][j] == d[i-1][j-1]
-    # always holds, and match is the top traceback preference, so the full
-    # traceback consumes the suffix as matches no matter what precedes it.
-    # (The same is NOT true for the common prefix under this tie-breaking,
-    # so the prefix is deliberately left alone.)
+    # Strip the common suffix. This is exact, not a heuristic: when the
+    # trailing tokens are equal, d[i][j] == d[i-1][j-1] always holds, and
+    # match is the top traceback preference, so the full traceback consumes
+    # the suffix as matches no matter what precedes it.
     k = 0
     limit = min(len(src), len(hyp))
     while k < limit and src[len(src) - 1 - k] == hyp[len(hyp) - 1 - k]:
@@ -59,65 +73,23 @@ def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit
     m = len(src) - k
     n = len(hyp) - k
 
-    # Match masks: bit i of peq[t] is set when src[i] == t.
-    peq: dict[str, int] = {}
-    for i, tok in enumerate(src[:m]):
-        peq[tok] = peq.get(tok, 0) | (1 << i)
-
-    # Columns 0..n as vertical-delta pairs. Column 0 is d[i][0] == i, all +1.
-    # Per column: d0 marks the cells equal to their diagonal neighbour,
-    # hp/hn the horizontal deltas +1/-1. The carry into row 1 is 1 because
-    # d[0][j] - d[0][j-1] == +1 (global distance; approximate search would
-    # shift in 0). The complement sets every bit from m up, so VP is masked
-    # to m bits. VN needs no mask: the add can carry into bit m of d0 only
-    # through VP's bit m-1, and then hp's bit m is clear.
-    full = (1 << m) - 1
-    vp, vn = full, 0
-    vps, vns = [vp], [vn]
-    for tok in hyp[:n]:
-        eq = peq.get(tok, 0)
-        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | ~(d0 | vp)
-        hn = vp & d0
-        hp = (hp << 1) | 1
-        vn = hp & d0
-        vp = ((hn << 1) | ~(hp | d0)) & full
-        vps.append(vp)
-        vns.append(vn)
-
-    # Traceback from the bottom-right corner. At each cell take the first
-    # move in preference order whose cost is consistent with the matrix.
-    # cost is d[i][j]: every move but a match lowers it by one.
-    ops: list[str] = []
-    i, j = m, n
-    cost = n + vp.bit_count() - vn.bit_count()
-    while i > 0 and j > 0:
-        if src[i - 1] == hyp[j - 1]:
-            # Equal tokens always give d[i-1][j-1] == d[i][j].
-            ops.append("m")
-            i -= 1
-            j -= 1
-            continue
-        mask = (1 << (i - 1)) - 1
-        if j + (vps[j - 1] & mask).bit_count() - (vns[j - 1] & mask).bit_count() == cost:
-            ops.append("s")
-            i -= 1
-            j -= 1
-        elif j + 1 + (vps[j] & mask).bit_count() - (vns[j] & mask).bit_count() == cost:
-            ops.append("d")
-            i -= 1
-        else:
-            ops.append("i")
-            j -= 1
-        cost -= 1
-    # On the top row only insertions remain, in the left column only deletions.
-    ops.extend("d" * i)
-    ops.extend("i" * j)
-    ops.reverse()
+    # Then strip the common prefix, of length p, and walk the block between.
+    # When the walk leaves the block on an edge whose remaining tokens hold
+    # the last prefix token, the full walk would match that token instead,
+    # so walk again with the prefix (see the module docstring).
+    p = 0
+    limit = min(m, n)
+    while p < limit and src[p] == hyp[p]:
+        p += 1
+    block_src, block_hyp = src[p:m], hyp[p:n]
+    ops, i, j = _walk(block_src, block_hyp)
+    if p and (src[p - 1] in block_hyp[:j] or src[p - 1] in block_src[:i]):
+        ops, _, _ = _walk(src[:m], hyp[:n])
+        p = 0
 
     # Merge contiguous non-match runs into single edits.
     edits: list[Edit] = []
-    si = hi = 0
+    si = hi = p
     run_start: tuple[int, int] | None = None
 
     def close_run(si_end: int, hi_end: int) -> None:
@@ -144,6 +116,69 @@ def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit
                 hi += 1
     close_run(si, hi)
     return edits
+
+
+def _walk(src: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[list[str], int, int]:
+    """The alignment of ``src`` to ``hyp`` as operations in source order
+    (``m``atch, ``s``ubstitute, ``d``elete, ``i``nsert), and the cell
+    ``(i, j)`` where the walk back reached the top row or left column."""
+    m = len(src)
+    # Match masks: bit i of peq[t] is set when src[i] == t.
+    peq: dict[str, int] = {}
+    for i, tok in enumerate(src):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+
+    # Columns 0..n as vertical-delta pairs. Column 0 is d[i][0] == i, all +1.
+    # Per column: d0 marks the cells equal to their diagonal neighbour,
+    # hp/hn the horizontal deltas +1/-1. The carry into row 1 is 1 because
+    # d[0][j] - d[0][j-1] == +1 (global distance; approximate search would
+    # shift in 0). The complement sets every bit from m up, so VP is masked
+    # to m bits. VN needs no mask: the add can carry into bit m of d0 only
+    # through VP's bit m-1, and then hp's bit m is clear.
+    full = (1 << m) - 1
+    vp, vn = full, 0
+    vps, vns = [vp], [vn]
+    for tok in hyp:
+        eq = peq.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        hp = (hp << 1) | 1
+        vn = hp & d0
+        vp = ((hn << 1) | ~(hp | d0)) & full
+        vps.append(vp)
+        vns.append(vn)
+
+    # Traceback from the bottom-right corner. At each cell take the first
+    # move in preference order whose cost is consistent with the matrix.
+    # cost is d[i][j]: every move but a match lowers it by one.
+    ops: list[str] = []
+    i, j = m, len(hyp)
+    cost = j + vp.bit_count() - vn.bit_count()
+    while i > 0 and j > 0:
+        if src[i - 1] == hyp[j - 1]:
+            # Equal tokens always give d[i-1][j-1] == d[i][j].
+            ops.append("m")
+            i -= 1
+            j -= 1
+            continue
+        mask = (1 << (i - 1)) - 1
+        if j + (vps[j - 1] & mask).bit_count() - (vns[j - 1] & mask).bit_count() == cost:
+            ops.append("s")
+            i -= 1
+            j -= 1
+        elif j + 1 + (vps[j] & mask).bit_count() - (vns[j] & mask).bit_count() == cost:
+            ops.append("d")
+            i -= 1
+        else:
+            ops.append("i")
+            j -= 1
+        cost -= 1
+    # On the top row only insertions remain, in the left column only deletions.
+    ops.extend("d" * i)
+    ops.extend("i" * j)
+    ops.reverse()
+    return ops, i, j
 
 
 class EditTable:

@@ -13,6 +13,7 @@ Member systems are given as repeated --sys flags, either a bare path
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import traceback
@@ -299,6 +300,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    # The loaded corpora hold no reference cycles (tuples of interned str,
+    # Edit tuples, frozen dataclasses), yet the default thresholds walk them
+    # in over a hundred collections per sweep. Collect rarely while the
+    # command runs, and give the caller its own thresholds back.
+    thresholds = gc.get_threshold()
+    gc.set_threshold(100_000, 50, 1000)
     try:
         return args.func(args)
     except (ValidationError, M2ParseError, FileNotFoundError, json.JSONDecodeError) as err:
@@ -309,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         traceback.print_exc(file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -120,6 +120,13 @@ class ExperimentConfig:
         if self.method == "llm-rank" and self.variant not in ("a", "b"):
             raise ValidationError(f"unknown prompt variant {self.variant!r}")
         check_unique_names(name for name, _ in self.systems)
+        # majority_vote_corpus checks this too, but only after every pair is extracted
+        if self.method in ("vote", "second-order-vote") and not (
+            0 <= self.n_min <= len(self.systems)
+        ):
+            raise ValidationError(
+                f"n_min must be within 0..{len(self.systems)}, got {self.n_min}"
+            )
 
 
 @dataclass

@@ -93,15 +93,24 @@ def best_annotator(
     and the key ``(F0.5, n_correct, -n_proposed)`` of ``base`` plus those
     counts, which the annotator maximizes. The lowest id wins full ties.
     """
-    best: tuple[int, SentenceCounts, tuple[float, int, int]] | None = None
+    hyp = set(hyp_edits)
+    n_proposed = base.n_proposed + len(hyp)
+    best_key: tuple[float, int, int] | None = None
     for ann_id, ann in enumerate(gold.annotations):
-        counts = sentence_counts(hyp_edits, ann)
-        total = base.plus(counts)
-        key = (prf(total)[2], total.n_correct, -total.n_proposed)
-        if best is None or key > best[2]:
-            best = (ann_id, counts, key)
-    assert best is not None  # GoldSentence guarantees >= 1 annotation
-    return best
+        # the terms of prf(base.plus(counts)), without building either tuple;
+        # an annotation holds no two equal edits (they would conflict)
+        n_correct = base.n_correct + len(hyp.intersection(ann))
+        n_gold = base.n_gold + len(ann)
+        p = n_correct / n_proposed if n_proposed else 1.0
+        r = n_correct / n_gold if n_gold else 1.0
+        key = (f_beta(p, r), n_correct, -n_proposed)
+        if best_key is None or key > best_key:
+            best_id, best_key = ann_id, key
+    assert best_key is not None  # GoldSentence guarantees >= 1 annotation
+    counts = SentenceCounts(
+        best_key[1] - base.n_correct, len(hyp), len(gold.annotations[best_id])
+    )
+    return best_id, counts, best_key
 
 
 def score_corpus(

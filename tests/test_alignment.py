@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import sentence_pairs
+from geckit import align
 from geckit.align import EditTable, apply_edits, extract_edits
 from geckit.corpus import Edit, OverlapError, TokenSentence, ValidationError, conflicts
 
@@ -343,3 +344,30 @@ def test_extract_edits_equals_reference_dp():
         assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp)
 
     matches_reference()
+
+
+def test_prefix_strip_equals_reference_dp(monkeypatch):
+    """A long shared prefix whose last token recurs in the inserted or deleted
+    run: the walk over the middle block must fall back to the whole matrix
+    exactly where the full walk would match that token instead."""
+    blocks = []  # the source side of every walk; two walks in a call are a fallback
+    walk = align._walk
+    monkeypatch.setattr(align, "_walk", lambda src, hyp: blocks.append(src) or walk(src, hyp))
+    rng = random.Random(20261019)
+    stripped = fallbacks = 0
+    for _ in range(5_000):
+        alphabet = "abcd"[: rng.randint(1, 4)]
+        prefix = [rng.choice(alphabet) for _ in range(rng.randint(1, 80))]
+        runs = [rng.choice(alphabet + prefix[-1] * 2) for _ in range(rng.randint(0, 6))]
+        other = [rng.choice(alphabet) for _ in range(rng.randint(0, 3))]
+        suffix = [rng.choice(alphabet) for _ in range(rng.randint(0, 3))]
+        src, hyp = prefix + other + suffix, prefix + runs + suffix
+        if rng.random() < 0.5:
+            src, hyp = hyp, src
+        blocks.clear()
+        assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp), (src, hyp)
+        if len(blocks) == 2:
+            fallbacks += 1
+        elif blocks and blocks[0] != tuple(src[: len(blocks[0])]):
+            stripped += 1  # the one walk started after the prefix
+    assert stripped >= 500 and fallbacks >= 500, (stripped, fallbacks)

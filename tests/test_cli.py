@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and determinism of the command-line interface."""
 
+import gc
 import json
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from geckit import align, cli
 from geckit.cli import main
 from geckit.experiment import METHODS
 
@@ -477,6 +479,56 @@ def test_bad_parameter_gives_one_error_from_both_front_ends(data, monkeypatch, c
     assert capsys.readouterr().err == f"{error}\n"
     assert main(["experiment", "--config", "exp.json"]) == 1
     assert capsys.readouterr().err == f"{error}\n"
+
+
+@pytest.mark.parametrize("method", ["vote", "second-order-vote"])
+def test_bad_n_min_fails_before_any_extraction(data, monkeypatch, capsys, method):
+    """Both front ends check n_min against the member count before loading, so a
+    bad value is reported at once, ahead of a missing member file too."""
+    pairs = []
+    extract = align.extract_edits
+    monkeypatch.setattr(align, "extract_edits", lambda s, h: pairs.append(s) or extract(s, h))
+    monkeypatch.chdir(data)
+    payload = {"name": "exp", "method": method, "gold": "gold.m2", "output_dir": "results"}
+    for n_min, missing in ((-1, "b.txt"), (4, "missing.txt")):
+        systems = ["a.txt", missing, "c.txt"]
+        error = f"error: n_min must be within 0..3, got {n_min}\n"
+        config = {**payload, "systems": systems, "n_min": n_min}
+        (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["experiment", "--config", "exp.json"]) == 1
+        assert capsys.readouterr().err == error
+        argv = [arg for path in systems for arg in ("--sys", path)]
+        assert main(["vote", "--src", "src.txt", *argv, "--nmin", str(n_min),
+                     "--out", "x.txt"]) == 1
+        assert capsys.readouterr().err == error
+    assert pairs == []
+    config = {**payload, "systems": ["a.txt", "b.txt", "c.txt"], "n_min": 3}
+    (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json"]) == 0
+    assert pairs  # the counter sees the extraction of a good run
+
+
+def test_main_restores_the_callers_gc_thresholds(data, monkeypatch, capsys):
+    """main collects rarely while a command runs, then gives back the thresholds
+    it found, whether the command succeeds or fails with an error."""
+    seen = []
+    score = cli.score_corpus
+    monkeypatch.setattr(cli, "score_corpus",
+                        lambda *a, **k: seen.append(gc.get_threshold()) or score(*a, **k))
+    monkeypatch.chdir(data)
+    saved = gc.get_threshold()
+    sentinel = (1234, 7, 9)
+    try:
+        gc.set_threshold(*sentinel)
+        assert main(["score", "--hyp", "a.txt", "--gold", "gold.m2"]) == 0
+        assert gc.get_threshold() == sentinel
+        assert main(["vote", "--src", "src.txt", "--sys", "a.txt", "--nmin", "2",
+                     "--out", "x.txt"]) == 1
+        assert gc.get_threshold() == sentinel
+    finally:
+        gc.set_threshold(*saved)
+    assert capsys.readouterr().err == "error: n_min must be within 0..1, got 2\n"
+    assert seen == [(100_000, 50, 1000)]
 
 
 @pytest.mark.parametrize(

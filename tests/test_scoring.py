@@ -4,12 +4,16 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import brute_force_score
-from conftest import corpora_with_hypotheses
+from conftest import annotations, corpora_with_hypotheses, vocab
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
 from geckit.scoring import (
+    SentenceCounts,
+    best_annotator,
     f_beta,
+    prf,
     report_table,
     round_score,
     score_corpus,
@@ -137,3 +141,48 @@ def test_report_table_shows_rounded_percentages():
     table = report_table(score_corpus(as_output("I like turtles ."), gold))
     assert "100.0" in table
     assert "F0.5" in table
+
+
+# --------------------------------------------------------------------------
+# the one-set annotator choice against the per-annotator counts it replaced
+
+
+def _reference_best_annotator(hyp_edits, gold, base=SentenceCounts(0, 0, 0)):
+    """best_annotator as sentence_counts + plus + prf, frozen for the differential test."""
+    best = None
+    for ann_id, ann in enumerate(gold.annotations):
+        counts = sentence_counts(hyp_edits, ann)
+        total = base.plus(counts)
+        key = (prf(total)[2], total.n_correct, -total.n_proposed)
+        if best is None or key > best[2]:
+            best = (ann_id, counts, key)
+    return best
+
+
+@st.composite
+def annotator_choices(draw):
+    """(hypothesis edits, gold sentence, base counts) with many full key ties:
+    annotators repeat, may be empty, and the hypothesis reuses their edits."""
+    source = TokenSentence(draw(st.lists(st.sampled_from(vocab(4)), min_size=1, max_size=8)))
+    anns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if anns and draw(st.booleans()):
+            anns.append(draw(st.sampled_from(anns)))
+        else:
+            anns.append(draw(annotations(source, max_edits=3, repl_vocab=vocab(2, "r"))))
+    gold = GoldSentence(source, tuple(anns))
+    pool = sorted({e for ann in anns for e in ann})
+    hyp = draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    hyp += draw(annotations(source, max_edits=2, repl_vocab=vocab(2, "r")))
+    n_correct = draw(st.integers(0, 6))
+    base = SentenceCounts(
+        n_correct, n_correct + draw(st.integers(0, 4)), n_correct + draw(st.integers(0, 4))
+    )
+    return draw(st.permutations(hyp)), gold, draw(st.sampled_from([SentenceCounts(0, 0, 0), base]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(annotator_choices())
+def test_best_annotator_equals_per_annotator_counts(choice):
+    hyp, gold, base = choice
+    assert best_annotator(hyp, gold, base) == _reference_best_annotator(hyp, gold, base)
