@@ -38,10 +38,10 @@ from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     ablation_remove_one,
-    ablation_tsv,
     combine,
     load_config,
     load_inputs,
+    prf_tsv,
     result_row_tsv,
     run_experiment,
     sweep_n_min,
@@ -165,7 +165,7 @@ def _cmd_experiment(args) -> int:
         rows = ablation_remove_one(config)
         for _, result in rows:
             _print_fallbacks(result)
-        sys.stdout.write(ablation_tsv(rows))
+        sys.stdout.write(prf_tsv("variant", rows))
         return 0
     if args.sweep_nmin:
         rows = sweep_n_min(config)

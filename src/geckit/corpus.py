@@ -15,6 +15,15 @@ Four file formats are handled here:
 
 Loaders name the file in every error. Checks across inputs live here too.
 
+The TSV dialect is decided here alone: a header line, then one line per
+row, fields separated by a tab, an LF after every line. :func:`tsv` writes
+it and :func:`_tsv_rows` reads it. The other modules' tables (oracle
+audits, clusters, similarity matrices, score reports, experiment rows,
+sweeps and ablations) keep their column lists next to the records they
+come from, and are written through :func:`tsv` too. A field never holds a
+tab, CR or LF: names are checked as they come in (:func:`check_name`), and
+:func:`tsv` refuses a row with a column too many or too few.
+
 Tokenization is whitespace-only throughout and comparisons are
 case-sensitive. All writes go through :func:`atomic_write_text` so readers
 never observe a half-written file.
@@ -216,10 +225,19 @@ def check_aligned(outputs: Sequence[SystemOutput], n: int) -> None:
             )
 
 
+def check_name(kind: str, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``name`` can be a TSV field:
+    no tab, CR or LF."""
+    if "\t" in name or "\r" in name or "\n" in name:
+        raise ValidationError(f"{kind} name {name!r} contains a tab or a line break")
+
+
 def check_unique_names(names: Iterable[str]) -> None:
-    """Raise :class:`ValidationError` naming the first system name given twice."""
+    """Raise :class:`ValidationError` naming the first system name given
+    twice, or the first that :func:`check_name` rejects."""
     seen: set[str] = set()
     for name in names:
+        check_name("system", name)
         if name in seen:
             raise ValidationError(f"duplicate system name {name!r}")
         seen.add(name)
@@ -398,7 +416,7 @@ def load_system_output(
 # ---------------------------------------------------------------------------
 # Score files
 
-SCORE_FILE_HEADER = "system\tsentence_index\tscore"
+SCORE_FILE_HEADER = ("system", "sentence_index", "score")
 
 
 @dataclass
@@ -414,12 +432,28 @@ class ScoreFile:
             raise KeyError(f"no score for system {system!r}, sentence {index}") from None
 
 
-def _tsv_rows(text: str, header: str, kind: str) -> Iterator[tuple[int, list[str]]]:
+def tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """TSV text of string ``rows`` under the column names ``header``; the
+    inverse of :func:`_tsv_rows`.
+
+    >>> tsv(("a", "b"), [("1", "x y")])
+    'a\\tb\\n1\\tx y\\n'
+    """
+    text = "\n".join(["\t".join(header), *map("\t".join, rows)]) + "\n"
+    # a field holding a tab or a line break, or a row of the wrong length,
+    # puts a line off the header's count of tabs
+    if "\r" in text or text.count("\t") != (len(header) - 1) * text.count("\n"):
+        raise ValidationError(f"TSV rows need {len(header)} fields free of tabs and line breaks")
+    return text
+
+
+def _tsv_rows(text: str, header: Sequence[str], kind: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row below the exact ``header``."""
     lines = text.rstrip("\n").split("\n")
-    if lines[0].rstrip("\r") != header:
-        raise ValidationError(f"{kind} file must start with header {header!r}")
-    n_columns = header.count("\t") + 1
+    expected = "\t".join(header)
+    if lines[0].rstrip("\r") != expected:
+        raise ValidationError(f"{kind} file must start with header {expected!r}")
+    n_columns = len(header)
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.rstrip("\r")
         if not line:
@@ -453,25 +487,22 @@ def load_score_file(path: str | Path) -> ScoreFile:
 
 
 def serialize_score_file(scores: ScoreFile) -> str:
-    lines = [SCORE_FILE_HEADER]
-    for (system, index), value in sorted(scores.scores.items()):
-        lines.append(f"{system}\t{index}\t{value!r}")
-    return "\n".join(lines) + "\n"
+    rows = sorted(scores.scores.items())
+    return tsv(SCORE_FILE_HEADER, ((s, f"{i}", f"{value!r}") for (s, i), value in rows))
 
 
 # ---------------------------------------------------------------------------
 # Edit TSVs
 
-EDIT_TSV_HEADER = "sentence_index\tstart\tend\treplacement"
+EDIT_TSV_HEADER = ("sentence_index", "start", "end", "replacement")
 
 
 def serialize_edit_tsv(edits: Sequence[Sequence[Edit]]) -> str:
     """Render one edit list per sentence as TSV; inverse of :func:`parse_edit_tsv`."""
-    lines = [EDIT_TSV_HEADER]
-    for i, sentence_edits in enumerate(edits):
-        for e in sentence_edits:
-            lines.append(f"{i}\t{e.start}\t{e.end}\t{' '.join(e.replacement) or _M2_EMPTY}")
-    return "\n".join(lines) + "\n"
+    return tsv(EDIT_TSV_HEADER, (
+        (f"{i}", f"{e.start}", f"{e.end}", " ".join(e.replacement) or _M2_EMPTY)
+        for i, sentence_edits in enumerate(edits) for e in sentence_edits
+    ))
 
 
 def parse_edit_tsv(text: str, sources: Sequence[Sequence[str]]) -> list[list[Edit]]:

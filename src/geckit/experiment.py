@@ -35,6 +35,9 @@ Config schema (JSON object):
 Relative paths are resolved against the config file's directory.
 ``n_min``, ``runs``, ``seed``, ``jobs`` and each ``seeds`` entry must be
 JSON integers; a float, string or boolean is an error, not rounded.
+``systems`` must be a list and every other value a string (``source``,
+``scores``, ``base_url`` and ``model`` may be null). Every error in a
+config names the config file.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .corpus import (
     TokenSentence,
     ValidationError,
     atomic_write_text,
+    check_name,
     check_source_file,
     check_unique_names,
     load_m2,
@@ -60,11 +64,12 @@ from .corpus import (
     load_system_output,
     parse_system_spec,
     serialize_parallel,
+    tsv,
 )
 from .llm import llm_rank_corpus, make_backend, run_seeds
 from .oracle import OracleChoice, choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
 from .ranking import aggr_rank_corpus, rank_corpus
-from .scoring import ScoreReport, report_table, round_score, score_corpus
+from .scoring import ScoreReport, report_table, score_cell, score_corpus
 from .vote import VotedEdit, majority_vote_corpus, pool_corpus
 
 METHODS = (
@@ -78,10 +83,10 @@ METHODS = (
     "llm-rank",
 )
 
+_REQUIRED_KEYS = ("name", "gold", "systems", "method")
 _KNOWN_KEYS = {
-    "name", "gold", "systems", "method", "source", "output_dir", "n_min",
-    "scores", "variant", "runs", "seed", "seeds", "backend", "base_url",
-    "model", "jobs",
+    *_REQUIRED_KEYS, "source", "output_dir", "n_min", "scores", "variant", "runs",
+    "seed", "seeds", "backend", "base_url", "model", "jobs",
 }
 
 
@@ -105,6 +110,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        check_name("experiment", self.name)
         if self.method not in METHODS:
             raise ValidationError(
                 f"unknown method {self.method!r}; expected one of {', '.join(METHODS)}"
@@ -117,6 +123,9 @@ class ExperimentConfig:
             raise ValidationError(
                 "aggr-rank takes exactly 2 systems: primary, then alternative"
             )
+        # build_prompt checks this too, but only after every file is loaded
+        if self.method == "llm-rank" and not 2 <= len(self.systems) <= 26:
+            raise ValidationError(f"llm-rank takes 2 to 26 systems, got {len(self.systems)}")
         if self.method == "llm-rank" and self.variant not in ("a", "b"):
             raise ValidationError(f"unknown prompt variant {self.variant!r}")
         check_unique_names(name for name, _ in self.systems)
@@ -149,61 +158,85 @@ class ExperimentResult:
         return 2 * statistics.pstdev(r.f05 for r in self.reports)
 
 
+_ROW_COLUMNS = ("experiment", "method", "P", "R", "F0.5", "F0.5_2std",
+                "n_correct", "n_proposed", "n_gold", "runs")  # result_row_tsv
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a JSON experiment config."""
+    """Read and validate a JSON experiment config; every error names the file."""
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return _config(raw, path.parent)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from None
+
+
+def _config(raw: object, base: Path) -> ExperimentConfig:
+    """The config of the JSON value ``raw``, with paths relative to ``base``."""
     if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+        raise ValidationError("config must be a JSON object")
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
-        raise ValidationError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for required in ("name", "gold", "systems", "method"):
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for required in _REQUIRED_KEYS:
         if required not in raw:
-            raise ValidationError(f"{path}: missing required key {required!r}")
-    base = path.parent
+            raise ValidationError(f"missing required key {required!r}")
 
     def resolve(p: str) -> Path:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
-    def integer(key: str, value: object) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(
-                f"{path}: key {key!r} must be an integer, got {json.dumps(value)}"
-            )
+    def typed(key: str, value: object, kind: type) -> object:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = {int: "an integer", str: "a string", list: "a list"}[kind]
+            raise ValidationError(f"key {key!r} must be {noun}, got {json.dumps(value)}")
         return value
 
-    systems = tuple(_parse_system_entry(entry, resolve) for entry in raw["systems"])
+    def string(key: str, default: str | None = None) -> str | None:
+        """``raw[key]``, or ``default`` when absent; null only stands for
+        absent in an optional key without a default."""
+        value = raw.get(key, default)
+        if value is None and default is None and key not in _REQUIRED_KEYS:
+            return None
+        return typed(key, value, str)
+
+    def integer(key: str, default: int) -> int:
+        return typed(key, raw.get(key, default), int)
+
+    systems = tuple(
+        _parse_system_entry(entry, resolve) for entry in typed("systems", raw["systems"], list)
+    )
     seeds = None
     if "seeds" in raw:
         if not isinstance(raw["seeds"], list) or not raw["seeds"]:
             raise ValidationError(
-                f"{path}: key 'seeds' must be a non-empty list, got {json.dumps(raw['seeds'])}"
+                f"key 'seeds' must be a non-empty list, got {json.dumps(raw['seeds'])}"
             )
-        seeds = tuple(integer(f"seeds[{k}]", seed) for k, seed in enumerate(raw["seeds"]))
+        seeds = tuple(typed(f"seeds[{k}]", seed, int) for k, seed in enumerate(raw["seeds"]))
+    source, scores = string("source"), string("scores")
     return ExperimentConfig(
-        name=raw["name"],
-        gold_path=resolve(raw["gold"]),
+        name=string("name"),
+        gold_path=resolve(string("gold")),
         systems=systems,
-        method=raw["method"],
-        source_path=resolve(raw["source"]) if raw.get("source") else None,
-        output_dir=resolve(raw.get("output_dir", "results")),
-        n_min=integer("n_min", raw.get("n_min", 0)),
-        score_path=resolve(raw["scores"]) if raw.get("scores") else None,
-        variant=raw.get("variant", "a"),
-        runs=integer("runs", raw.get("runs", 1)),
-        seed=integer("seed", raw.get("seed", 0)),
+        method=string("method"),
+        source_path=resolve(source) if source else None,
+        output_dir=resolve(string("output_dir", "results")),
+        n_min=integer("n_min", 0),
+        score_path=resolve(scores) if scores else None,
+        variant=string("variant", "a"),
+        runs=integer("runs", 1),
+        seed=integer("seed", 0),
         seeds=seeds,
-        backend=raw.get("backend", "mock-lexmin"),
-        base_url=raw.get("base_url"),
-        model=raw.get("model"),
-        jobs=integer("jobs", raw.get("jobs", 1)),
+        backend=string("backend", "mock-lexmin"),
+        base_url=string("base_url"),
+        model=string("model"),
+        jobs=integer("jobs", 1),
     )
 
 
 def _parse_system_entry(entry, resolve) -> tuple[str, Path]:
-    if isinstance(entry, dict):
+    if isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values()):
         if set(entry) != {"name", "path"}:
             raise ValidationError(f"system entry needs exactly name and path: {entry}")
         return entry["name"], resolve(entry["path"])
@@ -336,7 +369,7 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
             systems=tuple(s for s in config.systems if s[0] != name),
         )
         rows.append((f"w/o {name}", run_experiment(reduced, _inputs=inputs)))
-    _write(config, "ablation.tsv", ablation_tsv(rows))
+    _write(config, "ablation.tsv", prf_tsv("variant", rows))
     return rows
 
 
@@ -349,47 +382,29 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     for n_min in range(len(config.systems) + 1):
         variant = replace(config, name=f"{config.name}.nmin{n_min}", n_min=n_min)
         rows.append((n_min, run_experiment(variant, _inputs=inputs)))
-    _write(config, "sweep.tsv", _prf_tsv("n_min", rows))
+    _write(config, "sweep.tsv", prf_tsv("n_min", rows))
     return rows
 
 
 def result_row_tsv(results: Sequence[ExperimentResult]) -> str:
-    """Machine-readable result rows, one per experiment."""
-    lines = [
-        "experiment\tmethod\tP\tR\tF0.5\tF0.5_2std\tn_correct\tn_proposed\tn_gold\truns"
-    ]
+    """Machine-readable result rows, one per experiment: P, R and F0.5 are
+    means over its runs, and F0.5_2std is "-" for a single run."""
+    rows = []
     for res in results:
-        r = res.report
-        spread = (
-            f"{round_score(res.spread_f05()):.1f}" if len(res.reports) > 1 else "-"
-        )
-        mean_f = statistics.fmean(x.f05 for x in res.reports)
-        mean_p = statistics.fmean(x.precision for x in res.reports)
-        mean_r = statistics.fmean(x.recall for x in res.reports)
-        lines.append(
-            f"{res.config.name}\t{res.config.method}"
-            f"\t{round_score(mean_p):.1f}\t{round_score(mean_r):.1f}"
-            f"\t{round_score(mean_f):.1f}\t{spread}"
-            f"\t{r.totals.n_correct}\t{r.totals.n_proposed}\t{r.totals.n_gold}"
-            f"\t{len(res.reports)}"
-        )
-    return "\n".join(lines) + "\n"
+        mean = map(statistics.fmean, zip(*((r.precision, r.recall, r.f05) for r in res.reports)))
+        spread = score_cell(res.spread_f05()) if len(res.reports) > 1 else "-"
+        rows.append((res.config.name, res.config.method, *map(score_cell, mean), spread,
+                     *map(str, res.report.totals), f"{len(res.reports)}"))
+    return tsv(_ROW_COLUMNS, rows)
 
 
-def ablation_tsv(rows: Sequence[tuple[str, ExperimentResult]]) -> str:
-    return _prf_tsv("variant", rows)
-
-
-def _prf_tsv(key: str, rows: Sequence[tuple[object, ExperimentResult]]) -> str:
-    """One P/R/F0.5 row per (label, result), under a ``key`` column."""
-    lines = [f"{key}\tP\tR\tF0.5"]
-    for label, result in rows:
-        r = result.report
-        lines.append(
-            f"{label}\t{round_score(r.precision):.1f}\t{round_score(r.recall):.1f}"
-            f"\t{round_score(r.f05):.1f}"
-        )
-    return "\n".join(lines) + "\n"
+def prf_tsv(key: str, rows: Sequence[tuple[object, ExperimentResult]]) -> str:
+    """One P/R/F0.5 row per (label, result), under a ``key`` column: the
+    sweep (``n_min``) and ablation (``variant``) tables."""
+    return tsv((key, "P", "R", "F0.5"), (
+        (f"{label}", *map(score_cell, (r.report.precision, r.report.recall, r.report.f05)))
+        for label, r in rows
+    ))
 
 
 def _write(config: ExperimentConfig, suffix: str, text: str) -> Path:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .align import EditTable, apply_edits
 from .corpus import (
-    Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError, check_aligned,
+    Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError, check_aligned, tsv,
 )
 from .scoring import best_annotator
 
@@ -158,9 +158,7 @@ def oracle_rank_corpus(
 
 def choices_tsv(choices: Sequence[OracleChoice]) -> str:
     """Audit log: sentence index, method, annotator, system, n_selected."""
-    lines = ["sentence_index\tmethod\tannotator\tsystem\tn_selected"]
-    for ch in choices:
-        lines.append(
-            f"{ch.sentence_index}\t{ch.method}\t{ch.annotator}\t{ch.system or '-'}\t{ch.n_selected}"
-        )
-    return "\n".join(lines) + "\n"
+    return tsv(("sentence_index", "method", "annotator", "system", "n_selected"), (
+        (f"{c.sentence_index}", c.method, f"{c.annotator}", c.system or "-", f"{c.n_selected}")
+        for c in choices
+    ))

@@ -34,7 +34,7 @@ from operator import mul
 from typing import Sequence
 
 from .align import EditTable
-from .corpus import ScoreFile, SystemOutput, TokenSentence, ValidationError, check_aligned
+from .corpus import ScoreFile, SystemOutput, TokenSentence, ValidationError, check_aligned, tsv
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ def rank_corpus(
         try:
             per_candidate = [scores.get(name, i) for name, _ in candidates]
             sentences.append(select(candidates, per_candidate)[1])
-        except (KeyError, ValidationError) as err:
-            raise ValidationError(f"sentence {i}: {err}") from None
+        except (KeyError, ValidationError) as err:  # str() of a KeyError is its repr
+            raise ValidationError(f"sentence {i}: {err.args[0]}") from None
     members = "+".join(out.name for out in outputs)
     return SystemOutput(f"{'rank-w' if weighted else 'rank'}[{members}]", tuple(sentences))
 
@@ -339,16 +339,13 @@ def _flat_clusters(merges: list[tuple[float, int, int]], threshold: float) -> li
 
 
 def matrix_tsv(matrix: SimilarityMatrix) -> str:
-    lines = ["system\t" + "\t".join(matrix.names)]
-    for name, row in zip(matrix.names, matrix.values):
-        lines.append(name + "\t" + "\t".join(f"{v:.6f}" for v in row))
-    return "\n".join(lines) + "\n"
+    return tsv(("system", *matrix.names), (
+        (name, *(f"{v:.6f}" for v in row)) for name, row in zip(matrix.names, matrix.values)
+    ))
 
 
 def clusters_tsv(clusters: Sequence[SystemCluster]) -> str:
-    lines = ["system\tcluster\trepresentative"]
-    for cid, cluster in enumerate(clusters, start=1):
-        for member in cluster.members:
-            flag = 1 if member == cluster.representative else 0
-            lines.append(f"{member}\t{cid}\t{flag}")
-    return "\n".join(lines) + "\n"
+    return tsv(("system", "cluster", "representative"), (
+        (member, f"{cid}", "1" if member == cluster.representative else "0")
+        for cid, cluster in enumerate(clusters, start=1) for member in cluster.members
+    ))

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, NamedTuple, Sequence
 
 from .align import EditTable
-from .corpus import Edit, GoldSentence, SystemOutput, check_aligned
+from .corpus import Edit, GoldSentence, SystemOutput, check_aligned, tsv
 
 
 class SentenceCounts(NamedTuple):
@@ -79,8 +79,13 @@ def prf(totals: SentenceCounts) -> tuple[float, float, float]:
     >>> prf(SentenceCounts(0, 0, 0))
     (1.0, 1.0, 1.0)
     """
-    p = totals.n_correct / totals.n_proposed if totals.n_proposed else 1.0
-    r = totals.n_correct / totals.n_gold if totals.n_gold else 1.0
+    return _prf(*totals)
+
+
+def _prf(n_correct: int, n_proposed: int, n_gold: int) -> tuple[float, float, float]:
+    """:func:`prf` of the three counts, without a :class:`SentenceCounts`."""
+    p = n_correct / n_proposed if n_proposed else 1.0
+    r = n_correct / n_gold if n_gold else 1.0
     return p, r, f_beta(p, r)
 
 
@@ -97,13 +102,10 @@ def best_annotator(
     n_proposed = base.n_proposed + len(hyp)
     best_key: tuple[float, int, int] | None = None
     for ann_id, ann in enumerate(gold.annotations):
-        # the terms of prf(base.plus(counts)), without building either tuple;
-        # an annotation holds no two equal edits (they would conflict)
+        # prf(base.plus(counts)) without building either tuple; an
+        # annotation holds no two equal edits (they would conflict)
         n_correct = base.n_correct + len(hyp.intersection(ann))
-        n_gold = base.n_gold + len(ann)
-        p = n_correct / n_proposed if n_proposed else 1.0
-        r = n_correct / n_gold if n_gold else 1.0
-        key = (f_beta(p, r), n_correct, -n_proposed)
+        key = (_prf(n_correct, n_proposed, base.n_gold + len(ann))[2], n_correct, -n_proposed)
         if best_key is None or key > best_key:
             best_id, best_key = ann_id, key
     assert best_key is not None  # GoldSentence guarantees >= 1 annotation
@@ -150,20 +152,18 @@ def round_score(fraction: float) -> float:
     return float((Decimal(repr(fraction)) * 100).quantize(Decimal("0.1"), ROUND_HALF_UP))
 
 
+def score_cell(fraction: float) -> str:
+    """A [0,1] fraction as a report cell: :func:`round_score` to one decimal."""
+    return f"{round_score(fraction):.1f}"
+
+
 def _report_row(report: ScoreReport) -> tuple[str, ...]:
-    return (
-        f"{round_score(report.precision):.1f}",
-        f"{round_score(report.recall):.1f}",
-        f"{round_score(report.f05):.1f}",
-        str(report.totals.n_correct),
-        str(report.totals.n_proposed),
-        str(report.totals.n_gold),
-    )
+    cells = map(score_cell, (report.precision, report.recall, report.f05))
+    return (*cells, *map(str, report.totals))  # SentenceCounts is in column order
 
 
 def report_tsv(report: ScoreReport) -> str:
-    row = _report_row(report)
-    return "\t".join(_REPORT_COLUMNS) + "\n" + "\t".join(row) + "\n"
+    return tsv(_REPORT_COLUMNS, [_report_row(report)])
 
 
 def report_table(report: ScoreReport) -> str:

@@ -186,7 +186,7 @@ def test_duplicate_system_name_is_named_on_stderr(data, capsys):
         encoding="utf-8",
     )
     assert main(["experiment", "--config", str(config)]) == 1
-    assert capsys.readouterr().err == "error: duplicate system name 'c'\n"
+    assert capsys.readouterr().err == f"error: {config}: duplicate system name 'c'\n"
 
 
 def test_oracle_subcommands_write_audit(data):
@@ -269,6 +269,21 @@ def test_cluster_writes_matrix(data, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "system\tcluster\trepresentative"
     assert matrix.read_text(encoding="utf-8").startswith("system\t")
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+def test_a_system_name_with_a_tab_or_line_break_stops_the_run(tmp_path, monkeypatch, capsys,
+                                                              name):
+    # Written out, the name would add a column to the clusters and matrix rows.
+    # No member file exists, so any read would fail with a different error.
+    monkeypatch.chdir(tmp_path)
+    argv = ["cluster", "--sys", f"{name}=h1.txt", "--sys", "h2.txt", "--sys", "h3.txt",
+            "--matrix", "m.tsv"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: system name {name!r} contains a tab or a line break\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
@@ -457,28 +472,47 @@ def test_front_ends_cover_every_experiment_method():
     assert sorted(_FRONT_ENDS) == sorted(set(METHODS) - {"second-order-vote"})
 
 
-# parameter: (method, experiment config keys, subcommand arguments, error line)
+# parameter: (method, experiment config keys, subcommand arguments, error,
+#             whether the config check finds it: then the experiment's error
+#             names the config file)
 _BAD_PARAMETERS = {
-    "runs": ("llm-rank", {"runs": 0}, ["--runs", "0"], "error: runs must be >= 1"),
-    "jobs": ("llm-rank", {"jobs": 0}, ["--jobs", "0"], "error: jobs must be >= 1, got 0"),
-    "n_min": ("vote", {"n_min": 4}, ["--nmin", "4"],
-              "error: n_min must be within 0..3, got 4"),
+    "runs": ("llm-rank", {"runs": 0}, ["--runs", "0"], "runs must be >= 1", False),
+    "jobs": ("llm-rank", {"jobs": 0}, ["--jobs", "0"], "jobs must be >= 1, got 0", False),
+    "n_min": ("vote", {"n_min": 4}, ["--nmin", "4"], "n_min must be within 0..3, got 4", True),
 }
 
 
 @pytest.mark.parametrize("parameter", list(_BAD_PARAMETERS))
 def test_bad_parameter_gives_one_error_from_both_front_ends(data, monkeypatch, capsys,
                                                            parameter):
-    method, bad_config, bad_argv, error = _BAD_PARAMETERS[parameter]
+    method, bad_config, bad_argv, error, in_config = _BAD_PARAMETERS[parameter]
     config, argv, _ = _FRONT_ENDS[method]
     monkeypatch.chdir(data)
     payload = {"name": "exp", "method": method, "gold": "gold.m2", "output_dir": "results",
                "systems": ["a.txt", "b.txt", "c.txt"], **config, **bad_config}
     (data / "exp.json").write_text(json.dumps(payload), encoding="utf-8")
     assert main([method, *argv, *bad_argv]) == 1  # a repeated flag's last value wins
-    assert capsys.readouterr().err == f"{error}\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert main(["experiment", "--config", "exp.json"]) == 1
-    assert capsys.readouterr().err == f"{error}\n"
+    where = "exp.json: " if in_config else ""
+    assert capsys.readouterr().err == f"error: {where}{error}\n"
+
+
+@pytest.mark.parametrize("n_members", [1, 27])
+def test_llm_rank_member_count_fails_before_loading(tmp_path, monkeypatch, capsys, n_members):
+    """A prompt labels 2 to 26 candidates A to Z. Both front ends check the
+    count first: none of these files exists, so a read would fail otherwise."""
+    monkeypatch.chdir(tmp_path)
+    members = [f"m{k}.txt" for k in range(n_members)]
+    error = f"llm-rank takes 2 to 26 systems, got {n_members}"
+    argv = [arg for member in members for arg in ("--sys", member)]
+    assert main(["llm-rank", "--src", "src.txt", *argv, "--out-prefix", "l"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    payload = {"name": "exp", "method": "llm-rank", "gold": "gold.m2", "systems": members}
+    Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json"]) == 1
+    assert capsys.readouterr().err == f"error: exp.json: {error}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["exp.json"]
 
 
 @pytest.mark.parametrize("method", ["vote", "second-order-vote"])
@@ -492,15 +526,15 @@ def test_bad_n_min_fails_before_any_extraction(data, monkeypatch, capsys, method
     payload = {"name": "exp", "method": method, "gold": "gold.m2", "output_dir": "results"}
     for n_min, missing in ((-1, "b.txt"), (4, "missing.txt")):
         systems = ["a.txt", missing, "c.txt"]
-        error = f"error: n_min must be within 0..3, got {n_min}\n"
+        error = f"n_min must be within 0..3, got {n_min}\n"
         config = {**payload, "systems": systems, "n_min": n_min}
         (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")
         assert main(["experiment", "--config", "exp.json"]) == 1
-        assert capsys.readouterr().err == error
+        assert capsys.readouterr().err == f"error: exp.json: {error}"
         argv = [arg for path in systems for arg in ("--sys", path)]
         assert main(["vote", "--src", "src.txt", *argv, "--nmin", str(n_min),
                      "--out", "x.txt"]) == 1
-        assert capsys.readouterr().err == error
+        assert capsys.readouterr().err == f"error: {error}"
     assert pairs == []
     config = {**payload, "systems": ["a.txt", "b.txt", "c.txt"], "n_min": 3}
     (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")

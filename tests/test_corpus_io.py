@@ -26,6 +26,7 @@ from geckit.corpus import (
     serialize_edit_tsv,
     serialize_m2,
     serialize_score_file,
+    tsv,
 )
 
 SAMPLE_M2 = """S I likes turtles very much .
@@ -272,6 +273,21 @@ def test_score_file_missing_entry_names_the_hole():
     with pytest.raises(KeyError) as exc:
         sf.get("x", 5)
     assert "5" in str(exc.value)
+
+
+def test_tsv_writes_what_the_reader_reads():
+    header, rows = ("k", "i", "v"), [("a", "0", "x y"), ("b", "1", "-")]
+    text = tsv(header, rows)
+    assert text == "k\ti\tv\na\t0\tx y\nb\t1\t-\n"
+    assert [tuple(parts) for _, parts in corpus._tsv_rows(text, header, "test")] == rows
+
+
+@pytest.mark.parametrize(
+    "row", [("a\tb", "0"), ("a\nb", "0"), ("a\r", "0"), ("a",), ("a", "0", "1")]
+)
+def test_tsv_refuses_a_row_the_reader_would_split_differently(row):
+    with pytest.raises(ValidationError, match="TSV rows need 2 fields free of tabs and line"):
+        tsv(("k", "v"), [("x", "1"), row])
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):

@@ -94,11 +94,20 @@ def test_load_config_requires_core_keys(tmp_path):
         ("seeds", [], "key 'seeds' must be a non-empty list, got []"),
         ("seeds", 5, "key 'seeds' must be a non-empty list, got 5"),
         ("seeds", [3, 4.0], "key 'seeds[1]' must be an integer, got 4.0"),
+        ("gold", 5, "key 'gold' must be a string, got 5"),
+        ("base_url", 5, "key 'base_url' must be a string, got 5"),
+        ("systems", "h1.txt", 'key \'systems\' must be a list, got "h1.txt"'),
+        ("name", "a\nb", "experiment name 'a\\nb' contains a tab or a line break"),
+        ("method", "sorcery", "unknown method 'sorcery'; expected one of"),
+        ("n_min", 5, "n_min must be within 0..3, got 5"),
     ],
     ids=["n_min-float", "runs-string", "seed-float", "jobs-bool", "seeds-empty",
-         "seeds-not-a-list", "seeds-float-entry"],
+         "seeds-not-a-list", "seeds-float-entry", "gold-int", "base_url-int",
+         "systems-string", "name-newline", "unknown-method", "n_min-too-big"],
 )
 def test_config_numbers_must_be_json_integers(tmp_path, key, value, problem):
+    """So must every other config value have its type and range; each error
+    names the config file."""
     payload = write_fixture(tmp_path)
     payload[key] = value
     path = write_config(tmp_path, payload)
@@ -226,7 +235,7 @@ def test_rank_experiment_reports_score_holes_with_sentence(tmp_path):
     config = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError) as exc:
         run_experiment(config)
-    assert "sentence 1" in str(exc.value)
+    assert str(exc.value) == "sentence 1: no score for system 'a', sentence 1"
 
 
 def test_aggr_rank_experiment_names_both_sides(tmp_path):
@@ -284,6 +293,31 @@ def test_sweep_covers_all_thresholds(tmp_path):
     sweep = (tmp_path / "results" / "fixture.sweep.tsv").read_text(encoding="utf-8")
     assert sweep.splitlines()[0] == "n_min\tP\tR\tF0.5"
     assert len(sweep.splitlines()) == 5
+
+
+def test_tsv_artifacts_keep_their_bytes(tmp_path):
+    """The sweep, ablation, row and audit tables, pinned byte for byte."""
+    payload = write_fixture(tmp_path, systems=("a", "b", "c", "noise"))
+    ablation_remove_one(load_config(write_config(tmp_path, payload)))
+    sweep_n_min(load_config(write_config(tmp_path, payload)))
+    payload.update(name="llm", method="llm-rank", runs=3)
+    run_experiment(load_config(write_config(tmp_path, payload)))
+    payload.update(name="orank", method="oracle-rank")
+    run_experiment(load_config(write_config(tmp_path, payload)))
+    row_header = "experiment\tmethod\tP\tR\tF0.5\tF0.5_2std\tn_correct\tn_proposed\tn_gold\truns\n"
+    expected = {
+        "fixture.ablation.tsv": "variant\tP\tR\tF0.5\nfull\t100.0\t100.0\t100.0\n"
+        "w/o a\t100.0\t0.0\t0.0\nw/o b\t100.0\t50.0\t83.3\nw/o c\t100.0\t50.0\t83.3\n"
+        "w/o noise\t100.0\t100.0\t100.0\n",
+        "fixture.sweep.tsv": "n_min\tP\tR\tF0.5\n0\t40.0\t100.0\t45.5\n1\t100.0\t100.0\t100.0\n"
+        "2\t100.0\t0.0\t0.0\n3\t100.0\t0.0\t0.0\n4\t100.0\t0.0\t0.0\n",
+        "fixture.row.tsv": row_header + "fixture\tvote\t100.0\t100.0\t100.0\t-\t2\t2\t2\t1\n",
+        "llm.row.tsv": row_header + "llm\tllm-rank\t33.3\t50.0\t35.7\t0.0\t1\t3\t2\t3\n",
+        "orank.audit.tsv": "sentence_index\tmethod\tannotator\tsystem\tn_selected\n"
+        "0\toracle-rank\t0\ta\t1\n1\toracle-rank\t0\ta\t1\n2\toracle-rank\t0\ta\t0\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / "results" / name).read_bytes() == text.encode(), name
 
 
 def test_sweep_rejects_non_vote_methods(tmp_path):

@@ -16,6 +16,7 @@ from geckit.scoring import (
     prf,
     report_table,
     round_score,
+    score_cell,
     score_corpus,
     sentence_counts,
 )
@@ -134,6 +135,8 @@ def test_round_score_is_half_up_one_decimal():
     assert round_score(0.8725) == 87.3
     assert round_score(1.0) == 100.0
     assert round_score(0.0) == 0.0
+    fractions = (0.7185, 0.87249, 0.8725, 1.0, 0.0)
+    assert [score_cell(x) for x in fractions] == ["71.9", "87.2", "87.3", "100.0", "0.0"]
 
 
 def test_report_table_shows_rounded_percentages():
