@@ -103,6 +103,17 @@ def _tokens(text: str) -> tuple[str, ...]:
     return tuple(map(sys.intern, text.split()))
 
 
+def _sentence(text: str, lines: dict[str, TokenSentence] | None) -> TokenSentence:
+    """``TokenSentence.parse(text)``, or the sentence ``lines`` already holds
+    for this text, which then holds it for the next caller."""
+    if lines is None:
+        return TokenSentence.parse(text)
+    sentence = lines.get(text)
+    if sentence is None:
+        sentence = lines[text] = TokenSentence.parse(text)
+    return sentence
+
+
 class Edit(NamedTuple):
     """A span replacement on a tokenized source sentence.
 
@@ -227,7 +238,9 @@ def check_aligned(outputs: Sequence[SystemOutput], n: int) -> None:
 
 def check_name(kind: str, name: str) -> None:
     """Raise :class:`ValidationError` unless ``name`` can be a TSV field:
-    no tab, CR or LF."""
+    non-empty, with no tab, CR or LF."""
+    if not name:
+        raise ValidationError(f"{kind} name must be non-empty")
     if "\t" in name or "\r" in name or "\n" in name:
         raise ValidationError(f"{kind} name {name!r} contains a tab or a line break")
 
@@ -253,7 +266,7 @@ def parse_system_spec(spec: str) -> tuple[str, Path]:
 # M2 gold files
 
 
-def parse_m2(text: str) -> list[GoldSentence]:
+def parse_m2(text: str, lines: dict[str, TokenSentence] | None = None) -> list[GoldSentence]:
     """Parse M2 text into gold sentences.
 
     Edit type strings are discarded: edit identity is (start, end,
@@ -266,6 +279,10 @@ def parse_m2(text: str) -> list[GoldSentence]:
     Raises :class:`M2ParseError` (with the 1-based line number) on
     malformed lines, :class:`ValidationError` on an annotator's edit set
     that :func:`check_edits` rejects.
+
+    ``lines`` maps line text to its sentence, shared across loads (see
+    :func:`load_parallel`); the text of an ``S`` line is what follows
+    ``"S "``.
     """
     sentences: list[GoldSentence] = []
     source: TokenSentence | None = None
@@ -294,7 +311,7 @@ def parse_m2(text: str) -> list[GoldSentence]:
         if line.startswith("S ") or line == "S":
             if source is not None:
                 raise M2ParseError(f"line {lineno}: stanza has a second S line")
-            source = TokenSentence.parse(line[2:])
+            source = _sentence(line[2:], lines)
             stanza_line = lineno
             if not source:
                 raise M2ParseError(f"line {lineno}: empty source sentence")
@@ -354,14 +371,21 @@ def serialize_m2(sentences: Sequence[GoldSentence]) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
-def load_m2(path: str | Path) -> list[GoldSentence]:
-    return _load(parse_m2, path)
+def load_m2(
+    path: str | Path, lines: dict[str, TokenSentence] | None = None
+) -> list[GoldSentence]:
+    return _load(parse_m2, path, lines)
 
 
-def check_source_file(path: str | Path, gold: Sequence[GoldSentence]) -> None:
+def check_source_file(
+    path: str | Path,
+    gold: Sequence[GoldSentence],
+    lines: dict[str, TokenSentence] | None = None,
+) -> None:
     """Raise :class:`ValidationError` unless the parallel file at ``path``
     holds exactly the source sentences of ``gold``."""
-    for i, (a, gs) in enumerate(zip(load_parallel(path, expected_len=len(gold)), gold)):
+    sources = load_parallel(path, expected_len=len(gold), lines=lines)
+    for i, (a, gs) in enumerate(zip(sources, gold)):
         if a != gs.source:
             raise ValidationError(f"{path}: sentence {i} disagrees with the gold M2 source")
 
@@ -374,19 +398,30 @@ def save_m2(path: str | Path, sentences: Sequence[GoldSentence]) -> None:
 # Parallel text files
 
 
-def load_parallel(path: str | Path, expected_len: int | None = None) -> list[TokenSentence]:
+def load_parallel(
+    path: str | Path,
+    expected_len: int | None = None,
+    lines: dict[str, TokenSentence] | None = None,
+) -> list[TokenSentence]:
     """Read one sentence per line.
 
     Raises :class:`ValidationError` on empty lines (a sentence must have at
     least one token) or when the file does not have ``expected_len`` lines.
+
+    ``lines`` maps the text of a line (without its CR or LF) to its
+    sentence. Loads given one dict return one sentence object per distinct
+    line text: members mostly repeat the source and each other, so a
+    corpus then holds one tuple per distinct line. Equality still goes by
+    value. The dict lives as long as its owner keeps it: there is no
+    global cache.
     """
     text = Path(path).read_text(encoding="utf-8")
     if text.endswith("\n"):
         text = text[:-1]
-    lines = text.split("\n") if text else []
+    rows = text.split("\n") if text else []
     sentences = []
-    for lineno, line in enumerate(lines, start=1):
-        s = TokenSentence.parse(line.rstrip("\r"))
+    for lineno, line in enumerate(rows, start=1):
+        s = _sentence(line.rstrip("\r"), lines)
         if not s:
             raise ValidationError(f"{path}: line {lineno} is empty")
         sentences.append(s)
@@ -406,11 +441,15 @@ def serialize_parallel(sentences: Iterable[TokenSentence]) -> str:
 
 
 def load_system_output(
-    path: str | Path, name: str | None = None, expected_len: int | None = None
+    path: str | Path,
+    name: str | None = None,
+    expected_len: int | None = None,
+    lines: dict[str, TokenSentence] | None = None,
 ) -> SystemOutput:
-    """Read a parallel text file as a named system; name defaults to the file stem."""
+    """Read a parallel text file as a named system; name defaults to the
+    file stem. ``lines`` is :func:`load_parallel`'s."""
     p = Path(path)
-    return SystemOutput(name or p.stem, tuple(load_parallel(p, expected_len)))
+    return SystemOutput(name or p.stem, tuple(load_parallel(p, expected_len, lines)))
 
 
 # ---------------------------------------------------------------------------

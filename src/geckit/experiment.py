@@ -55,6 +55,7 @@ from .corpus import (
     TokenSentence,
     ValidationError,
     atomic_write_text,
+    check_aligned,
     check_name,
     check_source_file,
     check_unique_names,
@@ -165,7 +166,12 @@ _ROW_COLUMNS = ("experiment", "method", "P", "R", "F0.5", "F0.5_2std",
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a JSON experiment config; every error names the file."""
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValidationError(
+            f"{path}: line {err.lineno} column {err.colno}: invalid JSON: {err.msg}"
+        ) from None
     try:
         return _config(raw, path.parent)
     except ValidationError as err:
@@ -257,22 +263,30 @@ class _Inputs:
     table: EditTable = field(default_factory=EditTable)
     # each sentence's edits pooled over all members; built by the first vote run
     pools: list[list[VotedEdit]] | None = None
+    # the vote output of each (sentence index, kept edit set) met by runs over
+    # pools; see majority_vote_corpus
+    applied: dict[tuple, TokenSentence] = field(default_factory=dict)
 
 
 def load_inputs(config: ExperimentConfig) -> _Inputs:
     """Read and check a config's input files. The sources are the gold's
-    (checked against the source file if given), else the source file's."""
+    (checked against the source file if given), else the source file's.
+
+    Every file is read through one line dict, so equal lines are one
+    sentence object across the gold, the source and the members."""
+    lines: dict[str, TokenSentence] = {}
     gold = sources = None
     if config.gold_path is not None:
-        gold = load_m2(config.gold_path)
+        gold = load_m2(config.gold_path, lines)
         if config.source_path is not None:
-            check_source_file(config.source_path, gold)
+            check_source_file(config.source_path, gold, lines)
         sources = [gs.source for gs in gold]
     elif config.source_path is not None:
-        sources = load_parallel(config.source_path)
+        sources = load_parallel(config.source_path, lines=lines)
     n = None if sources is None else len(sources)
     members = {
-        name: load_system_output(path, name, expected_len=n) for name, path in config.systems
+        name: load_system_output(path, name, expected_len=n, lines=lines)
+        for name, path in config.systems
     }
     return _Inputs(gold, sources, members)
 
@@ -297,7 +311,8 @@ def combine(
             inputs.pools = pool_corpus(sources, list(inputs.members.values()), table)
         combined = [
             majority_vote_corpus(
-                sources, outputs, config.n_min, table=table, _pools=inputs.pools
+                sources, outputs, config.n_min, table=table,
+                _pools=inputs.pools, _applied=inputs.applied,
             )
         ]
     elif config.method in ("oracle-ensemble", "oracle-rank"):
@@ -307,7 +322,12 @@ def combine(
         combined = [result]
     elif config.method in ("rank", "rank-w"):
         scores = load_score_file(config.score_path)
-        combined = [rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
+        # a misaligned member is no fault of the score file, so check it unprefixed
+        check_aligned(outputs, len(outputs[0].sentences))
+        try:
+            combined = [rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
+        except ValidationError as err:
+            raise ValidationError(f"{config.score_path}: {err}") from None
     elif config.method == "aggr-rank":
         combined = [aggr_rank_corpus(sources, *outputs, table)]
     else:  # llm-rank

@@ -23,9 +23,13 @@ from .align import EditTable, apply_edits
 from .corpus import Edit, SystemOutput, TokenSentence, ValidationError, check_aligned, conflicts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VotedEdit:
-    """An edit plus the members that proposed it."""
+    """An edit plus the members that proposed it.
+
+    The pools of one :func:`pool_corpus` share one ``systems`` frozenset
+    per distinct member subset; equality still goes by value.
+    """
 
     edit: Edit
     systems: frozenset[str]
@@ -39,11 +43,16 @@ def pool_edits(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
     table: EditTable | None = None,
+    *,
+    _voters: dict[frozenset[str], frozenset[str]] | None = None,
 ) -> list[VotedEdit]:
     """Pool all member edits for one sentence, read from ``table``.
 
     Returns one :class:`VotedEdit` per distinct (start, end, replacement)
     key, sorted by position.
+
+    ``_voters`` is for :func:`pool_corpus`: each voter set it already holds
+    is reused, and each new one added.
     """
     if table is None:
         table = EditTable()
@@ -51,7 +60,13 @@ def pool_edits(
     for name, sentence in outputs:
         for edit in table.edits(source, sentence):
             by_edit.setdefault(edit, set()).add(name)
-    return [VotedEdit(edit, frozenset(names)) for edit, names in sorted(by_edit.items())]
+    pool = []
+    for edit, names in sorted(by_edit.items()):
+        systems = frozenset(names)
+        if _voters is not None:
+            systems = _voters.setdefault(systems, systems)
+        pool.append(VotedEdit(edit, systems))
+    return pool
 
 
 def majority_vote(
@@ -111,12 +126,16 @@ def pool_corpus(
 
     A sweep or ablation pools once over its full member list and passes the
     result to every :func:`majority_vote_corpus` run over those members.
+    Pooled edits with the same voters share one ``systems`` frozenset.
     """
     check_aligned(outputs, len(sources))
     if table is None:
         table = EditTable()
+    voters: dict[frozenset[str], frozenset[str]] = {}
     return [
-        pool_edits(source, [(out.name, out.sentences[i]) for out in outputs], table)
+        pool_edits(
+            source, [(out.name, out.sentences[i]) for out in outputs], table, _voters=voters
+        )
         for i, source in enumerate(sources)
     ]
 
@@ -129,6 +148,7 @@ def majority_vote_corpus(
     table: EditTable | None = None,
     *,
     _pools: Sequence[Sequence[VotedEdit]] | None = None,
+    _applied: dict[tuple, TokenSentence] | None = None,
 ) -> SystemOutput:
     """Per-sentence majority vote over aligned member systems.
 
@@ -139,20 +159,32 @@ def majority_vote_corpus(
     ``_pools`` is for sweeps and ablations: :func:`pool_corpus` of
     ``sources`` over these members, or over more systems that include them
     under the same names, of which only these members' votes count.
+    ``_applied`` goes with ``_pools``: the output sentence of each
+    (sentence index, kept edit set) that runs over these pools applied
+    before, so equal kept sets are applied once. Its keys are flat
+    ``(index, *edits)`` tuples, the edits sorted: a kept set is
+    conflict-free and :func:`apply_edits` ignores its order.
     """
     check_aligned(outputs, len(sources))
     if not (0 <= n_min <= len(outputs)):
         raise ValidationError(f"n_min must be within 0..{len(outputs)}, got {n_min}")
     pools = _pools if _pools is not None else pool_corpus(sources, outputs, table)
+    applied = _applied if _applied is not None else {}
     names = [out.name for out in outputs]
     members = frozenset(names)
     sentences = []
     for i, (source, pool) in enumerate(zip(sources, pools)):
         kept = _kept_edits(pool, members, n_min)
-        try:
-            # apply_edits(source, []) equals source
-            sentences.append(apply_edits(source, kept) if kept else source)
-        except ValidationError as err:
-            raise ValidationError(f"sentence {i}: {err}") from None
+        if not kept:  # apply_edits(source, []) equals source
+            sentences.append(source)
+            continue
+        key = (i, *sorted(kept))
+        sentence = applied.get(key)
+        if sentence is None:
+            try:
+                sentence = applied[key] = apply_edits(source, kept)
+            except ValidationError as err:
+                raise ValidationError(f"sentence {i}: {err}") from None
+        sentences.append(sentence)
     label = name or f"majority-vote(n_min={n_min})[{'+'.join(names)}]"
     return SystemOutput(label, tuple(sentences))

@@ -394,6 +394,14 @@ _BAD_INPUTS = {
         "system\tsentence_index\tscore\na\t0\t1\na\tone\t1\n",
         lambda bad: ["rank", "--sys", "a.txt", "--scores", bad],
     ),
+    "rank-hole": (
+        "system\tsentence_index\tscore\na\t0\t1\n",
+        lambda bad: ["rank", "--sys", "a.txt", "--sys", "b.txt", "--scores", bad],
+    ),
+    "experiment": (
+        '{"name": "x",',
+        lambda bad: ["experiment", "--config", bad],
+    ),
     "apply": (
         "wrong\theader\n",
         lambda bad: ["apply", "--src", "src.txt", "--edits", bad],

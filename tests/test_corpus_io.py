@@ -1,6 +1,7 @@
 """M2, parallel-text, score-file and edit-TSV round trips and error reporting."""
 
 import random
+import re
 import sys
 import tracemalloc
 
@@ -474,3 +475,68 @@ def test_repeated_lines_cost_one_string_per_distinct_token(tmp_path):
     assert len(sentences) == 2000
     # With one string per token occurrence this load holds about 3.1 MB.
     assert size < 1_200_000
+
+
+# ---------------------------------------------------------------------------
+# Sentence sharing: loads given one line dict hold one sentence per distinct
+# line, and must read exactly what loads without it read.
+
+_SHARED_M2 = (
+    "S a b c\nA 0 1|||X|||z|||REQUIRED|||-NONE-|||0\n\n"
+    "S d e\r\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\r\n\r\n"
+    "S a b c\nA 2 3|||X|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+)
+
+
+def _shared_loads(tmp_path, files):
+    """Every file of ``files`` ({name: text}) loaded with one shared dict
+    and with none: (shared, unshared) lists of sentence lists."""
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(text.encode("utf-8"))
+
+    def load(lines):
+        return [
+            [gs.source for gs in corpus.load_m2(p, lines)] if p.suffix == ".m2"
+            else corpus.load_parallel(p, lines=lines)
+            for p in paths.values()
+        ]
+
+    return load({}), load(None)
+
+
+def test_shared_line_dict_loads_what_an_unshared_load_loads(tmp_path):
+    shared, unshared = _shared_loads(tmp_path, {
+        "gold.m2": _SHARED_M2,  # its S lines repeat, one stanza ends in CRLF
+        "crlf.txt": "a b c\r\nd e\r\na b c\r\n",
+        "no-final-lf.txt": "d e\na b c\nd  e",
+        "member.txt": "a b c\nd f\na  b c\n",
+    })
+    assert shared == unshared
+    for a, b in zip(shared, unshared):
+        assert [type(s) for s in a] == [type(s) for s in b] == [TokenSentence] * len(a)
+    gold, crlf, no_final_lf, member = shared
+    # one object per distinct line text, whatever file or line ending it came from
+    assert gold[0] is gold[2] is crlf[0] is crlf[2] is no_final_lf[1] is member[0]
+    assert gold[1] is crlf[1] is no_final_lf[0]
+    # the key is the text, so a line with other spacing is an equal, separate sentence
+    assert member[2] == gold[0] and member[2] is not gold[0]
+    assert no_final_lf[2] == gold[1] and no_final_lf[2] is not gold[1]
+
+
+@pytest.mark.parametrize("lines", [None, {}, {"a b": TokenSentence.parse("a b")}])
+def test_shared_line_dict_keeps_every_load_error(tmp_path, lines):
+    p = tmp_path / "x.txt"
+    p.write_text("a b\r\n\r\nc d\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}: line 2 is empty$"):
+        load_parallel(p, lines=lines)
+    p.write_text("a b\nc d", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"expected 3 sentences, found 2$"):
+        load_parallel(p, expected_len=3, lines=lines)
+    with pytest.raises(M2ParseError, match=r"^line 4: empty source sentence$"):
+        parse_m2("S a b\nA 0 1|||X|||z|||REQUIRED|||-NONE-|||0\n\nS \n", lines)
+    gold = parse_m2("S a b\n\nS a c\n", lines)
+    p.write_text("a b\na d\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"sentence 1 disagrees with the gold M2 source"):
+        corpus.check_source_file(p, gold, lines)

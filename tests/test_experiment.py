@@ -1,7 +1,10 @@
 """Config loading, experiment dispatch, ablations, and rerun determinism."""
 
+import hashlib
 import json
+import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -9,7 +12,18 @@ import pytest
 
 import geckit.align
 import geckit.experiment
-from geckit.corpus import ValidationError, load_parallel
+import geckit.vote
+from geckit.align import apply_edits
+from geckit.corpus import (
+    Edit,
+    GoldSentence,
+    TokenSentence,
+    ValidationError,
+    conflicts,
+    load_parallel,
+    save_m2,
+    save_parallel,
+)
 from geckit.experiment import (
     ExperimentConfig,
     ablation_remove_one,
@@ -19,6 +33,7 @@ from geckit.experiment import (
     run_experiment,
     sweep_n_min,
 )
+from geckit.vote import voted_edits
 
 GOLD = """S I likes turtles very much .
 A 1 2|||SVA|||like|||REQUIRED|||-NONE-|||0
@@ -235,7 +250,9 @@ def test_rank_experiment_reports_score_holes_with_sentence(tmp_path):
     config = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError) as exc:
         run_experiment(config)
-    assert str(exc.value) == "sentence 1: no score for system 'a', sentence 1"
+    assert str(exc.value) == (
+        f"{tmp_path / 'scores.tsv'}: sentence 1: no score for system 'a', sentence 1"
+    )
 
 
 def test_aggr_rank_experiment_names_both_sides(tmp_path):
@@ -418,3 +435,162 @@ def test_repeated_runs_extract_each_pair_once_and_load_each_file_once(
     assert member_pairs <= set(extracted)
     assert set(extracted.values()) == {1}
     assert loaded == Counter([config.gold_path] + [path for _, path in config.systems])
+
+
+# --------------------------------------------------------------------------
+# Sweeps and ablations share what their runs hold: one sentence per distinct
+# line, one vote output per (sentence, kept edit set), one voter set per
+# member subset. The artifacts must not change.
+
+
+def _write_seeded_corpus(tmp_path, seed=17, n_sentences=40, n_members=5):
+    """A gold M2 and ``n_members`` member files whose lines mostly repeat the
+    source and each other: each member line is the source with a random
+    subset of a few overlapping edits. Returns the vote config's payload."""
+    rng = random.Random(seed)
+    words, replacements = [f"w{i}" for i in range(8)], [f"r{i}" for i in range(4)]
+    gold, members = [], [[] for _ in range(n_members)]
+    for _ in range(n_sentences):
+        source = TokenSentence(rng.choices(words, k=rng.randint(3, 12)))
+        proposals = []
+        for _ in range(rng.randint(1, 4)):
+            start = rng.randint(0, len(source))
+            end = min(len(source), start + rng.randint(0, 2))
+            width = rng.randint(1 if start == end else 0, 2)
+            edit = Edit(start, end, tuple(rng.choices(replacements, k=width)))
+            if edit.replacement != source[start:end]:
+                proposals.append(edit)
+
+        def correction():
+            kept = []
+            for edit in rng.sample(proposals, len(proposals)):
+                if rng.random() < 0.5 and not any(conflicts(edit, e) for e in kept):
+                    kept.append(edit)
+            return kept
+
+        gold.append(GoldSentence(source, (tuple(correction()),)))
+        for member in members:
+            member.append(apply_edits(source, correction()))
+    save_m2(tmp_path / "gold.m2", gold)
+    for k, member in enumerate(members):
+        save_parallel(tmp_path / f"m{k}.txt", member)
+    return {
+        "name": "seeded",
+        "method": "vote",
+        "gold": "gold.m2",
+        "n_min": 1,
+        "output_dir": "results",
+        "systems": [f"m{k}.txt" for k in range(n_members)],
+    }
+
+
+def test_sweep_ablation_and_vote_bytes_stay_pinned(tmp_path):
+    config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
+    sweep_n_min(config)
+    ablation_remove_one(config)
+    run_experiment(replace(config, name="vote"))
+    digest = hashlib.sha256()
+    for name, data in _artifacts(config.output_dir).items():
+        digest.update(name.encode() + b"\0" + data + b"\0")
+    assert len(_artifacts(config.output_dir)) == 3 * 6 + 2 + 3 * 6 + 3
+    # the digest of the artifacts before these runs shared anything
+    assert digest.hexdigest() == "01e316e26d3941953f14310ef44f4971f7040c666965cc5b250590fe0e37a8a5"
+
+
+@pytest.mark.parametrize("repeat", [sweep_n_min, ablation_remove_one])
+def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, repeat):
+    config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
+    applied = Counter()
+    real_apply = geckit.vote.apply_edits
+
+    def counting_apply(source, edits):
+        applied[(tuple(source), frozenset(edits))] += 1
+        return real_apply(source, edits)
+
+    monkeypatch.setattr(geckit.vote, "apply_edits", counting_apply)
+    repeat(config)
+
+    # every run's kept sets, recounted one sentence at a time
+    inputs = load_inputs(config)
+    runs = (
+        [(config.systems, n_min) for n_min in range(len(config.systems) + 1)]
+        if repeat is sweep_n_min
+        else [(config.systems, config.n_min)] + [
+            (tuple(s for s in config.systems if s != left_out), config.n_min)
+            for left_out in config.systems
+        ]
+    )
+    expected = set()
+    for systems, n_min in runs:
+        for i, source in enumerate(inputs.sources):
+            outputs = [(name, inputs.members[name].sentences[i]) for name, _ in systems]
+            kept = voted_edits(source, outputs, n_min)
+            if kept:
+                expected.add((tuple(source), frozenset(kept)))
+    assert set(applied) == expected
+    assert set(applied.values()) == {1}
+    # runs share outputs: fewer applications than runs times sentences
+    assert len(expected) < len(runs) * len(inputs.sources) / 2
+
+
+def test_load_inputs_holds_one_sentence_per_distinct_line(tmp_path):
+    """Members that repeat the source hold no sentence of their own."""
+    payload = write_fixture(tmp_path, systems=())
+    n = 400
+    lines = [" ".join(f"t{i}x{k}" for k in range(20)) for i in range(n)]
+    (tmp_path / "gold.m2").write_text("".join(f"S {s}\n\n" for s in lines), encoding="utf-8")
+    (tmp_path / "src.txt").write_text("".join(f"{s}\n" for s in lines), encoding="utf-8")
+    systems = []
+    for k in range(7):
+        (tmp_path / f"m{k}.txt").write_text("".join(f"{s}\n" for s in lines), encoding="utf-8")
+        systems.append(f"m{k}.txt")
+    payload.update(systems=systems, source="src.txt")
+    config = load_config(write_config(tmp_path, payload))
+    # hold every token, so that interning them cannot grow the interpreter's
+    # table of interned strings while the load is traced
+    tokens = [TokenSentence.parse(s) for s in lines]
+    tracemalloc.start()
+    try:
+        inputs = load_inputs(config)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) == n
+    sentences = [gs.source for gs in inputs.gold]
+    assert sentences == inputs.sources
+    for member in inputs.members.values():
+        assert all(a is b for a, b in zip(member.sentences, sentences))
+    # 400 gold sentences and 7 members of 400 pointers each hold about
+    # 0.25 MB; with one tuple per member line the load held 1.07 MB.
+    assert size < 500_000, size
+
+
+def test_a_fresh_load_shares_no_sentence_with_an_earlier_one(tmp_path):
+    payload = write_fixture(tmp_path, systems=("a", "b", "c", "noise"))
+    config = load_config(write_config(tmp_path, payload))
+
+    def sentences(inputs):
+        return [gs.source for gs in inputs.gold] + [
+            s for member in inputs.members.values() for s in member.sentences
+        ]
+
+    first, second = load_inputs(config), load_inputs(config)
+    assert sentences(first) == sentences(second)
+    assert not {id(s) for s in sentences(first)} & {id(s) for s in sentences(second)}
+    # within one load, the members' unchanged lines are the gold's sentences
+    assert first.members["b"].sentences[2] is first.gold[2].source
+
+
+def test_a_json_syntax_error_names_the_config_and_its_line(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{\n  "name": "x",\n', encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_config(path)
+    assert str(exc.value).startswith(f"{path}: line 3 column 1: invalid JSON: ")
+
+
+def test_an_empty_experiment_name_is_refused(tmp_path):
+    payload = dict(write_fixture(tmp_path), name="")
+    with pytest.raises(ValidationError, match="experiment name must be non-empty"):
+        load_config(write_config(tmp_path, payload))
+    assert not (tmp_path / "results").exists()

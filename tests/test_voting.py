@@ -10,6 +10,7 @@ from conftest import corpora_with_hypotheses, oracle_corpora, sentence_pairs, vo
 from geckit.align import apply_edits, extract_edits
 from geckit.corpus import Edit, SystemOutput, TokenSentence, ValidationError, conflicts
 from geckit.vote import (
+    VotedEdit,
     majority_vote,
     majority_vote_corpus,
     pool_corpus,
@@ -223,6 +224,7 @@ def _full_and_remove_one(outputs):
 
 def _assert_pooled_votes_equal_reference(sources, outputs):
     pools = pool_corpus(sources, outputs)
+    applied = {}  # shared by every run below, as a sweep and an ablation share it
     for subset in _full_and_remove_one(outputs):
         for n_min in range(len(subset) + 1):
             expected = tuple(
@@ -232,6 +234,8 @@ def _assert_pooled_votes_equal_reference(sources, outputs):
             pooled = majority_vote_corpus(sources, subset, n_min, _pools=pools)
             assert pooled.sentences == expected, ([out.name for out in subset], n_min)
             assert majority_vote_corpus(sources, subset, n_min).sentences == expected
+            shared = majority_vote_corpus(sources, subset, n_min, _pools=pools, _applied=applied)
+            assert shared.sentences == expected, ([out.name for out in subset], n_min)
 
 
 def _assert_pooled_votes_ignore_member_order(sources, outputs, rng):
@@ -312,3 +316,32 @@ def test_pooled_votes_equal_per_sentence_votes_on_agreeing_members(corpus, order
     sources, outputs = corpus
     _assert_pooled_votes_equal_reference(sources, outputs)
     _assert_pooled_votes_ignore_member_order(sources, outputs, order)
+
+
+def test_pool_corpus_equals_per_sentence_pools_over_every_member_order(rng):
+    sources, outputs = _seeded_members(rng, n_sentences=30, n_members=5)
+    expected = [
+        pool_edits(source, [(out.name, out.sentences[i]) for out in outputs])
+        for i, source in enumerate(sources)
+    ]
+    for order in itertools.permutations(outputs):
+        pools = pool_corpus(sources, order)
+        assert pools == expected
+        for i, source in enumerate(sources):
+            assert pools[i] == pool_edits(
+                source, [(out.name, out.sentences[i]) for out in order]
+            )
+
+
+def test_pool_corpus_shares_one_voter_set_per_member_subset(rng):
+    sources, outputs = _seeded_members(rng, n_members=6)
+    pools = pool_corpus(sources, outputs)
+    by_value = {}
+    for pool in pools:
+        for ve in pool:
+            assert by_value.setdefault(ve.systems, ve.systems) is ve.systems
+    assert 1 < len(by_value) < sum(map(len, pools))
+    # a voted edit holds no per-instance dict, and still compares by value
+    ve = pools[0][0]
+    assert not hasattr(ve, "__dict__")
+    assert ve == VotedEdit(ve.edit, frozenset(set(ve.systems)))
