@@ -22,7 +22,6 @@ from pathlib import Path
 from .align import apply_edits, extract_edits
 from .corpus import (
     M2ParseError,
-    TokenSentence,
     ValidationError,
     atomic_write_text,
     check_source_file,
@@ -81,17 +80,15 @@ def _fallback_note(fallbacks: tuple[int, ...]) -> str:
 
 
 def _cmd_extract(args) -> int:
-    lines: dict[str, TokenSentence] = {}  # one sentence per distinct line
-    sources = load_parallel(args.src, lines=lines)
-    hyps = load_parallel(args.hyp, expected_len=len(sources), lines=lines)
-    del lines  # its keys hold the text of every line
+    sources = load_parallel(args.src)
+    hyps = load_parallel(args.hyp, expected_len=len(sources))
     edits = [extract_edits(src, hyp) for src, hyp in zip(sources, hyps)]
     _emit(serialize_edit_tsv(edits), args.out)
     return 0
 
 
 def _cmd_apply(args) -> int:
-    sources = load_parallel(args.src, lines={})
+    sources = load_parallel(args.src)
     edits = load_edit_tsv(args.edits, sources)
     edited = [apply_edits(src, sentence_edits) for src, sentence_edits in zip(sources, edits)]
     _emit(serialize_parallel(edited), args.out)
@@ -99,12 +96,10 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    lines: dict[str, TokenSentence] = {}
-    gold = load_m2(args.gold, lines)
+    gold = load_m2(args.gold)
     if args.src:
-        check_source_file(args.src, gold, lines)
-    hyp = load_system_output(args.hyp, expected_len=len(gold), lines=lines)
-    del lines
+        check_source_file(args.src, gold)
+    hyp = load_system_output(args.hyp, expected_len=len(gold))
     report = score_corpus(hyp, gold)
     text = report_tsv(report) if args.tsv else report_table(report)
     _emit(text, args.out)
@@ -149,9 +144,7 @@ def _cmd_method(method: str, args) -> int:
 def _cmd_cluster(args) -> int:
     named = [parse_system_spec(spec) for spec in args.sys]
     check_unique_names(name for name, _ in named)
-    lines: dict[str, TokenSentence] = {}
-    systems = [load_system_output(path, name, lines=lines) for name, path in named]
-    del lines
+    systems = [load_system_output(path, name) for name, path in named]
     matrix = similarity_matrix(systems)
     clusters = cluster_systems(systems, args.threshold, matrix=matrix)
     _emit(clusters_tsv(clusters), args.out)

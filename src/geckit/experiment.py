@@ -264,8 +264,8 @@ class _Inputs:
     # each sentence's edits pooled over all members; built by the first vote run
     pools: list[list[VotedEdit]] | None = None
     # the vote output of each (sentence index, kept edit set) met by runs over
-    # pools; see majority_vote_corpus
-    applied: dict[tuple, TokenSentence] = field(default_factory=dict)
+    # pools; set by sweeps and ablations only, see majority_vote_corpus
+    applied: dict[tuple, TokenSentence] | None = None
 
 
 def load_inputs(config: ExperimentConfig) -> _Inputs:
@@ -381,6 +381,7 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
     if len(config.systems) < 3:
         raise ValidationError("remove-one ablation needs at least 3 member systems")
     inputs = load_inputs(config)
+    inputs.applied = {}
     rows = [("full", run_experiment(config, _inputs=inputs))]
     for name, _ in config.systems:
         reduced = replace(
@@ -398,6 +399,7 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     if config.method not in ("vote", "second-order-vote"):
         raise ValidationError("n_min sweep applies to vote methods only")
     inputs = load_inputs(config)
+    inputs.applied = {}
     rows = []
     for n_min in range(len(config.systems) + 1):
         variant = replace(config, name=f"{config.name}.nmin{n_min}", n_min=n_min)

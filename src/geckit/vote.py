@@ -159,17 +159,17 @@ def majority_vote_corpus(
     ``_pools`` is for sweeps and ablations: :func:`pool_corpus` of
     ``sources`` over these members, or over more systems that include them
     under the same names, of which only these members' votes count.
-    ``_applied`` goes with ``_pools``: the output sentence of each
-    (sentence index, kept edit set) that runs over these pools applied
-    before, so equal kept sets are applied once. Its keys are flat
-    ``(index, *edits)`` tuples, the edits sorted: a kept set is
-    conflict-free and :func:`apply_edits` ignores its order.
+    ``_applied`` goes with ``_pools`` in sweeps and ablations: the output
+    sentence of each (sentence index, kept edit set) that runs over these
+    pools applied before, so equal kept sets are applied once. Its keys are
+    flat ``(index, *edits)`` tuples, the edits sorted: a kept set is
+    conflict-free and :func:`apply_edits` ignores its order. Without it,
+    every edited sentence is applied.
     """
     check_aligned(outputs, len(sources))
     if not (0 <= n_min <= len(outputs)):
         raise ValidationError(f"n_min must be within 0..{len(outputs)}, got {n_min}")
     pools = _pools if _pools is not None else pool_corpus(sources, outputs, table)
-    applied = _applied if _applied is not None else {}
     names = [out.name for out in outputs]
     members = frozenset(names)
     sentences = []
@@ -178,13 +178,21 @@ def majority_vote_corpus(
         if not kept:  # apply_edits(source, []) equals source
             sentences.append(source)
             continue
-        key = (i, *sorted(kept))
-        sentence = applied.get(key)
-        if sentence is None:
-            try:
-                sentence = applied[key] = apply_edits(source, kept)
-            except ValidationError as err:
-                raise ValidationError(f"sentence {i}: {err}") from None
+        if _applied is None:
+            sentence = _apply(i, source, kept)
+        else:
+            key = (i, *sorted(kept))
+            sentence = _applied.get(key)
+            if sentence is None:
+                sentence = _applied[key] = _apply(i, source, kept)
         sentences.append(sentence)
     label = name or f"majority-vote(n_min={n_min})[{'+'.join(names)}]"
     return SystemOutput(label, tuple(sentences))
+
+
+def _apply(i: int, source: TokenSentence, kept: list[Edit]) -> TokenSentence:
+    """``apply_edits(source, kept)``, its error naming sentence ``i``."""
+    try:
+        return apply_edits(source, kept)
+    except ValidationError as err:
+        raise ValidationError(f"sentence {i}: {err}") from None

@@ -533,6 +533,29 @@ def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, repe
     assert len(expected) < len(runs) * len(inputs.sources) / 2
 
 
+def test_a_single_vote_run_applies_without_a_shared_table(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
+    calls = []
+    real_apply = geckit.vote.apply_edits
+
+    def counting_apply(source, edits):
+        calls.append(source)
+        return real_apply(source, edits)
+
+    monkeypatch.setattr(geckit.vote, "apply_edits", counting_apply)
+    inputs = load_inputs(config)
+    run_experiment(config, _inputs=inputs)
+    assert inputs.applied is None
+    edited = [
+        i for i, source in enumerate(inputs.sources)
+        if voted_edits(
+            source, [(name, inputs.members[name].sentences[i]) for name, _ in config.systems],
+            config.n_min,
+        )
+    ]
+    assert calls == [inputs.sources[i] for i in edited]
+
+
 def test_load_inputs_holds_one_sentence_per_distinct_line(tmp_path):
     """Members that repeat the source hold no sentence of their own."""
     payload = write_fixture(tmp_path, systems=())
