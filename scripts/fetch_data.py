@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         checksums.append((sha256(gold_path.read_bytes()), gold_path.name))
         # materialize the source side for CLI invocations that want a --src file
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from geckit import load_m2, save_parallel
+        from geckit.corpus import load_m2, save_parallel
 
         sentences = [g.source for g in load_m2(gold_path)]
         src_path = data_dir / "conll14.src.txt"

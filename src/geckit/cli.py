@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 import traceback
 from pathlib import Path
@@ -308,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.set_threshold(100_000, 50, 1000)
     try:
         return args.func(args)
-    except (ValidationError, M2ParseError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ValidationError, M2ParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -415,7 +415,7 @@ def load_parallel(
     value. The dict lives as long as its owner keeps it: there is no
     global cache.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if text.endswith("\n"):
         text = text[:-1]
     rows = text.split("\n") if text else []
@@ -580,9 +580,26 @@ def load_edit_tsv(path: str | Path, sources: Sequence[Sequence[str]]) -> list[li
 # ---------------------------------------------------------------------------
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file at ``path``, with universal newlines.
+
+    Every input file is read here, so an input that is a directory or not
+    UTF-8 raises :class:`ValidationError` naming the file.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise ValidationError(f"{path}: is a directory, not a file") from None
+    except UnicodeDecodeError as err:  # decoded in one piece: err.start is a file offset
+        byte = err.object[err.start]
+        raise ValidationError(
+            f"{path}: not UTF-8: byte 0x{byte:02x} at offset {err.start}"
+        ) from None
+
+
 def _load(parse: Callable, path: str | Path, *args):
     """``parse`` the text of the file at ``path``; errors name the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         return parse(text, *args)
     except (M2ParseError, ValidationError) as err:

@@ -64,6 +64,7 @@ from .corpus import (
     load_score_file,
     load_system_output,
     parse_system_spec,
+    read_text,
     serialize_parallel,
     tsv,
 )
@@ -167,7 +168,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a JSON experiment config; every error names the file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise ValidationError(
             f"{path}: line {err.lineno} column {err.colno}: invalid JSON: {err.msg}"

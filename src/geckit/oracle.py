@@ -10,9 +10,8 @@ Two oracles bound what ensembling and ranking could ever achieve:
   (F0.5, n_correct, -n_proposed) against its most favorable annotator.
 
 Both emit audit records of what they chose for offline inspection. Edits
-are read from an :class:`geckit.align.EditTable`, so oracle-ranking's
-second look at each winner, and scoring that shares the table, extract
-nothing again.
+are read from an :class:`geckit.align.EditTable`, so scoring that shares
+the table extracts nothing again.
 """
 
 from __future__ import annotations
@@ -38,19 +37,6 @@ class OracleChoice:
     n_selected: int
 
 
-def oracle_ensemble(
-    source: TokenSentence,
-    outputs: Sequence[tuple[str, TokenSentence]],
-    gold: GoldSentence,
-    table: EditTable | None = None,
-) -> TokenSentence:
-    """Apply the largest pool-and-annotation edit intersection."""
-    if table is None:
-        table = EditTable()
-    sentence, _, _ = _ensemble_choice(source, outputs, gold, table)
-    return sentence
-
-
 def _stable_subset(
     source: TokenSentence, edits: tuple[Edit, ...], table: EditTable
 ) -> tuple[Edit, ...]:
@@ -71,13 +57,12 @@ def _stable_subset(
 
 
 def _ensemble_choice(
-    source: TokenSentence,
-    outputs: Sequence[tuple[str, TokenSentence]],
-    gold: GoldSentence,
-    table: EditTable,
+    gold: GoldSentence, sentences: Sequence[TokenSentence], table: EditTable
 ) -> tuple[TokenSentence, int, tuple[Edit, ...]]:
+    """One sentence's oracle-ensemble output, annotator id and applied edits."""
+    source = gold.source
     pool: set[Edit] = set()
-    for _, sentence in outputs:
+    for sentence in sentences:
         pool.update(table.edits(source, sentence))
     best_id = 0
     best: set[Edit] = set()
@@ -92,23 +77,6 @@ def _ensemble_choice(
         chosen = _stable_subset(source, chosen, table)
         applied = apply_edits(source, chosen)
     return applied, best_id, chosen
-
-
-def oracle_rank(
-    source: TokenSentence,
-    outputs: Sequence[tuple[str, TokenSentence]],
-    gold: GoldSentence,
-    table: EditTable | None = None,
-) -> tuple[str, TokenSentence]:
-    """Select the candidate with the best score against its best annotator.
-
-    Full ties keep the earliest candidate in input order.
-    """
-    if not outputs:
-        raise ValidationError("oracle_rank needs at least one candidate")
-    if table is None:
-        table = EditTable()
-    return max(outputs, key=lambda cand: best_annotator(table.edits(source, cand[1]), gold)[2])
 
 
 def oracle_ensemble_corpus(
@@ -126,8 +94,8 @@ def oracle_ensemble_corpus(
     sentences = []
     choices = []
     for i, gs in enumerate(gold):
-        per_system = [(out.name, out.sentences[i]) for out in outputs]
-        sentence, ann_id, selected = _ensemble_choice(gs.source, per_system, gs, table)
+        members = [out.sentences[i] for out in outputs]
+        sentence, ann_id, selected = _ensemble_choice(gs, members, table)
         sentences.append(sentence)
         choices.append(OracleChoice(i, "oracle-ensemble", ann_id, None, len(selected)))
     return SystemOutput("oracle-ensemble", tuple(sentences)), choices
@@ -140,19 +108,27 @@ def oracle_rank_corpus(
 ) -> tuple[SystemOutput, list[OracleChoice]]:
     """Corpus-level oracle ranking with an audit trail.
 
-    Edits are read from ``table``, a new one when none is given.
+    Each sentence takes the member output with the best (F0.5, n_correct,
+    -n_proposed) against its most favorable annotator; full ties keep the
+    earliest member in ``outputs``. Edits are read from ``table``, a new one
+    when none is given.
     """
+    if not outputs:
+        raise ValidationError("oracle-rank needs at least one candidate")
     check_aligned(outputs, len(gold))
     if table is None:
         table = EditTable()
     sentences = []
     choices = []
     for i, gs in enumerate(gold):
-        per_system = [(out.name, out.sentences[i]) for out in outputs]
-        sys_name, sentence = oracle_rank(gs.source, per_system, gs, table)
-        ann_id, counts, _ = best_annotator(table.edits(gs.source, sentence), gs)
-        sentences.append(sentence)
-        choices.append(OracleChoice(i, "oracle-rank", ann_id, sys_name, counts.n_correct))
+        best = None
+        for out in outputs:
+            ann_id, counts, key = best_annotator(table.edits(gs.source, out.sentences[i]), gs)
+            if best is None or key > best[0]:  # strictly better: the earliest keeps ties
+                best = (key, out, ann_id, counts.n_correct)
+        _, out, ann_id, n_correct = best
+        sentences.append(out.sentences[i])
+        choices.append(OracleChoice(i, "oracle-rank", ann_id, out.name, n_correct))
     return SystemOutput("oracle-rank", tuple(sentences)), choices
 
 

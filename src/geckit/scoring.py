@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .align import EditTable
 from .corpus import Edit, GoldSentence, SystemOutput, check_aligned, tsv
@@ -61,13 +61,6 @@ def f_beta(p: float, r: float, beta: float = 0.5) -> float:
         return 0.0
     b2 = beta * beta
     return (1 + b2) * p * r / (b2 * p + r)
-
-
-def sentence_counts(hyp_edits: Iterable[Edit], gold_edits: Iterable[Edit]) -> SentenceCounts:
-    """Count exact (start, end, replacement) matches between edit sets."""
-    hyp = set(hyp_edits)
-    gold = set(gold_edits)
-    return SentenceCounts(len(hyp & gold), len(hyp), len(gold))
 
 
 def prf(totals: SentenceCounts) -> tuple[float, float, float]:

@@ -69,33 +69,6 @@ def pool_edits(
     return pool
 
 
-def majority_vote(
-    source: TokenSentence,
-    outputs: Sequence[tuple[str, TokenSentence]],
-    n_min: int,
-    table: EditTable | None = None,
-) -> TokenSentence:
-    """Apply the edits proposed by strictly more than ``n_min`` members.
-
-    Surviving edits are applied in decreasing-vote order (vote ties by
-    (start, end, replacement)); an edit conflicting with one already
-    applied is skipped.
-    """
-    kept = voted_edits(source, outputs, n_min, table)
-    return apply_edits(source, kept)
-
-
-def voted_edits(
-    source: TokenSentence,
-    outputs: Sequence[tuple[str, TokenSentence]],
-    n_min: int,
-    table: EditTable | None = None,
-) -> list[Edit]:
-    """The edit set majority_vote applies, in application order."""
-    members = frozenset(name for name, _ in outputs)
-    return _kept_edits(pool_edits(source, outputs, table), members, n_min)
-
-
 def _kept_edits(pool: Sequence[VotedEdit], members: frozenset[str], n_min: int) -> list[Edit]:
     """The edits of ``pool`` that strictly more than ``n_min`` of ``members``
     proposed, in application order: decreasing votes, ties by (start, end,
@@ -152,6 +125,8 @@ def majority_vote_corpus(
 ) -> SystemOutput:
     """Per-sentence majority vote over aligned member systems.
 
+    Each sentence gets the edits that strictly more than ``n_min`` members
+    proposed, applied in the order and with the skips of :func:`_kept_edits`.
     The ensemble's name records the members and the threshold unless an
     explicit ``name`` is given. Member edits are read from ``table``, a
     new one when none is given.

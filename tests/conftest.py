@@ -8,6 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, conflicts
+from geckit.oracle import oracle_ensemble_corpus, oracle_rank_corpus
+from geckit.vote import _kept_edits, majority_vote_corpus, pool_corpus
 
 
 def vocab(n: int, prefix: str = "w") -> list[str]:
@@ -151,6 +153,37 @@ def oracle_corpora(draw, max_sentences=4, max_annotators=3, max_systems=4):
         SystemOutput(f"sys{i}", tuple(sents)) for i, sents in enumerate(members)
     ]
     return gold, outputs
+
+
+# --------------------------------------------------------------------------
+# One-sentence views of the corpus methods: members are (name, sentence)
+# pairs for one source sentence, run as a corpus of that one sentence.
+
+
+def _one_sentence(members):
+    return [SystemOutput(name, (sentence,)) for name, sentence in members]
+
+
+def vote_one(source, members, n_min):
+    """The majority-vote output of one sentence."""
+    return majority_vote_corpus([source], _one_sentence(members), n_min).sentences[0]
+
+
+def kept_one(source, members, n_min):
+    """The edits the majority vote of one sentence applies, in application order."""
+    pool = pool_corpus([source], _one_sentence(members))[0]
+    return _kept_edits(pool, frozenset(name for name, _ in members), n_min)
+
+
+def oracle_ensemble_one(gold, members):
+    """The oracle-ensemble output of one gold sentence."""
+    return oracle_ensemble_corpus([gold], _one_sentence(members))[0].sentences[0]
+
+
+def oracle_rank_one(gold, members):
+    """The (member name, sentence) oracle-rank picks for one gold sentence."""
+    combined, choices = oracle_rank_corpus([gold], _one_sentence(members))
+    return choices[0].system, combined.sentences[0]
 
 
 @pytest.fixture

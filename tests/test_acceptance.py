@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from bruteforce import brute_force_score
+from conftest import vote_one
 from geckit.align import apply_edits, extract_edits
 from geckit.corpus import (
     Edit,
@@ -38,7 +39,7 @@ from geckit.ranking import (
     weight_candidates,
 )
 from geckit.scoring import round_score, score_corpus
-from geckit.vote import majority_vote, majority_vote_corpus, pool_edits
+from geckit.vote import majority_vote_corpus, pool_edits
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -273,9 +274,9 @@ def test_criterion_4_vote_nesting_and_permutation_invariance():
         for tighter, looser in zip(survivors[1:], survivors):
             assert tighter <= looser
         for n_min in range(len(members) + 1):
-            base = majority_vote(source, members, n_min)
+            base = vote_one(source, members, n_min)
             for perm in itertools.permutations(members):
-                assert majority_vote(source, list(perm), n_min) == base
+                assert vote_one(source, list(perm), n_min) == base
     _verdict(
         4,
         True,

@@ -60,6 +60,21 @@ def test_missing_file_exits_one(data, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_member_exits_one_naming_the_byte(data, capsys):
+    member = data / "latin1.txt"
+    member.write_bytes("I like turtles very much .\nShe went to caf\xe9 .\n".encode("latin-1"))
+    code = main(["extract", "--src", str(data / "src.txt"), "--hyp", str(member)])
+    assert code == 1
+    offset = len("I like turtles very much .\nShe went to caf")
+    assert capsys.readouterr().err == f"error: {member}: not UTF-8: byte 0xe9 at offset {offset}\n"
+
+
+def test_directory_as_input_exits_one_naming_it(data, capsys):
+    code = main(["extract", "--src", str(data / "src.txt"), "--hyp", str(data)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {data}: is a directory, not a file\n"
+
+
 def test_malformed_gold_exits_one(data, capsys):
     bad = data / "bad.m2"
     bad.write_text("S a b\nA zero 1|||X|||x|||R|||-NONE-|||0\n", encoding="utf-8")
@@ -410,6 +425,15 @@ _BAD_INPUTS = {
         "sentence_index\tstart\tend\treplacement\n0\t0\t9\tx\n",
         lambda bad: ["apply", "--src", "src.txt", "--edits", bad],
     ),
+    # Latin-1 bytes: the M2 and config readers, as the parallel one, name the file
+    "score-latin1": (
+        "S caf\xe9 b\n".encode("latin-1"),
+        lambda bad: ["score", "--hyp", "a.txt", "--gold", bad],
+    ),
+    "experiment-latin1": (
+        '{"name": "caf\xe9"}'.encode("latin-1"),
+        lambda bad: ["experiment", "--config", bad],
+    ),
 }
 
 
@@ -418,7 +442,10 @@ def test_errors_name_the_bad_file(data, capsys, monkeypatch, command):
     monkeypatch.chdir(data)
     contents, argv = _BAD_INPUTS[command]
     bad = str(data / "bad.input")
-    Path(bad).write_text(contents, encoding="utf-8")
+    if isinstance(contents, bytes):
+        Path(bad).write_bytes(contents)
+    else:
+        Path(bad).write_text(contents, encoding="utf-8")
     assert main(argv(bad)) == 1
     assert f"error: {bad}: " in capsys.readouterr().err
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import kept_one
 import geckit.align
 import geckit.experiment
 import geckit.vote
@@ -33,7 +34,6 @@ from geckit.experiment import (
     run_experiment,
     sweep_n_min,
 )
-from geckit.vote import voted_edits
 
 GOLD = """S I likes turtles very much .
 A 1 2|||SVA|||like|||REQUIRED|||-NONE-|||0
@@ -524,7 +524,7 @@ def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, repe
     for systems, n_min in runs:
         for i, source in enumerate(inputs.sources):
             outputs = [(name, inputs.members[name].sentences[i]) for name, _ in systems]
-            kept = voted_edits(source, outputs, n_min)
+            kept = kept_one(source, outputs, n_min)
             if kept:
                 expected.add((tuple(source), frozenset(kept)))
     assert set(applied) == expected
@@ -548,7 +548,7 @@ def test_a_single_vote_run_applies_without_a_shared_table(tmp_path, monkeypatch)
     assert inputs.applied is None
     edited = [
         i for i, source in enumerate(inputs.sources)
-        if voted_edits(
+        if kept_one(
             source, [(name, inputs.members[name].sentences[i]) for name, _ in config.systems],
             config.n_min,
         )

@@ -1,4 +1,5 @@
-"""Importing geckit, or running `cluster`, loads neither numpy nor scipy."""
+"""What an import loads: the package loads no module of its own, a module
+only what it uses, and neither geckit nor `cluster` loads numpy or scipy."""
 
 import subprocess
 import sys
@@ -35,3 +36,16 @@ def test_cluster_command_loads_neither_numpy_nor_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
     assert result.stdout.startswith("system\tcluster\trepresentative\n")
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("geckit", []),
+    ("geckit.corpus", ["geckit.corpus"]),
+])
+def test_import_loads_only_what_it_names(module, loaded):
+    result = _fresh_interpreter(
+        f"import sys\nimport {module}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('geckit.')))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{loaded}\n"

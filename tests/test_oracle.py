@@ -3,17 +3,11 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import oracle_corpora
+from conftest import oracle_corpora, oracle_ensemble_one, oracle_rank_one
 from geckit.align import extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
-from geckit.oracle import (
-    choices_tsv,
-    oracle_ensemble,
-    oracle_ensemble_corpus,
-    oracle_rank,
-    oracle_rank_corpus,
-)
-from geckit.scoring import f_beta, score_corpus, sentence_counts
+from geckit.oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
+from geckit.scoring import f_beta, score_corpus
 
 
 def members(*pairs):
@@ -31,7 +25,7 @@ def test_ensemble_keeps_only_gold_edits():
         ("s2", "a b q d"),   # not in gold
         ("s3", "a b y d"),   # gold edit
     )
-    assert oracle_ensemble(gold.source, outputs, gold).text == "x b y d"
+    assert oracle_ensemble_one(gold, outputs).text == "x b y d"
 
 
 def test_ensemble_picks_annotation_with_largest_intersection():
@@ -43,20 +37,20 @@ def test_ensemble_picks_annotation_with_largest_intersection():
     outputs = members(("s1", "q b c d"), ("s2", "a b y d"))
     # both of annotator 1's edits are in the pool, only correcting to x
     # would favor annotator 0
-    assert oracle_ensemble(gold.source, outputs, gold).text == "q b y d"
+    assert oracle_ensemble_one(gold, outputs).text == "q b y d"
 
 
 def test_ensemble_intersection_tie_prefers_lowest_annotator():
     gold = gs("a b c", [Edit(0, 1, ("x",))], [Edit(2, 3, ("y",))])
     outputs = members(("s1", "x b c"), ("s2", "a b y"))
     # one pool edit per annotation; annotator 0 wins the tie
-    assert oracle_ensemble(gold.source, outputs, gold).text == "x b c"
+    assert oracle_ensemble_one(gold, outputs).text == "x b c"
 
 
 def test_ensemble_with_no_usable_edits_returns_source():
     gold = gs("a b c", [Edit(0, 1, ("x",))])
     outputs = members(("s1", "a q c"))
-    assert oracle_ensemble(gold.source, outputs, gold) == gold.source
+    assert oracle_ensemble_one(gold, outputs) == gold.source
 
 
 def test_ensemble_drops_adjacent_gold_pair_to_protect_precision():
@@ -65,7 +59,7 @@ def test_ensemble_drops_adjacent_gold_pair_to_protect_precision():
     # in no annotation, so the later one is sacrificed
     gold = gs("a b c d e", [Edit(1, 2, ("x",)), Edit(2, 3, ("y",))])
     outputs = members(("s1", "a x c d e"), ("s2", "a b y d e"))
-    ensembled = oracle_ensemble(gold.source, outputs, gold)
+    ensembled = oracle_ensemble_one(gold, outputs)
     assert ensembled.text == "a x c d e"
     report = score_corpus(
         SystemOutput("ens", (ensembled,)), [gold]
@@ -78,7 +72,7 @@ def test_rank_picks_best_candidate():
     # gold edits kept non-adjacent so candidate edits re-extract one-to-one
     gold = gs("a b c d", [Edit(0, 1, ("x",)), Edit(2, 3, ("y",))])
     outputs = members(("worse", "x b c d"), ("better", "x b y d"), ("noop", "a b c d"))
-    name, sentence = oracle_rank(gold.source, outputs, gold)
+    name, sentence = oracle_rank_one(gold, outputs)
     assert name == "better"
     assert sentence.text == "x b y d"
 
@@ -86,21 +80,21 @@ def test_rank_picks_best_candidate():
 def test_rank_tie_keeps_input_order():
     gold = gs("a b c", [Edit(0, 1, ("x",))])
     outputs = members(("first", "x b c"), ("second", "x b c"))
-    assert oracle_rank(gold.source, outputs, gold)[0] == "first"
-    assert oracle_rank(gold.source, list(reversed(outputs)), gold)[0] == "second"
+    assert oracle_rank_one(gold, outputs)[0] == "first"
+    assert oracle_rank_one(gold, list(reversed(outputs)))[0] == "second"
 
 
 def test_rank_uses_most_favorable_annotator_per_candidate():
     gold = gs("a b c", [Edit(0, 1, ("x",))], [Edit(0, 1, ("z",))])
     outputs = members(("sx", "x b c"), ("sz", "z b c"))
     # each candidate is perfect under one annotator; first wins the tie
-    assert oracle_rank(gold.source, outputs, gold)[0] == "sx"
+    assert oracle_rank_one(gold, outputs)[0] == "sx"
 
 
 def test_rank_requires_candidates():
     gold = gs("a b", [Edit(0, 1, ("x",))])
     with pytest.raises(ValidationError):
-        oracle_rank(gold.source, [], gold)
+        oracle_rank_one(gold, [])
 
 
 def test_corpus_wrappers_misalignment_rejected():
@@ -158,13 +152,13 @@ def test_rank_selection_dominates_per_sentence(corpus):
     combined, _ = oracle_rank_corpus(gold, outputs)
 
     def local_key(source, sentence, gs):
-        edits = extract_edits(source, sentence)
+        hyp = set(extract_edits(source, sentence))
         best = None
         for ann in gs.annotations:
-            c = sentence_counts(edits, ann)
-            p = c.n_correct / c.n_proposed if c.n_proposed else 1.0
-            r = c.n_correct / c.n_gold if c.n_gold else 1.0
-            key = (f_beta(p, r), c.n_correct, -c.n_proposed)
+            n_correct, n_proposed, n_gold = len(hyp & set(ann)), len(hyp), len(set(ann))
+            p = n_correct / n_proposed if n_proposed else 1.0
+            r = n_correct / n_gold if n_gold else 1.0
+            key = (f_beta(p, r), n_correct, -n_proposed)
             best = key if best is None else max(best, key)
         return best
 

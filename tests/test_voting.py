@@ -6,17 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpora_with_hypotheses, oracle_corpora, sentence_pairs, vocab
+from conftest import (
+    corpora_with_hypotheses, kept_one, oracle_corpora, sentence_pairs, vocab, vote_one,
+)
 from geckit.align import apply_edits, extract_edits
 from geckit.corpus import Edit, SystemOutput, TokenSentence, ValidationError, conflicts
-from geckit.vote import (
-    VotedEdit,
-    majority_vote,
-    majority_vote_corpus,
-    pool_corpus,
-    pool_edits,
-    voted_edits,
-)
+from geckit.vote import VotedEdit, majority_vote_corpus, pool_corpus, pool_edits
 
 
 def members(*pairs):
@@ -34,9 +29,9 @@ SRC = TokenSentence("I likes turtles very much .".split())
 def test_unanimous_edit_survives_any_threshold_below_count():
     systems = members(*((n, "I like turtles very much .") for n in "abc"))
     for n_min in (0, 1, 2):
-        assert majority_vote(SRC, systems, n_min).text == "I like turtles very much ."
+        assert vote_one(SRC, systems, n_min).text == "I like turtles very much ."
     # strictly-greater: 3 votes do not clear a threshold of 3
-    assert majority_vote(SRC, systems, 3).text == SRC.text
+    assert vote_one(SRC, systems, 3).text == SRC.text
 
 
 def test_minority_edit_dropped():
@@ -45,7 +40,7 @@ def test_minority_edit_dropped():
         ("b", "I like turtles very much ."),
         ("c", "I likes turtles a lot ."),
     )
-    assert majority_vote(SRC, systems, 1).text == "I like turtles very much ."
+    assert vote_one(SRC, systems, 1).text == "I like turtles very much ."
 
 
 def test_overlap_resolved_by_vote_count():
@@ -55,14 +50,14 @@ def test_overlap_resolved_by_vote_count():
         ("b", "I like turtles very much ."),
         ("c", "I love turtles very much ."),
     )
-    assert majority_vote(SRC, systems, 0).text == "I like turtles very much ."
+    assert vote_one(SRC, systems, 0).text == "I like turtles very much ."
 
 
 def test_vote_tie_broken_by_span_then_replacement():
     src = TokenSentence("a b c".split())
     systems = members(("s1", "x b c"), ("s2", "y b c"))
     # one vote each, overlapping: (0,1,x) sorts before (0,1,y)
-    assert majority_vote(src, systems, 0).text == "x b c"
+    assert vote_one(src, systems, 0).text == "x b c"
 
 
 def test_pool_reports_votes_and_members():
@@ -79,7 +74,7 @@ def test_pool_reports_votes_and_members():
 def test_voted_edits_is_the_application_order():
     src = TokenSentence("a b c d".split())
     systems = members(("s1", "x b c y"), ("s2", "x b c d"), ("s3", "a b c y"))
-    kept = voted_edits(src, systems, 0)
+    kept = kept_one(src, systems, 0)
     # higher-voted edit first, then position order
     assert kept == [Edit(0, 1, ("x",)), Edit(3, 4, ("y",))]
 
@@ -89,17 +84,17 @@ def test_nested_insertion_not_applied_alongside_outer_edit():
     # both is incoherent, so the lower-voted insertion is skipped
     src = TokenSentence("a b c".split())
     systems = members(("s1", "x c"), ("s2", "x c"), ("s3", "a y b c"))
-    assert majority_vote(src, systems, 0).text == "x c"
+    assert vote_one(src, systems, 0).text == "x c"
 
 
 def test_threshold_saturates_at_system_count():
     systems = members(*((n, "I like turtles very much .") for n in "abcd"))
-    assert majority_vote(SRC, systems, 4).text == SRC.text  # 4 votes, need >4
+    assert vote_one(SRC, systems, 4).text == SRC.text  # 4 votes, need >4
 
 
 def test_single_system_low_threshold_is_identity_of_that_system():
     systems = members(("only", "I like turtles a lot ."))
-    assert majority_vote(SRC, systems, 0).text == "I like turtles a lot ."
+    assert vote_one(SRC, systems, 0).text == "I like turtles a lot ."
 
 
 def test_corpus_wrapper_validates_and_names():
@@ -164,9 +159,9 @@ def test_permutation_invariance(instance, n_min):
     """Output never depends on the order member systems are listed in."""
     source, systems = instance
     n_min = min(n_min, len(systems))
-    baseline = majority_vote(source, systems, n_min)
+    baseline = vote_one(source, systems, n_min)
     for perm in itertools.permutations(systems):
-        assert majority_vote(source, list(perm), n_min) == baseline
+        assert vote_one(source, list(perm), n_min) == baseline
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,7 +170,7 @@ def test_applied_edits_cleared_the_threshold_and_are_compatible(instance):
     source, systems = instance
     pool = {ve.edit: ve.votes for ve in pool_edits(source, systems)}
     for n_min in range(len(systems)):
-        kept = voted_edits(source, systems, n_min)
+        kept = kept_one(source, systems, n_min)
         assert all(pool[e] > n_min for e in kept)
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
@@ -189,7 +184,7 @@ def test_self_ensemble_reproduces_the_system(pair):
     src, hyp = pair
     source = TokenSentence(src)
     systems = [(f"c{i}", TokenSentence(hyp)) for i in range(3)]
-    assert tuple(majority_vote(source, systems, 2)) == hyp
+    assert tuple(vote_one(source, systems, 2)) == hyp
 
 
 # --------------------------------------------------------------------------
@@ -199,9 +194,9 @@ def test_self_ensemble_reproduces_the_system(pair):
 
 
 def _reference_vote(source, outputs, n_min):
-    """majority_vote before pooling and thresholding were split: pool these
-    members' edits, keep those with more than n_min votes and apply them in
-    decreasing-vote order, ties by edit, skipping conflicts."""
+    """The vote of one sentence before pooling and thresholding were split:
+    pool these members' edits, keep those with more than n_min votes and
+    apply them in decreasing-vote order, ties by edit, skipping conflicts."""
     by_edit = {}
     for name, sentence in outputs:
         for edit in extract_edits(source, sentence):
