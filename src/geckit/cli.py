@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .align import apply_edits, extract_edits
 from .corpus import (
-    M2ParseError,
     ValidationError,
     atomic_write_text,
     check_source_file,
@@ -105,21 +104,28 @@ def _cmd_score(args) -> int:
     return 0
 
 
+# method flag -> the ExperimentConfig field it sets if given; else the field default holds
+_FLAG_FIELDS = {
+    "src": "source_path", "nmin": "n_min", "scores": "score_path", "variant": "variant",
+    "runs": "runs", "seed": "seed", "base_url": "base_url", "model": "model", "jobs": "jobs",
+}
+
+
 def _cmd_method(method: str, args) -> int:
     """Run a method subcommand through :func:`experiment.combine`, the method
     step of an experiment with the same method; write where the flags say."""
-    flags = vars(args)
+    flags = {k: v for k, v in vars(args).items() if v is not None}  # the flags given
     if method == "aggr-rank":  # named by role, so the two files may share a stem
         systems = (("primary", Path(args.primary)), ("alternative", Path(args.alt)))
     else:
         systems = tuple(parse_system_spec(spec) for spec in args.sys)
+    given = {name: flags[flag] for flag, name in _FLAG_FIELDS.items() if flag in flags}
+    if flags.get("base_url"):
+        given["backend"] = "http"
+    elif "mock" in flags:
+        given["backend"] = f"mock-{flags['mock']}"
     config = ExperimentConfig(  # paths kept as typed: error messages quote them
-        name=method, gold_path=flags.get("gold"), systems=systems, method=method,
-        source_path=flags.get("src"), n_min=flags.get("nmin", 0),
-        score_path=flags.get("scores"), variant=flags.get("variant", "a"),
-        runs=flags.get("runs", 1), seed=flags.get("seed", 0),
-        backend="http" if flags.get("base_url") else f"mock-{flags.get('mock', 'lexmin')}",
-        base_url=flags.get("base_url"), model=flags.get("model"), jobs=flags.get("jobs", 1),
+        name=method, gold_path=flags.get("gold"), systems=systems, method=method, **given
     )
     outputs, choices, fallbacks = combine(
         config, load_inputs(config), shuffle=not flags.get("no_shuffle")
@@ -265,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("llm-rank", "rank candidates with a chat model (or offline mock)")
     p.add_argument("--src", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
-    p.add_argument("--variant", choices=("a", "b"), default="a")
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mock", choices=("lexmin", "label-a"), default="lexmin",
+    p.add_argument("--variant", choices=("a", "b"))
+    p.add_argument("--runs", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--mock", choices=("lexmin", "label-a"),
                    help="offline backend (ignored when --base-url is given)")
     p.add_argument("--base-url", help="chat-completions endpoint base URL")
     p.add_argument("--model", help="model name for the http backend")
     p.add_argument("--no-shuffle", action="store_true",
                    help="keep candidates in input order")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent requests")
+    p.add_argument("--jobs", type=int, help="concurrent requests")
     p.add_argument("--out-prefix", required=True,
                    help="one output per run: PREFIX.runN.txt")
     p.set_defaults(func=lambda a: _cmd_method("llm-rank", a))
@@ -307,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.set_threshold(100_000, 50, 1000)
     try:
         return args.func(args)
-    except (ValidationError, M2ParseError, FileNotFoundError) as err:
+    except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -40,12 +40,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
-class M2ParseError(ValueError):
-    """A structurally malformed M2 file (bad prefix, field count, span)."""
-
-
 class ValidationError(ValueError):
-    """Structurally valid input that violates a data invariant."""
+    """Bad input: a missing or unreadable file, or data that breaks an invariant."""
+
+
+class M2ParseError(ValidationError):
+    """A structurally malformed M2 file (bad prefix, field count, span)."""
 
 
 # M2 spelling of an empty replacement.
@@ -277,8 +277,8 @@ def parse_m2(text: str, lines: dict[str, TokenSentence] | None = None) -> list[G
     ascending order of the ids found in the file.
 
     Raises :class:`M2ParseError` (with the 1-based line number) on
-    malformed lines, :class:`ValidationError` on an annotator's edit set
-    that :func:`check_edits` rejects.
+    malformed lines, and what :func:`check_edits` raises on an annotator's
+    edit set it rejects, naming the stanza's line.
 
     ``lines`` maps line text to its sentence, shared across loads (see
     :func:`load_parallel`); the text of an ``S`` line is what follows
@@ -300,7 +300,7 @@ def parse_m2(text: str, lines: dict[str, TokenSentence] | None = None) -> list[G
         try:
             sentences.append(GoldSentence(source, anns))
         except ValidationError as err:
-            raise ValidationError(f"stanza at line {stanza_line}: {err}") from None
+            raise type(err)(f"stanza at line {stanza_line}: {err}") from None
         source, by_annotator = None, {}
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -458,19 +458,6 @@ def load_system_output(
 SCORE_FILE_HEADER = ("system", "sentence_index", "score")
 
 
-@dataclass
-class ScoreFile:
-    """Per-sentence quality scores keyed by (system name, sentence index)."""
-
-    scores: dict[tuple[str, int], float]
-
-    def get(self, system: str, index: int) -> float:
-        try:
-            return self.scores[(system, index)]
-        except KeyError:
-            raise KeyError(f"no score for system {system!r}, sentence {index}") from None
-
-
 def tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """TSV text of string ``rows`` under the column names ``header``; the
     inverse of :func:`_tsv_rows`.
@@ -503,9 +490,10 @@ def _tsv_rows(text: str, header: Sequence[str], kind: str) -> Iterator[tuple[int
         yield lineno, parts
 
 
-def parse_score_file(text: str) -> ScoreFile:
-    """Parse score TSV. Requires the exact header; rejects duplicate keys
-    and non-finite scores, which no comparison could rank."""
+def parse_score_file(text: str) -> dict[tuple[str, int], float]:
+    """Parse score TSV into per-sentence quality scores keyed by (system
+    name, sentence index). Requires the exact header; rejects duplicate
+    keys and non-finite scores, which no comparison could rank."""
     scores: dict[tuple[str, int], float] = {}
     for lineno, parts in _tsv_rows(text, SCORE_FILE_HEADER, "score"):
         try:
@@ -518,15 +506,15 @@ def parse_score_file(text: str) -> ScoreFile:
         if key in scores:
             raise ValidationError(f"score file line {lineno}: duplicate entry for {key}")
         scores[key] = value
-    return ScoreFile(scores)
+    return scores
 
 
-def load_score_file(path: str | Path) -> ScoreFile:
+def load_score_file(path: str | Path) -> dict[tuple[str, int], float]:
     return _load(parse_score_file, path)
 
 
-def serialize_score_file(scores: ScoreFile) -> str:
-    rows = sorted(scores.scores.items())
+def serialize_score_file(scores: dict[tuple[str, int], float]) -> str:
+    rows = sorted(scores.items())
     return tsv(SCORE_FILE_HEADER, ((s, f"{i}", f"{value!r}") for (s, i), value in rows))
 
 
@@ -583,11 +571,13 @@ def load_edit_tsv(path: str | Path, sources: Sequence[Sequence[str]]) -> list[li
 def read_text(path: str | Path) -> str:
     """The text of the UTF-8 file at ``path``, with universal newlines.
 
-    Every input file is read here, so an input that is a directory or not
-    UTF-8 raises :class:`ValidationError` naming the file.
+    Every input file is read here, so an input that is missing, a directory
+    or not UTF-8 raises :class:`ValidationError` naming the file.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: no such file") from None
     except IsADirectoryError:
         raise ValidationError(f"{path}: is a directory, not a file") from None
     except UnicodeDecodeError as err:  # decoded in one piece: err.start is a file offset
@@ -602,12 +592,15 @@ def _load(parse: Callable, path: str | Path, *args):
     text = read_text(path)
     try:
         return parse(text, *args)
-    except (M2ParseError, ValidationError) as err:
+    except ValidationError as err:
         raise type(err)(f"{path}: {err}") from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file and rename, so partial output is never visible."""
+    """Write via a temp file and rename, so partial output is never visible.
+    A ``path`` that is a directory raises :class:`ValidationError`."""
+    if os.path.isdir(path):  # else the rename below fails naming the temp file
+        raise ValidationError(f"{path}: is a directory, not a file")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")

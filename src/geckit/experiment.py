@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -130,6 +130,9 @@ class ExperimentConfig:
             raise ValidationError(f"llm-rank takes 2 to 26 systems, got {len(self.systems)}")
         if self.method == "llm-rank" and self.variant not in ("a", "b"):
             raise ValidationError(f"unknown prompt variant {self.variant!r}")
+        # llm_rank_corpus checks this too, but only after every file is loaded
+        if self.method == "llm-rank" and self.seeds is not None and len(self.seeds) != self.runs:
+            raise ValidationError(f"{self.runs} runs but {len(self.seeds)} seeds")
         check_unique_names(name for name, _ in self.systems)
         # majority_vote_corpus checks this too, but only after every pair is extracted
         if self.method in ("vote", "second-order-vote") and not (
@@ -176,7 +179,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         return _config(raw, path.parent)
     except ValidationError as err:
-        raise ValidationError(f"{path}: {err}") from None
+        raise type(err)(f"{path}: {err}") from None
 
 
 def _config(raw: object, base: Path) -> ExperimentConfig:
@@ -190,7 +193,9 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
         if required not in raw:
             raise ValidationError(f"missing required key {required!r}")
 
-    def resolve(p: str) -> Path:
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+
+    def resolve(p: str | Path) -> Path:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
@@ -200,16 +205,14 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
             raise ValidationError(f"key {key!r} must be {noun}, got {json.dumps(value)}")
         return value
 
-    def string(key: str, default: str | None = None) -> str | None:
-        """``raw[key]``, or ``default`` when absent; null only stands for
-        absent in an optional key without a default."""
-        value = raw.get(key, default)
-        if value is None and default is None and key not in _REQUIRED_KEYS:
+    def get(key: str, kind: type) -> object:
+        """``raw[key]``, or the field's default when absent; null only
+        stands for absent in an optional key whose default is None."""
+        if key not in raw:
+            return defaults.get(key)
+        if raw[key] is None and defaults.get(key) is None and key not in _REQUIRED_KEYS:
             return None
-        return typed(key, value, str)
-
-    def integer(key: str, default: int) -> int:
-        return typed(key, raw.get(key, default), int)
+        return typed(key, raw[key], kind)
 
     systems = tuple(
         _parse_system_entry(entry, resolve) for entry in typed("systems", raw["systems"], list)
@@ -221,24 +224,24 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
                 f"key 'seeds' must be a non-empty list, got {json.dumps(raw['seeds'])}"
             )
         seeds = tuple(typed(f"seeds[{k}]", seed, int) for k, seed in enumerate(raw["seeds"]))
-    source, scores = string("source"), string("scores")
+    source, scores = get("source", str), get("scores", str)
     return ExperimentConfig(
-        name=string("name"),
-        gold_path=resolve(string("gold")),
+        name=get("name", str),
+        gold_path=resolve(get("gold", str)),
         systems=systems,
-        method=string("method"),
+        method=get("method", str),
         source_path=resolve(source) if source else None,
-        output_dir=resolve(string("output_dir", "results")),
-        n_min=integer("n_min", 0),
+        output_dir=resolve(get("output_dir", str)),
+        n_min=get("n_min", int),
         score_path=resolve(scores) if scores else None,
-        variant=string("variant", "a"),
-        runs=integer("runs", 1),
-        seed=integer("seed", 0),
+        variant=get("variant", str),
+        runs=get("runs", int),
+        seed=get("seed", int),
         seeds=seeds,
-        backend=string("backend", "mock-lexmin"),
-        base_url=string("base_url"),
-        model=string("model"),
-        jobs=integer("jobs", 1),
+        backend=get("backend", str),
+        base_url=get("base_url", str),
+        model=get("model", str),
+        jobs=get("jobs", int),
     )
 
 
@@ -328,7 +331,7 @@ def combine(
         try:
             combined = [rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
         except ValidationError as err:
-            raise ValidationError(f"{config.score_path}: {err}") from None
+            raise type(err)(f"{config.score_path}: {err}") from None
     elif config.method == "aggr-rank":
         combined = [aggr_rank_corpus(sources, *outputs, table)]
     else:  # llm-rank

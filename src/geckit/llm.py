@@ -65,7 +65,6 @@ class RankPrompt:
     """A rendered ranking request for one sentence."""
 
     variant: str
-    original: TokenSentence
     candidates: tuple[tuple[str, TokenSentence], ...]  # (label, sentence)
     permutation: dict[str, str]  # label -> system name
     text: str
@@ -77,8 +76,6 @@ class RankPrompt:
 
 @dataclass(frozen=True)
 class RankResponse:
-    variant: str
-    raw: str
     parsed: tuple[str, ...]  # single label for "a", sequence for "b"
     fallback: bool
 
@@ -116,7 +113,7 @@ def build_prompt(
     lines = ["ORIGINAL:", source.text, "EDITED:"]
     lines += [f"{label}: {sentence.text}" for label, sentence in labeled]
     text = "\n".join(lines) + "\n\n" + _INSTRUCTION[variant]
-    return RankPrompt(variant, source, labeled, permutation, text)
+    return RankPrompt(variant, labeled, permutation, text)
 
 
 def parse_response(text: str, prompt: RankPrompt) -> RankResponse:
@@ -130,8 +127,8 @@ def parse_response(text: str, prompt: RankPrompt) -> RankResponse:
     if prompt.variant == "a":
         for match in re.finditer(r"\b[A-Z]\b", text):
             if match.group(0) in labels:
-                return RankResponse("a", text, (match.group(0),), False)
-        return RankResponse("a", text, (labels[0],), True)
+                return RankResponse((match.group(0),), False)
+        return RankResponse((labels[0],), True)
 
     issued = set(labels)
     best: list[str] = []
@@ -146,8 +143,8 @@ def parse_response(text: str, prompt: RankPrompt) -> RankResponse:
     if len(run) > len(best):
         best = run
     if not best:
-        return RankResponse("b", text, labels, True)
-    return RankResponse("b", text, tuple(best), False)
+        return RankResponse(labels, True)
+    return RankResponse(tuple(best), False)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +294,6 @@ class RankedRun:
     """One complete pass over the corpus with one shuffle seed."""
 
     output: SystemOutput
-    run_index: int
-    seed: int
     fallbacks: tuple[int, ...]  # sentence indices that fell back to label A
 
 
@@ -366,5 +361,5 @@ def llm_rank_corpus(
         sentences = tuple(sentence for sentence, _ in ranked)
         flagged = tuple(i for i, (_, fb) in enumerate(ranked) if fb)
         output = SystemOutput(f"llm-rank-{variant}[run{run_index}]", sentences)
-        results.append(RankedRun(output, run_index, run_seed, flagged))
+        results.append(RankedRun(output, flagged))
     return results

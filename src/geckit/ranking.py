@@ -34,7 +34,7 @@ from operator import mul
 from typing import Sequence
 
 from .align import EditTable
-from .corpus import ScoreFile, SystemOutput, TokenSentence, ValidationError, check_aligned, tsv
+from .corpus import SystemOutput, TokenSentence, ValidationError, check_aligned, tsv
 
 
 @dataclass(frozen=True)
@@ -132,21 +132,22 @@ def aggr_rank(
 
 
 def rank_corpus(
-    outputs: Sequence[SystemOutput], scores: ScoreFile, weighted: bool = False
+    outputs: Sequence[SystemOutput], scores: dict[tuple[str, int], float], weighted: bool = False
 ) -> SystemOutput:
     """Per-sentence :func:`rank_by_score` (:func:`rank_weighted` when
-    ``weighted``) over aligned member outputs, with scores from ``scores``."""
+    ``weighted``) over aligned member outputs, with ``scores`` keyed by
+    (system name, sentence index)."""
     n = len(outputs[0].sentences)
     check_aligned(outputs, n)
     select = rank_weighted if weighted else rank_by_score
     sentences = []
     for i in range(n):
         candidates = [(out.name, out.sentences[i]) for out in outputs]
-        try:
-            per_candidate = [scores.get(name, i) for name, _ in candidates]
-            sentences.append(select(candidates, per_candidate)[1])
-        except (KeyError, ValidationError) as err:  # str() of a KeyError is its repr
-            raise ValidationError(f"sentence {i}: {err.args[0]}") from None
+        per_candidate = [scores.get((name, i)) for name, _ in candidates]
+        if None in per_candidate:
+            name = candidates[per_candidate.index(None)][0]
+            raise ValidationError(f"sentence {i}: no score for system {name!r}")
+        sentences.append(select(candidates, per_candidate)[1])
     members = "+".join(out.name for out in outputs)
     return SystemOutput(f"{'rank-w' if weighted else 'rank'}[{members}]", tuple(sentences))
 

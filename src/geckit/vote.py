@@ -170,4 +170,4 @@ def _apply(i: int, source: TokenSentence, kept: list[Edit]) -> TokenSentence:
     try:
         return apply_edits(source, kept)
     except ValidationError as err:
-        raise ValidationError(f"sentence {i}: {err}") from None
+        raise type(err)(f"sentence {i}: {err}") from None

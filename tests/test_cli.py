@@ -55,9 +55,10 @@ def test_unknown_flag_exits_one(capsys):
 
 
 def test_missing_file_exits_one(data, capsys):
-    code = main(["score", "--hyp", str(data / "nope.txt"), "--gold", str(data / "gold.m2")])
+    missing = data / "nope.txt"
+    code = main(["score", "--hyp", str(missing), "--gold", str(data / "gold.m2")])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {missing}: no such file\n"
 
 
 def test_non_utf8_member_exits_one_naming_the_byte(data, capsys):
@@ -81,13 +82,27 @@ def test_malformed_gold_exits_one(data, capsys):
     assert main(["score", "--hyp", str(data / "a.txt"), "--gold", str(bad)]) == 1
 
 
-def test_runtime_failure_exits_two(data, capsys):
-    # write target is a directory: not a user-input validation problem
-    code = main([
-        "score", "--hyp", str(data / "a.txt"), "--gold", str(data / "gold.m2"),
-        "--out", str(data),
-    ])
+def test_runtime_failure_exits_two(data, monkeypatch, capsys):
+    # an internal fault, not a problem with the user's input
+    def fail(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli, "score_corpus", fail)
+    code = main(["score", "--hyp", str(data / "a.txt"), "--gold", str(data / "gold.m2")])
     assert code == 2
+    assert "RuntimeError: internal fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--hyp", "a.txt", "--gold", "gold.m2", "--out"],
+    ["cluster", "--sys", "a.txt", "--sys", "b.txt", "--matrix"],
+], ids=["score-out", "cluster-matrix"])
+def test_directory_as_output_exits_one_naming_it(data, monkeypatch, capsys, argv):
+    monkeypatch.chdir(data)
+    (data / "results").mkdir()
+    assert main([*argv, "results"]) == 1
+    assert capsys.readouterr().err == "error: results: is a directory, not a file\n"
+    assert list((data / "results").iterdir()) == []  # no temporary file left behind
 
 
 def test_score_prints_table(data, capsys):
@@ -575,6 +590,20 @@ def test_bad_n_min_fails_before_any_extraction(data, monkeypatch, capsys, method
     (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")
     assert main(["experiment", "--config", "exp.json"]) == 0
     assert pairs  # the counter sees the extraction of a good run
+
+
+def test_seeds_runs_mismatch_fails_before_any_file_is_read(data, monkeypatch, capsys):
+    """An llm-rank config checks its seed list against its run count before
+    loading, so a mismatch names the config, ahead of a missing member file too."""
+    monkeypatch.chdir(data)
+    config = {"name": "exp", "method": "llm-rank", "gold": "gold.m2", "output_dir": "results",
+              "systems": ["a.txt", "missing.txt", "c.txt"], "seeds": [1, 2, 3]}
+    (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json"]) == 1
+    assert capsys.readouterr().err == "error: exp.json: 1 runs but 3 seeds\n"
+    config.update(systems=["a.txt", "b.txt", "c.txt"], runs=3)
+    (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json"]) == 0
 
 
 def test_main_restores_the_callers_gc_thresholds(data, monkeypatch, capsys):

@@ -17,6 +17,7 @@ from geckit.corpus import (
     GoldSentence,
     M2ParseError,
     OverlapError,
+    SystemOutput,
     TokenSentence,
     ValidationError,
     atomic_write_text,
@@ -29,6 +30,7 @@ from geckit.corpus import (
     serialize_score_file,
     tsv,
 )
+from geckit.ranking import rank_corpus
 
 SAMPLE_M2 = """S I likes turtles very much .
 A 1 2|||SVA|||like|||REQUIRED|||-NONE-|||0
@@ -124,6 +126,24 @@ def test_overlapping_edits_in_one_annotation_rejected():
     )
     with pytest.raises(ValidationError):
         parse_m2(text)
+
+
+def test_gold_conflict_is_an_overlap_error_naming_file_and_stanza(tmp_path):
+    # the same conflict in an edit TSV raises OverlapError too
+    p = tmp_path / "gold.m2"
+    p.write_text(
+        "S a b\n\n"
+        "S a b c d\n"
+        "A 0 2|||X|||x|||R|||-NONE-|||0\n"
+        "A 1 3|||X|||y|||R|||-NONE-|||0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(OverlapError, match=rf"^{re.escape(str(p))}: stanza at line 3: conflicting edits"):
+        corpus.load_m2(p)
+
+
+def test_m2_parse_error_is_a_validation_error():
+    assert issubclass(M2ParseError, ValidationError)
 
 
 def test_insertion_inside_replaced_span_rejected():
@@ -246,10 +266,10 @@ def test_gold_sentence_needs_an_annotation():
 
 def test_score_file_roundtrip():
     text = "system\tsentence_index\tscore\nsysA\t0\t0.25\nsysA\t1\t-1.5\nsysB\t0\t3\n"
-    sf = parse_score_file(text)
-    assert sf.get("sysA", 1) == -1.5
-    assert sorted(sf.scores) == [("sysA", 0), ("sysA", 1), ("sysB", 0)]
-    assert parse_score_file(serialize_score_file(sf)).get("sysB", 0) == 3.0
+    scores = parse_score_file(text)
+    assert scores[("sysA", 1)] == -1.5
+    assert sorted(scores) == [("sysA", 0), ("sysA", 1), ("sysB", 0)]
+    assert parse_score_file(serialize_score_file(scores)) == scores
 
 
 def test_score_file_header_and_duplicates():
@@ -270,10 +290,11 @@ def test_score_file_rejects_non_finite_scores(value):
 
 
 def test_score_file_missing_entry_names_the_hole():
-    sf = parse_score_file("system\tsentence_index\tscore\nx\t0\t1\n")
-    with pytest.raises(KeyError) as exc:
-        sf.get("x", 5)
-    assert "5" in str(exc.value)
+    scores = parse_score_file("system\tsentence_index\tscore\nx\t0\t1\ny\t0\t1\nx\t1\t2\n")
+    outputs = [SystemOutput(name, (TokenSentence.parse("a"),) * 2) for name in ("x", "y")]
+    with pytest.raises(ValidationError) as exc:
+        rank_corpus(outputs, scores)
+    assert str(exc.value) == "sentence 1: no score for system 'y'"
 
 
 def test_tsv_writes_what_the_reader_reads():

@@ -251,7 +251,7 @@ def test_rank_experiment_reports_score_holes_with_sentence(tmp_path):
     with pytest.raises(ValidationError) as exc:
         run_experiment(config)
     assert str(exc.value) == (
-        f"{tmp_path / 'scores.tsv'}: sentence 1: no score for system 'a', sentence 1"
+        f"{tmp_path / 'scores.tsv'}: sentence 1: no score for system 'a'"
     )
 
 

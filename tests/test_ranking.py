@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import vocab
-from geckit.corpus import ScoreFile, SystemOutput, TokenSentence, ValidationError, check_aligned
+from geckit.corpus import SystemOutput, TokenSentence, ValidationError, check_aligned
 from geckit.ranking import (
     SimilarityMatrix,
     _average_linkage,
@@ -123,8 +123,7 @@ def test_rank_corpus_is_invariant_under_member_permutation(data):
                                                        max_size=n_sent))))
         for k in range(n_sys)
     ]
-    scores = ScoreFile({(f"s{k}", i): data.draw(score)
-                        for k in range(n_sys) for i in range(n_sent)})
+    scores = {(f"s{k}", i): data.draw(score) for k in range(n_sys) for i in range(n_sent)}
     permuted = [outputs[k] for k in data.draw(st.permutations(range(n_sys)))]
     for weighted in (False, True):
         assert (rank_corpus(permuted, scores, weighted).sentences
