@@ -16,6 +16,7 @@ import argparse
 import gc
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from .align import apply_edits, extract_edits
@@ -141,8 +142,8 @@ def _cmd_method(method: str, args) -> int:
         if args.audit:
             atomic_write_text(args.audit, choices_tsv(choices))
         print(f"wrote {args.out}", file=sys.stderr)
-    elif method == "vote":  # the --name, or the default ensemble name
-        print(f"wrote {args.out} ({args.name or outputs[0].name})", file=sys.stderr)
+    elif method == "vote":
+        print(f"wrote {args.out} ({outputs[0].name})", file=sys.stderr)
     return 0
 
 
@@ -151,7 +152,7 @@ def _cmd_cluster(args) -> int:
     check_unique_names(name for name, _ in named)
     systems = [load_system_output(path, name) for name, path in named]
     matrix = similarity_matrix(systems)
-    clusters = cluster_systems(systems, args.threshold, matrix=matrix)
+    clusters = cluster_systems(matrix, args.threshold)
     _emit(clusters_tsv(clusters), args.out)
     if args.matrix:
         atomic_write_text(args.matrix, matrix_tsv(matrix))
@@ -162,10 +163,9 @@ def _cmd_cluster(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     if args.jobs is not None:
-        config.jobs = args.jobs
+        config = replace(config, jobs=args.jobs)
     if args.seed is not None:
-        config.seed = args.seed
-        config.seeds = None
+        config = replace(config, seed=args.seed, seeds=None)
     if args.ablation:
         rows = ablation_remove_one(config)
         for _, result in rows:
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--nmin", type=int, required=True, help="keep edits with votes > nmin")
-    p.add_argument("--name", help="ensemble name (default records members and nmin)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=lambda a: _cmd_method("vote", a))
 

@@ -598,11 +598,15 @@ def _load(parse: Callable, path: str | Path, *args):
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file and rename, so partial output is never visible.
-    A ``path`` that is a directory raises :class:`ValidationError`."""
+    A ``path`` that is a directory, or runs through a file, raises
+    :class:`ValidationError`."""
     if os.path.isdir(path):  # else the rename below fails naming the temp file
         raise ValidationError(f"{path}: is a directory, not a file")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValidationError(f"{path}: a parent is a file, not a directory") from None
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:

@@ -125,14 +125,17 @@ class ExperimentConfig:
             raise ValidationError(
                 "aggr-rank takes exactly 2 systems: primary, then alternative"
             )
-        # build_prompt checks this too, but only after every file is loaded
-        if self.method == "llm-rank" and not 2 <= len(self.systems) <= 26:
-            raise ValidationError(f"llm-rank takes 2 to 26 systems, got {len(self.systems)}")
-        if self.method == "llm-rank" and self.variant not in ("a", "b"):
-            raise ValidationError(f"unknown prompt variant {self.variant!r}")
-        # llm_rank_corpus checks this too, but only after every file is loaded
-        if self.method == "llm-rank" and self.seeds is not None and len(self.seeds) != self.runs:
-            raise ValidationError(f"{self.runs} runs but {len(self.seeds)} seeds")
+        if self.method == "llm-rank":  # llm.py checks some of these too, but after loading
+            if not 2 <= len(self.systems) <= 26:
+                raise ValidationError(f"llm-rank takes 2 to 26 systems, got {len(self.systems)}")
+            if self.variant not in ("a", "b"):
+                raise ValidationError(f"unknown prompt variant {self.variant!r}")
+            if self.seeds is not None and len(self.seeds) != self.runs:
+                raise ValidationError(f"{self.runs} runs but {len(self.seeds)} seeds")
+            if self.runs < 1:
+                raise ValidationError("runs must be >= 1")
+            if self.jobs < 1:
+                raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
         check_unique_names(name for name, _ in self.systems)
         # majority_vote_corpus checks this too, but only after every pair is extracted
         if self.method in ("vote", "second-order-vote") and not (
@@ -150,7 +153,6 @@ class ExperimentResult:
     config: ExperimentConfig
     outputs: tuple[SystemOutput, ...]  # one per run (one except llm-rank)
     reports: tuple[ScoreReport, ...]  # aligned with outputs
-    artifacts: tuple[Path, ...] = field(default_factory=tuple)
     # llm-rank only: per run, the sentence indices that fell back to label A
     fallbacks: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
@@ -313,11 +315,9 @@ def combine(
     if config.method in ("vote", "second-order-vote"):
         if inputs.pools is None:
             inputs.pools = pool_corpus(sources, list(inputs.members.values()), table)
+        members = [name for name, _ in config.systems]
         combined = [
-            majority_vote_corpus(
-                sources, outputs, config.n_min, table=table,
-                _pools=inputs.pools, _applied=inputs.applied,
-            )
+            majority_vote_corpus(sources, inputs.pools, members, config.n_min, inputs.applied)
         ]
     elif config.method in ("oracle-ensemble", "oracle-rank"):
         ensemble = config.method == "oracle-ensemble"
@@ -340,8 +340,7 @@ def combine(
         )
         seeds = config.seeds if config.seeds is not None else run_seeds(config.seed, config.runs)
         runs = llm_rank_corpus(
-            sources, outputs, config.variant, config.runs, seeds, backend,
-            shuffle=shuffle, jobs=config.jobs,
+            sources, outputs, config.variant, seeds, backend, shuffle=shuffle, jobs=config.jobs
         )
         combined = [run.output for run in runs]
         fallbacks = [run.fallbacks for run in runs]
@@ -362,21 +361,17 @@ def run_experiment(
     inputs = _inputs if _inputs is not None else load_inputs(config)
     combined, choices, fallbacks = combine(config, inputs)
 
-    artifacts: list[Path] = []
     if choices is not None:
-        artifacts.append(_write(config, "audit.tsv", choices_tsv(choices)))
+        _write(config, "audit.tsv", choices_tsv(choices))
     reports = []
     for run_index, output in enumerate(combined):
         suffix = f"run{run_index}.txt" if len(combined) > 1 else "out.txt"
-        artifacts.append(_write(config, suffix, serialize_parallel(output.sentences)))
+        _write(config, suffix, serialize_parallel(output.sentences))
         reports.append(score_corpus(output, inputs.gold, table=inputs.table))
 
-    result = ExperimentResult(
-        config, tuple(combined), tuple(reports), tuple(artifacts), tuple(fallbacks)
-    )
-    artifacts.append(_write(config, "report.txt", report_table(result.report)))
-    artifacts.append(_write(config, "row.tsv", result_row_tsv([result])))
-    result.artifacts = tuple(artifacts)
+    result = ExperimentResult(config, tuple(combined), tuple(reports), tuple(fallbacks))
+    _write(config, "report.txt", report_table(result.report))
+    _write(config, "row.tsv", result_row_tsv([result]))
     return result
 
 
@@ -433,7 +428,5 @@ def prf_tsv(key: str, rows: Sequence[tuple[object, ExperimentResult]]) -> str:
     ))
 
 
-def _write(config: ExperimentConfig, suffix: str, text: str) -> Path:
-    path = config.output_dir / f"{config.name}.{suffix}"
-    atomic_write_text(path, text)
-    return path
+def _write(config: ExperimentConfig, suffix: str, text: str) -> None:
+    atomic_write_text(config.output_dir / f"{config.name}.{suffix}", text)

@@ -306,7 +306,6 @@ def llm_rank_corpus(
     sources: Sequence[TokenSentence],
     outputs: Sequence[SystemOutput],
     variant: str,
-    runs: int,
     seeds: Sequence[int],
     backend: Backend,
     *,
@@ -315,7 +314,7 @@ def llm_rank_corpus(
     retries: int = 3,
     backoff: float = 1.0,
 ) -> list[RankedRun]:
-    """Rank every sentence once per run; runs stay separate.
+    """Rank every sentence once per run, one run per seed; runs stay separate.
 
     Each run reshuffles candidates with its own seed (see :func:`run_seeds`)
     and samples the backend at temperature 1.0. Evaluation averages
@@ -324,12 +323,10 @@ def llm_rank_corpus(
     for that sentence and are recorded in the run's ``fallbacks``; a
     :class:`BackendSetupError` propagates instead.
     """
-    if runs < 1:
+    if not seeds:
         raise ValidationError("runs must be >= 1")
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    if len(seeds) != runs:
-        raise ValidationError(f"{runs} runs but {len(seeds)} seeds")
     check_aligned(outputs, len(sources))
 
     results: list[RankedRun] = []

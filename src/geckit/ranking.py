@@ -227,27 +227,22 @@ def similarity_matrix(outputs: Sequence[SystemOutput]) -> SimilarityMatrix:
     return SimilarityMatrix(tuple(out.name for out in outputs), tuple(map(tuple, mean)))
 
 
-def cluster_systems(
-    outputs: Sequence[SystemOutput],
-    threshold: float,
-    matrix: SimilarityMatrix | None = None,
-) -> list[SystemCluster]:
+def cluster_systems(matrix: SimilarityMatrix, threshold: float) -> list[SystemCluster]:
     """Cut the average-linkage dendrogram over 1 - similarity at ``threshold``.
 
-    Within a cluster the representative is the member with the highest mean
-    similarity to the other members (ties to input order); singletons
-    represent themselves. Clusters are ordered by their first member's
-    input position. Pass a precomputed ``matrix`` to avoid recomputing it.
-    The threshold must be finite and >= 0.
+    ``matrix`` is :func:`similarity_matrix` of the systems, or any square
+    matrix of finite similarities. Within a cluster the representative is
+    the member with the highest mean similarity to the other members (ties
+    to input order); singletons represent themselves. Clusters are ordered
+    by their first member's input position. The threshold must be finite
+    and >= 0.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"cluster threshold must be finite and >= 0, got {threshold}")
-    sim = matrix if matrix is not None else similarity_matrix(outputs)
-    names = sim.names
+    names, values = matrix.names, matrix.values
     n = len(names)
     if n < 2:
         raise ValidationError(f"clustering needs at least 2 systems, got {n}")
-    values = sim.values
     columns = next((len(row) for row in values if len(row) != n), n)
     if len(values) != n or columns != n:
         raise ValidationError(

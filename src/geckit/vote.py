@@ -95,10 +95,11 @@ def pool_corpus(
     outputs: Sequence[SystemOutput],
     table: EditTable | None = None,
 ) -> list[list[VotedEdit]]:
-    """Each sentence's :func:`pool_edits` over all of ``outputs``.
+    """Each sentence's :func:`pool_edits` over all of ``outputs``: the pools
+    :func:`majority_vote_corpus` counts votes in.
 
     A sweep or ablation pools once over its full member list and passes the
-    result to every :func:`majority_vote_corpus` run over those members.
+    result to every run over those members.
     Pooled edits with the same voters share one ``systems`` frozenset.
     """
     check_aligned(outputs, len(sources))
@@ -115,54 +116,47 @@ def pool_corpus(
 
 def majority_vote_corpus(
     sources: Sequence[TokenSentence],
-    outputs: Sequence[SystemOutput],
+    pools: Sequence[Sequence[VotedEdit]],
+    members: Sequence[str],
     n_min: int,
-    name: str | None = None,
-    table: EditTable | None = None,
-    *,
-    _pools: Sequence[Sequence[VotedEdit]] | None = None,
-    _applied: dict[tuple, TokenSentence] | None = None,
+    applied: dict[tuple, TokenSentence] | None = None,
 ) -> SystemOutput:
-    """Per-sentence majority vote over aligned member systems.
+    """Per-sentence majority vote of ``members`` over ``pools``.
 
-    Each sentence gets the edits that strictly more than ``n_min`` members
-    proposed, applied in the order and with the skips of :func:`_kept_edits`.
-    The ensemble's name records the members and the threshold unless an
-    explicit ``name`` is given. Member edits are read from ``table``, a
-    new one when none is given.
+    ``pools`` is :func:`pool_corpus` of ``sources`` over the systems named
+    ``members``, or over more systems that include them, of which only the
+    votes of ``members`` count. Each sentence gets the edits that strictly
+    more than ``n_min`` members proposed, applied in the order and with the
+    skips of :func:`_kept_edits`. The ensemble's name records the members
+    and the threshold.
 
-    ``_pools`` is for sweeps and ablations: :func:`pool_corpus` of
-    ``sources`` over these members, or over more systems that include them
-    under the same names, of which only these members' votes count.
-    ``_applied`` goes with ``_pools`` in sweeps and ablations: the output
-    sentence of each (sentence index, kept edit set) that runs over these
-    pools applied before, so equal kept sets are applied once. Its keys are
-    flat ``(index, *edits)`` tuples, the edits sorted: a kept set is
+    ``applied`` is for sweeps and ablations: the output sentence of each
+    (sentence index, kept edit set) that runs over these pools applied
+    before, so equal kept sets are applied once. Its keys are flat
+    ``(index, *edits)`` tuples, the edits sorted: a kept set is
     conflict-free and :func:`apply_edits` ignores its order. Without it,
     every edited sentence is applied.
     """
-    check_aligned(outputs, len(sources))
-    if not (0 <= n_min <= len(outputs)):
-        raise ValidationError(f"n_min must be within 0..{len(outputs)}, got {n_min}")
-    pools = _pools if _pools is not None else pool_corpus(sources, outputs, table)
-    names = [out.name for out in outputs]
-    members = frozenset(names)
+    if len(pools) != len(sources):
+        raise ValidationError(f"{len(pools)} vote pools for {len(sources)} sentences")
+    if not (0 <= n_min <= len(members)):
+        raise ValidationError(f"n_min must be within 0..{len(members)}, got {n_min}")
+    voters = frozenset(members)
     sentences = []
     for i, (source, pool) in enumerate(zip(sources, pools)):
-        kept = _kept_edits(pool, members, n_min)
+        kept = _kept_edits(pool, voters, n_min)
         if not kept:  # apply_edits(source, []) equals source
             sentences.append(source)
             continue
-        if _applied is None:
+        if applied is None:
             sentence = _apply(i, source, kept)
         else:
             key = (i, *sorted(kept))
-            sentence = _applied.get(key)
+            sentence = applied.get(key)
             if sentence is None:
-                sentence = _applied[key] = _apply(i, source, kept)
+                sentence = applied[key] = _apply(i, source, kept)
         sentences.append(sentence)
-    label = name or f"majority-vote(n_min={n_min})[{'+'.join(names)}]"
-    return SystemOutput(label, tuple(sentences))
+    return SystemOutput(f"majority-vote(n_min={n_min})[{'+'.join(members)}]", tuple(sentences))
 
 
 def _apply(i: int, source: TokenSentence, kept: list[Edit]) -> TokenSentence:

@@ -166,7 +166,8 @@ def _one_sentence(members):
 
 def vote_one(source, members, n_min):
     """The majority-vote output of one sentence."""
-    return majority_vote_corpus([source], _one_sentence(members), n_min).sentences[0]
+    pools = pool_corpus([source], _one_sentence(members))
+    return majority_vote_corpus([source], pools, [name for name, _ in members], n_min).sentences[0]
 
 
 def kept_one(source, members, n_min):

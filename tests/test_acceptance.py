@@ -39,7 +39,7 @@ from geckit.ranking import (
     weight_candidates,
 )
 from geckit.scoring import round_score, score_corpus
-from geckit.vote import majority_vote_corpus, pool_edits
+from geckit.vote import majority_vote_corpus, pool_corpus, pool_edits
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -365,10 +365,10 @@ def test_criterion_7_llm_rank_bias_immunity():
     ]
     blobs = set()
     for seed in (1, 2, 3, 4):
-        run = llm_rank_corpus(sources, outputs, "a", 1, [seed], MockLexminBackend())[0]
+        run = llm_rank_corpus(sources, outputs, "a", [seed], MockLexminBackend())[0]
         blobs.add(serialize_parallel(run.output.sentences).encode())
     reversed_run = llm_rank_corpus(
-        sources, list(reversed(outputs)), "a", 1, [99], MockLexminBackend()
+        sources, list(reversed(outputs)), "a", [99], MockLexminBackend()
     )[0]
     blobs.add(serialize_parallel(reversed_run.output.sentences).encode())
     _verdict(
@@ -396,7 +396,7 @@ def test_criterion_8_conll14_reproduction():
         for slug, path in zip(BEST7, member_paths)
     ]
 
-    voted = majority_vote_corpus(sources, outputs, 3)
+    voted = majority_vote_corpus(sources, pool_corpus(sources, outputs), BEST7, 3)
     vote_report = score_corpus(voted, gold)
     vote_f = round_score(vote_report.f05)
 
@@ -455,7 +455,7 @@ def test_criterion_9_bea_dev_clustering():
     archive = RESULTS / "bea_dev_similarity.tsv"
     atomic_write_text(archive, matrix_tsv(matrix))
 
-    clusters = cluster_systems(outputs, 0.11, matrix=matrix)
+    clusters = cluster_systems(matrix, 0.11)
     groups = " | ".join(",".join(c.members) for c in clusters)
     note = "matches the expected 3" if len(clusters) == 3 else "soft target is 3"
     _verdict(

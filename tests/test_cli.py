@@ -105,6 +105,13 @@ def test_directory_as_output_exits_one_naming_it(data, monkeypatch, capsys, argv
     assert list((data / "results").iterdir()) == []  # no temporary file left behind
 
 
+@pytest.mark.parametrize("out", ["a.txt/x", "a.txt/sub/x"], ids=["file-parent", "file-grandparent"])
+def test_output_path_through_a_file_exits_one_naming_it(data, monkeypatch, capsys, out):
+    monkeypatch.chdir(data)
+    assert main(["extract", "--src", "src.txt", "--hyp", "a.txt", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {out}: a parent is a file, not a directory\n"
+
+
 def test_score_prints_table(data, capsys):
     code = main(["score", "--hyp", str(data / "a.txt"), "--gold", str(data / "gold.m2")])
     assert code == 0
@@ -177,8 +184,6 @@ def test_vote_names_the_ensemble_on_stderr(data, capsys):
             "--sys", str(data / "b.txt"), "--nmin", "1", "--out", str(data / "ens.txt")]
     assert main(argv) == 0
     assert capsys.readouterr().err == f"wrote {data / 'ens.txt'} (majority-vote(n_min=1)[a+b])\n"
-    assert main([*argv, "--name", "mine"]) == 0
-    assert capsys.readouterr().err == f"wrote {data / 'ens.txt'} (mine)\n"
 
 
 def test_vote_named_systems(data):
@@ -526,8 +531,8 @@ def test_front_ends_cover_every_experiment_method():
 #             whether the config check finds it: then the experiment's error
 #             names the config file)
 _BAD_PARAMETERS = {
-    "runs": ("llm-rank", {"runs": 0}, ["--runs", "0"], "runs must be >= 1", False),
-    "jobs": ("llm-rank", {"jobs": 0}, ["--jobs", "0"], "jobs must be >= 1, got 0", False),
+    "runs": ("llm-rank", {"runs": 0}, ["--runs", "0"], "runs must be >= 1", True),
+    "jobs": ("llm-rank", {"jobs": 0}, ["--jobs", "0"], "jobs must be >= 1, got 0", True),
     "n_min": ("vote", {"n_min": 4}, ["--nmin", "4"], "n_min must be within 0..3, got 4", True),
 }
 
@@ -604,6 +609,22 @@ def test_seeds_runs_mismatch_fails_before_any_file_is_read(data, monkeypatch, ca
     config.update(systems=["a.txt", "b.txt", "c.txt"], runs=3)
     (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")
     assert main(["experiment", "--config", "exp.json"]) == 0
+
+
+def test_experiment_jobs_flag_is_checked_before_any_file_is_read(data, monkeypatch, capsys):
+    """--jobs replaces the config's value through its checks, so a bad one is
+    reported ahead of the missing gold file, as the same value in the config is."""
+    monkeypatch.chdir(data)
+    config = {"name": "exp", "method": "llm-rank", "gold": "missing.m2",
+              "systems": ["a.txt", "b.txt"]}
+    (data / "exp.json").write_text(json.dumps({**config, "jobs": 0}), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json"]) == 1
+    assert capsys.readouterr().err == "error: exp.json: jobs must be >= 1, got 0\n"
+    (data / "exp.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json", "--jobs", "0"]) == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+    assert main(["experiment", "--config", "exp.json", "--jobs", "2", "--seed", "3"]) == 1
+    assert capsys.readouterr().err == "error: missing.m2: no such file\n"
 
 
 def test_main_restores_the_callers_gc_thresholds(data, monkeypatch, capsys):

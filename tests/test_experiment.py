@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +156,14 @@ def test_config_validation_rules(tmp_path):
         ExperimentConfig(
             **{**base.__dict__, "systems": (("x", tmp_path / "a.txt"),) * 2}
         )
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")), ids=lambda p: p.name
+)
+def test_every_shipped_config_loads(path):
+    """Loading reads only the config itself, so its checks need no data files."""
+    assert load_config(path).name == json.loads(path.read_text(encoding="utf-8"))["name"]
 
 
 def test_only_the_experiment_needs_gold_not_its_method_step(tmp_path):

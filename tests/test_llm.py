@@ -210,7 +210,7 @@ def corpus_fixture():
 
 def test_rank_corpus_run_naming_and_shape():
     sources, outputs = corpus_fixture()
-    runs = llm_rank_corpus(sources, outputs, "a", 2, [1, 2], MockLexminBackend())
+    runs = llm_rank_corpus(sources, outputs, "a", [1, 2], MockLexminBackend())
     assert [r.output.name for r in runs] == ["llm-rank-a[run0]", "llm-rank-a[run1]"]
     assert all(len(r.output.sentences) == 3 for r in runs)
     for r in runs:
@@ -223,15 +223,15 @@ def test_rank_corpus_identical_across_seeds_with_content_mock():
     sources, outputs = corpus_fixture()
     picks = []
     for seed in (1, 2, 3, 4):
-        (run,) = llm_rank_corpus(sources, outputs, "a", 1, [seed], MockLexminBackend())
+        (run,) = llm_rank_corpus(sources, outputs, "a", [seed], MockLexminBackend())
         picks.append(run.output.sentences)
     assert len(set(picks)) == 1
 
 
 def test_rank_corpus_invariant_under_member_order_with_content_mock():
     sources, outputs = corpus_fixture()
-    (fwd,) = llm_rank_corpus(sources, outputs, "a", 1, [7], MockLexminBackend())
-    (rev,) = llm_rank_corpus(sources, list(reversed(outputs)), "a", 1, [7],
+    (fwd,) = llm_rank_corpus(sources, outputs, "a", [7], MockLexminBackend())
+    (rev,) = llm_rank_corpus(sources, list(reversed(outputs)), "a", [7],
                              MockLexminBackend())
     assert fwd.output.sentences == rev.output.sentences
 
@@ -241,7 +241,7 @@ def test_rank_corpus_positional_mock_depends_on_seed():
     sources, outputs = corpus_fixture()
     seen = set()
     for seed in range(8):
-        (run,) = llm_rank_corpus(sources, outputs, "a", 1, [seed], MockLabelBackend())
+        (run,) = llm_rank_corpus(sources, outputs, "a", [seed], MockLabelBackend())
         seen.add(run.output.sentences)
     assert len(seen) > 1
 
@@ -249,7 +249,7 @@ def test_rank_corpus_positional_mock_depends_on_seed():
 def test_rank_corpus_no_shuffle_gives_input_order_to_positional_mock():
     sources, outputs = corpus_fixture()
     (run,) = llm_rank_corpus(
-        sources, outputs, "a", 1, [0], MockLabelBackend(), shuffle=False
+        sources, outputs, "a", [0], MockLabelBackend(), shuffle=False
     )
     assert run.output.sentences == outputs[0].sentences
 
@@ -260,7 +260,7 @@ def test_rank_corpus_backend_failure_falls_back_and_is_recorded():
 
     sources, outputs = corpus_fixture()
     (run,) = llm_rank_corpus(
-        sources, outputs, "a", 1, [0], broken, shuffle=False, retries=1, backoff=0.0
+        sources, outputs, "a", [0], broken, shuffle=False, retries=1, backoff=0.0
     )
     assert run.output.sentences == outputs[0].sentences  # label A = first
     assert run.fallbacks == (0, 1, 2)
@@ -274,7 +274,7 @@ def test_missing_api_key_stops_the_run_without_retries(monkeypatch, jobs):
     backend = make_backend("http", base_url="http://localhost:1", model="m")
     sources, outputs = corpus_fixture()
     with pytest.raises(BackendSetupError, match="GECKIT_API_KEY"):
-        llm_rank_corpus(sources, outputs, "a", 1, [0], backend, jobs=jobs)
+        llm_rank_corpus(sources, outputs, "a", [0], backend, jobs=jobs)
     assert sleeps == []
 
 
@@ -361,7 +361,7 @@ def test_http_rejection_or_malformed_reply_stops_the_run_at_once(
     backend = make_backend("http", base_url=url, model="m")
     sources, outputs = corpus_fixture()
     with pytest.raises(BackendSetupError, match=str(status) if status != 200 else "malformed"):
-        llm_rank_corpus(sources, outputs, "a", 1, [0], backend)
+        llm_rank_corpus(sources, outputs, "a", [0], backend)
     assert received == ["Bearer test-key"]
     assert sleeps == []
 
@@ -371,7 +371,7 @@ def test_http_transient_errors_are_retried_then_fall_back(chat_server, sleeps, s
     url, received = chat_server((status, '{"error": "busy"}'))
     backend = make_backend("http", base_url=url, model="m")
     sources, outputs = corpus_fixture()
-    (run,) = llm_rank_corpus(sources, outputs, "a", 1, [0], backend, shuffle=False)
+    (run,) = llm_rank_corpus(sources, outputs, "a", [0], backend, shuffle=False)
     assert run.fallbacks == (0, 1, 2)
     assert run.output.sentences == outputs[0].sentences
     assert len(received) == 3 * 4
@@ -397,9 +397,9 @@ def test_http_timeout_is_retried(chat_server, sleeps):
 
 def test_rank_corpus_parallel_matches_serial():
     sources, outputs = corpus_fixture()
-    (serial,) = llm_rank_corpus(sources, outputs, "b", 1, [3], MockLexminBackend())
+    (serial,) = llm_rank_corpus(sources, outputs, "b", [3], MockLexminBackend())
     (parallel,) = llm_rank_corpus(
-        sources, outputs, "b", 1, [3], MockLexminBackend(), jobs=4
+        sources, outputs, "b", [3], MockLexminBackend(), jobs=4
     )
     assert serial.output.sentences == parallel.output.sentences
 
@@ -408,17 +408,15 @@ def test_rank_corpus_parallel_matches_serial():
 def test_rank_corpus_rejects_jobs_below_one(jobs):
     sources, outputs = corpus_fixture()
     with pytest.raises(ValidationError, match=f"jobs must be >= 1, got {jobs}"):
-        llm_rank_corpus(sources, outputs, "a", 1, [0], MockLexminBackend(), jobs=jobs)
+        llm_rank_corpus(sources, outputs, "a", [0], MockLexminBackend(), jobs=jobs)
 
 
 def test_rank_corpus_validates():
     sources, outputs = corpus_fixture()
+    with pytest.raises(ValidationError, match="^runs must be >= 1$"):
+        llm_rank_corpus(sources, outputs, "a", [], MockLexminBackend())  # one run per seed
     with pytest.raises(ValidationError):
-        llm_rank_corpus(sources, outputs, "a", 0, None, MockLexminBackend())
-    with pytest.raises(ValidationError):
-        llm_rank_corpus(sources, outputs, "a", 2, [1], MockLexminBackend())
-    with pytest.raises(ValidationError):
-        llm_rank_corpus(sources[:2], outputs, "a", 1, [1], MockLexminBackend())
+        llm_rank_corpus(sources[:2], outputs, "a", [1], MockLexminBackend())
 
 
 @settings(max_examples=60, deadline=None)

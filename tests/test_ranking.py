@@ -211,7 +211,7 @@ def test_identical_twins_cluster_together():
         sys_out("a2", "x y z"),
         sys_out("b", "completely different text"),
     ]
-    clusters = cluster_systems(outs, threshold=0.11)
+    clusters = cluster_systems(similarity_matrix(outs), threshold=0.11)
     assert [c.members for c in clusters] == [("a", "a2"), ("b",)]
     assert clusters[0].representative in ("a", "a2")
     assert clusters[1].representative == "b"
@@ -219,22 +219,22 @@ def test_identical_twins_cluster_together():
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
 def test_cluster_rejects_a_threshold_that_is_not_finite_and_non_negative(threshold):
-    outs = [sys_out("a", "x y z"), sys_out("b", "x y")]
+    matrix = similarity_matrix([sys_out("a", "x y z"), sys_out("b", "x y")])
     with pytest.raises(ValidationError) as exc:
-        cluster_systems(outs, threshold)
+        cluster_systems(matrix, threshold)
     assert str(exc.value) == f"cluster threshold must be finite and >= 0, got {threshold}"
-    assert [c.members for c in cluster_systems(outs, 0.0)] == [("a",), ("b",)]
+    assert [c.members for c in cluster_systems(matrix, 0.0)] == [("a",), ("b",)]
 
 
 def test_all_disjoint_systems_stay_singletons():
     outs = [sys_out("a", "x x"), sys_out("b", "y y"), sys_out("c", "z z")]
-    clusters = cluster_systems(outs, threshold=0.11)
+    clusters = cluster_systems(similarity_matrix(outs), threshold=0.11)
     assert [c.members for c in clusters] == [("a",), ("b",), ("c",)]
 
 
 def test_threshold_one_merges_everything():
     outs = [sys_out("a", "x x"), sys_out("b", "y y"), sys_out("c", "z z")]
-    clusters = cluster_systems(outs, threshold=1.5)
+    clusters = cluster_systems(similarity_matrix(outs), threshold=1.5)
     assert len(clusters) == 1
     assert clusters[0].members == ("a", "b", "c")
 
@@ -247,7 +247,7 @@ def test_representative_is_most_central_member():
         sys_out("b", "x y z w"),
         sys_out("c", "x y z q"),
     ]
-    clusters = cluster_systems(outs, threshold=0.9)
+    clusters = cluster_systems(similarity_matrix(outs), threshold=0.9)
     assert len(clusters) == 1
     assert clusters[0].representative == "a"  # tie with b -> input order
 
@@ -296,7 +296,7 @@ def test_matrix_invariants_on_random_outputs(n_sys, n_sent, seed):
 def test_cluster_rejects_bad_matrix(names, values, problem):
     matrix = SimilarityMatrix(names, values)
     with pytest.raises(ValidationError, match=re.escape(problem)):
-        cluster_systems([], 0.11, matrix=matrix)
+        cluster_systems(matrix, 0.11)
 
 
 def _numpy_similarity_matrix(outputs):
@@ -384,8 +384,8 @@ def test_similarity_matrix_matches_numpy_reference():
             (lo + hi) / 2 for lo, hi in zip(heights, heights[1:]) if hi - lo > 2e-12
         ]
         for t in thresholds:
-            members = [c.members for c in cluster_systems(outs, t, matrix=got)]
-            expected = [c.members for c in cluster_systems(outs, t, matrix=ref)]
+            members = [c.members for c in cluster_systems(got, t)]
+            expected = [c.members for c in cluster_systems(ref, t)]
             assert members == expected, f"corpus {k} at threshold {t!r}"
 
 

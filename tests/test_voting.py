@@ -100,21 +100,26 @@ def test_single_system_low_threshold_is_identity_of_that_system():
 def test_corpus_wrapper_validates_and_names():
     sources = [TokenSentence("a b".split())]
     systems = [out("s1", "x b"), out("s2", "x b")]
-    ensemble = majority_vote_corpus(sources, systems, 1)
+    pools = pool_corpus(sources, systems)
+    ensemble = majority_vote_corpus(sources, pools, ["s1", "s2"], 1)
     assert ensemble.name == "majority-vote(n_min=1)[s1+s2]"
     assert ensemble.sentences[0].text == "x b"
     with pytest.raises(ValidationError):
-        majority_vote_corpus(sources, systems, -1)
+        majority_vote_corpus(sources, pools, ["s1", "s2"], -1)
     with pytest.raises(ValidationError):
-        majority_vote_corpus(sources, systems, 3)  # n_min > N_sys
+        majority_vote_corpus(sources, pools, ["s1", "s2"], 3)  # n_min > N_sys
     with pytest.raises(ValidationError):
-        majority_vote_corpus(sources, [out("s1", "x b", "too long")], 0)
+        pool_corpus(sources, [out("s1", "x b", "too long")])
 
 
-def test_corpus_wrapper_custom_name():
-    sources = [TokenSentence("a b".split())]
-    ensemble = majority_vote_corpus(sources, [out("s1", "x b")], 0, name="mine")
-    assert ensemble.name == "mine"
+@pytest.mark.parametrize("n_pools", [1, 3])
+def test_vote_refuses_pools_for_another_sentence_count(n_pools):
+    """zip would otherwise drop the sentences past the shorter of the two."""
+    sources = [TokenSentence("a b".split()), TokenSentence("c d".split())]
+    pools = pool_corpus(sources, [out("s1", "x b", "c d")])
+    pools = (pools * 2)[:n_pools]
+    with pytest.raises(ValidationError, match=f"^{n_pools} vote pools for 2 sentences$"):
+        majority_vote_corpus(sources, pools, ["s1"], 0)
 
 
 # --------------------------------------------------------------------------
@@ -221,16 +226,18 @@ def _assert_pooled_votes_equal_reference(sources, outputs):
     pools = pool_corpus(sources, outputs)
     applied = {}  # shared by every run below, as a sweep and an ablation share it
     for subset in _full_and_remove_one(outputs):
+        names = [out.name for out in subset]
+        own_pools = pool_corpus(sources, subset)
         for n_min in range(len(subset) + 1):
             expected = tuple(
                 _reference_vote(source, [(out.name, out.sentences[i]) for out in subset], n_min)
                 for i, source in enumerate(sources)
             )
-            pooled = majority_vote_corpus(sources, subset, n_min, _pools=pools)
-            assert pooled.sentences == expected, ([out.name for out in subset], n_min)
-            assert majority_vote_corpus(sources, subset, n_min).sentences == expected
-            shared = majority_vote_corpus(sources, subset, n_min, _pools=pools, _applied=applied)
-            assert shared.sentences == expected, ([out.name for out in subset], n_min)
+            pooled = majority_vote_corpus(sources, pools, names, n_min)
+            assert pooled.sentences == expected, (names, n_min)
+            assert majority_vote_corpus(sources, own_pools, names, n_min).sentences == expected
+            shared = majority_vote_corpus(sources, pools, names, n_min, applied)
+            assert shared.sentences == expected, (names, n_min)
 
 
 def _assert_pooled_votes_ignore_member_order(sources, outputs, rng):
@@ -239,9 +246,10 @@ def _assert_pooled_votes_ignore_member_order(sources, outputs, rng):
     pools, shuffled_pools = pool_corpus(sources, outputs), pool_corpus(sources, shuffled)
     for subset in _full_and_remove_one(outputs):
         reordered = [out for out in shuffled if out in subset]
+        names, reordered_names = [o.name for o in subset], [o.name for o in reordered]
         for n_min in range(len(subset) + 1):
-            one = majority_vote_corpus(sources, subset, n_min, _pools=pools)
-            two = majority_vote_corpus(sources, reordered, n_min, _pools=shuffled_pools)
+            one = majority_vote_corpus(sources, pools, names, n_min)
+            two = majority_vote_corpus(sources, shuffled_pools, reordered_names, n_min)
             assert one.sentences == two.sentences
 
 
