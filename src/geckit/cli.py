@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-import traceback
-from dataclasses import replace
 from pathlib import Path
 
 from .align import apply_edits, extract_edits
@@ -163,9 +161,9 @@ def _cmd_cluster(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     if args.jobs is not None:
-        config = replace(config, jobs=args.jobs)
+        config = config.replace(jobs=args.jobs)
     if args.seed is not None:
-        config = replace(config, seed=args.seed, seeds=None)
+        config = config.replace(seed=args.seed, seeds=None)
     if args.ablation:
         rows = ablation_remove_one(config)
         for _, result in rows:
@@ -305,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     # The loaded corpora hold no reference cycles (tuples of interned str,
-    # Edit tuples, frozen dataclasses), yet the default thresholds walk them
+    # Edit tuples, NamedTuple records), yet the default thresholds walk them
     # in over a hundred collections per sweep. Collect rarely while the
     # command runs, and give the caller its own thresholds back.
     thresholds = gc.get_threshold()
@@ -318,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 0
     except Exception:
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         return 2
     finally:

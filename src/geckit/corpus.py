@@ -35,7 +35,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -185,8 +184,12 @@ def _check_pair(a: Edit, b: Edit) -> None:
         raise OverlapError(f"conflicting edits: {a} / {b}")
 
 
-@dataclass(frozen=True)
-class GoldSentence:
+class _GoldFields(NamedTuple):
+    source: TokenSentence
+    annotations: tuple[tuple[Edit, ...], ...]
+
+
+class GoldSentence(_GoldFields):
     """A source sentence with one edit set per annotator.
 
     ``annotations[k]`` is annotator ``k``'s complete correction of the
@@ -195,36 +198,36 @@ class GoldSentence:
     tuple, contiguous from 0.
     """
 
-    source: TokenSentence
-    annotations: tuple[tuple[Edit, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        anns = tuple(
-            tuple(sorted(ann, key=lambda e: (e.start, e.end))) for ann in self.annotations
-        )
-        object.__setattr__(self, "annotations", anns)
-        if not isinstance(self.source, TokenSentence):
-            object.__setattr__(self, "source", TokenSentence(self.source))
+    def __new__(
+        cls, source: Sequence[str], annotations: Iterable[Iterable[Edit]]
+    ) -> GoldSentence:
+        anns = tuple(tuple(sorted(ann, key=lambda e: (e.start, e.end))) for ann in annotations)
+        if not isinstance(source, TokenSentence):
+            source = TokenSentence(source)
         if not anns:
             raise ValidationError("a gold sentence needs at least one annotation set")
         for ann in anns:
-            check_edits(self.source, ann)
+            check_edits(source, ann)
+        return super().__new__(cls, source, anns)
 
 
-@dataclass(frozen=True)
-class SystemOutput:
-    """One system's corrected sentences, aligned 1:1 with the corpus."""
-
+class _SystemFields(NamedTuple):
     name: str
     sentences: tuple[TokenSentence, ...]
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class SystemOutput(_SystemFields):
+    """One system's corrected sentences, aligned 1:1 with the corpus."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, sentences: Iterable[Sequence[str]]) -> SystemOutput:
+        if not name:
             raise ValidationError("system name must be non-empty")
-        sents = tuple(
-            s if isinstance(s, TokenSentence) else TokenSentence(s) for s in self.sentences
-        )
-        object.__setattr__(self, "sentences", sents)
+        sents = tuple(s if isinstance(s, TokenSentence) else TokenSentence(s) for s in sentences)
+        return super().__new__(cls, name, sents)
 
 
 def check_aligned(outputs: Sequence[SystemOutput], n: int) -> None:

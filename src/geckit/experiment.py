@@ -42,11 +42,8 @@ config names the config file.
 
 from __future__ import annotations
 
-import json
-import statistics
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .align import EditTable
 from .corpus import (
@@ -92,8 +89,7 @@ _KNOWN_KEYS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
+class _ConfigFields(NamedTuple):
     name: str
     gold_path: str | Path | None  # None: a method subcommand without --gold
     systems: tuple[tuple[str, Path], ...]  # (name, path)
@@ -111,7 +107,16 @@ class ExperimentConfig:
     model: str | None = None
     jobs: int = 1
 
-    def __post_init__(self) -> None:
+
+class ExperimentConfig(_ConfigFields):
+    """A validated experiment config. Construction checks every field
+    against the method; :meth:`replace` checks again, where ``_replace``
+    would not."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ExperimentConfig:
+        self = super().__new__(cls, *args, **kwargs)
         check_name("experiment", self.name)
         if self.method not in METHODS:
             raise ValidationError(
@@ -144,17 +149,21 @@ class ExperimentConfig:
             raise ValidationError(
                 f"n_min must be within 0..{len(self.systems)}, got {self.n_min}"
             )
+        return self
+
+    def replace(self, **changes) -> ExperimentConfig:
+        """A copy with ``changes`` applied, validated as a new config."""
+        return ExperimentConfig(**{**self._asdict(), **changes})
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Everything one experiment produced, before presentation."""
 
     config: ExperimentConfig
     outputs: tuple[SystemOutput, ...]  # one per run (one except llm-rank)
     reports: tuple[ScoreReport, ...]  # aligned with outputs
     # llm-rank only: per run, the sentence indices that fell back to label A
-    fallbacks: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
+    fallbacks: tuple[tuple[int, ...], ...] = ()
 
     @property
     def report(self) -> ScoreReport:
@@ -162,6 +171,8 @@ class ExperimentResult:
 
     def spread_f05(self) -> float:
         """2 x population std of F0.5 across runs; 0.0 for a single run."""
+        import statistics
+
         return 2 * statistics.pstdev(r.f05 for r in self.reports)
 
 
@@ -171,6 +182,8 @@ _ROW_COLUMNS = ("experiment", "method", "P", "R", "F0.5", "F0.5_2std",
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a JSON experiment config; every error names the file."""
+    import json  # loaded on first use: most commands read no JSON
+
     path = Path(path)
     try:
         raw = json.loads(read_text(path))
@@ -195,7 +208,9 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
         if required not in raw:
             raise ValidationError(f"missing required key {required!r}")
 
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    import json
+
+    defaults = ExperimentConfig._field_defaults
 
     def resolve(p: str | Path) -> Path:
         candidate = Path(p)
@@ -258,20 +273,25 @@ def _parse_system_entry(entry, resolve) -> tuple[str, Path]:
     raise ValidationError(f"bad system entry: {entry!r}")
 
 
-@dataclass
 class _Inputs:
     """A config's input files, read and validated once, and the edit table
     and vote pools shared by every run over them."""
 
-    gold: list[GoldSentence] | None  # None without a gold file
-    sources: list[TokenSentence] | None  # None with neither gold nor source
-    members: dict[str, SystemOutput]  # by system name
-    table: EditTable = field(default_factory=EditTable)
-    # each sentence's edits pooled over all members; built by the first vote run
-    pools: list[list[VotedEdit]] | None = None
-    # the vote output of each (sentence index, kept edit set) met by runs over
-    # pools; set by sweeps and ablations only, see majority_vote_corpus
-    applied: dict[tuple, TokenSentence] | None = None
+    __slots__ = ("gold", "sources", "members", "table", "pools", "applied")
+
+    def __init__(
+        self,
+        gold: list[GoldSentence] | None,  # None without a gold file
+        sources: list[TokenSentence] | None,  # None with neither gold nor source
+        members: dict[str, SystemOutput],  # by system name
+    ) -> None:
+        self.gold, self.sources, self.members = gold, sources, members
+        self.table = EditTable()
+        # each sentence's edits pooled over all members; built by the first vote run
+        self.pools: list[list[VotedEdit]] | None = None
+        # the vote output of each (sentence index, kept edit set) met by runs over
+        # pools; set by sweeps and ablations only, see majority_vote_corpus
+        self.applied: dict[tuple, TokenSentence] | None = None
 
 
 def load_inputs(config: ExperimentConfig) -> _Inputs:
@@ -383,8 +403,7 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
     inputs.applied = {}
     rows = [("full", run_experiment(config, _inputs=inputs))]
     for name, _ in config.systems:
-        reduced = replace(
-            config,
+        reduced = config.replace(
             name=f"{config.name}.wo-{name}",
             systems=tuple(s for s in config.systems if s[0] != name),
         )
@@ -401,7 +420,7 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     inputs.applied = {}
     rows = []
     for n_min in range(len(config.systems) + 1):
-        variant = replace(config, name=f"{config.name}.nmin{n_min}", n_min=n_min)
+        variant = config.replace(name=f"{config.name}.nmin{n_min}", n_min=n_min)
         rows.append((n_min, run_experiment(variant, _inputs=inputs)))
     _write(config, "sweep.tsv", prf_tsv("n_min", rows))
     return rows
@@ -410,6 +429,8 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
 def result_row_tsv(results: Sequence[ExperimentResult]) -> str:
     """Machine-readable result rows, one per experiment: P, R and F0.5 are
     means over its runs, and F0.5_2std is "-" for a single run."""
+    import statistics
+
     rows = []
     for res in results:
         mean = map(statistics.fmean, zip(*((r.precision, r.recall, r.f05) for r in res.reports)))

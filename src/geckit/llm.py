@@ -18,19 +18,17 @@ neither retried nor falls back: it stops the run at once.
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import string
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .corpus import SystemOutput, TokenSentence, ValidationError, check_aligned
 from .seeds import derive_rng, derive_seed
 
 Backend = Callable[[str, str, float], str]
+
+_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"  # string.ascii_uppercase
 
 
 class BackendSetupError(ValidationError, RuntimeError):
@@ -60,8 +58,7 @@ _INSTRUCTION = {
 }
 
 
-@dataclass(frozen=True)
-class RankPrompt:
+class RankPrompt(NamedTuple):
     """A rendered ranking request for one sentence."""
 
     variant: str
@@ -74,8 +71,7 @@ class RankPrompt:
         return tuple(label for label, _ in self.candidates)
 
 
-@dataclass(frozen=True)
-class RankResponse:
+class RankResponse(NamedTuple):
     parsed: tuple[str, ...]  # single label for "a", sequence for "b"
     fallback: bool
 
@@ -99,16 +95,16 @@ def build_prompt(
         raise ValidationError(f"unknown prompt variant {variant!r}")
     if len(candidates) < 2:
         raise ValidationError("prompt needs at least 2 candidates")
-    if len(candidates) > len(string.ascii_uppercase):
+    if len(candidates) > len(_LABELS):
         raise ValidationError("at most 26 candidates supported")
     order = list(candidates)
     if seed is not None:
         derive_rng(seed).shuffle(order)
     labeled = tuple(
-        (string.ascii_uppercase[i], sentence) for i, (_, sentence) in enumerate(order)
+        (_LABELS[i], sentence) for i, (_, sentence) in enumerate(order)
     )
     permutation = {
-        string.ascii_uppercase[i]: name for i, (name, _) in enumerate(order)
+        _LABELS[i]: name for i, (name, _) in enumerate(order)
     }
     lines = ["ORIGINAL:", source.text, "EDITED:"]
     lines += [f"{label}: {sentence.text}" for label, sentence in labeled]
@@ -219,6 +215,7 @@ class HttpChatBackend:
             "temperature": temperature,
         }
         # Imported here, as http.client, email and ssl add ~25 ms to every start-up
+        import json
         import urllib.error
         import urllib.request
         url = f"{self.base_url}/chat/completions"
@@ -289,8 +286,7 @@ def call_with_retries(
 # Corpus runs
 
 
-@dataclass(frozen=True)
-class RankedRun:
+class RankedRun(NamedTuple):
     """One complete pass over the corpus with one shuffle seed."""
 
     output: SystemOutput
@@ -350,6 +346,8 @@ def llm_rank_corpus(
             return by_label[response.top], response.fallback
 
         if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 ranked = list(pool.map(rank_one, range(len(sources))))
         else:

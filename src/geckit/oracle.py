@@ -16,8 +16,7 @@ the table extracts nothing again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .align import EditTable, apply_edits
 from .corpus import (
@@ -26,8 +25,7 @@ from .corpus import (
 from .scoring import best_annotator
 
 
-@dataclass(frozen=True)
-class OracleChoice:
+class OracleChoice(NamedTuple):
     """One oracle decision: which annotator and what was selected."""
 
     sentence_index: int

@@ -28,17 +28,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .align import EditTable
 from .corpus import SystemOutput, TokenSentence, ValidationError, check_aligned, tsv
 
 
-@dataclass(frozen=True)
-class WeightedCandidate:
+class WeightedCandidate(NamedTuple):
     """A candidate with its output-frequency weight applied."""
 
     system: str
@@ -49,8 +47,7 @@ class WeightedCandidate:
     weighted_score: float
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
+class SimilarityMatrix(NamedTuple):
     """Mean pairwise cosine similarities between systems."""
 
     names: tuple[str, ...]
@@ -60,8 +57,7 @@ class SimilarityMatrix:
         return self.values[self.names.index(a)][self.names.index(b)]
 
 
-@dataclass(frozen=True)
-class SystemCluster:
+class SystemCluster(NamedTuple):
     members: tuple[str, ...]  # input order
     representative: str
 

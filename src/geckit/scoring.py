@@ -12,7 +12,6 @@ the reference scorer's behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple, Sequence
 
@@ -35,8 +34,7 @@ class SentenceCounts(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Corpus totals plus the per-sentence annotator choices behind them.
 
     ``precision``, ``recall`` and ``f05`` are fractions in [0, 1]; use

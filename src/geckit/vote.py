@@ -16,15 +16,13 @@ under reordering of the member systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .align import EditTable, apply_edits
 from .corpus import Edit, SystemOutput, TokenSentence, ValidationError, check_aligned, conflicts
 
 
-@dataclass(frozen=True, slots=True)
-class VotedEdit:
+class VotedEdit(NamedTuple):
     """An edit plus the members that proposed it.
 
     The pools of one :func:`pool_corpus` share one ``systems`` frozenset

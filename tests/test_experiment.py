@@ -6,7 +6,6 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -141,20 +140,28 @@ def test_config_integers_load_as_given(tmp_path):
     assert load_config(write_config(tmp_path, payload)).seeds is None
 
 
+def test_absent_keys_take_the_field_defaults(tmp_path):
+    payload = write_fixture(tmp_path)
+    del payload["n_min"], payload["output_dir"]
+    config = load_config(write_config(tmp_path, payload))
+    defaults = {**ExperimentConfig._field_defaults, "output_dir": tmp_path / "results"}
+    assert {key: getattr(config, key) for key in defaults} == defaults
+
+
 def test_config_validation_rules(tmp_path):
     payload = write_fixture(tmp_path)
     base = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError):
-        ExperimentConfig(**{**base.__dict__, "method": "sorcery"})
+        ExperimentConfig(**{**base._asdict(), "method": "sorcery"})
     with pytest.raises(ValidationError):
-        ExperimentConfig(**{**base.__dict__, "method": "rank"})  # no scores
+        ExperimentConfig(**{**base._asdict(), "method": "rank"})  # no scores
     with pytest.raises(ValidationError):
-        ExperimentConfig(**{**base.__dict__, "method": "aggr-rank"})  # needs 2
+        ExperimentConfig(**{**base._asdict(), "method": "aggr-rank"})  # needs 2
     with pytest.raises(ValidationError):
-        ExperimentConfig(**{**base.__dict__, "systems": ()})
+        ExperimentConfig(**{**base._asdict(), "systems": ()})
     with pytest.raises(ValidationError):
         ExperimentConfig(
-            **{**base.__dict__, "systems": (("x", tmp_path / "a.txt"),) * 2}
+            **{**base._asdict(), "systems": (("x", tmp_path / "a.txt"),) * 2}
         )
 
 
@@ -172,7 +179,7 @@ def test_only_the_experiment_needs_gold_not_its_method_step(tmp_path):
         "I likes turtles very much .\nShe go to school yesterday .\nNothing wrong here .\n",
         encoding="utf-8",
     )
-    no_gold = replace(config, gold_path=None, source_path=tmp_path / "src.txt")
+    no_gold = config.replace(gold_path=None, source_path=tmp_path / "src.txt")
     with pytest.raises(ValidationError, match="experiment 'fixture' needs a gold file"):
         run_experiment(no_gold)
     assert not (tmp_path / "results").exists()
@@ -372,7 +379,7 @@ def _shared_and_standalone(tmp_path, method):
         encoding="utf-8",
     )
     config = load_config(write_config(tmp_path, payload))
-    alone = replace(config, output_dir=tmp_path / "alone")
+    alone = config.replace(output_dir=tmp_path / "alone")
     return config, alone
 
 
@@ -380,7 +387,7 @@ def test_sweep_artifacts_equal_standalone_runs(tmp_path):
     config, alone = _shared_and_standalone(tmp_path, "vote")
     rows = sweep_n_min(config)
     for n_min, _ in rows:
-        run_experiment(replace(alone, name=f"{config.name}.nmin{n_min}", n_min=n_min))
+        run_experiment(alone.replace(name=f"{config.name}.nmin{n_min}", n_min=n_min))
     shared = _artifacts(config.output_dir)
     assert shared.pop("fixture.sweep.tsv")
     assert shared == _artifacts(alone.output_dir)
@@ -393,7 +400,7 @@ def test_ablation_artifacts_equal_standalone_runs(tmp_path, method):
     run_experiment(alone)
     for name, _ in config.systems:
         systems = tuple(s for s in config.systems if s[0] != name)
-        run_experiment(replace(alone, name=f"{config.name}.wo-{name}", systems=systems))
+        run_experiment(alone.replace(name=f"{config.name}.wo-{name}", systems=systems))
     shared = _artifacts(config.output_dir)
     assert shared.pop("fixture.ablation.tsv")
     assert shared == _artifacts(alone.output_dir)
@@ -497,7 +504,7 @@ def test_sweep_ablation_and_vote_bytes_stay_pinned(tmp_path):
     config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
     sweep_n_min(config)
     ablation_remove_one(config)
-    run_experiment(replace(config, name="vote"))
+    run_experiment(config.replace(name="vote"))
     digest = hashlib.sha256()
     for name, data in _artifacts(config.output_dir).items():
         digest.update(name.encode() + b"\0" + data + b"\0")

@@ -1,10 +1,16 @@
 """What an import loads: the package loads no module of its own, a module
-only what it uses, and neither geckit nor `cluster` loads numpy or scipy."""
+only what it uses, and neither geckit nor `cluster` loads numpy or scipy.
+`import geckit.cli` loads no standard-library module that only one code
+path uses, yet every module the bench's tracer wraps."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
@@ -49,3 +55,40 @@ def test_import_loads_only_what_it_names(module, loaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{loaded}\n"
+
+
+# Each is loaded on first use only: the dataclass machinery (with inspect)
+# by nothing, the others by the one code path that needs them.
+_SINGLE_PATH = ("dataclasses", "inspect", "traceback", "concurrent.futures",
+                "statistics", "hashlib", "json", "string")
+
+
+def test_cli_import_adds_no_single_path_stdlib_module():
+    """Only what the import adds counts, so a site that preloads one passes."""
+    result = _fresh_interpreter(
+        "import sys\nbefore = set(sys.modules)\nimport geckit.cli\n"
+        f"print(sorted(m for m in {_SINGLE_PATH!r} if m in set(sys.modules) - before))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def _traced_modules() -> set[str]:
+    """The modules of bench/trace_child.py's SPANS keys, read without running it."""
+    tree = ast.parse(TRACE_CHILD.read_text(encoding="utf-8"))
+    spans = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "SPANS" for t in node.targets))
+    return {module for module, _ in ast.literal_eval(spans)}
+
+
+def test_cli_import_loads_every_traced_module():
+    """The tracer reads each traced module from sys.modules right after
+    `import geckit.cli`, so a module loaded lazily would break `--trace 1`."""
+    traced = _traced_modules() | {"geckit.cli"}
+    assert len(traced) == 9
+    result = _fresh_interpreter(
+        "import sys\nimport geckit.cli\n"
+        f"print(sorted(m for m in {sorted(traced)!r} if m not in sys.modules))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

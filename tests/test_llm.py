@@ -18,7 +18,9 @@ from geckit.llm import (
     llm_rank_corpus,
     make_backend,
     parse_response,
+    run_seeds,
 )
+from geckit.seeds import derive_rng, derive_seed
 
 SRC = TokenSentence("I likes turtles .".split())
 
@@ -47,6 +49,15 @@ def test_prompt_text_layout():
     )
     assert "OUTPUT:" in prompt.text
     assert prompt.labels == ("A", "B", "C")
+
+
+def test_seed_derivation_is_pinned():
+    """A change in how seeds are derived (hash, key format, generator) would
+    reshuffle every prompt, and a content-based mock such as mock-lexmin
+    could not see it; so the derivation is pinned to literals."""
+    assert derive_seed(0, "run", 2) == 17931629419272285697
+    assert derive_rng(7, "sentence", 3).random() == 0.26887315583542926
+    assert run_seeds(0, 3)[2] == derive_seed(0, "run", 2)
 
 
 def test_prompt_labels_up_to_seven():
