@@ -17,7 +17,7 @@ import gc
 import sys
 from pathlib import Path
 
-from .align import apply_edits, extract_edits
+from .align import EditTable, apply_edits, extract_edits
 from .corpus import (
     ValidationError,
     atomic_write_text,
@@ -97,7 +97,7 @@ def _cmd_score(args) -> int:
     if args.src:
         check_source_file(args.src, gold)
     hyp = load_system_output(args.hyp, expected_len=len(gold))
-    report = score_corpus(hyp, gold)
+    report = score_corpus(hyp, gold, EditTable())
     text = report_tsv(report) if args.tsv else report_table(report)
     _emit(text, args.out)
     return 0
@@ -175,7 +175,7 @@ def _cmd_experiment(args) -> int:
         for n_min, result in rows:
             print(f"n_min={n_min}: F0.5={result.report.f05:.4f}", file=sys.stderr)
         return 0
-    result = run_experiment(config)
+    result = run_experiment(config, load_inputs(config))
     _print_fallbacks(result)
     sys.stdout.write(result_row_tsv([result]))
     return 0

@@ -342,7 +342,7 @@ def combine(
     elif config.method in ("oracle-ensemble", "oracle-rank"):
         ensemble = config.method == "oracle-ensemble"
         oracle = oracle_ensemble_corpus if ensemble else oracle_rank_corpus
-        result, choices = oracle(gold, outputs, table=table)
+        result, choices = oracle(gold, outputs, table)
         combined = [result]
     elif config.method in ("rank", "rank-w"):
         scores = load_score_file(config.score_path)
@@ -367,18 +367,15 @@ def combine(
     return combined, choices, fallbacks
 
 
-def run_experiment(
-    config: ExperimentConfig, *, _inputs: _Inputs | None = None
-) -> ExperimentResult:
-    """Run one configured experiment and write its artifacts.
+def run_experiment(config: ExperimentConfig, inputs: _Inputs) -> ExperimentResult:
+    """Run one configured experiment over ``inputs`` and write its artifacts.
 
-    ``_inputs`` is for sweeps and ablations: inputs already loaded for a
-    config with the same gold, source and member files, from which this
-    run takes its members by name.
+    ``inputs`` is :func:`load_inputs` of ``config``, or of a config with the
+    same gold, source and member files, from which this run takes its
+    members by name: sweeps and ablations load once for all their runs.
     """
-    if config.gold_path is None:
+    if inputs.gold is None:
         raise ValidationError(f"experiment {config.name!r} needs a gold file")
-    inputs = _inputs if _inputs is not None else load_inputs(config)
     combined, choices, fallbacks = combine(config, inputs)
 
     if choices is not None:
@@ -387,7 +384,7 @@ def run_experiment(
     for run_index, output in enumerate(combined):
         suffix = f"run{run_index}.txt" if len(combined) > 1 else "out.txt"
         _write(config, suffix, serialize_parallel(output.sentences))
-        reports.append(score_corpus(output, inputs.gold, table=inputs.table))
+        reports.append(score_corpus(output, inputs.gold, inputs.table))
 
     result = ExperimentResult(config, tuple(combined), tuple(reports), tuple(fallbacks))
     _write(config, "report.txt", report_table(result.report))
@@ -401,13 +398,13 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
         raise ValidationError("remove-one ablation needs at least 3 member systems")
     inputs = load_inputs(config)
     inputs.applied = {}
-    rows = [("full", run_experiment(config, _inputs=inputs))]
+    rows = [("full", run_experiment(config, inputs))]
     for name, _ in config.systems:
         reduced = config.replace(
             name=f"{config.name}.wo-{name}",
             systems=tuple(s for s in config.systems if s[0] != name),
         )
-        rows.append((f"w/o {name}", run_experiment(reduced, _inputs=inputs)))
+        rows.append((f"w/o {name}", run_experiment(reduced, inputs)))
     _write(config, "ablation.tsv", prf_tsv("variant", rows))
     return rows
 
@@ -421,7 +418,7 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     rows = []
     for n_min in range(len(config.systems) + 1):
         variant = config.replace(name=f"{config.name}.nmin{n_min}", n_min=n_min)
-        rows.append((n_min, run_experiment(variant, _inputs=inputs)))
+        rows.append((n_min, run_experiment(variant, inputs)))
     _write(config, "sweep.tsv", prf_tsv("n_min", rows))
     return rows
 

@@ -183,29 +183,29 @@ def _parse_candidates(user_message: str) -> list[tuple[str, tuple[str, ...]]]:
     return out
 
 
+API_KEY_ENV = "GECKIT_API_KEY"  # holds the http backend's bearer token
+
+
 class HttpChatBackend:
     """Chat-completions client: POST {base_url}/chat/completions.
 
-    The bearer token is read from the environment (default variable
-    GECKIT_API_KEY) so credentials never appear in configs or argv.
+    The bearer token is read from the environment variable
+    :data:`API_KEY_ENV` so credentials never appear in configs or argv.
     Timeouts, connection errors, 429 and 5xx raise ordinary exceptions,
     which :func:`call_with_retries` retries. Any other 4xx, with the
     ``urllib.error.HTTPError`` as its cause, and a reply without a string
     at ``choices[0].message.content`` raise :class:`BackendSetupError`.
     """
 
-    def __init__(
-        self, base_url: str, model: str, api_key_env: str = "GECKIT_API_KEY", timeout: float = 60.0
-    ):
+    def __init__(self, base_url: str, model: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key_env = api_key_env
         self.timeout = timeout
 
     def __call__(self, system_message: str, user_message: str, temperature: float) -> str:
-        key = os.environ.get(self.api_key_env)
+        key = os.environ.get(API_KEY_ENV)
         if not key:
-            raise BackendSetupError(f"environment variable {self.api_key_env} is not set")
+            raise BackendSetupError(f"environment variable {API_KEY_ENV} is not set")
         body = {
             "model": self.model,
             "messages": [
@@ -307,8 +307,6 @@ def llm_rank_corpus(
     *,
     shuffle: bool = True,
     jobs: int = 1,
-    retries: int = 3,
-    backoff: float = 1.0,
 ) -> list[RankedRun]:
     """Rank every sentence once per run, one run per seed; runs stay separate.
 
@@ -334,10 +332,7 @@ def llm_rank_corpus(
             prompt = build_prompt(variant, sources[i], candidates, prompt_seed)
             by_label = dict(prompt.candidates)
             try:
-                raw = call_with_retries(
-                    backend, DEFAULT_TASK_DESCRIPTION, prompt.text, 1.0,
-                    retries=retries, backoff=backoff,
-                )
+                raw = call_with_retries(backend, DEFAULT_TASK_DESCRIPTION, prompt.text, 1.0)
             except BackendSetupError:
                 raise
             except Exception:

@@ -80,15 +80,11 @@ def _ensemble_choice(
 def oracle_ensemble_corpus(
     gold: Sequence[GoldSentence],
     outputs: Sequence[SystemOutput],
-    table: EditTable | None = None,
+    table: EditTable,
 ) -> tuple[SystemOutput, list[OracleChoice]]:
-    """Corpus-level oracle ensembling with an audit trail.
-
-    Edits are read from ``table``, a new one when none is given.
-    """
+    """Corpus-level oracle ensembling with an audit trail; edits are read
+    from ``table``."""
     check_aligned(outputs, len(gold))
-    if table is None:
-        table = EditTable()
     sentences = []
     choices = []
     for i, gs in enumerate(gold):
@@ -102,20 +98,17 @@ def oracle_ensemble_corpus(
 def oracle_rank_corpus(
     gold: Sequence[GoldSentence],
     outputs: Sequence[SystemOutput],
-    table: EditTable | None = None,
+    table: EditTable,
 ) -> tuple[SystemOutput, list[OracleChoice]]:
     """Corpus-level oracle ranking with an audit trail.
 
     Each sentence takes the member output with the best (F0.5, n_correct,
     -n_proposed) against its most favorable annotator; full ties keep the
-    earliest member in ``outputs``. Edits are read from ``table``, a new one
-    when none is given.
+    earliest member in ``outputs``. Edits are read from ``table``.
     """
     if not outputs:
         raise ValidationError("oracle-rank needs at least one candidate")
     check_aligned(outputs, len(gold))
-    if table is None:
-        table = EditTable()
     sentences = []
     choices = []
     for i, gs in enumerate(gold):

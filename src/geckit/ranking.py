@@ -111,17 +111,14 @@ def aggr_rank(
     primary: TokenSentence,
     alternative: TokenSentence,
     source: TokenSentence,
-    table: EditTable | None = None,
+    table: EditTable,
 ) -> TokenSentence:
     """Keep the primary candidate only when it is the less aggressive one.
 
     Primary wins iff it proposes strictly fewer edits than the alternative
     and proposes at least one; everything else falls back to the
-    alternative. Edits are read from ``table``, a new one when none is
-    given.
+    alternative. Edits are read from ``table``.
     """
-    if table is None:
-        table = EditTable()
     e_p = len(table.edits(source, primary))
     e_a = len(table.edits(source, alternative))
     return primary if 1 <= e_p < e_a else alternative
@@ -152,13 +149,10 @@ def aggr_rank_corpus(
     sources: Sequence[TokenSentence],
     primary: SystemOutput,
     alternative: SystemOutput,
-    table: EditTable | None = None,
+    table: EditTable,
 ) -> SystemOutput:
-    """Per-sentence :func:`aggr_rank`; edits are read from ``table``, a new
-    one when none is given."""
+    """Per-sentence :func:`aggr_rank`; edits are read from ``table``."""
     check_aligned((primary, alternative), len(sources))
-    if table is None:
-        table = EditTable()
     sentences = tuple(
         aggr_rank(p, a, s, table)
         for p, a, s in zip(primary.sentences, alternative.sentences, sources)

@@ -109,19 +109,16 @@ def best_annotator(
 def score_corpus(
     hypothesis: SystemOutput,
     gold: Sequence[GoldSentence],
-    table: EditTable | None = None,
+    table: EditTable,
 ) -> ScoreReport:
     """Score a system against a multi-annotator gold corpus.
 
-    Hypothesis edits against each gold source are read from ``table`` (a
-    new :class:`geckit.align.EditTable` when none is given), so a table
-    shared with the method that built the hypothesis extracts each pair
-    once. Raises :class:`ValidationError` when the hypothesis and gold
+    Hypothesis edits against each gold source are read from ``table``, so a
+    table shared with the method that built the hypothesis extracts each
+    pair once. Raises :class:`ValidationError` when the hypothesis and gold
     corpus lengths differ.
     """
     check_aligned([hypothesis], len(gold))
-    if table is None:
-        table = EditTable()
     totals = SentenceCounts(0, 0, 0)
     chosen: list[tuple[int, SentenceCounts]] = []
     for gs, hyp_sentence in zip(gold, hypothesis.sentences):

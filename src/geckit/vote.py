@@ -40,20 +40,15 @@ class VotedEdit(NamedTuple):
 def pool_edits(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
-    table: EditTable | None = None,
-    *,
-    _voters: dict[frozenset[str], frozenset[str]] | None = None,
+    table: EditTable,
+    voters: dict[frozenset[str], frozenset[str]],
 ) -> list[VotedEdit]:
     """Pool all member edits for one sentence, read from ``table``.
 
     Returns one :class:`VotedEdit` per distinct (start, end, replacement)
-    key, sorted by position.
-
-    ``_voters`` is for :func:`pool_corpus`: each voter set it already holds
-    is reused, and each new one added.
+    key, sorted by position. Each voter set already in ``voters`` is reused,
+    and each new one added.
     """
-    if table is None:
-        table = EditTable()
     by_edit: dict[Edit, set[str]] = {}
     for name, sentence in outputs:
         for edit in table.edits(source, sentence):
@@ -61,9 +56,7 @@ def pool_edits(
     pool = []
     for edit, names in sorted(by_edit.items()):
         systems = frozenset(names)
-        if _voters is not None:
-            systems = _voters.setdefault(systems, systems)
-        pool.append(VotedEdit(edit, systems))
+        pool.append(VotedEdit(edit, voters.setdefault(systems, systems)))
     return pool
 
 
@@ -91,7 +84,7 @@ def _kept_edits(pool: Sequence[VotedEdit], members: frozenset[str], n_min: int) 
 def pool_corpus(
     sources: Sequence[TokenSentence],
     outputs: Sequence[SystemOutput],
-    table: EditTable | None = None,
+    table: EditTable,
 ) -> list[list[VotedEdit]]:
     """Each sentence's :func:`pool_edits` over all of ``outputs``: the pools
     :func:`majority_vote_corpus` counts votes in.
@@ -101,13 +94,9 @@ def pool_corpus(
     Pooled edits with the same voters share one ``systems`` frozenset.
     """
     check_aligned(outputs, len(sources))
-    if table is None:
-        table = EditTable()
     voters: dict[frozenset[str], frozenset[str]] = {}
     return [
-        pool_edits(
-            source, [(out.name, out.sentences[i]) for out in outputs], table, _voters=voters
-        )
+        pool_edits(source, [(out.name, out.sentences[i]) for out in outputs], table, voters)
         for i, source in enumerate(sources)
     ]
 

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from geckit.align import EditTable
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, conflicts
 from geckit.oracle import oracle_ensemble_corpus, oracle_rank_corpus
 from geckit.vote import _kept_edits, majority_vote_corpus, pool_corpus
@@ -166,24 +167,24 @@ def _one_sentence(members):
 
 def vote_one(source, members, n_min):
     """The majority-vote output of one sentence."""
-    pools = pool_corpus([source], _one_sentence(members))
+    pools = pool_corpus([source], _one_sentence(members), EditTable())
     return majority_vote_corpus([source], pools, [name for name, _ in members], n_min).sentences[0]
 
 
 def kept_one(source, members, n_min):
     """The edits the majority vote of one sentence applies, in application order."""
-    pool = pool_corpus([source], _one_sentence(members))[0]
+    pool = pool_corpus([source], _one_sentence(members), EditTable())[0]
     return _kept_edits(pool, frozenset(name for name, _ in members), n_min)
 
 
 def oracle_ensemble_one(gold, members):
     """The oracle-ensemble output of one gold sentence."""
-    return oracle_ensemble_corpus([gold], _one_sentence(members))[0].sentences[0]
+    return oracle_ensemble_corpus([gold], _one_sentence(members), EditTable())[0].sentences[0]
 
 
 def oracle_rank_one(gold, members):
     """The (member name, sentence) oracle-rank picks for one gold sentence."""
-    combined, choices = oracle_rank_corpus([gold], _one_sentence(members))
+    combined, choices = oracle_rank_corpus([gold], _one_sentence(members), EditTable())
     return choices[0].system, combined.sentences[0]
 
 

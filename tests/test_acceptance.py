@@ -15,7 +15,7 @@ import pytest
 
 from bruteforce import brute_force_score
 from conftest import vote_one
-from geckit.align import apply_edits, extract_edits
+from geckit.align import EditTable, apply_edits, extract_edits
 from geckit.corpus import (
     Edit,
     GoldSentence,
@@ -220,7 +220,7 @@ def test_criterion_2_scorer_matches_brute_force_on_1000_corpora():
     worst = 0.0
     for _ in range(1000):
         gold, hyps = _random_scoring_corpus(rng)
-        report = score_corpus(SystemOutput("sys", tuple(hyps)), gold)
+        report = score_corpus(SystemOutput("sys", tuple(hyps)), gold, EditTable())
         p, r, f, c, proposed, g, assignment = brute_force_score(hyps, gold)
         assert tuple(report.totals) == (c, proposed, g)
         assert [ann for ann, _ in report.per_sentence] == assignment
@@ -247,8 +247,8 @@ def test_criterion_3_oracle_ensemble_precision_100_on_100_corpora():
     rng = random.Random(303)
     for corpus_idx in range(100):
         gold, outputs = _exact_oracle_corpus(rng, corpus_idx)
-        ensembled, _ = oracle_ensemble_corpus(gold, outputs)
-        report = score_corpus(ensembled, gold)
+        ensembled, _ = oracle_ensemble_corpus(gold, outputs, EditTable())
+        report = score_corpus(ensembled, gold, EditTable())
         assert report.precision == 1.0
         assert round_score(report.precision) == 100.0
     _verdict(
@@ -268,7 +268,7 @@ def test_criterion_4_vote_nesting_and_permutation_invariance():
     for _ in range(150):
         source, members = _random_vote_instance(rng)
         survivors = [
-            {ve.edit for ve in pool_edits(source, members) if ve.votes > n}
+            {ve.edit for ve in pool_edits(source, members, EditTable(), {}) if ve.votes > n}
             for n in range(len(members) + 1)
         ]
         for tighter, looser in zip(survivors[1:], survivors):
@@ -332,12 +332,12 @@ def test_criterion_6_aggr_rank_truth_table():
     two = TokenSentence("x b y d e".split())     # 2 separated edits
     zero = TokenSentence(src)                    # 0 edits
 
-    assert aggr_rank(one, two, src) is one       # e_p >= 1 and e_p < e_a
-    assert aggr_rank(two, one, src) is one       # e_p >= 1 and e_p >= e_a
-    assert aggr_rank(one, one_b, src) is one_b   # equal counts -> alternative
-    assert aggr_rank(zero, one, src) is one      # e_p = 0 and e_p < e_a
+    assert aggr_rank(one, two, src, EditTable()) is one       # e_p >= 1 and e_p < e_a
+    assert aggr_rank(two, one, src, EditTable()) is one       # e_p >= 1 and e_p >= e_a
+    assert aggr_rank(one, one_b, src, EditTable()) is one_b   # equal counts -> alternative
+    assert aggr_rank(zero, one, src, EditTable()) is one      # e_p = 0 and e_p < e_a
     alt_zero = TokenSentence(src)
-    assert aggr_rank(zero, alt_zero, src) is alt_zero  # e_p = 0 and e_a = 0
+    assert aggr_rank(zero, alt_zero, src, EditTable()) is alt_zero  # e_p = 0 and e_a = 0
     _verdict(
         6,
         True,
@@ -396,15 +396,15 @@ def test_criterion_8_conll14_reproduction():
         for slug, path in zip(BEST7, member_paths)
     ]
 
-    voted = majority_vote_corpus(sources, pool_corpus(sources, outputs), BEST7, 3)
-    vote_report = score_corpus(voted, gold)
+    voted = majority_vote_corpus(sources, pool_corpus(sources, outputs, EditTable()), BEST7, 3)
+    vote_report = score_corpus(voted, gold, EditTable())
     vote_f = round_score(vote_report.f05)
 
-    ranked, _ = oracle_rank_corpus(gold, outputs)
-    rank_f = round_score(score_corpus(ranked, gold).f05)
+    ranked, _ = oracle_rank_corpus(gold, outputs, EditTable())
+    rank_f = round_score(score_corpus(ranked, gold, EditTable()).f05)
 
-    ensembled, _ = oracle_ensemble_corpus(gold, outputs)
-    ens_report = score_corpus(ensembled, gold)
+    ensembled, _ = oracle_ensemble_corpus(gold, outputs, EditTable())
+    ens_report = score_corpus(ensembled, gold, EditTable())
     ens_f = round_score(ens_report.f05)
     elapsed = time.monotonic() - started
 

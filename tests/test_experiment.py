@@ -15,6 +15,7 @@ import geckit.align
 import geckit.experiment
 import geckit.vote
 from geckit.align import apply_edits
+from geckit.cli import main
 from geckit.corpus import (
     Edit,
     GoldSentence,
@@ -24,8 +25,10 @@ from geckit.corpus import (
     load_parallel,
     save_m2,
     save_parallel,
+    serialize_score_file,
 )
 from geckit.experiment import (
+    METHODS,
     ExperimentConfig,
     ablation_remove_one,
     combine,
@@ -181,7 +184,7 @@ def test_only_the_experiment_needs_gold_not_its_method_step(tmp_path):
     )
     no_gold = config.replace(gold_path=None, source_path=tmp_path / "src.txt")
     with pytest.raises(ValidationError, match="experiment 'fixture' needs a gold file"):
-        run_experiment(no_gold)
+        run_experiment(no_gold, load_inputs(no_gold))
     assert not (tmp_path / "results").exists()
     # without gold, the sources come from the source file
     assert combine(no_gold, load_inputs(no_gold)) == combine(config, load_inputs(config))
@@ -200,7 +203,7 @@ def test_system_entries_accept_name_equals_path_and_dicts(tmp_path):
 
 def test_vote_experiment_end_to_end(tmp_path):
     config = load_config(write_config(tmp_path, write_fixture(tmp_path)))
-    result = run_experiment(config)
+    result = run_experiment(config, load_inputs(config))
     # 2-of-3 agreement fixes both errors
     out = load_parallel(tmp_path / "results" / "fixture.out.txt")
     assert out[0].text == "I like turtles very much ."
@@ -213,10 +216,10 @@ def test_vote_experiment_end_to_end(tmp_path):
 
 def test_rerun_is_bit_identical(tmp_path):
     config = load_config(write_config(tmp_path, write_fixture(tmp_path)))
-    run_experiment(config)
+    run_experiment(config, load_inputs(config))
     artifacts = sorted((tmp_path / "results").iterdir())
     first = {p.name: p.read_bytes() for p in artifacts}
-    run_experiment(config)
+    run_experiment(config, load_inputs(config))
     second = {p.name: p.read_bytes() for p in sorted((tmp_path / "results").iterdir())}
     assert first == second
 
@@ -226,7 +229,7 @@ def test_llm_rank_experiment_runs_and_reruns_identically(tmp_path):
     payload.update(method="llm-rank", runs=3, seed=17, backend="mock-lexmin")
     del payload["n_min"]
     config = load_config(write_config(tmp_path, payload))
-    result = run_experiment(config)
+    result = run_experiment(config, load_inputs(config))
     assert len(result.reports) == 3
     assert result.spread_f05() >= 0.0
     files = {p.name for p in (tmp_path / "results").iterdir()}
@@ -234,7 +237,7 @@ def test_llm_rank_experiment_runs_and_reruns_identically(tmp_path):
     snapshot = {
         p.name: p.read_bytes() for p in (tmp_path / "results").iterdir()
     }
-    run_experiment(config)
+    run_experiment(config, load_inputs(config))
     assert snapshot == {
         p.name: p.read_bytes() for p in (tmp_path / "results").iterdir()
     }
@@ -250,7 +253,7 @@ def test_rank_experiment_uses_score_file(tmp_path):
             rows.append(f"{name}\t{i}\t{1.0 if name == 'a' else 0.1}")
     (tmp_path / "scores.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     config = load_config(write_config(tmp_path, payload))
-    result = run_experiment(config)
+    result = run_experiment(config, load_inputs(config))
     assert result.outputs[0].sentences == tuple(
         load_parallel(tmp_path / "a.txt")
     )
@@ -265,7 +268,7 @@ def test_rank_experiment_reports_score_holes_with_sentence(tmp_path):
     )
     config = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError) as exc:
-        run_experiment(config)
+        run_experiment(config, load_inputs(config))
     assert str(exc.value) == (
         f"{tmp_path / 'scores.tsv'}: sentence 1: no score for system 'a'"
     )
@@ -276,7 +279,7 @@ def test_aggr_rank_experiment_names_both_sides(tmp_path):
     payload.update(method="aggr-rank")
     del payload["n_min"]
     config = load_config(write_config(tmp_path, payload))
-    result = run_experiment(config)
+    result = run_experiment(config, load_inputs(config))
     assert result.outputs[0].name == "aggr-rank[a|b]"
 
 
@@ -289,7 +292,7 @@ def test_source_file_mismatch_is_reported_per_sentence(tmp_path):
     payload["source"] = "src.txt"
     config = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError) as exc:
-        run_experiment(config)
+        run_experiment(config, load_inputs(config))
     assert "sentence 1" in str(exc.value)
 
 
@@ -334,9 +337,11 @@ def test_tsv_artifacts_keep_their_bytes(tmp_path):
     ablation_remove_one(load_config(write_config(tmp_path, payload)))
     sweep_n_min(load_config(write_config(tmp_path, payload)))
     payload.update(name="llm", method="llm-rank", runs=3)
-    run_experiment(load_config(write_config(tmp_path, payload)))
+    config = load_config(write_config(tmp_path, payload))
+    run_experiment(config, load_inputs(config))
     payload.update(name="orank", method="oracle-rank")
-    run_experiment(load_config(write_config(tmp_path, payload)))
+    config = load_config(write_config(tmp_path, payload))
+    run_experiment(config, load_inputs(config))
     row_header = "experiment\tmethod\tP\tR\tF0.5\tF0.5_2std\tn_correct\tn_proposed\tn_gold\truns\n"
     expected = {
         "fixture.ablation.tsv": "variant\tP\tR\tF0.5\nfull\t100.0\t100.0\t100.0\n"
@@ -387,7 +392,9 @@ def test_sweep_artifacts_equal_standalone_runs(tmp_path):
     config, alone = _shared_and_standalone(tmp_path, "vote")
     rows = sweep_n_min(config)
     for n_min, _ in rows:
-        run_experiment(alone.replace(name=f"{config.name}.nmin{n_min}", n_min=n_min))
+        run_experiment(
+            alone.replace(name=f"{config.name}.nmin{n_min}", n_min=n_min), load_inputs(alone)
+        )
     shared = _artifacts(config.output_dir)
     assert shared.pop("fixture.sweep.tsv")
     assert shared == _artifacts(alone.output_dir)
@@ -397,10 +404,12 @@ def test_sweep_artifacts_equal_standalone_runs(tmp_path):
 def test_ablation_artifacts_equal_standalone_runs(tmp_path, method):
     config, alone = _shared_and_standalone(tmp_path, method)
     ablation_remove_one(config)
-    run_experiment(alone)
+    run_experiment(alone, load_inputs(alone))
     for name, _ in config.systems:
         systems = tuple(s for s in config.systems if s[0] != name)
-        run_experiment(alone.replace(name=f"{config.name}.wo-{name}", systems=systems))
+        run_experiment(
+            alone.replace(name=f"{config.name}.wo-{name}", systems=systems), load_inputs(alone)
+        )
     shared = _artifacts(config.output_dir)
     assert shared.pop("fixture.ablation.tsv")
     assert shared == _artifacts(alone.output_dir)
@@ -504,13 +513,101 @@ def test_sweep_ablation_and_vote_bytes_stay_pinned(tmp_path):
     config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
     sweep_n_min(config)
     ablation_remove_one(config)
-    run_experiment(config.replace(name="vote"))
+    run_experiment(config.replace(name="vote"), load_inputs(config))
     digest = hashlib.sha256()
     for name, data in _artifacts(config.output_dir).items():
         digest.update(name.encode() + b"\0" + data + b"\0")
     assert len(_artifacts(config.output_dir)) == 3 * 6 + 2 + 3 * 6 + 3
     # the digest of the artifacts before these runs shared anything
     assert digest.hexdigest() == "01e316e26d3941953f14310ef44f4971f7040c666965cc5b250590fe0e37a8a5"
+
+
+def _method_config(tmp_path, method):
+    """The seeded corpus's config for ``method``: rank and rank-w read a
+    seeded score file, aggr-rank ranks the first two members, llm-rank runs
+    mock-lexmin twice and second-order-vote votes over a vote output and two
+    members."""
+    payload = _write_seeded_corpus(tmp_path)
+    payload.update(name=method, method=method)
+    if method in ("rank", "rank-w"):
+        rng = random.Random(5)
+        scores = {(f"m{k}", i): rng.random() for k in range(5) for i in range(40)}
+        (tmp_path / "scores.tsv").write_text(serialize_score_file(scores), encoding="utf-8")
+        payload["scores"] = "scores.tsv"
+    elif method == "aggr-rank":
+        payload["systems"] = ["m0.txt", "m1.txt"]
+    elif method == "llm-rank":
+        payload.update(backend="mock-lexmin", runs=2)
+    elif method == "second-order-vote":
+        first = load_config(write_config(tmp_path, dict(payload, name="vote", method="vote")))
+        run_experiment(first, load_inputs(first))
+        payload["systems"] = ["vote=results/vote.out.txt", "m0.txt", "m1.txt"]
+    return load_config(write_config(tmp_path, payload))
+
+
+# sha256 of each method's artifacts on the seeded corpus, recorded before
+# every corpus function took the caller's edit table
+METHOD_DIGESTS = {
+    "vote": "6b47f8032909144fc2ceb54cc3461492a9a57e7b93b877556f2c593607315022",
+    "second-order-vote": "947d531b0159c65f41005c8eeb6f1b9f87f1f4d3754d4c29b2f155f6b9e027fd",
+    "oracle-ensemble": "49a482a18db0f7f6668baf267bf410b0e2ce91f1aa8b61a86064be47067cb08a",
+    "oracle-rank": "f38521ec6f9cfc15858143f3ad5682a1a18aff5a58f83e42a86df35e434599f8",
+    "rank": "cd3ec36fc6f4626fee0acc9a7544198cde74301090462c9817f992e2c822f554",
+    "rank-w": "7aec917db2a4d5ef6c8327d15206f540602df852bd344aeacdb4ca02020282d3",
+    "aggr-rank": "61904fa23972e6cefd464aae50b67d07a0e759fa3c8a9ef6091227cd1c6c9c6b",
+    "llm-rank": "9ff1bcc024b9012ce31ee9e600a7c3b09352e3769af6b52348f36da8c966557b",
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_method_bytes_stay_pinned(tmp_path, method):
+    config = _method_config(tmp_path, method)
+    run_experiment(config, load_inputs(config))
+    digest = hashlib.sha256()
+    for name, data in _artifacts(config.output_dir).items():
+        digest.update(name.encode() + b"\0" + data + b"\0")
+    assert digest.hexdigest() == METHOD_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method", ["vote", "oracle-ensemble", "oracle-rank", "aggr-rank"])
+def test_one_experiment_extracts_each_pair_once(tmp_path, monkeypatch, method):
+    """The method step and the scoring of its output share one edit table."""
+    config = _method_config(tmp_path, method)
+    inputs = load_inputs(config)
+    extracted = Counter()
+    real_extract = geckit.align.extract_edits
+
+    def counting_extract(source, hypothesis):
+        extracted[(tuple(source), tuple(hypothesis))] += 1
+        return real_extract(source, hypothesis)
+
+    monkeypatch.setattr(geckit.align, "extract_edits", counting_extract)
+    result = run_experiment(config, inputs)
+
+    scored = {  # the pairs of the members and of the output scored
+        (tuple(gs.source), tuple(out.sentences[i]))
+        for out in (*(inputs.members[name] for name, _ in config.systems), *result.outputs)
+        for i, gs in enumerate(inputs.gold)
+    }
+    assert scored <= set(extracted)
+    assert set(extracted.values()) == {1}
+
+
+def test_score_and_cluster_bytes_stay_pinned(tmp_path):
+    payload = _write_seeded_corpus(tmp_path)
+    members = [str(tmp_path / path) for path in payload["systems"]]
+    score, clusters, matrix = (tmp_path / f"{name}.tsv" for name in ("score", "clusters", "matrix"))
+    gold = str(tmp_path / "gold.m2")
+    assert main(["score", "--tsv", "--hyp", members[0], "--gold", gold, "--out", str(score)]) == 0
+    assert main(["cluster", *(f"--sys={m}" for m in members), "--threshold", "0.15",
+                 "--out", str(clusters), "--matrix", str(matrix)]) == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (score, clusters, matrix)]
+    # recorded before every corpus function took the caller's edit table
+    assert digests == [
+        "1e1d10e6dd7f3b1f1558963815fcc87bacd757ebd6f531df319c970702dcc9e2",
+        "2d7e4ef76850d66e23c62e686a34eee422239ff501df5f76ce55e67f323439f7",
+        "1d1b9a482862ed7796ae90442be2192b6d50cdb800a81598ce5d50b93f3e02fc",
+    ]
 
 
 @pytest.mark.parametrize("repeat", [sweep_n_min, ablation_remove_one])
@@ -560,7 +657,7 @@ def test_a_single_vote_run_applies_without_a_shared_table(tmp_path, monkeypatch)
 
     monkeypatch.setattr(geckit.vote, "apply_edits", counting_apply)
     inputs = load_inputs(config)
-    run_experiment(config, _inputs=inputs)
+    run_experiment(config, inputs)
     assert inputs.applied is None
     edited = [
         i for i, source in enumerate(inputs.sources)

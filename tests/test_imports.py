@@ -73,22 +73,28 @@ def test_cli_import_adds_no_single_path_stdlib_module():
     assert result.stdout == "[]\n"
 
 
-def _traced_modules() -> set[str]:
-    """The modules of bench/trace_child.py's SPANS keys, read without running it."""
+def _traced_functions() -> set[tuple[str, str]]:
+    """The (module, function) keys of bench/trace_child.py's SPANS, read
+    without running it."""
     tree = ast.parse(TRACE_CHILD.read_text(encoding="utf-8"))
     spans = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "SPANS" for t in node.targets))
-    return {module for module, _ in ast.literal_eval(spans)}
+    return set(ast.literal_eval(spans))
 
 
 def test_cli_import_loads_every_traced_module():
     """The tracer reads each traced module from sys.modules right after
-    `import geckit.cli`, so a module loaded lazily would break `--trace 1`."""
-    traced = _traced_modules() | {"geckit.cli"}
+    `import geckit.cli` and wraps each traced function by its name, so a
+    module loaded lazily, or a traced function renamed or removed, would
+    break `--trace 1`."""
+    functions = sorted(_traced_functions())
+    traced = {module for module, _ in functions} | {"geckit.cli"}
     assert len(traced) == 9
     result = _fresh_interpreter(
         "import sys\nimport geckit.cli\n"
         f"print(sorted(m for m in {sorted(traced)!r} if m not in sys.modules))\n"
+        f"print([key for key in {functions!r}\n"
+        "       if not callable(getattr(sys.modules.get(key[0]), key[1], None))])\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n[]\n"

@@ -265,16 +265,15 @@ def test_rank_corpus_no_shuffle_gives_input_order_to_positional_mock():
     assert run.output.sentences == outputs[0].sentences
 
 
-def test_rank_corpus_backend_failure_falls_back_and_is_recorded():
+def test_rank_corpus_backend_failure_falls_back_and_is_recorded(sleeps):
     def broken(sys_msg, user_msg, temperature):
         raise ConnectionError("down")
 
     sources, outputs = corpus_fixture()
-    (run,) = llm_rank_corpus(
-        sources, outputs, "a", [0], broken, shuffle=False, retries=1, backoff=0.0
-    )
+    (run,) = llm_rank_corpus(sources, outputs, "a", [0], broken, shuffle=False)
     assert run.output.sentences == outputs[0].sentences  # label A = first
     assert run.fallbacks == (0, 1, 2)
+    assert sleeps == [1.0, 2.0, 4.0] * 3  # each sentence's retries, then its fallback
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import oracle_corpora, oracle_ensemble_one, oracle_rank_one
-from geckit.align import extract_edits
+from geckit.align import EditTable, extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
 from geckit.oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
 from geckit.scoring import f_beta, score_corpus
@@ -62,7 +62,7 @@ def test_ensemble_drops_adjacent_gold_pair_to_protect_precision():
     ensembled = oracle_ensemble_one(gold, outputs)
     assert ensembled.text == "a x c d e"
     report = score_corpus(
-        SystemOutput("ens", (ensembled,)), [gold]
+        SystemOutput("ens", (ensembled,)), [gold], EditTable()
     )
     assert report.precision == 1.0
     assert report.totals == (1, 1, 2)
@@ -101,15 +101,15 @@ def test_corpus_wrappers_misalignment_rejected():
     gold = [gs("a b", [Edit(0, 1, ("x",))])]
     short = [SystemOutput("s", ())]
     with pytest.raises(ValidationError):
-        oracle_ensemble_corpus(gold, short)
+        oracle_ensemble_corpus(gold, short, EditTable())
     with pytest.raises(ValidationError):
-        oracle_rank_corpus(gold, short)
+        oracle_rank_corpus(gold, short, EditTable())
 
 
 def test_audit_trail_and_tsv():
     gold = [gs("a b", [Edit(0, 1, ("x",))])]
     outputs = [SystemOutput("s", (TokenSentence("x b".split()),))]
-    combined, choices = oracle_rank_corpus(gold, outputs)
+    combined, choices = oracle_rank_corpus(gold, outputs, EditTable())
     assert combined.sentences[0].text == "x b"
     assert choices[0].system == "s"
     text = choices_tsv(choices)
@@ -125,8 +125,8 @@ def test_audit_trail_and_tsv():
 def test_ensemble_precision_is_always_perfect(corpus):
     """Every applied edit is a gold edit, so precision stays at 1.0."""
     gold, outputs = corpus
-    combined, _ = oracle_ensemble_corpus(gold, outputs)
-    report = score_corpus(combined, gold)
+    combined, _ = oracle_ensemble_corpus(gold, outputs, EditTable())
+    report = score_corpus(combined, gold, EditTable())
     assert report.precision == 1.0
 
 
@@ -134,8 +134,8 @@ def test_ensemble_precision_is_always_perfect(corpus):
 @given(oracle_corpora())
 def test_ensemble_is_member_order_invariant(corpus):
     gold, outputs = corpus
-    baseline, _ = oracle_ensemble_corpus(gold, outputs)
-    flipped, _ = oracle_ensemble_corpus(gold, list(reversed(outputs)))
+    baseline, _ = oracle_ensemble_corpus(gold, outputs, EditTable())
+    flipped, _ = oracle_ensemble_corpus(gold, list(reversed(outputs)), EditTable())
     assert baseline.sentences == flipped.sentences
 
 
@@ -149,7 +149,7 @@ def test_rank_selection_dominates_per_sentence(corpus):
     not translate into a corpus-level guarantee against every member.
     """
     gold, outputs = corpus
-    combined, _ = oracle_rank_corpus(gold, outputs)
+    combined, _ = oracle_rank_corpus(gold, outputs, EditTable())
 
     def local_key(source, sentence, gs):
         hyp = set(extract_edits(source, sentence))
@@ -173,6 +173,6 @@ def test_rank_selection_dominates_per_sentence(corpus):
 @given(oracle_corpora(max_systems=1))
 def test_rank_with_single_member_is_that_member(corpus):
     gold, outputs = corpus
-    combined, choices = oracle_rank_corpus(gold, outputs)
+    combined, choices = oracle_rank_corpus(gold, outputs, EditTable())
     assert combined.sentences == outputs[0].sentences
     assert all(c.system == outputs[0].name for c in choices)

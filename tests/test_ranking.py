@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import vocab
+from geckit.align import EditTable
 from geckit.corpus import SystemOutput, TokenSentence, ValidationError, check_aligned
 from geckit.ranking import (
     SimilarityMatrix,
@@ -148,7 +149,7 @@ SRC = ts("a b c d e")
     ],
 )
 def test_aggr_rank_truth_table(primary, alternative, expected):
-    chosen = aggr_rank(ts(primary), ts(alternative), SRC)
+    chosen = aggr_rank(ts(primary), ts(alternative), SRC, EditTable())
     assert chosen == (ts(primary) if expected == "primary" else ts(alternative))
 
 

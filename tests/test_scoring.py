@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bruteforce import brute_force_score
 from conftest import annotations, corpora_with_hypotheses, vocab
+from geckit.align import EditTable
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
 from geckit.scoring import (
     SentenceCounts,
@@ -46,13 +47,13 @@ def test_f_beta_weights_precision_over_recall():
 
 def test_perfect_hypothesis_scores_one():
     gold = [gs("I likes turtles .", [Edit(1, 2, ("like",))])]
-    report = score_corpus(as_output("I like turtles ."), gold)
+    report = score_corpus(as_output("I like turtles ."), gold, EditTable())
     assert (report.precision, report.recall, report.f05) == (1.0, 1.0, 1.0)
 
 
 def test_unedited_hypothesis_has_perfect_precision_zero_recall():
     gold = [gs("I likes turtles .", [Edit(1, 2, ("like",))])]
-    report = score_corpus(as_output("I likes turtles ."), gold)
+    report = score_corpus(as_output("I likes turtles ."), gold, EditTable())
     assert report.precision == 1.0  # proposed nothing, broke nothing
     assert report.recall == 0.0
     assert report.f05 == 0.0
@@ -64,7 +65,7 @@ def test_single_annotator_closed_form():
         gs("e f g", [Edit(1, 2, ("z",))]),
     ]
     # hyp gets one of two edits right in sentence 0, proposes a wrong one in 1
-    report = score_corpus(as_output("x b c d", "e q g"), gold)
+    report = score_corpus(as_output("x b c d", "e q g"), gold, EditTable())
     assert report.totals == (1, 2, 3)
     assert math.isclose(report.precision, 0.5)
     assert math.isclose(report.recall, 1 / 3)
@@ -80,21 +81,21 @@ def test_annotator_choice_maximizes_f():
             [Edit(0, 1, ("x",))],
         )
     ]
-    report = score_corpus(as_output("x b c"), gold)
+    report = score_corpus(as_output("x b c"), gold, EditTable())
     assert report.f05 == 1.0
     assert report.per_sentence[0][0] == 1  # chosen annotator id
 
 
 def test_tie_goes_to_lowest_annotator_id():
     gold = [gs("a b c", [Edit(0, 1, ("x",))], [Edit(0, 1, ("x",))])]
-    report = score_corpus(as_output("x b c"), gold)
+    report = score_corpus(as_output("x b c"), gold, EditTable())
     assert report.per_sentence[0][0] == 0
 
 
 def test_length_mismatch_rejected():
     gold = [gs("a b", [Edit(0, 1, ("x",))])]
     with pytest.raises(ValidationError):
-        score_corpus(as_output("x b", "extra sentence"), gold)
+        score_corpus(as_output("x b", "extra sentence"), gold, EditTable())
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,7 +103,7 @@ def test_length_mismatch_rejected():
 def test_matches_brute_force(corpus):
     """The running-totals shortcut equals per-step re-summation from scratch."""
     gold, hyps = corpus
-    report = score_corpus(SystemOutput("h", tuple(hyps)), gold)
+    report = score_corpus(SystemOutput("h", tuple(hyps)), gold, EditTable())
     p, r, f, c, np_, g, assignment = brute_force_score(hyps, gold)
     assert tuple(report.totals) == (c, np_, g)
     assert abs(report.f05 - f) < 1e-12
@@ -116,7 +117,7 @@ def test_matches_brute_force(corpus):
 def test_identity_hypothesis_never_loses_precision(corpus):
     gold, _ = corpus
     hyps = [g.source for g in gold]
-    report = score_corpus(SystemOutput("h", tuple(hyps)), gold)
+    report = score_corpus(SystemOutput("h", tuple(hyps)), gold, EditTable())
     assert report.precision == 1.0
     assert report.totals.n_proposed == 0
 
@@ -133,7 +134,7 @@ def test_round_score_is_half_up_one_decimal():
 
 def test_report_table_shows_rounded_percentages():
     gold = [gs("I likes turtles .", [Edit(1, 2, ("like",))])]
-    table = report_table(score_corpus(as_output("I like turtles ."), gold))
+    table = report_table(score_corpus(as_output("I like turtles ."), gold, EditTable()))
     assert "100.0" in table
     assert "F0.5" in table
 

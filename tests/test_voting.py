@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     corpora_with_hypotheses, kept_one, oracle_corpora, sentence_pairs, vocab, vote_one,
 )
-from geckit.align import apply_edits, extract_edits
+from geckit.align import EditTable, apply_edits, extract_edits
 from geckit.corpus import Edit, SystemOutput, TokenSentence, ValidationError, conflicts
 from geckit.vote import VotedEdit, majority_vote_corpus, pool_corpus, pool_edits
 
@@ -63,7 +63,7 @@ def test_vote_tie_broken_by_span_then_replacement():
 def test_pool_reports_votes_and_members():
     src = TokenSentence("a b c".split())
     systems = members(("s1", "x b c"), ("s2", "x b c"), ("s3", "a b q"))
-    pool = pool_edits(src, systems)
+    pool = pool_edits(src, systems, EditTable(), {})
     assert [(ve.edit, ve.votes) for ve in pool] == [
         (Edit(0, 1, ("x",)), 2),
         (Edit(2, 3, ("q",)), 1),
@@ -100,7 +100,7 @@ def test_single_system_low_threshold_is_identity_of_that_system():
 def test_corpus_wrapper_validates_and_names():
     sources = [TokenSentence("a b".split())]
     systems = [out("s1", "x b"), out("s2", "x b")]
-    pools = pool_corpus(sources, systems)
+    pools = pool_corpus(sources, systems, EditTable())
     ensemble = majority_vote_corpus(sources, pools, ["s1", "s2"], 1)
     assert ensemble.name == "majority-vote(n_min=1)[s1+s2]"
     assert ensemble.sentences[0].text == "x b"
@@ -109,14 +109,14 @@ def test_corpus_wrapper_validates_and_names():
     with pytest.raises(ValidationError):
         majority_vote_corpus(sources, pools, ["s1", "s2"], 3)  # n_min > N_sys
     with pytest.raises(ValidationError):
-        pool_corpus(sources, [out("s1", "x b", "too long")])
+        pool_corpus(sources, [out("s1", "x b", "too long")], EditTable())
 
 
 @pytest.mark.parametrize("n_pools", [1, 3])
 def test_vote_refuses_pools_for_another_sentence_count(n_pools):
     """zip would otherwise drop the sentences past the shorter of the two."""
     sources = [TokenSentence("a b".split()), TokenSentence("c d".split())]
-    pools = pool_corpus(sources, [out("s1", "x b", "c d")])
+    pools = pool_corpus(sources, [out("s1", "x b", "c d")], EditTable())
     pools = (pools * 2)[:n_pools]
     with pytest.raises(ValidationError, match=f"^{n_pools} vote pools for 2 sentences$"):
         majority_vote_corpus(sources, pools, ["s1"], 0)
@@ -149,7 +149,7 @@ def vote_instances(draw, max_systems=4):
 def test_survivor_sets_nest_as_threshold_grows(instance):
     """Before overlap skipping, raising n_min only removes edits."""
     source, systems = instance
-    pool = pool_edits(source, systems)
+    pool = pool_edits(source, systems, EditTable(), {})
     previous = None
     for n_min in range(len(systems) + 1):
         survivors = {ve.edit for ve in pool if ve.votes > n_min}
@@ -173,7 +173,7 @@ def test_permutation_invariance(instance, n_min):
 @given(vote_instances())
 def test_applied_edits_cleared_the_threshold_and_are_compatible(instance):
     source, systems = instance
-    pool = {ve.edit: ve.votes for ve in pool_edits(source, systems)}
+    pool = {ve.edit: ve.votes for ve in pool_edits(source, systems, EditTable(), {})}
     for n_min in range(len(systems)):
         kept = kept_one(source, systems, n_min)
         assert all(pool[e] > n_min for e in kept)
@@ -223,11 +223,11 @@ def _full_and_remove_one(outputs):
 
 
 def _assert_pooled_votes_equal_reference(sources, outputs):
-    pools = pool_corpus(sources, outputs)
+    pools = pool_corpus(sources, outputs, EditTable())
     applied = {}  # shared by every run below, as a sweep and an ablation share it
     for subset in _full_and_remove_one(outputs):
         names = [out.name for out in subset]
-        own_pools = pool_corpus(sources, subset)
+        own_pools = pool_corpus(sources, subset, EditTable())
         for n_min in range(len(subset) + 1):
             expected = tuple(
                 _reference_vote(source, [(out.name, out.sentences[i]) for out in subset], n_min)
@@ -243,7 +243,9 @@ def _assert_pooled_votes_equal_reference(sources, outputs):
 def _assert_pooled_votes_ignore_member_order(sources, outputs, rng):
     shuffled = list(outputs)
     rng.shuffle(shuffled)
-    pools, shuffled_pools = pool_corpus(sources, outputs), pool_corpus(sources, shuffled)
+    pools, shuffled_pools = (
+        pool_corpus(sources, outputs, EditTable()), pool_corpus(sources, shuffled, EditTable())
+    )
     for subset in _full_and_remove_one(outputs):
         reordered = [out for out in shuffled if out in subset]
         names, reordered_names = [o.name for o in subset], [o.name for o in reordered]
@@ -324,21 +326,21 @@ def test_pooled_votes_equal_per_sentence_votes_on_agreeing_members(corpus, order
 def test_pool_corpus_equals_per_sentence_pools_over_every_member_order(rng):
     sources, outputs = _seeded_members(rng, n_sentences=30, n_members=5)
     expected = [
-        pool_edits(source, [(out.name, out.sentences[i]) for out in outputs])
+        pool_edits(source, [(out.name, out.sentences[i]) for out in outputs], EditTable(), {})
         for i, source in enumerate(sources)
     ]
     for order in itertools.permutations(outputs):
-        pools = pool_corpus(sources, order)
+        pools = pool_corpus(sources, order, EditTable())
         assert pools == expected
         for i, source in enumerate(sources):
             assert pools[i] == pool_edits(
-                source, [(out.name, out.sentences[i]) for out in order]
+                source, [(out.name, out.sentences[i]) for out in order], EditTable(), {}
             )
 
 
 def test_pool_corpus_shares_one_voter_set_per_member_subset(rng):
     sources, outputs = _seeded_members(rng, n_members=6)
-    pools = pool_corpus(sources, outputs)
+    pools = pool_corpus(sources, outputs, EditTable())
     by_value = {}
     for pool in pools:
         for ve in pool:
