@@ -224,11 +224,9 @@ def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:
     invalid set.
     """
     src = tuple(source)
-    ordered = sorted(edits, key=lambda e: (e.start, e.end))
-    check_edits(src, ordered)
     out: list[str] = []
     pos = 0
-    for e in ordered:
+    for e in check_edits(src, edits):
         out.extend(src[pos : e.start])
         out.extend(e.replacement)
         pos = e.end

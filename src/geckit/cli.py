@@ -103,13 +103,6 @@ def _cmd_score(args) -> int:
     return 0
 
 
-# method flag -> the ExperimentConfig field it sets if given; else the field default holds
-_FLAG_FIELDS = {
-    "src": "source_path", "nmin": "n_min", "scores": "score_path", "variant": "variant",
-    "runs": "runs", "seed": "seed", "base_url": "base_url", "model": "model", "jobs": "jobs",
-}
-
-
 def _cmd_method(method: str, args) -> int:
     """Run a method subcommand through :func:`experiment.combine`, the method
     step of an experiment with the same method; write where the flags say."""
@@ -118,14 +111,14 @@ def _cmd_method(method: str, args) -> int:
         systems = (("primary", Path(args.primary)), ("alternative", Path(args.alt)))
     else:
         systems = tuple(parse_system_spec(spec) for spec in args.sys)
-    given = {name: flags[flag] for flag, name in _FLAG_FIELDS.items() if flag in flags}
+    # a flag whose dest is a config field fills it if given; else the field default holds
+    given = {"gold": None, **{k: v for k, v in flags.items() if k in ExperimentConfig._fields}}
     if flags.get("base_url"):
         given["backend"] = "http"
     elif "mock" in flags:
         given["backend"] = f"mock-{flags['mock']}"
-    config = ExperimentConfig(  # paths kept as typed: error messages quote them
-        name=method, gold_path=flags.get("gold"), systems=systems, method=method, **given
-    )
+    # paths kept as typed: error messages quote them
+    config = ExperimentConfig(name=method, systems=systems, method=method, **given)
     outputs, choices, fallbacks = combine(
         config, load_inputs(config), shuffle=not flags.get("no_shuffle")
     )
@@ -161,9 +154,9 @@ def _cmd_cluster(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     if args.jobs is not None:
-        config = config.replace(jobs=args.jobs)
+        config = config._replace(jobs=args.jobs)
     if args.seed is not None:
-        config = config.replace(seed=args.seed, seeds=None)
+        config = config._replace(seed=args.seed, seeds=None)
     if args.ablation:
         rows = ablation_remove_one(config)
         for _, result in rows:
@@ -218,10 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_score)
 
+    # a method subcommand's flag has the config field it fills as its dest
     p = add("vote", "majority-vote ensemble of member outputs")
-    p.add_argument("--src", required=True)
+    p.add_argument("--src", dest="source", metavar="SRC", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
-    p.add_argument("--nmin", type=int, required=True, help="keep edits with votes > nmin")
+    p.add_argument("--nmin", dest="n_min", metavar="NMIN", type=int, required=True,
+                   help="keep edits with votes > nmin")
     p.add_argument("--out", required=True)
     p.set_defaults(func=lambda a: _cmd_method("vote", a))
 
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: _cmd_method("rank-w", a))
 
     p = add("aggr-rank", "prefer the primary candidate when it edits less (but edits)")
-    p.add_argument("--src", required=True)
+    p.add_argument("--src", dest="source", metavar="SRC", required=True)
     p.add_argument("--primary", required=True)
     p.add_argument("--alt", required=True)
     p.add_argument("--out", help="output text (default: stdout)")
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cluster)
 
     p = add("llm-rank", "rank candidates with a chat model (or offline mock)")
-    p.add_argument("--src", required=True)
+    p.add_argument("--src", dest="source", metavar="SRC", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--variant", choices=("a", "b"))
     p.add_argument("--runs", type=int)

@@ -15,6 +15,13 @@ Four file formats are handled here:
 
 Loaders name the file in every error. Checks across inputs live here too.
 
+A checked record (:class:`GoldSentence`, :class:`SystemOutput` and
+``experiment.ExperimentConfig``) has one way to be built: its ``__new__``,
+through which :class:`CheckedRecord` routes ``_make`` and ``_replace``.
+An edit set has one normal form, the sorted tuple :func:`check_edits`
+returns. A replacement has one spelling in M2 files and edit TSVs:
+:func:`_replacement_field` writes it and :func:`_replacement` reads it.
+
 The TSV dialect is decided here alone: a header line, then one line per
 row, fields separated by a tab, an LF after every line. :func:`tsv` writes
 it and :func:`_tsv_rows` reads it. The other modules' tables (oracle
@@ -49,6 +56,24 @@ class M2ParseError(ValidationError):
 
 # M2 spelling of an empty replacement.
 _M2_EMPTY = "-NONE-"
+
+
+def _replacement_field(replacement: Sequence[str], sentence: int) -> str:
+    """``replacement`` as an M2 or edit TSV field: its tokens joined by
+    spaces, ``-NONE-`` for none. The one token ``-NONE-`` would read back as
+    none, so it raises :class:`ValidationError` naming ``sentence``."""
+    field = " ".join(replacement)
+    if field == _M2_EMPTY:
+        raise ValidationError(
+            f"sentence {sentence}: replacement {_M2_EMPTY!r} would read back as a deletion"
+        )
+    return field or _M2_EMPTY
+
+
+def _replacement(field: str) -> tuple[str, ...]:
+    """The replacement an M2 or edit TSV field spells; the inverse of
+    :func:`_replacement_field`."""
+    return () if field.strip() == _M2_EMPTY else _tokens(field)
 
 
 class TokenSentence(tuple):
@@ -154,18 +179,21 @@ def conflicts(a: Edit, b: Edit) -> bool:
     return a.start == b.start or a.start < b.start < a.end or b.start < a.start < b.end
 
 
-def check_edits(source: Sequence[str], edits: Sequence[Edit]) -> None:
-    """Raise unless ``edits`` is a valid edit set on ``source``.
+def check_edits(source: Sequence[str], edits: Iterable[Edit]) -> tuple[Edit, ...]:
+    """``edits`` sorted by (start, end), the normal form of an edit set;
+    raise unless it is a valid edit set on ``source``.
 
     Every edit must lie within the source and change it
     (:class:`ValidationError`), and no two may :func:`conflicts`
-    (:class:`OverlapError`).
+    (:class:`OverlapError`). In sorted order, an edit that conflicts with
+    a later one also conflicts with the next, so neighbours are compared.
     """
-    for e in edits:
+    ordered = tuple(sorted(edits, key=lambda e: (e.start, e.end)))
+    for e in ordered:
         _check_span(source, e)
-    for i, a in enumerate(edits):
-        for b in edits[i + 1 :]:
-            _check_pair(a, b)
+    for a, b in zip(ordered, ordered[1:]):
+        _check_pair(a, b)
+    return ordered
 
 
 def _check_span(source: Sequence[str], e: Edit) -> None:
@@ -184,18 +212,33 @@ def _check_pair(a: Edit, b: Edit) -> None:
         raise OverlapError(f"conflicting edits: {a} / {b}")
 
 
+class CheckedRecord:
+    """First base of a ``NamedTuple`` subclass whose ``__new__`` checks its
+    fields: ``_make`` and ``_replace`` build through that ``__new__`` too.
+    An unknown field raises :class:`TypeError`, as in a call."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
 class _GoldFields(NamedTuple):
     source: TokenSentence
     annotations: tuple[tuple[Edit, ...], ...]
 
 
-class GoldSentence(_GoldFields):
+class GoldSentence(CheckedRecord, _GoldFields):
     """A source sentence with one edit set per annotator.
 
     ``annotations[k]`` is annotator ``k``'s complete correction of the
-    source, kept sorted by (start, end). An empty set is a valid annotation
-    meaning "needs no correction". Annotator ids are the positions in the
-    tuple, contiguous from 0.
+    source, in the normal form of :func:`check_edits`. An empty set is a
+    valid annotation meaning "needs no correction". Annotator ids are the
+    positions in the tuple, contiguous from 0.
     """
 
     __slots__ = ()
@@ -203,13 +246,11 @@ class GoldSentence(_GoldFields):
     def __new__(
         cls, source: Sequence[str], annotations: Iterable[Iterable[Edit]]
     ) -> GoldSentence:
-        anns = tuple(tuple(sorted(ann, key=lambda e: (e.start, e.end))) for ann in annotations)
         if not isinstance(source, TokenSentence):
             source = TokenSentence(source)
+        anns = tuple(check_edits(source, ann) for ann in annotations)
         if not anns:
             raise ValidationError("a gold sentence needs at least one annotation set")
-        for ann in anns:
-            check_edits(source, ann)
         return super().__new__(cls, source, anns)
 
 
@@ -218,7 +259,7 @@ class _SystemFields(NamedTuple):
     sentences: tuple[TokenSentence, ...]
 
 
-class SystemOutput(_SystemFields):
+class SystemOutput(CheckedRecord, _SystemFields):
     """One system's corrected sentences, aligned 1:1 with the corpus."""
 
     __slots__ = ()
@@ -296,10 +337,8 @@ def parse_m2(text: str, lines: dict[str, TokenSentence] | None = None) -> list[G
         nonlocal source, by_annotator
         if source is None:
             return
-        if by_annotator:
-            anns = tuple(tuple(by_annotator[k]) for k in sorted(by_annotator))
-        else:
-            anns = ((),)
+        # GoldSentence puts each annotator's edits in normal form
+        anns = [by_annotator[k] for k in sorted(by_annotator)] or [()]
         try:
             sentences.append(GoldSentence(source, anns))
         except ValidationError as err:
@@ -342,9 +381,7 @@ def parse_m2(text: str, lines: dict[str, TokenSentence] | None = None) -> list[G
             edits = by_annotator.setdefault(annotator, [])
             if start == -1 and end == -1:
                 continue  # noop marker: annotator registered, no edit
-            repl_field = fields[2].strip()
-            replacement = () if repl_field == _M2_EMPTY else _tokens(repl_field)
-            edits.append(Edit(start, end, replacement))
+            edits.append(Edit(start, end, _replacement(fields[2])))
         else:
             raise M2ParseError(f"line {lineno}: expected S or A prefix: {line!r}")
     flush()
@@ -356,17 +393,18 @@ def serialize_m2(sentences: Sequence[GoldSentence]) -> str:
 
     Types are emitted as ``UNK`` (they are not modeled), empty replacements
     in the M2 spelling, and explicit empty annotation sets as ``noop``
-    lines, so ``parse_m2(serialize_m2(xs)) == xs``.
+    lines, so ``parse_m2(serialize_m2(xs)) == xs``; a replacement that
+    :func:`_replacement_field` refuses raises :class:`ValidationError`.
     """
     chunks: list[str] = []
-    for gs in sentences:
+    for i, gs in enumerate(sentences):
         lines = [f"S {gs.source.text}"]
         for ann_id, ann in enumerate(gs.annotations):
             if not ann:
                 lines.append(f"A -1 -1|||noop|||{_M2_EMPTY}|||REQUIRED|||{_M2_EMPTY}|||{ann_id}")
                 continue
             for e in ann:
-                repl = " ".join(e.replacement) if e.replacement else _M2_EMPTY
+                repl = _replacement_field(e.replacement, i)
                 lines.append(
                     f"A {e.start} {e.end}|||UNK|||{repl}|||REQUIRED|||{_M2_EMPTY}|||{ann_id}"
                 )
@@ -528,9 +566,11 @@ EDIT_TSV_HEADER = ("sentence_index", "start", "end", "replacement")
 
 
 def serialize_edit_tsv(edits: Sequence[Sequence[Edit]]) -> str:
-    """Render one edit list per sentence as TSV; inverse of :func:`parse_edit_tsv`."""
+    """Render one edit list per sentence as TSV; inverse of :func:`parse_edit_tsv`.
+    A replacement that :func:`_replacement_field` refuses raises
+    :class:`ValidationError`."""
     return tsv(EDIT_TSV_HEADER, (
-        (f"{i}", f"{e.start}", f"{e.end}", " ".join(e.replacement) or _M2_EMPTY)
+        (f"{i}", f"{e.start}", f"{e.end}", _replacement_field(e.replacement, i))
         for i, sentence_edits in enumerate(edits) for e in sentence_edits
     ))
 
@@ -552,7 +592,7 @@ def parse_edit_tsv(text: str, sources: Sequence[Sequence[str]]) -> list[list[Edi
             raise ValidationError(f"edit file line {lineno}: non-integer field") from None
         if not 0 <= index < n:
             raise ValidationError(f"edit file line {lineno}: sentence {index} not in 0..{n - 1}")
-        edit = Edit(start, end, () if parts[3] == _M2_EMPTY else _tokens(parts[3]))
+        edit = Edit(start, end, _replacement(parts[3]))
         prior = edits[index]
         try:
             _check_span(sources[index], edit)
@@ -574,8 +614,9 @@ def load_edit_tsv(path: str | Path, sources: Sequence[Sequence[str]]) -> list[li
 def read_text(path: str | Path) -> str:
     """The text of the UTF-8 file at ``path``, with universal newlines.
 
-    Every input file is read here, so an input that is missing, a directory
-    or not UTF-8 raises :class:`ValidationError` naming the file.
+    Every input file is read here, so an input that is missing, a directory,
+    under a file, unreadable or not UTF-8 raises :class:`ValidationError`
+    naming the file.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -583,6 +624,10 @@ def read_text(path: str | Path) -> str:
         raise ValidationError(f"{path}: no such file") from None
     except IsADirectoryError:
         raise ValidationError(f"{path}: is a directory, not a file") from None
+    except NotADirectoryError:
+        raise ValidationError(f"{path}: a parent is a file, not a directory") from None
+    except PermissionError:
+        raise ValidationError(f"{path}: permission denied") from None
     except UnicodeDecodeError as err:  # decoded in one piece: err.start is a file offset
         byte = err.object[err.start]
         raise ValidationError(

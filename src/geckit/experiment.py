@@ -9,7 +9,9 @@ input files once and share one edit table across all their runs, and their
 vote runs share each sentence's member edits, pooled once. The method step,
 :func:`combine`, is also what the method subcommands of the CLI run.
 
-Config schema (JSON object):
+Config schema (JSON object). Each key is also the name of the
+:class:`ExperimentConfig` field it fills; ``name``, ``gold``, ``systems``
+and ``method``, the fields without a default, are required:
 
     name          experiment id; prefixes all artifact filenames
     gold          path to the gold M2 file
@@ -47,6 +49,7 @@ from typing import NamedTuple, Sequence
 
 from .align import EditTable
 from .corpus import (
+    CheckedRecord,
     GoldSentence,
     SystemOutput,
     TokenSentence,
@@ -82,22 +85,16 @@ METHODS = (
     "llm-rank",
 )
 
-_REQUIRED_KEYS = ("name", "gold", "systems", "method")
-_KNOWN_KEYS = {
-    *_REQUIRED_KEYS, "source", "output_dir", "n_min", "scores", "variant", "runs",
-    "seed", "seeds", "backend", "base_url", "model", "jobs",
-}
 
-
-class _ConfigFields(NamedTuple):
+class _ConfigFields(NamedTuple):  # each field is named by its config key
     name: str
-    gold_path: str | Path | None  # None: a method subcommand without --gold
+    gold: str | Path | None  # None: a method subcommand without --gold
     systems: tuple[tuple[str, Path], ...]  # (name, path)
     method: str
-    source_path: str | Path | None = None
+    source: str | Path | None = None
     output_dir: Path = Path("results")
     n_min: int = 0
-    score_path: str | Path | None = None
+    scores: str | Path | None = None
     variant: str = "a"
     runs: int = 1
     seed: int = 0
@@ -108,10 +105,9 @@ class _ConfigFields(NamedTuple):
     jobs: int = 1
 
 
-class ExperimentConfig(_ConfigFields):
-    """A validated experiment config. Construction checks every field
-    against the method; :meth:`replace` checks again, where ``_replace``
-    would not."""
+class ExperimentConfig(CheckedRecord, _ConfigFields):
+    """A validated experiment config. Construction, ``_replace`` and
+    ``_make`` check every field against the method."""
 
     __slots__ = ()
 
@@ -124,7 +120,7 @@ class ExperimentConfig(_ConfigFields):
             )
         if not self.systems:
             raise ValidationError("config needs at least one member system")
-        if self.method in ("rank", "rank-w") and self.score_path is None:
+        if self.method in ("rank", "rank-w") and self.scores is None:
             raise ValidationError(f"method {self.method} needs a score file")
         if self.method == "aggr-rank" and len(self.systems) != 2:
             raise ValidationError(
@@ -150,10 +146,6 @@ class ExperimentConfig(_ConfigFields):
                 f"n_min must be within 0..{len(self.systems)}, got {self.n_min}"
             )
         return self
-
-    def replace(self, **changes) -> ExperimentConfig:
-        """A copy with ``changes`` applied, validated as a new config."""
-        return ExperimentConfig(**{**self._asdict(), **changes})
 
 
 class ExperimentResult(NamedTuple):
@@ -201,16 +193,15 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
     """The config of the JSON value ``raw``, with paths relative to ``base``."""
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw).difference(ExperimentConfig._fields)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for required in _REQUIRED_KEYS:
-        if required not in raw:
+    defaults = ExperimentConfig._field_defaults
+    for required in ExperimentConfig._fields:
+        if required not in raw and required not in defaults:
             raise ValidationError(f"missing required key {required!r}")
 
     import json
-
-    defaults = ExperimentConfig._field_defaults
 
     def resolve(p: str | Path) -> Path:
         candidate = Path(p)
@@ -227,7 +218,7 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
         stands for absent in an optional key whose default is None."""
         if key not in raw:
             return defaults.get(key)
-        if raw[key] is None and defaults.get(key) is None and key not in _REQUIRED_KEYS:
+        if raw[key] is None and key in defaults and defaults[key] is None:
             return None
         return typed(key, raw[key], kind)
 
@@ -244,13 +235,13 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
     source, scores = get("source", str), get("scores", str)
     return ExperimentConfig(
         name=get("name", str),
-        gold_path=resolve(get("gold", str)),
+        gold=resolve(get("gold", str)),
         systems=systems,
         method=get("method", str),
-        source_path=resolve(source) if source else None,
+        source=resolve(source) if source else None,
         output_dir=resolve(get("output_dir", str)),
         n_min=get("n_min", int),
-        score_path=resolve(scores) if scores else None,
+        scores=resolve(scores) if scores else None,
         variant=get("variant", str),
         runs=get("runs", int),
         seed=get("seed", int),
@@ -302,13 +293,13 @@ def load_inputs(config: ExperimentConfig) -> _Inputs:
     sentence object across the gold, the source and the members."""
     lines: dict[str, TokenSentence] = {}
     gold = sources = None
-    if config.gold_path is not None:
-        gold = load_m2(config.gold_path, lines)
-        if config.source_path is not None:
-            check_source_file(config.source_path, gold, lines)
+    if config.gold is not None:
+        gold = load_m2(config.gold, lines)
+        if config.source is not None:
+            check_source_file(config.source, gold, lines)
         sources = [gs.source for gs in gold]
-    elif config.source_path is not None:
-        sources = load_parallel(config.source_path, lines=lines)
+    elif config.source is not None:
+        sources = load_parallel(config.source, lines=lines)
     n = None if sources is None else len(sources)
     members = {
         name: load_system_output(path, name, expected_len=n, lines=lines)
@@ -345,13 +336,13 @@ def combine(
         result, choices = oracle(gold, outputs, table)
         combined = [result]
     elif config.method in ("rank", "rank-w"):
-        scores = load_score_file(config.score_path)
+        scores = load_score_file(config.scores)
         # a misaligned member is no fault of the score file, so check it unprefixed
         check_aligned(outputs, len(outputs[0].sentences))
         try:
             combined = [rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
         except ValidationError as err:
-            raise type(err)(f"{config.score_path}: {err}") from None
+            raise type(err)(f"{config.scores}: {err}") from None
     elif config.method == "aggr-rank":
         combined = [aggr_rank_corpus(sources, *outputs, table)]
     else:  # llm-rank
@@ -400,7 +391,7 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
     inputs.applied = {}
     rows = [("full", run_experiment(config, inputs))]
     for name, _ in config.systems:
-        reduced = config.replace(
+        reduced = config._replace(
             name=f"{config.name}.wo-{name}",
             systems=tuple(s for s in config.systems if s[0] != name),
         )
@@ -417,7 +408,7 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     inputs.applied = {}
     rows = []
     for n_min in range(len(config.systems) + 1):
-        variant = config.replace(name=f"{config.name}.nmin{n_min}", n_min=n_min)
+        variant = config._replace(name=f"{config.name}.nmin{n_min}", n_min=n_min)
         rows.append((n_min, run_experiment(variant, inputs)))
     _write(config, "sweep.tsv", prf_tsv("n_min", rows))
     return rows

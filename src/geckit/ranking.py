@@ -130,6 +130,9 @@ def rank_corpus(
     """Per-sentence :func:`rank_by_score` (:func:`rank_weighted` when
     ``weighted``) over aligned member outputs, with ``scores`` keyed by
     (system name, sentence index)."""
+    method = "rank-w" if weighted else "rank"
+    if not outputs:
+        raise ValidationError(f"{method} needs at least one candidate")
     n = len(outputs[0].sentences)
     check_aligned(outputs, n)
     select = rank_weighted if weighted else rank_by_score
@@ -142,7 +145,7 @@ def rank_corpus(
             raise ValidationError(f"sentence {i}: no score for system {name!r}")
         sentences.append(select(candidates, per_candidate)[1])
     members = "+".join(out.name for out in outputs)
-    return SystemOutput(f"{'rank-w' if weighted else 'rank'}[{members}]", tuple(sentences))
+    return SystemOutput(f"{method}[{members}]", tuple(sentences))
 
 
 def aggr_rank_corpus(

@@ -112,6 +112,23 @@ def test_output_path_through_a_file_exits_one_naming_it(data, monkeypatch, capsy
     assert capsys.readouterr().err == f"error: {out}: a parent is a file, not a directory\n"
 
 
+@pytest.mark.parametrize("hyp", ["a.txt/x", "a.txt/sub/x"], ids=["file-parent", "file-grandparent"])
+def test_input_path_through_a_file_exits_one_naming_it(data, monkeypatch, capsys, hyp):
+    monkeypatch.chdir(data)
+    assert main(["score", "--hyp", hyp, "--gold", "gold.m2"]) == 1
+    assert capsys.readouterr().err == f"error: {hyp}: a parent is a file, not a directory\n"
+
+
+def test_unreadable_input_exits_one_naming_it(data, monkeypatch, capsys):
+    def refuse(path, *args, **kwargs):  # root reads any file, whatever its mode
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.chdir(data)
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["score", "--hyp", "a.txt", "--gold", "gold.m2"]) == 1
+    assert capsys.readouterr().err == "error: gold.m2: permission denied\n"
+
+
 def test_score_prints_table(data, capsys):
     code = main(["score", "--hyp", str(data / "a.txt"), "--gold", str(data / "gold.m2")])
     assert code == 0
@@ -160,12 +177,29 @@ def test_extract_stdout_format(data, capsys):
     assert lines[2] == "1\t1\t2\twent"
 
 
+def test_extract_refuses_a_replacement_that_apply_would_read_as_a_deletion(data, monkeypatch,
+                                                                            capsys):
+    monkeypatch.chdir(data)
+    (data / "s.txt").write_text("a b .\n", encoding="utf-8")
+    (data / "h.txt").write_text("a -NONE- .\n", encoding="utf-8")
+    assert main(["extract", "--src", "s.txt", "--hyp", "h.txt", "--out", "e.tsv"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sentence 0: replacement '-NONE-' would read back as a deletion\n"
+    assert not (data / "e.tsv").exists()
+
+
 def test_apply_rejects_bad_header(data, capsys):
     edits = data / "edits.tsv"
     edits.write_text("wrong\theader\n", encoding="utf-8")
     assert main([
         "apply", "--src", str(data / "src.txt"), "--edits", str(edits),
     ]) == 1
+
+
+def test_vote_usage_names_the_flags_as_typed(capsys):
+    assert main(["vote"]) == 1
+    usage = capsys.readouterr().err
+    assert "--src SRC" in usage and "--nmin NMIN" in usage
 
 
 def test_vote_writes_output(data, capsys):

@@ -70,6 +70,21 @@ def test_empty_replacement_spellings_agree():
     assert a[0].annotations == b[0].annotations == ((Edit(0, 1, ()),),)
 
 
+def test_writers_refuse_a_replacement_that_reads_back_as_a_deletion():
+    sources = [["a"], ["a", "b"]]
+    lone = [[], [Edit(1, 2, ("-NONE-",))]]
+    message = r"^sentence 1: replacement '-NONE-' would read back as a deletion$"
+    with pytest.raises(ValidationError, match=message):
+        serialize_edit_tsv(lone)
+    with pytest.raises(ValidationError, match=message):
+        serialize_m2([GoldSentence(s, (e,)) for s, e in zip(sources, lone)])
+    # beside other tokens the spelling is no longer ambiguous, so both write it
+    mixed = [[], [Edit(1, 2, ("-NONE-", "x"))]]
+    assert parse_edit_tsv(serialize_edit_tsv(mixed), sources) == mixed
+    gold = [GoldSentence(s, (e,)) for s, e in zip(sources, mixed)]
+    assert parse_m2(serialize_m2(gold)) == gold
+
+
 def test_stanza_without_a_lines_means_one_empty_annotation():
     gold = parse_m2("S a b c\n")
     assert gold[0].annotations == ((),)
@@ -362,26 +377,27 @@ def test_edit_tsv_rejects_bad_rows_with_their_line(row, fragment):
     assert "line 3" in str(exc.value)
 
 
+def _check_edits_all_pairs(source, edits):
+    """Frozen reference: the whole-set check that compared every pair."""
+    for e in edits:
+        if not (0 <= e.start <= e.end <= len(source)):
+            raise ValidationError(
+                f"edit span ({e.start},{e.end}) out of bounds for "
+                f"{len(source)}-token sentence"
+            )
+        if tuple(e.replacement) == tuple(source[e.start : e.end]):
+            raise ValidationError(
+                f"no-op edit at ({e.start},{e.end}): replacement equals source span"
+            )
+    for i, a in enumerate(edits):
+        for b in edits[i + 1 :]:
+            if a.start == b.start or a.start < b.start < a.end or b.start < a.start < b.end:
+                raise OverlapError(f"conflicting edits: {a} / {b}")
+
+
 def _parse_edit_tsv_rechecking_every_pair(text, sources):
     """Frozen reference: the per-row loop that re-ran the whole-set check on
-    the row's sentence, with a frozen copy of that check."""
-
-    def check_edits(source, edits):
-        for e in edits:
-            if not (0 <= e.start <= e.end <= len(source)):
-                raise ValidationError(
-                    f"edit span ({e.start},{e.end}) out of bounds for "
-                    f"{len(source)}-token sentence"
-                )
-            if tuple(e.replacement) == tuple(source[e.start : e.end]):
-                raise ValidationError(
-                    f"no-op edit at ({e.start},{e.end}): replacement equals source span"
-                )
-        for i, a in enumerate(edits):
-            for b in edits[i + 1 :]:
-                if a.start == b.start or a.start < b.start < a.end or b.start < a.start < b.end:
-                    raise OverlapError(f"conflicting edits: {a} / {b}")
-
+    the row's sentence, with the frozen copy of that check."""
     lines = text.rstrip("\n").split("\n")
     if lines[0].rstrip("\r") != _EDIT_HEADER.rstrip("\n"):
         raise ValidationError(f"edit file must start with header {_EDIT_HEADER.rstrip()!r}")
@@ -403,7 +419,7 @@ def _parse_edit_tsv_rechecking_every_pair(text, sources):
         repl = () if parts[3] == "-NONE-" else tuple(parts[3].split())
         edits[index].append(Edit(start, end, repl))
         try:
-            check_edits(sources[index], edits[index])
+            _check_edits_all_pairs(sources[index], edits[index])
         except ValidationError as err:
             raise type(err)(f"edit file line {lineno}: {err}") from None
     return edits
@@ -452,6 +468,61 @@ def test_edit_tsv_per_row_check_equals_rechecking_every_pair():
         else:  # the first word after "edit file line N: " names the check
             kinds.add(expected[1].split(": ", 1)[1].split(" ")[0])
     assert kinds == {"valid", "edit", "no-op", "conflicting", "sentence", "non-integer"}
+
+
+def _random_edit_set(rng):
+    """A source and a shuffled edit set on it: the extracted edits of a random
+    hypothesis and, about half the time, random edits that may be
+    insertions, share a start, repeat an edit, leave the source or change
+    nothing."""
+    words = vocab(3)
+    source = [rng.choice(words) for _ in range(rng.randint(1, 7))]
+    edits = extract_edits(source, [rng.choice(words) for _ in range(rng.randint(0, 8))])
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if edits and roll < 0.2:
+                edits.append(rng.choice(edits))
+                continue
+            start = rng.randint(-1, len(source))
+            end = start + rng.randint(-1 if roll < 0.3 else 0, 2)
+            if roll < 0.5 and 0 <= start <= end <= len(source):
+                replacement = tuple(source[start:end])
+            else:
+                replacement = tuple(rng.choice(words) for _ in range(rng.randint(0, 2)))
+            edits.append(Edit(start, end, replacement))
+    rng.shuffle(edits)
+    return source, edits
+
+
+def test_check_edits_equals_the_all_pairs_check_of_the_sorted_set():
+    def outcome(check, source, edits):
+        try:
+            return check(source, edits)
+        except ValidationError as err:
+            return type(err), str(err)
+
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(5000):
+        source, edits = _random_edit_set(rng)
+        ordered = sorted(edits, key=lambda e: (e.start, e.end))
+        expected = outcome(_check_edits_all_pairs, source, ordered)
+        if expected is None:
+            expected = tuple(ordered)
+            seen.add("valid")
+        else:  # the first word of the message names the check
+            seen.add(expected[1].split(" ")[0])
+        assert outcome(corpus.check_edits, source, edits) == expected, (source, edits)
+        seen.update(
+            kind for kind, present in [
+                ("insertion", any(e.start == e.end for e in edits)),
+                ("duplicate", len(set(edits)) < len(edits)),
+                ("equal starts", len({e.start for e in set(edits)}) < len(set(edits))),
+            ] if present
+        )
+    assert seen == {"valid", "edit", "no-op", "conflicting",
+                    "insertion", "duplicate", "equal starts"}
 
 
 def test_edit_tsv_checks_each_pair_of_rows_once(monkeypatch):

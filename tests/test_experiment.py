@@ -82,7 +82,7 @@ def write_config(tmp_path, payload):
 def test_load_config_resolves_paths_relative_to_config(tmp_path):
     payload = write_fixture(tmp_path)
     config = load_config(write_config(tmp_path, payload))
-    assert config.gold_path == tmp_path / "gold.m2"
+    assert config.gold == tmp_path / "gold.m2"
     assert config.systems[0] == ("a", tmp_path / "a.txt")
     assert config.output_dir == tmp_path / "results"
 
@@ -182,7 +182,7 @@ def test_only_the_experiment_needs_gold_not_its_method_step(tmp_path):
         "I likes turtles very much .\nShe go to school yesterday .\nNothing wrong here .\n",
         encoding="utf-8",
     )
-    no_gold = config.replace(gold_path=None, source_path=tmp_path / "src.txt")
+    no_gold = config._replace(gold=None, source=tmp_path / "src.txt")
     with pytest.raises(ValidationError, match="experiment 'fixture' needs a gold file"):
         run_experiment(no_gold, load_inputs(no_gold))
     assert not (tmp_path / "results").exists()
@@ -384,7 +384,7 @@ def _shared_and_standalone(tmp_path, method):
         encoding="utf-8",
     )
     config = load_config(write_config(tmp_path, payload))
-    alone = config.replace(output_dir=tmp_path / "alone")
+    alone = config._replace(output_dir=tmp_path / "alone")
     return config, alone
 
 
@@ -393,7 +393,7 @@ def test_sweep_artifacts_equal_standalone_runs(tmp_path):
     rows = sweep_n_min(config)
     for n_min, _ in rows:
         run_experiment(
-            alone.replace(name=f"{config.name}.nmin{n_min}", n_min=n_min), load_inputs(alone)
+            alone._replace(name=f"{config.name}.nmin{n_min}", n_min=n_min), load_inputs(alone)
         )
     shared = _artifacts(config.output_dir)
     assert shared.pop("fixture.sweep.tsv")
@@ -408,7 +408,7 @@ def test_ablation_artifacts_equal_standalone_runs(tmp_path, method):
     for name, _ in config.systems:
         systems = tuple(s for s in config.systems if s[0] != name)
         run_experiment(
-            alone.replace(name=f"{config.name}.wo-{name}", systems=systems), load_inputs(alone)
+            alone._replace(name=f"{config.name}.wo-{name}", systems=systems), load_inputs(alone)
         )
     shared = _artifacts(config.output_dir)
     assert shared.pop("fixture.ablation.tsv")
@@ -459,7 +459,7 @@ def test_repeated_runs_extract_each_pair_once_and_load_each_file_once(
     }
     assert member_pairs <= set(extracted)
     assert set(extracted.values()) == {1}
-    assert loaded == Counter([config.gold_path] + [path for _, path in config.systems])
+    assert loaded == Counter([config.gold] + [path for _, path in config.systems])
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +513,7 @@ def test_sweep_ablation_and_vote_bytes_stay_pinned(tmp_path):
     config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
     sweep_n_min(config)
     ablation_remove_one(config)
-    run_experiment(config.replace(name="vote"), load_inputs(config))
+    run_experiment(config._replace(name="vote"), load_inputs(config))
     digest = hashlib.sha256()
     for name, data in _artifacts(config.output_dir).items():
         digest.update(name.encode() + b"\0" + data + b"\0")

@@ -58,6 +58,12 @@ def test_rank_by_score_validates():
         rank_by_score(cands(("a", "x")), [0.5, 0.5])
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_rank_corpus_refuses_an_empty_member_list(weighted):
+    with pytest.raises(ValidationError, match="needs at least one candidate"):
+        rank_corpus([], {}, weighted)
+
+
 def test_weights_match_frequency_ratios():
     # frequencies [3, 1, 2] over three distinct outputs
     candidates = cands(

@@ -1,5 +1,6 @@
 """Record semantics: every record is an immutable NamedTuple, and the three
-that check their fields check them on construction and on replace."""
+that check their fields check them on construction, ``_replace`` and
+``_make``."""
 
 from pathlib import Path
 
@@ -27,7 +28,7 @@ REPORT = ScoreReport(0.5, 1 / 3, 0.45, COUNTS, ((0, COUNTS),))
 
 
 def _config(**changes) -> ExperimentConfig:
-    fields = dict(name="exp", gold_path=Path("g.m2"), method="vote",
+    fields = dict(name="exp", gold=Path("g.m2"), method="vote",
                   systems=(("a", Path("a.txt")), ("b", Path("b.txt"))))
     return ExperimentConfig(**{**fields, **changes})
 
@@ -99,15 +100,52 @@ def test_experiment_config_validates_on_construction_and_replace(changes, messag
     with pytest.raises(ValidationError, match=message):
         _config(**changes)
     with pytest.raises(ValidationError, match=message):
-        _config().replace(**changes)
+        _config()._replace(**changes)
 
 
 def test_experiment_config_replace_keeps_the_other_fields():
     config = _config(n_min=1, seed=5)
-    changed = config.replace(n_min=2, name="exp.nmin2")
+    changed = config._replace(n_min=2, name="exp.nmin2")
     assert type(changed) is ExperimentConfig
     assert changed == config._replace(n_min=2, name="exp.nmin2")
     assert (config.n_min, config.name) == (1, "exp")  # the original is untouched
     with pytest.raises(TypeError):
-        config.replace(no_such_field=1)
+        config._replace(no_such_field=1)
 
+
+GOLD = GoldSentence(SRC, ((Edit(0, 1, ("x",)),), ()))
+
+
+@pytest.mark.parametrize("record, changes, error", [
+    (GOLD, {"annotations": ()}, ValidationError),  # no annotation set
+    (GOLD, {"annotations": ((Edit(2, 4, ("x",)),),)}, ValidationError),  # out of bounds
+    (GOLD, {"annotations": ((Edit(0, 1, ("a",)),),)}, ValidationError),  # no-op
+    (GOLD, {"annotations": ((Edit(0, 2, ("x",)), Edit(1, 3, ("y",))),)}, OverlapError),
+    (GOLD, {"source": ("two words",)}, ValidationError),
+    (GOLD, {"source": ("x",)}, ValidationError),  # the kept edit becomes a no-op
+    (OUT, {"name": ""}, ValidationError),
+    (OUT, {"sentences": [("two words",)]}, ValidationError),
+    (_config(), {"method": "sorcery"}, ValidationError),
+    (_config(), {"n_min": 3}, ValidationError),
+    (_config(), {"name": ""}, ValidationError),
+    (_config(), {"systems": ()}, ValidationError),
+    (_config(), {"method": "rank"}, ValidationError),  # no score file
+], ids=lambda v: type(v).__name__ if hasattr(v, "_fields") else None)
+def test_replace_and_make_refuse_what_construction_refuses(record, changes, error):
+    fields = {**record._asdict(), **changes}
+    with pytest.raises(error):
+        type(record)(**fields)
+    with pytest.raises(error):
+        record._replace(**changes)
+    with pytest.raises(error):
+        type(record)._make(fields.values())
+
+
+@pytest.mark.parametrize("record", [GOLD, OUT, _config()], ids=lambda r: type(r).__name__)
+def test_replace_and_make_of_a_checked_record(record):
+    assert type(record._replace()) is type(record) and record._replace() == record
+    assert type(type(record)._make(record)) is type(record)
+    with pytest.raises(TypeError):
+        record._replace(no_such_field=1)
+    with pytest.raises(TypeError):
+        type(record)._make([*record, None])
