@@ -37,30 +37,32 @@ from typing import Sequence
 from .corpus import Edit, TokenSentence, check_edits
 
 
-def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit]:
+def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> tuple[Edit, ...]:
     """Extract the canonical minimal edit set turning source into hypothesis.
 
-    The result is sorted by position, pairwise non-conflicting, free of
-    no-ops, and ``apply_edits(source, result) == hypothesis`` exactly.
+    The result is the normal form that :func:`geckit.corpus.check_edits`
+    returns: pairwise non-conflicting, free of no-ops, and sorted by
+    (start, end), since the edits start at strictly increasing positions.
+    ``apply_edits(source, result) == hypothesis`` exactly.
 
     >>> extract_edits("I likes turtles very much .".split(),
     ...               "I like turtles very much .".split())
-    [Edit(start=1, end=2, replacement=('like',))]
+    (Edit(start=1, end=2, replacement=('like',)),)
 
     Of two equal tokens, the walk back from the end keeps the later one:
 
     >>> extract_edits("a a b".split(), "a b".split())
-    [Edit(start=0, end=1, replacement=())]
+    (Edit(start=0, end=1, replacement=()),)
 
     That holds across the common prefix too, so stripping it is not enough:
 
-    >>> extract_edits(["a"], "a a b".split()) == [Edit(0, 0, ('a',)), Edit(1, 1, ('b',))]
+    >>> extract_edits(["a"], "a a b".split()) == (Edit(0, 0, ('a',)), Edit(1, 1, ('b',)))
     True
     """
     src = tuple(source)
     hyp = tuple(hypothesis)
     if src == hyp:
-        return []
+        return ()
 
     # Strip the common suffix. This is exact, not a heuristic: when the
     # trailing tokens are equal, d[i][j] == d[i-1][j-1] always holds, and
@@ -115,7 +117,7 @@ def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> list[Edit
             else:
                 hi += 1
     close_run(si, hi)
-    return edits
+    return tuple(edits)
 
 
 def _walk(src: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[list[str], int, int]:
@@ -194,7 +196,7 @@ class EditTable:
     >>> table = EditTable()
     >>> src, hyp = TokenSentence.parse("a b"), TokenSentence.parse("a c")
     >>> table.edits(src, hyp)
-    [Edit(start=1, end=2, replacement=('c',))]
+    (Edit(start=1, end=2, replacement=('c',)),)
     """
 
     __slots__ = ("_edits",)
@@ -202,18 +204,13 @@ class EditTable:
     def __init__(self) -> None:
         self._edits: dict[tuple[TokenSentence, TokenSentence], tuple[Edit, ...]] = {}
 
-    def edits(self, source: TokenSentence, hypothesis: TokenSentence) -> list[Edit]:
-        """:func:`extract_edits` of the pair, as a new list on every call.
-
-        The copy keeps the table intact when a caller changes the list, and
-        keeps list comparisons (``edits == [...]``) meaning what they mean
-        for :func:`extract_edits`.
-        """
+    def edits(self, source: TokenSentence, hypothesis: TokenSentence) -> tuple[Edit, ...]:
+        """:func:`extract_edits` of the pair."""
         key = (source, hypothesis)
         edits = self._edits.get(key)
         if edits is None:
-            edits = self._edits[key] = tuple(extract_edits(source, hypothesis))
-        return list(edits)
+            edits = self._edits[key] = extract_edits(source, hypothesis)
+        return edits
 
 
 def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:

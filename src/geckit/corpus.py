@@ -38,6 +38,7 @@ never observe a half-written file.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import sys
@@ -611,12 +612,27 @@ def load_edit_tsv(path: str | Path, sources: Sequence[Sequence[str]]) -> list[li
 # ---------------------------------------------------------------------------
 
 
+# Why the file system refuses a path, for the errors without an OSError subclass
+_PATH_REASONS = {
+    errno.ENAMETOOLONG: "a name in the path is too long",
+    errno.ELOOP: "symbolic links in the path form a loop",
+}
+
+
+def _raise_if_refused(path: str | Path, err: BaseException) -> None:
+    """Raise :class:`ValidationError` naming ``path`` when ``err`` is the
+    file system refusing it; return for any other error."""
+    if isinstance(err, OSError) and err.errno in _PATH_REASONS:
+        raise ValidationError(f"{path}: {_PATH_REASONS[err.errno]}") from None
+
+
 def read_text(path: str | Path) -> str:
     """The text of the UTF-8 file at ``path``, with universal newlines.
 
     Every input file is read here, so an input that is missing, a directory,
-    under a file, unreadable or not UTF-8 raises :class:`ValidationError`
-    naming the file.
+    under a file, unreadable, refused by the file system (see
+    ``_PATH_REASONS``) or not UTF-8 raises :class:`ValidationError` naming
+    the file. Other I/O failures propagate.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -628,6 +644,9 @@ def read_text(path: str | Path) -> str:
         raise ValidationError(f"{path}: a parent is a file, not a directory") from None
     except PermissionError:
         raise ValidationError(f"{path}: permission denied") from None
+    except OSError as err:
+        _raise_if_refused(path, err)
+        raise
     except UnicodeDecodeError as err:  # decoded in one piece: err.start is a file offset
         byte = err.object[err.start]
         raise ValidationError(
@@ -646,8 +665,8 @@ def _load(parse: Callable, path: str | Path, *args):
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file and rename, so partial output is never visible.
-    A ``path`` that is a directory, or runs through a file, raises
-    :class:`ValidationError`."""
+    A ``path`` that is a directory, runs through a file, or that the file
+    system refuses (see ``_PATH_REASONS``) raises :class:`ValidationError`."""
     if os.path.isdir(path):  # else the rename below fails naming the temp file
         raise ValidationError(f"{path}: is a directory, not a file")
     path = Path(path)
@@ -655,14 +674,20 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ValidationError(f"{path}: a parent is a file, not a directory") from None
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    except OSError as err:
+        _raise_if_refused(path, err)
+        raise
+    # The temp name keeps at most 32 characters of the target's: at most
+    # 142 bytes in all, so it fits wherever a 255-byte name does
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name[:32]}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        _raise_if_refused(path, err)
         raise

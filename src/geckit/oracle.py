@@ -46,12 +46,12 @@ def _stable_subset(
     unknown edit and cost precision. Dropping the later edit of such a pair
     trades a little recall for the precision guarantee.
     """
-    kept: list[Edit] = []
+    kept: tuple[Edit, ...] = ()
     for edit in edits:
-        trial = kept + [edit]
+        trial = (*kept, edit)
         if table.edits(source, apply_edits(source, trial)) == trial:
-            kept.append(edit)
-    return tuple(kept)
+            kept = trial
+    return kept
 
 
 def _ensemble_choice(
@@ -71,7 +71,7 @@ def _ensemble_choice(
             best_id, best = ann_id, selected
     chosen = tuple(sorted(best))
     applied = apply_edits(source, chosen)
-    if table.edits(source, applied) != list(chosen):
+    if table.edits(source, applied) != chosen:
         chosen = _stable_subset(source, chosen, table)
         applied = apply_edits(source, chosen)
     return applied, best_id, chosen

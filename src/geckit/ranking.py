@@ -36,17 +36,6 @@ from .align import EditTable
 from .corpus import SystemOutput, TokenSentence, ValidationError, check_aligned, tsv
 
 
-class WeightedCandidate(NamedTuple):
-    """A candidate with its output-frequency weight applied."""
-
-    system: str
-    sentence: TokenSentence
-    raw_score: float
-    frequency: int
-    weight: float
-    weighted_score: float
-
-
 class SimilarityMatrix(NamedTuple):
     """Mean pairwise cosine similarities between systems."""
 
@@ -83,28 +72,27 @@ def rank_by_score(
     return candidates[best_i]
 
 
-def weight_candidates(
-    candidates: Sequence[tuple[str, TokenSentence]], scores: Sequence[float]
-) -> list[WeightedCandidate]:
-    """Attach output-frequency weights w_j = n_j / max_k(n_k) to candidates."""
-    if len(scores) != len(candidates):
-        raise ValidationError(f"{len(candidates)} candidates but {len(scores)} scores")
+def weight_candidates(candidates: Sequence[tuple[str, TokenSentence]]) -> list[float]:
+    """The output-frequency weight w_j = n_j / max_k(n_k) of each candidate,
+    where n_j counts the candidates with candidate j's exact sentence.
+
+    >>> s = TokenSentence.parse
+    >>> weight_candidates([("a", s("x y")), ("b", s("x y")), ("c", s("z"))])
+    [1.0, 1.0, 0.5]
+    """
     freq = Counter(tuple(sentence) for _, sentence in candidates)
     max_n = max(freq.values())
-    out = []
-    for (name, sentence), score in zip(candidates, scores):
-        n_j = freq[tuple(sentence)]
-        w_j = n_j / max_n
-        out.append(WeightedCandidate(name, sentence, score, n_j, w_j, score * w_j))
-    return out
+    return [freq[tuple(sentence)] / max_n for _, sentence in candidates]
 
 
 def rank_weighted(
     candidates: Sequence[tuple[str, TokenSentence]], scores: Sequence[float]
 ) -> tuple[str, TokenSentence]:
     """Argmax of score x frequency weight, with rank_by_score tie-breaks."""
-    weighted = weight_candidates(candidates, scores)
-    return rank_by_score(candidates, [w.weighted_score for w in weighted])
+    if len(scores) != len(candidates):
+        raise ValidationError(f"{len(candidates)} candidates but {len(scores)} scores")
+    weights = weight_candidates(candidates)
+    return rank_by_score(candidates, [score * w_j for score, w_j in zip(scores, weights)])
 
 
 def aggr_rank(

@@ -26,13 +26,6 @@ class SentenceCounts(NamedTuple):
     n_proposed: int
     n_gold: int
 
-    def plus(self, other: "SentenceCounts") -> "SentenceCounts":
-        return SentenceCounts(
-            self.n_correct + other.n_correct,
-            self.n_proposed + other.n_proposed,
-            self.n_gold + other.n_gold,
-        )
-
 
 class ScoreReport(NamedTuple):
     """Corpus totals plus the per-sentence annotator choices behind them.
@@ -61,20 +54,16 @@ def f_beta(p: float, r: float, beta: float = 0.5) -> float:
     return (1 + b2) * p * r / (b2 * p + r)
 
 
-def prf(totals: SentenceCounts) -> tuple[float, float, float]:
-    """Precision, recall and F0.5 of edit counts.
+def prf(n_correct: int, n_proposed: int, n_gold: int) -> tuple[float, float, float]:
+    """Precision, recall and F0.5 of edit counts; ``prf(*counts)`` for a
+    :class:`SentenceCounts`.
 
     Zero-denominator conventions: no proposals means perfect precision, no
     gold edits means perfect recall.
 
-    >>> prf(SentenceCounts(0, 0, 0))
+    >>> prf(0, 0, 0)
     (1.0, 1.0, 1.0)
     """
-    return _prf(*totals)
-
-
-def _prf(n_correct: int, n_proposed: int, n_gold: int) -> tuple[float, float, float]:
-    """:func:`prf` of the three counts, without a :class:`SentenceCounts`."""
     p = n_correct / n_proposed if n_proposed else 1.0
     r = n_correct / n_gold if n_gold else 1.0
     return p, r, f_beta(p, r)
@@ -89,20 +78,18 @@ def best_annotator(
     and the key ``(F0.5, n_correct, -n_proposed)`` of ``base`` plus those
     counts, which the annotator maximizes. The lowest id wins full ties.
     """
+    base_correct, base_proposed, base_gold = base
     hyp = set(hyp_edits)
-    n_proposed = base.n_proposed + len(hyp)
+    n_proposed = base_proposed + len(hyp)
     best_key: tuple[float, int, int] | None = None
     for ann_id, ann in enumerate(gold.annotations):
-        # prf(base.plus(counts)) without building either tuple; an
-        # annotation holds no two equal edits (they would conflict)
-        n_correct = base.n_correct + len(hyp.intersection(ann))
-        key = (_prf(n_correct, n_proposed, base.n_gold + len(ann))[2], n_correct, -n_proposed)
+        # an annotation holds no two equal edits (they would conflict)
+        n_correct = base_correct + len(hyp.intersection(ann))
+        key = (prf(n_correct, n_proposed, base_gold + len(ann))[2], n_correct, -n_proposed)
         if best_key is None or key > best_key:
             best_id, best_key = ann_id, key
     assert best_key is not None  # GoldSentence guarantees >= 1 annotation
-    counts = SentenceCounts(
-        best_key[1] - base.n_correct, len(hyp), len(gold.annotations[best_id])
-    )
+    counts = SentenceCounts(best_key[1] - base_correct, len(hyp), len(gold.annotations[best_id]))
     return best_id, counts, best_key
 
 
@@ -122,10 +109,11 @@ def score_corpus(
     totals = SentenceCounts(0, 0, 0)
     chosen: list[tuple[int, SentenceCounts]] = []
     for gs, hyp_sentence in zip(gold, hypothesis.sentences):
-        ann_id, counts, _ = best_annotator(table.edits(gs.source, hyp_sentence), gs, totals)
-        totals = totals.plus(counts)
+        ann_id, counts, key = best_annotator(table.edits(gs.source, hyp_sentence), gs, totals)
+        # the key holds the new n_correct and -n_proposed totals
+        totals = SentenceCounts(key[1], -key[2], totals.n_gold + counts.n_gold)
         chosen.append((ann_id, counts))
-    p, r, f = prf(totals)
+    p, r, f = prf(*totals)
     return ScoreReport(p, r, f, totals, tuple(chosen))
 
 

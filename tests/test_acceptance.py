@@ -307,7 +307,7 @@ def test_criterion_5_weighted_ranking_degeneracy_and_spot_weights():
         ("b1", s(("y",))),
         ("c1", s(("z",))), ("c2", s(("z",))),
     ]
-    weights = [w.weight for w in weight_candidates(grouped, [0.0] * 6)]
+    weights = weight_candidates(grouped)
     spot_ok = (
         weights[0] == 1.0
         and abs(weights[3] - 1 / 3) <= 1e-15

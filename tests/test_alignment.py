@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from conftest import sentence_pairs
 from geckit import align
 from geckit.align import EditTable, apply_edits, extract_edits
-from geckit.corpus import Edit, OverlapError, TokenSentence, ValidationError, conflicts
+from geckit.corpus import (
+    Edit, OverlapError, TokenSentence, ValidationError, check_edits, conflicts,
+)
 
 
 def ext(src: str, hyp: str):
@@ -16,20 +18,20 @@ def ext(src: str, hyp: str):
 
 
 def test_single_substitution():
-    assert ext("I likes turtles .", "I like turtles .") == [Edit(1, 2, ("like",))]
+    assert ext("I likes turtles .", "I like turtles .") == (Edit(1, 2, ("like",)),)
 
 
 def test_adjacent_changes_merge_into_one_edit():
-    assert ext("a b c", "a x y c") == [Edit(1, 2, ("x", "y"))]
+    assert ext("a b c", "a x y c") == (Edit(1, 2, ("x", "y")),)
 
 
 def test_insertion_and_deletion():
-    assert ext("a b", "a x b") == [Edit(1, 1, ("x",))]
-    assert ext("a x b", "a b") == [Edit(1, 2, ())]
+    assert ext("a b", "a x b") == (Edit(1, 1, ("x",)),)
+    assert ext("a x b", "a b") == (Edit(1, 2, ()),)
 
 
 def test_identical_sentences_have_no_edits():
-    assert ext("a b c", "a b c") == []
+    assert ext("a b c", "a b c") == ()
 
 
 def test_canonical_position_with_repeated_tokens():
@@ -43,11 +45,11 @@ def test_canonical_position_with_repeated_tokens():
 
 
 def test_whole_sentence_rewrite():
-    assert ext("a b", "x y z") == [Edit(0, 2, ("x", "y", "z"))]
+    assert ext("a b", "x y z") == (Edit(0, 2, ("x", "y", "z")),)
 
 
 def test_empty_hypothesis_is_one_deletion():
-    assert ext("a b c", "") == [Edit(0, 3, ())]
+    assert ext("a b c", "") == (Edit(0, 3, ()),)
 
 
 def test_apply_respects_span_order():
@@ -158,6 +160,14 @@ def test_extracted_edits_are_sorted_and_separated(pair):
         assert nxt.start > prev.end
 
 
+@settings(max_examples=300, deadline=None)
+@given(sentence_pairs())
+def test_extracted_edits_are_in_normal_form(pair):
+    src, hyp = pair
+    edits = extract_edits(src, hyp)
+    assert check_edits(src, edits) == edits
+
+
 def test_result_type_is_token_sentence():
     out = apply_edits(("a", "b"), [Edit(0, 1, ("x",))])
     assert isinstance(out, TokenSentence)
@@ -199,15 +209,14 @@ def test_edit_table_equals_extract_edits(pair):
 
 
 def test_edit_table_lookup_survives_caller_mutation():
+    # the stored edit set is an immutable tuple, handed out itself on a hit
     table = EditTable()
     src, hyp = TokenSentence("a b c d".split()), TokenSentence("x b c y".split())
     first = table.edits(src, hyp)
-    expected = list(first)
-    first.append(Edit(1, 1, ("z",)))
-    first[0] = Edit(0, 0, ("q",))
-    second = table.edits(src, hyp)
-    assert second == expected == extract_edits(src, hyp)
-    assert type(second) is list and second is not first
+    assert type(first) is tuple and first == extract_edits(src, hyp)
+    with pytest.raises(TypeError):
+        first[0] = Edit(0, 0, ("q",))
+    assert table.edits(TokenSentence(src), TokenSentence(hyp)) is first
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +301,7 @@ def _reference_extract_edits(source, hypothesis):
             else:
                 hi += 1
     close_run(si, hi)
-    return edits
+    return tuple(edits)
 
 
 def _mutated(rng, tokens, alphabet, rate):

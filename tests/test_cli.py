@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and determinism of the command-line interface."""
 
+import errno
 import gc
 import json
 import os
@@ -127,6 +128,46 @@ def test_unreadable_input_exits_one_naming_it(data, monkeypatch, capsys):
     monkeypatch.setattr(Path, "read_text", refuse)
     assert main(["score", "--hyp", "a.txt", "--gold", "gold.m2"]) == 1
     assert capsys.readouterr().err == "error: gold.m2: permission denied\n"
+
+
+@pytest.mark.parametrize("hyp, reason", [
+    ("x" * 300, "a name in the path is too long"),
+    ("loop1", "symbolic links in the path form a loop"),
+], ids=["name-too-long", "symlink-loop"])
+def test_input_path_the_file_system_refuses_exits_one_naming_it(data, monkeypatch, capsys,
+                                                               hyp, reason):
+    monkeypatch.chdir(data)
+    os.symlink("loop2", "loop1")
+    os.symlink("loop1", "loop2")
+    assert main(["score", "--hyp", hyp, "--gold", "gold.m2"]) == 1
+    assert capsys.readouterr().err == f"error: {hyp}: {reason}\n"
+
+
+def test_input_io_failure_not_about_the_path_exits_two(data, monkeypatch, capsys):
+    def fail(path, *args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error", str(path))
+
+    monkeypatch.chdir(data)
+    monkeypatch.setattr(Path, "read_text", fail)
+    assert main(["score", "--hyp", "a.txt", "--gold", "gold.m2"]) == 2
+    assert "OSError: [Errno 5] Input/output error" in capsys.readouterr().err
+
+
+def test_output_name_of_250_bytes_is_written_with_no_temp_file_left(data, monkeypatch):
+    monkeypatch.chdir(data)
+    out = "r" * 246 + ".tsv"
+    assert main(["score", "--hyp", "a.txt", "--gold", "gold.m2", "--out", out]) == 0
+    assert "F0.5" in (data / out).read_text(encoding="utf-8")
+    assert not [p for p in os.listdir(data) if p.endswith(".tmp")]
+
+
+def test_output_name_the_file_system_refuses_exits_one_naming_it(data, monkeypatch, capsys):
+    monkeypatch.chdir(data)
+    before = sorted(os.listdir(data))
+    out = "r" * 252 + ".tsv"
+    assert main(["score", "--hyp", "a.txt", "--gold", "gold.m2", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {out}: a name in the path is too long\n"
+    assert sorted(os.listdir(data)) == before  # no temporary file left behind
 
 
 def test_score_prints_table(data, capsys):

@@ -477,7 +477,7 @@ def _random_edit_set(rng):
     nothing."""
     words = vocab(3)
     source = [rng.choice(words) for _ in range(rng.randint(1, 7))]
-    edits = extract_edits(source, [rng.choice(words) for _ in range(rng.randint(0, 8))])
+    edits = list(extract_edits(source, [rng.choice(words) for _ in range(rng.randint(0, 8))]))
     if rng.random() < 0.5:
         for _ in range(rng.randint(1, 3)):
             roll = rng.random()

@@ -71,8 +71,8 @@ def test_weights_match_frequency_ratios():
         ("s4", "b b"),
         ("s5", "c c"), ("s6", "c c"),
     )
-    weighted = weight_candidates(candidates, [1.0] * 6)
-    by_sentence = {w.sentence.text: w.weight for w in weighted}
+    weights = weight_candidates(candidates)
+    by_sentence = {sentence.text: w for (_, sentence), w in zip(candidates, weights)}
     assert math.isclose(by_sentence["a a"], 1.0, abs_tol=1e-15)
     assert math.isclose(by_sentence["b b"], 1 / 3, abs_tol=1e-15)
     assert math.isclose(by_sentence["c c"], 2 / 3, abs_tol=1e-15)
@@ -83,6 +83,45 @@ def test_weighting_prefers_popular_output_on_close_scores():
     # b has the best raw score, but only 1/2 the weight
     assert rank_by_score(candidates, [0.8, 0.8, 0.9])[0] == "s3"
     assert rank_weighted(candidates, [0.8, 0.8, 0.9])[0] == "s1"
+
+
+def _reference_rank_weighted(candidates, scores):
+    """rank_weighted through one six-field record per candidate (system,
+    sentence, raw score, frequency, weight, weighted score), frozen for the
+    differential test."""
+    if len(scores) != len(candidates):
+        raise ValidationError(f"{len(candidates)} candidates but {len(scores)} scores")
+    freq = Counter(tuple(sentence) for _, sentence in candidates)
+    max_n = max(freq.values())
+    weighted = []
+    for (name, sentence), score in zip(candidates, scores):
+        n_j = freq[tuple(sentence)]
+        w_j = n_j / max_n
+        weighted.append((name, sentence, score, n_j, w_j, score * w_j))
+    return rank_by_score(candidates, [w[5] for w in weighted])
+
+
+def test_rank_weighted_equals_weighted_candidate_records():
+    def outcome(select, candidates, scores):
+        try:
+            return select(candidates, scores)
+        except (ValidationError, ValueError) as err:
+            return type(err), str(err)
+
+    rng = random.Random(20261019)
+    sentences = [ts("a"), ts("b"), ts("a b"), ts("b a"), ts("c")]
+    mismatched = 0
+    for _ in range(20_000):
+        n = rng.randint(0, 7)
+        candidates = [(f"s{k}", rng.choice(sentences)) for k in range(n)]
+        scores = [rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(-2, 2)]) for _ in range(n)]
+        if rng.random() < 0.1:
+            scores = scores[:-1] if scores and rng.random() < 0.5 else scores + [0.5]
+            mismatched += 1
+        assert outcome(rank_weighted, candidates, scores) == outcome(
+            _reference_rank_weighted, candidates, scores
+        ), (candidates, scores)
+    assert mismatched >= 1_000, mismatched
 
 
 @settings(max_examples=300, deadline=None)

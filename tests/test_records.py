@@ -17,7 +17,7 @@ from geckit.corpus import (
 from geckit.experiment import ExperimentConfig, ExperimentResult
 from geckit.llm import RankedRun, RankPrompt, RankResponse
 from geckit.oracle import OracleChoice
-from geckit.ranking import SimilarityMatrix, SystemCluster, WeightedCandidate
+from geckit.ranking import SimilarityMatrix, SystemCluster
 from geckit.scoring import ScoreReport, SentenceCounts
 from geckit.vote import VotedEdit
 
@@ -45,7 +45,6 @@ RECORDS = [
     RankedRun(OUT, ()),
     REPORT,
     OracleChoice(0, "oracle-rank", 0, "s", 1),
-    WeightedCandidate("s", SRC, 1.0, 2, 0.5, 0.5),
     SimilarityMatrix(("s",), ((1.0,),)),
     SystemCluster(("s",), "s"),
     VotedEdit(Edit(0, 1, ("x",)), frozenset({"s"})),

@@ -1,6 +1,7 @@
 """Corpus scoring vs. an independent brute-force oracle, plus pinned values."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from bruteforce import brute_force_score
 from conftest import annotations, corpora_with_hypotheses, vocab
-from geckit.align import EditTable
+from geckit.align import EditTable, apply_edits, extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
 from geckit.scoring import (
+    ScoreReport,
     SentenceCounts,
     best_annotator,
     f_beta,
@@ -144,14 +146,14 @@ def test_report_table_shows_rounded_percentages():
 
 
 def _reference_best_annotator(hyp_edits, gold, base=SentenceCounts(0, 0, 0)):
-    """best_annotator as per-annotator counts + plus + prf, frozen for the differential test."""
+    """best_annotator as per-annotator counts + a sum + prf, frozen for the differential test."""
     best = None
     hyp = set(hyp_edits)
     for ann_id, ann in enumerate(gold.annotations):
         gold_edits = set(ann)
         counts = SentenceCounts(len(hyp & gold_edits), len(hyp), len(gold_edits))
-        total = base.plus(counts)
-        key = (prf(total)[2], total.n_correct, -total.n_proposed)
+        total = SentenceCounts(*(b + c for b, c in zip(base, counts)))
+        key = (prf(*total)[2], total.n_correct, -total.n_proposed)
         if best is None or key > best[2]:
             best = (ann_id, counts, key)
     return best
@@ -184,3 +186,72 @@ def annotator_choices(draw):
 def test_best_annotator_equals_per_annotator_counts(choice):
     hyp, gold, base = choice
     assert best_annotator(hyp, gold, base) == _reference_best_annotator(hyp, gold, base)
+
+
+# --------------------------------------------------------------------------
+# totals read from the annotator key against the SentenceCounts sums they replaced
+
+
+def _reference_score_corpus(hypothesis, gold, table):
+    """score_corpus as running SentenceCounts totals, each summed with the
+    chosen counts, frozen for the differential test."""
+    totals = SentenceCounts(0, 0, 0)
+    chosen = []
+    for gs, hyp_sentence in zip(gold, hypothesis.sentences):
+        ann_id, counts, _ = _reference_best_annotator(
+            table.edits(gs.source, hyp_sentence), gs, totals
+        )
+        totals = SentenceCounts(*(t + c for t, c in zip(totals, counts)))
+        chosen.append((ann_id, counts))
+    p, r, f = prf(*totals)
+    return ScoreReport(p, r, f, totals, tuple(chosen))
+
+
+def _mutated(rng, source):
+    """source with each token kept, substituted or deleted, and insertions."""
+    out = []
+    for token in source:
+        roll = rng.random()
+        if roll < 0.2:
+            out.append(rng.choice(vocab(3, "r")))
+        elif roll >= 0.3:
+            out.append(token)
+        if rng.random() < 0.1:
+            out.append(rng.choice(vocab(3, "r")))
+    return TokenSentence(out)
+
+
+def _seeded_corpus(rng):
+    """A gold corpus of 1-4 annotators per sentence, some of them repeated
+    (full key ties), and a hypothesis that often makes one annotator's
+    corrections exactly, so that annotators also tie on single counts."""
+    gold, hyps = [], []
+    for _ in range(rng.randint(1, 12)):
+        source = TokenSentence(rng.choice(vocab(4)) for _ in range(rng.randint(1, 8)))
+        anns = []
+        for _ in range(rng.randint(1, 4)):
+            if anns and rng.random() < 0.3:
+                anns.append(rng.choice(anns))
+            else:
+                anns.append(extract_edits(source, _mutated(rng, source)))
+        gold.append(GoldSentence(source, tuple(anns)))
+        roll = rng.random()
+        if roll < 0.4:
+            hyps.append(apply_edits(source, rng.choice(anns)))
+        elif roll < 0.5:
+            hyps.append(source)
+        else:
+            hyps.append(_mutated(rng, source))
+    return gold, SystemOutput("hyp", tuple(hyps))
+
+
+def test_score_corpus_equals_summed_sentence_counts():
+    rng = random.Random(20261019)
+    repeated = 0
+    for _ in range(2_000):
+        gold, hyp = _seeded_corpus(rng)
+        assert score_corpus(hyp, gold, EditTable()) == _reference_score_corpus(
+            hyp, gold, EditTable()
+        )
+        repeated += any(len(set(g.annotations)) < len(g.annotations) for g in gold)
+    assert repeated >= 500, repeated
