@@ -8,44 +8,48 @@ are written atomically. All randomness derives from --seed.
 
 Member systems are given as repeated --sys flags, either a bare path
 (system name = file stem) or explicit name=path.
+
+Importing this module runs no other geckit module: each is registered
+lazily and runs when the command first reads one of its names, so
+``score``, ``extract`` and ``apply`` never run ``experiment``.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import sys
 from pathlib import Path
+from types import ModuleType
 
-from .align import EditTable, apply_edits, extract_edits
-from .corpus import (
-    ValidationError,
-    atomic_write_text,
-    check_source_file,
-    check_unique_names,
-    load_edit_tsv,
-    load_m2,
-    load_parallel,
-    load_system_output,
-    parse_system_spec,
-    serialize_edit_tsv,
-    serialize_parallel,
-)
-from .experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    ablation_remove_one,
-    combine,
-    load_config,
-    load_inputs,
-    prf_tsv,
-    result_row_tsv,
-    run_experiment,
-    sweep_n_min,
-)
-from .oracle import choices_tsv
-from .ranking import cluster_systems, clusters_tsv, matrix_tsv, similarity_matrix
-from .scoring import report_table, report_tsv, score_corpus
+
+def _lazy(name: str) -> ModuleType:
+    """The module ``geckit.<name>``, registered to run when one of its
+    attributes is first read (the standard library's LazyLoader recipe).
+
+    A module already in ``sys.modules`` is returned as it is, so every
+    caller shares one module object and one ``ValidationError`` class. Like
+    an import, this sets the module as an attribute of the package.
+    ``LazyLoader`` takes no lock before Python 3.13, so each command reads
+    its modules on the main thread, before ``llm-rank`` starts its workers.
+    """
+    full_name = f"{__package__}.{name}"
+    module = sys.modules.get(full_name)
+    if module is None:
+        spec = importlib.util.find_spec(full_name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full_name] = module
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# cli reads no vote or llm name; the bench's tracer wraps both from sys.modules
+corpus, align, scoring, vote, oracle, ranking, llm, experiment = map(_lazy, (
+    "corpus", "align", "scoring", "vote", "oracle", "ranking", "llm", "experiment"
+))
 
 
 class _UsageError(Exception):
@@ -62,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        atomic_write_text(out, text)
+        corpus.atomic_write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -77,28 +81,28 @@ def _fallback_note(fallbacks: tuple[int, ...]) -> str:
 
 
 def _cmd_extract(args) -> int:
-    sources = load_parallel(args.src)
-    hyps = load_parallel(args.hyp, expected_len=len(sources))
-    edits = [extract_edits(src, hyp) for src, hyp in zip(sources, hyps)]
-    _emit(serialize_edit_tsv(edits), args.out)
+    sources = corpus.load_parallel(args.src)
+    hyps = corpus.load_parallel(args.hyp, expected_len=len(sources))
+    edits = [align.extract_edits(src, hyp) for src, hyp in zip(sources, hyps)]
+    _emit(corpus.serialize_edit_tsv(edits), args.out)
     return 0
 
 
 def _cmd_apply(args) -> int:
-    sources = load_parallel(args.src)
-    edits = load_edit_tsv(args.edits, sources)
-    edited = [apply_edits(src, sentence_edits) for src, sentence_edits in zip(sources, edits)]
-    _emit(serialize_parallel(edited), args.out)
+    sources = corpus.load_parallel(args.src)
+    edits = corpus.load_edit_tsv(args.edits, sources)
+    edited = [align.apply_edits(src, edit_set) for src, edit_set in zip(sources, edits)]
+    _emit(corpus.serialize_parallel(edited), args.out)
     return 0
 
 
 def _cmd_score(args) -> int:
-    gold = load_m2(args.gold)
+    gold = corpus.load_m2(args.gold)
     if args.src:
-        check_source_file(args.src, gold)
-    hyp = load_system_output(args.hyp, expected_len=len(gold))
-    report = score_corpus(hyp, gold, EditTable())
-    text = report_tsv(report) if args.tsv else report_table(report)
+        corpus.check_source_file(args.src, gold)
+    hyp = corpus.load_system_output(args.hyp, expected_len=len(gold))
+    report = scoring.score_corpus(hyp, gold, align.EditTable())
+    text = scoring.report_tsv(report) if args.tsv else scoring.report_table(report)
     _emit(text, args.out)
     return 0
 
@@ -110,28 +114,29 @@ def _cmd_method(method: str, args) -> int:
     if method == "aggr-rank":  # named by role, so the two files may share a stem
         systems = (("primary", Path(args.primary)), ("alternative", Path(args.alt)))
     else:
-        systems = tuple(parse_system_spec(spec) for spec in args.sys)
+        systems = tuple(corpus.parse_system_spec(spec) for spec in args.sys)
     # a flag whose dest is a config field fills it if given; else the field default holds
-    given = {"gold": None, **{k: v for k, v in flags.items() if k in ExperimentConfig._fields}}
+    fields = experiment.ExperimentConfig._fields
+    given = {"gold": None, **{k: v for k, v in flags.items() if k in fields}}
     if flags.get("base_url"):
         given["backend"] = "http"
     elif "mock" in flags:
         given["backend"] = f"mock-{flags['mock']}"
     # paths kept as typed: error messages quote them
-    config = ExperimentConfig(name=method, systems=systems, method=method, **given)
-    outputs, choices, fallbacks = combine(
-        config, load_inputs(config), shuffle=not flags.get("no_shuffle")
+    config = experiment.ExperimentConfig(name=method, systems=systems, method=method, **given)
+    outputs, choices, fallbacks = experiment.combine(
+        config, experiment.load_inputs(config), shuffle=not flags.get("no_shuffle")
     )
     if method == "llm-rank":
         for run_index, (output, run_fallbacks) in enumerate(zip(outputs, fallbacks)):
             path = f"{args.out_prefix}.run{run_index}.txt"
-            atomic_write_text(path, serialize_parallel(output.sentences))
+            corpus.atomic_write_text(path, corpus.serialize_parallel(output.sentences))
             print(f"wrote {path}{_fallback_note(run_fallbacks)}", file=sys.stderr)
         return 0
-    _emit(serialize_parallel(outputs[0].sentences), args.out)
+    _emit(corpus.serialize_parallel(outputs[0].sentences), args.out)
     if choices is not None:
         if args.audit:
-            atomic_write_text(args.audit, choices_tsv(choices))
+            corpus.atomic_write_text(args.audit, oracle.choices_tsv(choices))
         print(f"wrote {args.out}", file=sys.stderr)
     elif method == "vote":
         print(f"wrote {args.out} ({outputs[0].name})", file=sys.stderr)
@@ -139,42 +144,42 @@ def _cmd_method(method: str, args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    named = [parse_system_spec(spec) for spec in args.sys]
-    check_unique_names(name for name, _ in named)
-    systems = [load_system_output(path, name) for name, path in named]
-    matrix = similarity_matrix(systems)
-    clusters = cluster_systems(matrix, args.threshold)
-    _emit(clusters_tsv(clusters), args.out)
+    named = [corpus.parse_system_spec(spec) for spec in args.sys]
+    corpus.check_unique_names(name for name, _ in named)
+    systems = [corpus.load_system_output(path, name) for name, path in named]
+    matrix = ranking.similarity_matrix(systems)
+    clusters = ranking.cluster_systems(matrix, args.threshold)
+    _emit(ranking.clusters_tsv(clusters), args.out)
     if args.matrix:
-        atomic_write_text(args.matrix, matrix_tsv(matrix))
+        corpus.atomic_write_text(args.matrix, ranking.matrix_tsv(matrix))
     print(f"{len(clusters)} clusters at threshold {args.threshold}", file=sys.stderr)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    config = load_config(args.config)
+    config = experiment.load_config(args.config)
     if args.jobs is not None:
         config = config._replace(jobs=args.jobs)
     if args.seed is not None:
         config = config._replace(seed=args.seed, seeds=None)
     if args.ablation:
-        rows = ablation_remove_one(config)
+        rows = experiment.ablation_remove_one(config)
         for _, result in rows:
             _print_fallbacks(result)
-        sys.stdout.write(prf_tsv("variant", rows))
+        sys.stdout.write(experiment.prf_tsv("variant", rows))
         return 0
     if args.sweep_nmin:
-        rows = sweep_n_min(config)
+        rows = experiment.sweep_n_min(config)
         for n_min, result in rows:
             print(f"n_min={n_min}: F0.5={result.report.f05:.4f}", file=sys.stderr)
         return 0
-    result = run_experiment(config, load_inputs(config))
+    result = experiment.run_experiment(config, experiment.load_inputs(config))
     _print_fallbacks(result)
-    sys.stdout.write(result_row_tsv([result]))
+    sys.stdout.write(experiment.result_row_tsv([result]))
     return 0
 
 
-def _print_fallbacks(result: ExperimentResult) -> None:
+def _print_fallbacks(result: experiment.ExperimentResult) -> None:
     for run_index, fallbacks in enumerate(result.fallbacks):
         if fallbacks:
             print(f"{result.config.name} run{run_index}{_fallback_note(fallbacks)}",
@@ -305,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.set_threshold(100_000, 50, 1000)
     try:
         return args.func(args)
-    except ValidationError as err:
+    except corpus.ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

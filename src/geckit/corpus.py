@@ -673,6 +673,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
+        try:  # a symlink loop exists too, yet is neither a file nor a directory
+            os.stat(path.parent)
+        except OSError as err:
+            _raise_if_refused(path, err)
         raise ValidationError(f"{path}: a parent is a file, not a directory") from None
     except OSError as err:
         _raise_if_refused(path, err)

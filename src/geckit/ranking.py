@@ -42,9 +42,6 @@ class SimilarityMatrix(NamedTuple):
     names: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]  # N rows of N, symmetric, unit diagonal
 
-    def sim(self, a: str, b: str) -> float:
-        return self.values[self.names.index(a)][self.names.index(b)]
-
 
 class SystemCluster(NamedTuple):
     members: tuple[str, ...]  # input order
@@ -91,6 +88,8 @@ def rank_weighted(
     """Argmax of score x frequency weight, with rank_by_score tie-breaks."""
     if len(scores) != len(candidates):
         raise ValidationError(f"{len(candidates)} candidates but {len(scores)} scores")
+    if not candidates:  # weight_candidates would take the max of no counts
+        raise ValidationError("rank_weighted needs at least one candidate")
     weights = weight_candidates(candidates)
     return rank_by_score(candidates, [score * w_j for score, w_j in zip(scores, weights)])
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from geckit import align, cli
+from geckit import align, scoring
 from geckit.cli import main
 from geckit.experiment import METHODS
 
@@ -88,7 +88,7 @@ def test_runtime_failure_exits_two(data, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("internal fault")
 
-    monkeypatch.setattr(cli, "score_corpus", fail)
+    monkeypatch.setattr(scoring, "score_corpus", fail)
     code = main(["score", "--hyp", str(data / "a.txt"), "--gold", str(data / "gold.m2")])
     assert code == 2
     assert "RuntimeError: internal fault" in capsys.readouterr().err
@@ -111,6 +111,15 @@ def test_output_path_through_a_file_exits_one_naming_it(data, monkeypatch, capsy
     monkeypatch.chdir(data)
     assert main(["extract", "--src", "src.txt", "--hyp", "a.txt", "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {out}: a parent is a file, not a directory\n"
+
+
+@pytest.mark.parametrize("out", ["loop1/x", "loop1/sub/x"], ids=["loop-parent", "loop-grandparent"])
+def test_output_path_through_a_symlink_loop_exits_one_naming_it(data, monkeypatch, capsys, out):
+    monkeypatch.chdir(data)
+    os.symlink("loop2", "loop1")
+    os.symlink("loop1", "loop2")
+    assert main(["score", "--hyp", "a.txt", "--gold", "gold.m2", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {out}: symbolic links in the path form a loop\n"
 
 
 @pytest.mark.parametrize("hyp", ["a.txt/x", "a.txt/sub/x"], ids=["file-parent", "file-grandparent"])
@@ -706,8 +715,8 @@ def test_main_restores_the_callers_gc_thresholds(data, monkeypatch, capsys):
     """main collects rarely while a command runs, then gives back the thresholds
     it found, whether the command succeeds or fails with an error."""
     seen = []
-    score = cli.score_corpus
-    monkeypatch.setattr(cli, "score_corpus",
+    score = scoring.score_corpus
+    monkeypatch.setattr(scoring, "score_corpus",
                         lambda *a, **k: seen.append(gc.get_threshold()) or score(*a, **k))
     monkeypatch.chdir(data)
     saved = gc.get_threshold()

@@ -58,6 +58,11 @@ def test_rank_by_score_validates():
         rank_by_score(cands(("a", "x")), [0.5, 0.5])
 
 
+def test_rank_weighted_refuses_no_candidates():
+    with pytest.raises(ValidationError, match="rank_weighted needs at least one candidate"):
+        rank_weighted([], [])
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_rank_corpus_refuses_an_empty_member_list(weighted):
     with pytest.raises(ValidationError, match="needs at least one candidate"):
@@ -91,6 +96,8 @@ def _reference_rank_weighted(candidates, scores):
     differential test."""
     if len(scores) != len(candidates):
         raise ValidationError(f"{len(candidates)} candidates but {len(scores)} scores")
+    if not candidates:
+        raise ValidationError("rank_weighted needs at least one candidate")
     freq = Counter(tuple(sentence) for _, sentence in candidates)
     max_n = max(freq.values())
     weighted = []
@@ -210,14 +217,14 @@ def test_identical_systems_have_similarity_one():
     a = sys_out("a", "x y z", "p q")
     b = sys_out("b", "x y z", "p q")
     m = similarity_matrix([a, b])
-    assert m.sim("a", "b") == pytest.approx(1.0)
+    assert m.values[0][1] == pytest.approx(1.0)
 
 
 def test_disjoint_systems_have_similarity_zero():
     a = sys_out("a", "x y")
     b = sys_out("b", "p q")
     m = similarity_matrix([a, b])
-    assert m.sim("a", "b") == pytest.approx(0.0)
+    assert m.values[0][1] == pytest.approx(0.0)
 
 
 def test_rounding_never_lifts_a_similarity_past_one():
