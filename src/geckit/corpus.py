@@ -555,11 +555,6 @@ def load_score_file(path: str | Path) -> dict[tuple[str, int], float]:
     return _load(parse_score_file, path)
 
 
-def serialize_score_file(scores: dict[tuple[str, int], float]) -> str:
-    rows = sorted(scores.items())
-    return tsv(SCORE_FILE_HEADER, ((s, f"{i}", f"{value!r}") for (s, i), value in rows))
-
-
 # ---------------------------------------------------------------------------
 # Edit TSVs
 

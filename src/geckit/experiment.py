@@ -7,7 +7,9 @@ deterministic given the config and seeds. Remove-one ablations and
 vote-threshold sweeps reuse the same runner; they read and validate their
 input files once and share one edit table across all their runs, and their
 vote runs share each sentence's member edits, pooled once. The method step,
-:func:`combine`, is also what the method subcommands of the CLI run.
+:func:`combine`, is also what the method subcommands of the CLI run. The
+method modules are read by module (``vote.pool_corpus``), so a command run
+through the CLI, which registers them lazily, runs only the ones it uses.
 
 Config schema (JSON object). Each key is also the name of the
 :class:`ExperimentConfig` field it fills; ``name``, ``gold``, ``systems``
@@ -47,6 +49,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+from . import llm, oracle, ranking, scoring, vote  # read by module: see above
 from .align import EditTable
 from .corpus import (
     CheckedRecord,
@@ -68,11 +71,6 @@ from .corpus import (
     serialize_parallel,
     tsv,
 )
-from .llm import llm_rank_corpus, make_backend, run_seeds
-from .oracle import OracleChoice, choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
-from .ranking import aggr_rank_corpus, rank_corpus
-from .scoring import ScoreReport, report_table, score_cell, score_corpus
-from .vote import VotedEdit, majority_vote_corpus, pool_corpus
 
 METHODS = (
     "vote",
@@ -153,12 +151,12 @@ class ExperimentResult(NamedTuple):
 
     config: ExperimentConfig
     outputs: tuple[SystemOutput, ...]  # one per run (one except llm-rank)
-    reports: tuple[ScoreReport, ...]  # aligned with outputs
+    reports: tuple[scoring.ScoreReport, ...]  # aligned with outputs
     # llm-rank only: per run, the sentence indices that fell back to label A
     fallbacks: tuple[tuple[int, ...], ...] = ()
 
     @property
-    def report(self) -> ScoreReport:
+    def report(self) -> scoring.ScoreReport:
         return self.reports[0]
 
     def spread_f05(self) -> float:
@@ -279,7 +277,7 @@ class _Inputs:
         self.gold, self.sources, self.members = gold, sources, members
         self.table = EditTable()
         # each sentence's edits pooled over all members; built by the first vote run
-        self.pools: list[list[VotedEdit]] | None = None
+        self.pools: list[list[vote.VotedEdit]] | None = None
         # the vote output of each (sentence index, kept edit set) met by runs over
         # pools; set by sweeps and ablations only, see majority_vote_corpus
         self.applied: dict[tuple, TokenSentence] | None = None
@@ -310,7 +308,7 @@ def load_inputs(config: ExperimentConfig) -> _Inputs:
 
 def combine(
     config: ExperimentConfig, inputs: _Inputs, *, shuffle: bool = True
-) -> tuple[list[SystemOutput], list[OracleChoice] | None, list[tuple[int, ...]]]:
+) -> tuple[list[SystemOutput], list[oracle.OracleChoice] | None, list[tuple[int, ...]]]:
     """The method step: run ``config.method`` over the loaded ``inputs``.
 
     Returns the outputs (one per run; one except for llm-rank), the oracle
@@ -325,32 +323,32 @@ def combine(
     fallbacks: list[tuple[int, ...]] = []
     if config.method in ("vote", "second-order-vote"):
         if inputs.pools is None:
-            inputs.pools = pool_corpus(sources, list(inputs.members.values()), table)
+            inputs.pools = vote.pool_corpus(sources, list(inputs.members.values()), table)
         members = [name for name, _ in config.systems]
-        combined = [
-            majority_vote_corpus(sources, inputs.pools, members, config.n_min, inputs.applied)
-        ]
+        combined = [vote.majority_vote_corpus(
+            sources, inputs.pools, members, config.n_min, inputs.applied
+        )]
     elif config.method in ("oracle-ensemble", "oracle-rank"):
         ensemble = config.method == "oracle-ensemble"
-        oracle = oracle_ensemble_corpus if ensemble else oracle_rank_corpus
-        result, choices = oracle(gold, outputs, table)
+        run = oracle.oracle_ensemble_corpus if ensemble else oracle.oracle_rank_corpus
+        result, choices = run(gold, outputs, table)
         combined = [result]
     elif config.method in ("rank", "rank-w"):
         scores = load_score_file(config.scores)
         # a misaligned member is no fault of the score file, so check it unprefixed
         check_aligned(outputs, len(outputs[0].sentences))
         try:
-            combined = [rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
+            combined = [ranking.rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
         except ValidationError as err:
             raise type(err)(f"{config.scores}: {err}") from None
     elif config.method == "aggr-rank":
-        combined = [aggr_rank_corpus(sources, *outputs, table)]
+        combined = [ranking.aggr_rank_corpus(sources, *outputs, table)]
     else:  # llm-rank
-        backend = make_backend(
+        backend = llm.make_backend(
             config.backend, base_url=config.base_url, model=config.model
         )
-        seeds = config.seeds if config.seeds is not None else run_seeds(config.seed, config.runs)
-        runs = llm_rank_corpus(
+        seeds = llm.run_seeds(config.seed, config.runs) if config.seeds is None else config.seeds
+        runs = llm.llm_rank_corpus(
             sources, outputs, config.variant, seeds, backend, shuffle=shuffle, jobs=config.jobs
         )
         combined = [run.output for run in runs]
@@ -370,15 +368,15 @@ def run_experiment(config: ExperimentConfig, inputs: _Inputs) -> ExperimentResul
     combined, choices, fallbacks = combine(config, inputs)
 
     if choices is not None:
-        _write(config, "audit.tsv", choices_tsv(choices))
+        _write(config, "audit.tsv", oracle.choices_tsv(choices))
     reports = []
     for run_index, output in enumerate(combined):
         suffix = f"run{run_index}.txt" if len(combined) > 1 else "out.txt"
         _write(config, suffix, serialize_parallel(output.sentences))
-        reports.append(score_corpus(output, inputs.gold, inputs.table))
+        reports.append(scoring.score_corpus(output, inputs.gold, inputs.table))
 
     result = ExperimentResult(config, tuple(combined), tuple(reports), tuple(fallbacks))
-    _write(config, "report.txt", report_table(result.report))
+    _write(config, "report.txt", scoring.report_table(result.report))
     _write(config, "row.tsv", result_row_tsv([result]))
     return result
 
@@ -421,10 +419,10 @@ def result_row_tsv(results: Sequence[ExperimentResult]) -> str:
 
     rows = []
     for res in results:
-        mean = map(statistics.fmean, zip(*((r.precision, r.recall, r.f05) for r in res.reports)))
-        spread = score_cell(res.spread_f05()) if len(res.reports) > 1 else "-"
-        rows.append((res.config.name, res.config.method, *map(score_cell, mean), spread,
-                     *map(str, res.report.totals), f"{len(res.reports)}"))
+        mean = map(statistics.fmean, zip(*(scoring.prf(*r) for r in res.reports)))
+        spread = scoring.score_cell(res.spread_f05()) if len(res.reports) > 1 else "-"
+        rows.append((res.config.name, res.config.method, *map(scoring.score_cell, mean), spread,
+                     *map(str, res.report), f"{len(res.reports)}"))
     return tsv(_ROW_COLUMNS, rows)
 
 
@@ -432,7 +430,7 @@ def prf_tsv(key: str, rows: Sequence[tuple[object, ExperimentResult]]) -> str:
     """One P/R/F0.5 row per (label, result), under a ``key`` column: the
     sweep (``n_min``) and ablation (``variant``) tables."""
     return tsv((key, "P", "R", "F0.5"), (
-        (f"{label}", *map(score_cell, (r.report.precision, r.report.recall, r.report.f05)))
+        (f"{label}", *map(scoring.score_cell, scoring.prf(*r.report)))
         for label, r in rows
     ))
 

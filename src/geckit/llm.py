@@ -3,8 +3,8 @@
 Per sentence, the member outputs are shuffled into a labeled list (A, B,
 C, ...) and rendered into a prompt that asks the model either for the best
 candidate (variant "a") or for a full ranking (variant "b"; only the top
-label feeds selection). Shuffling breaks positional bias; the permutation
-is remembered so parsed labels map back to systems.
+label feeds selection). Shuffling breaks positional bias; the prompt keeps
+each label's sentence, so a parsed label maps back to its candidate.
 
 The backend is any callable from (system message, user message,
 temperature) to response text. A real HTTP chat-completions client and
@@ -63,7 +63,6 @@ class RankPrompt(NamedTuple):
 
     variant: str
     candidates: tuple[tuple[str, TokenSentence], ...]  # (label, sentence)
-    permutation: dict[str, str]  # label -> system name
     text: str
 
     @property
@@ -103,13 +102,10 @@ def build_prompt(
     labeled = tuple(
         (_LABELS[i], sentence) for i, (_, sentence) in enumerate(order)
     )
-    permutation = {
-        _LABELS[i]: name for i, (name, _) in enumerate(order)
-    }
     lines = ["ORIGINAL:", source.text, "EDITED:"]
     lines += [f"{label}: {sentence.text}" for label, sentence in labeled]
     text = "\n".join(lines) + "\n\n" + _INSTRUCTION[variant]
-    return RankPrompt(variant, labeled, permutation, text)
+    return RankPrompt(variant, labeled, text)
 
 
 def parse_response(text: str, prompt: RankPrompt) -> RankResponse:

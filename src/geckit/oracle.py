@@ -22,7 +22,7 @@ from .align import EditTable, apply_edits
 from .corpus import (
     Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError, check_aligned, tsv,
 )
-from .scoring import best_annotator
+from .scoring import best_annotator, choice_key
 
 
 class OracleChoice(NamedTuple):
@@ -102,9 +102,9 @@ def oracle_rank_corpus(
 ) -> tuple[SystemOutput, list[OracleChoice]]:
     """Corpus-level oracle ranking with an audit trail.
 
-    Each sentence takes the member output with the best (F0.5, n_correct,
-    -n_proposed) against its most favorable annotator; full ties keep the
-    earliest member in ``outputs``. Edits are read from ``table``.
+    Each sentence takes the member output with the best
+    :func:`geckit.scoring.choice_key` against its most favorable annotator;
+    full ties keep the earliest member in ``outputs``. Edits are read from ``table``.
     """
     if not outputs:
         raise ValidationError("oracle-rank needs at least one candidate")
@@ -114,7 +114,8 @@ def oracle_rank_corpus(
     for i, gs in enumerate(gold):
         best = None
         for out in outputs:
-            ann_id, counts, key = best_annotator(table.edits(gs.source, out.sentences[i]), gs)
+            ann_id, counts = best_annotator(table.edits(gs.source, out.sentences[i]), gs)
+            key = choice_key(*counts)
             if best is None or key > best[0]:  # strictly better: the earliest keeps ties
                 best = (key, out, ann_id, counts.n_correct)
         _, out, ann_id, n_correct = best

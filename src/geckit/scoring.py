@@ -7,7 +7,8 @@ set against the hypothesis edits and keeps the one that maximizes the
 cumulative corpus (F0.5, n_correct, -n_proposed), lexicographically,
 breaking remaining ties toward the lowest annotator id. This sequential
 most-favorable-annotator rule is greedy, not a global optimum; it matches
-the reference scorer's behavior.
+the reference scorer's behavior. A :class:`ScoreReport` is those three
+totals; :func:`prf` alone turns counts into P, R and F0.5.
 """
 
 from __future__ import annotations
@@ -19,44 +20,45 @@ from .align import EditTable
 from .corpus import Edit, GoldSentence, SystemOutput, check_aligned, tsv
 
 
-class SentenceCounts(NamedTuple):
-    """Edit-match counts for one sentence against one annotation."""
+class ScoreReport(NamedTuple):
+    """Corpus edit counts, in report column order. ``precision``,
+    ``recall`` and ``f05`` are :func:`prf` of them, fractions in [0, 1];
+    use :func:`report_table` / :func:`report_tsv` for the conventional
+    x100, one-decimal presentation.
+    """
 
     n_correct: int
     n_proposed: int
     n_gold: int
 
+    @property
+    def precision(self) -> float:
+        return prf(*self)[0]
 
-class ScoreReport(NamedTuple):
-    """Corpus totals plus the per-sentence annotator choices behind them.
+    @property
+    def recall(self) -> float:
+        return prf(*self)[1]
 
-    ``precision``, ``recall`` and ``f05`` are fractions in [0, 1]; use
-    :func:`report_table` / :func:`report_tsv` for the conventional
-    x100, one-decimal presentation.
-    """
-
-    precision: float
-    recall: float
-    f05: float
-    totals: SentenceCounts
-    per_sentence: tuple[tuple[int, SentenceCounts], ...]
+    @property
+    def f05(self) -> float:
+        return prf(*self)[2]
 
 
-def f_beta(p: float, r: float, beta: float = 0.5) -> float:
-    """Weighted F-measure; 0.0 whenever either input is 0.
+def f_beta(p: float, r: float) -> float:
+    """F0.5, weighting precision over recall; 0.0 whenever either input is 0.
 
     >>> f_beta(0.5, 0.5)
     0.5
     """
     if p * r == 0:
         return 0.0
-    b2 = beta * beta
+    b2 = 0.25  # beta squared
     return (1 + b2) * p * r / (b2 * p + r)
 
 
 def prf(n_correct: int, n_proposed: int, n_gold: int) -> tuple[float, float, float]:
-    """Precision, recall and F0.5 of edit counts; ``prf(*counts)`` for a
-    :class:`SentenceCounts`.
+    """Precision, recall and F0.5 of edit counts; ``prf(*report)`` for a
+    :class:`ScoreReport`.
 
     Zero-denominator conventions: no proposals means perfect precision, no
     gold edits means perfect recall.
@@ -69,28 +71,34 @@ def prf(n_correct: int, n_proposed: int, n_gold: int) -> tuple[float, float, flo
     return p, r, f_beta(p, r)
 
 
+def choice_key(n_correct: int, n_proposed: int, n_gold: int) -> tuple[float, int, int]:
+    """The order that picks an annotator, and oracle-rank's member: the
+    greater ``(F0.5, n_correct, -n_proposed)`` of the counts wins."""
+    return prf(n_correct, n_proposed, n_gold)[2], n_correct, -n_proposed
+
+
 def best_annotator(
-    hyp_edits: Sequence[Edit], gold: GoldSentence, base: SentenceCounts = SentenceCounts(0, 0, 0)
-) -> tuple[int, SentenceCounts, tuple[float, int, int]]:
+    hyp_edits: Sequence[Edit], gold: GoldSentence, base: ScoreReport = ScoreReport(0, 0, 0)
+) -> tuple[int, ScoreReport]:
     """The annotator of ``gold`` that scores ``hyp_edits`` best on top of ``base``.
 
-    Returns the annotator id, the sentence's counts against that annotator
-    and the key ``(F0.5, n_correct, -n_proposed)`` of ``base`` plus those
-    counts, which the annotator maximizes. The lowest id wins full ties.
+    Returns the annotator id and ``base`` plus the sentence's counts against
+    that annotator, whose :func:`choice_key` the annotator maximizes. The
+    lowest id wins full ties.
     """
-    base_correct, base_proposed, base_gold = base
+    base_correct, n_proposed, base_gold = base
     hyp = set(hyp_edits)
-    n_proposed = base_proposed + len(hyp)
+    n_proposed += len(hyp)
     best_key: tuple[float, int, int] | None = None
     for ann_id, ann in enumerate(gold.annotations):
         # an annotation holds no two equal edits (they would conflict)
         n_correct = base_correct + len(hyp.intersection(ann))
-        key = (prf(n_correct, n_proposed, base_gold + len(ann))[2], n_correct, -n_proposed)
+        key = choice_key(n_correct, n_proposed, base_gold + len(ann))
         if best_key is None or key > best_key:
             best_id, best_key = ann_id, key
     assert best_key is not None  # GoldSentence guarantees >= 1 annotation
-    counts = SentenceCounts(best_key[1] - base_correct, len(hyp), len(gold.annotations[best_id]))
-    return best_id, counts, best_key
+    n_gold = base_gold + len(gold.annotations[best_id])
+    return best_id, ScoreReport(best_key[1], n_proposed, n_gold)
 
 
 def score_corpus(
@@ -106,15 +114,10 @@ def score_corpus(
     corpus lengths differ.
     """
     check_aligned([hypothesis], len(gold))
-    totals = SentenceCounts(0, 0, 0)
-    chosen: list[tuple[int, SentenceCounts]] = []
+    totals = ScoreReport(0, 0, 0)
     for gs, hyp_sentence in zip(gold, hypothesis.sentences):
-        ann_id, counts, key = best_annotator(table.edits(gs.source, hyp_sentence), gs, totals)
-        # the key holds the new n_correct and -n_proposed totals
-        totals = SentenceCounts(key[1], -key[2], totals.n_gold + counts.n_gold)
-        chosen.append((ann_id, counts))
-    p, r, f = prf(*totals)
-    return ScoreReport(p, r, f, totals, tuple(chosen))
+        _, totals = best_annotator(table.edits(gs.source, hyp_sentence), gs, totals)
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +137,7 @@ def score_cell(fraction: float) -> str:
 
 
 def _report_row(report: ScoreReport) -> tuple[str, ...]:
-    cells = map(score_cell, (report.precision, report.recall, report.f05))
-    return (*cells, *map(str, report.totals))  # SentenceCounts is in column order
+    return (*map(score_cell, prf(*report)), *map(str, report))  # the counts are in column order
 
 
 def report_tsv(report: ScoreReport) -> str:

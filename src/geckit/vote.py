@@ -32,10 +32,6 @@ class VotedEdit(NamedTuple):
     edit: Edit
     systems: frozenset[str]
 
-    @property
-    def votes(self) -> int:
-        return len(self.systems)
-
 
 def pool_edits(
     source: TokenSentence,

@@ -7,9 +7,10 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from geckit.align import EditTable
+from geckit.align import EditTable, extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, conflicts
 from geckit.oracle import oracle_ensemble_corpus, oracle_rank_corpus
+from geckit.scoring import ScoreReport, best_annotator
 from geckit.vote import _kept_edits, majority_vote_corpus, pool_corpus
 
 
@@ -163,6 +164,16 @@ def oracle_corpora(draw, max_sentences=4, max_annotators=3, max_systems=4):
 
 def _one_sentence(members):
     return [SystemOutput(name, (sentence,)) for name, sentence in members]
+
+
+def chosen_annotators(gold, hyps):
+    """The annotator best_annotator picks for each sentence, on the running
+    totals of the sentences before it: score_corpus's choices, in order."""
+    totals, chosen = ScoreReport(0, 0, 0), []
+    for gs, hyp in zip(gold, hyps):
+        ann_id, totals = best_annotator(extract_edits(gs.source, hyp), gs, totals)
+        chosen.append(ann_id)
+    return chosen
 
 
 def vote_one(source, members, n_min):

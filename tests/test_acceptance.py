@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from bruteforce import brute_force_score
-from conftest import vote_one
+from conftest import chosen_annotators, vote_one
 from geckit.align import EditTable, apply_edits, extract_edits
 from geckit.corpus import (
     Edit,
@@ -38,7 +38,7 @@ from geckit.ranking import (
     similarity_matrix,
     weight_candidates,
 )
-from geckit.scoring import round_score, score_corpus
+from geckit.scoring import ScoreReport, best_annotator, round_score, score_corpus
 from geckit.vote import majority_vote_corpus, pool_corpus, pool_edits
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -222,8 +222,8 @@ def test_criterion_2_scorer_matches_brute_force_on_1000_corpora():
         gold, hyps = _random_scoring_corpus(rng)
         report = score_corpus(SystemOutput("sys", tuple(hyps)), gold, EditTable())
         p, r, f, c, proposed, g, assignment = brute_force_score(hyps, gold)
-        assert tuple(report.totals) == (c, proposed, g)
-        assert [ann for ann, _ in report.per_sentence] == assignment
+        assert report == (c, proposed, g)
+        assert chosen_annotators(gold, hyps) == assignment
         worst = max(
             worst,
             abs(report.precision - p),
@@ -268,7 +268,8 @@ def test_criterion_4_vote_nesting_and_permutation_invariance():
     for _ in range(150):
         source, members = _random_vote_instance(rng)
         survivors = [
-            {ve.edit for ve in pool_edits(source, members, EditTable(), {}) if ve.votes > n}
+            {ve.edit for ve in pool_edits(source, members, EditTable(), {})
+             if len(ve.systems) > n}
             for n in range(len(members) + 1)
         ]
         for tighter, looser in zip(survivors[1:], survivors):
@@ -412,10 +413,11 @@ def test_criterion_8_conll14_reproduction():
         # residual extractor divergence: archive the per-sentence counts
         RESULTS.mkdir(exist_ok=True)
         rows = ["sentence_index\tannotator\tn_correct\tn_proposed\tn_gold"]
-        rows += [
-            f"{i}\t{ann}\t{c.n_correct}\t{c.n_proposed}\t{c.n_gold}"
-            for i, (ann, c) in enumerate(vote_report.per_sentence)
-        ]
+        totals = ScoreReport(0, 0, 0)
+        for i, (gs, sentence) in enumerate(zip(gold, voted.sentences)):
+            ann, after = best_annotator(extract_edits(gs.source, sentence), gs, totals)
+            rows.append(f"{i}\t{ann}\t" + "\t".join(f"{b - a}" for a, b in zip(totals, after)))
+            totals = after
         residual = RESULTS / "conll14_vote_per_sentence.tsv"
         atomic_write_text(residual, "\n".join(rows) + "\n")
         print(f"[criterion 8] note: vote F0.5 {vote_f} != 71.8; "

@@ -469,6 +469,35 @@ def test_llm_rank_is_deterministic_across_invocations(data):
         assert one == two
 
 
+def _distinct_members(tmp_path) -> list[str]:
+    """llm-rank arguments over 20 sentences, in which the 3 members differ."""
+    (tmp_path / "src.txt").write_text("".join(f"s{i} .\n" for i in range(20)), encoding="utf-8")
+    argv = ["llm-rank", "--src", str(tmp_path / "src.txt")]
+    for k in range(3):
+        member = "".join(f"s{i} m{k} .\n" for i in range(20))
+        (tmp_path / f"m{k}.txt").write_text(member, encoding="utf-8")
+        argv += ["--sys", str(tmp_path / f"m{k}.txt")]
+    return [*argv, "--mock", "label-a"]
+
+
+def test_llm_rank_no_shuffle_keeps_the_first_member_under_label_a(tmp_path):
+    """With candidates in input order, a backend that always answers A picks
+    the first --sys member in every sentence of every run."""
+    argv = [*_distinct_members(tmp_path), "--runs", "2", "--no-shuffle"]
+    assert main([*argv, "--out-prefix", str(tmp_path / "ordered")]) == 0
+    for run in range(2):
+        written = (tmp_path / f"ordered.run{run}.txt").read_text(encoding="utf-8")
+        assert written == (tmp_path / "m0.txt").read_text(encoding="utf-8")
+
+
+def test_llm_rank_shuffles_candidates_by_default(tmp_path):
+    """Without --no-shuffle, label A is some other member in some sentence."""
+    assert main([*_distinct_members(tmp_path), "--out-prefix", str(tmp_path / "shuffled")]) == 0
+    chosen = (tmp_path / "shuffled.run0.txt").read_text(encoding="utf-8").splitlines()
+    assert len(chosen) == 20
+    assert any(line != f"s{i} m0 ." for i, line in enumerate(chosen))
+
+
 def test_experiment_cli(data, capsys):
     config = data / "exp.json"
     config.write_text(
@@ -773,7 +802,7 @@ def test_llm_rank_experiment_reports_fallbacks_like_the_subcommand(data, monkeyp
 
     label_a = experiment("label-a")
     garbage_backend = lambda *args, **kwargs: lambda system, user, temperature: "???"
-    monkeypatch.setattr("geckit.experiment.make_backend", garbage_backend)
+    monkeypatch.setattr("geckit.llm.make_backend", garbage_backend)
     garbage = experiment("garbage")
     assert label_a.err == ""
     assert garbage.err == "exp run0, 2 fallback sentences\nexp run1, 2 fallback sentences\n"

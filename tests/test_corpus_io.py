@@ -15,6 +15,7 @@ from geckit.align import extract_edits
 from geckit.corpus import (
     Edit,
     GoldSentence,
+    SCORE_FILE_HEADER,
     M2ParseError,
     OverlapError,
     SystemOutput,
@@ -27,7 +28,6 @@ from geckit.corpus import (
     parse_score_file,
     serialize_edit_tsv,
     serialize_m2,
-    serialize_score_file,
     tsv,
 )
 from geckit.ranking import rank_corpus
@@ -284,7 +284,8 @@ def test_score_file_roundtrip():
     scores = parse_score_file(text)
     assert scores[("sysA", 1)] == -1.5
     assert sorted(scores) == [("sysA", 0), ("sysA", 1), ("sysB", 0)]
-    assert parse_score_file(serialize_score_file(scores)) == scores
+    rows = ((s, f"{i}", f"{value!r}") for (s, i), value in sorted(scores.items()))
+    assert parse_score_file(tsv(SCORE_FILE_HEADER, rows)) == scores
 
 
 def test_score_file_header_and_duplicates():

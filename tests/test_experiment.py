@@ -17,6 +17,7 @@ import geckit.vote
 from geckit.align import apply_edits
 from geckit.cli import main
 from geckit.corpus import (
+    SCORE_FILE_HEADER,
     Edit,
     GoldSentence,
     TokenSentence,
@@ -25,7 +26,7 @@ from geckit.corpus import (
     load_parallel,
     save_m2,
     save_parallel,
-    serialize_score_file,
+    tsv,
 )
 from geckit.experiment import (
     METHODS,
@@ -325,7 +326,7 @@ def test_sweep_covers_all_thresholds(tmp_path):
     assert [n for n, _ in rows] == [0, 1, 2, 3]
     # at n_min = N_sys nothing can win the vote, so output equals source
     saturated = rows[-1][1]
-    assert saturated.report.totals.n_proposed == 0
+    assert saturated.report.n_proposed == 0
     sweep = (tmp_path / "results" / "fixture.sweep.tsv").read_text(encoding="utf-8")
     assert sweep.splitlines()[0] == "n_min\tP\tR\tF0.5"
     assert len(sweep.splitlines()) == 5
@@ -532,7 +533,8 @@ def _method_config(tmp_path, method):
     if method in ("rank", "rank-w"):
         rng = random.Random(5)
         scores = {(f"m{k}", i): rng.random() for k in range(5) for i in range(40)}
-        (tmp_path / "scores.tsv").write_text(serialize_score_file(scores), encoding="utf-8")
+        rows = ((s, f"{i}", f"{value!r}") for (s, i), value in sorted(scores.items()))
+        (tmp_path / "scores.tsv").write_text(tsv(SCORE_FILE_HEADER, rows), encoding="utf-8")
         payload["scores"] = "scores.tsv"
     elif method == "aggr-rank":
         payload["systems"] = ["m0.txt", "m1.txt"]

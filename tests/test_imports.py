@@ -117,8 +117,11 @@ _FILES = {
     "hyp.txt": "the b c .\n",
     "alt.txt": "a b d .\n",
     "edits.tsv": "sentence_index\tstart\tend\treplacement\n0\t0\t1\tthe\n",
+    "vote.json": '{"name": "v", "gold": "gold.m2", "systems": ["hyp.txt", "alt.txt"],'
+                 ' "method": "vote", "n_min": 0, "output_dir": "out"}',
 }
 _METHODS = ["geckit.experiment", "geckit.llm", "geckit.oracle", "geckit.vote"]
+_NOT_VOTE = ["geckit.llm", "geckit.oracle", "geckit.ranking", "geckit.seeds"]
 
 
 @pytest.mark.parametrize("argv, unexecuted", [
@@ -126,11 +129,14 @@ _METHODS = ["geckit.experiment", "geckit.llm", "geckit.oracle", "geckit.vote"]
     (["extract", "--src", "src.txt", "--hyp", "hyp.txt"], [*_METHODS, "geckit.ranking"]),
     (["apply", "--src", "src.txt", "--edits", "edits.tsv"], [*_METHODS, "geckit.ranking"]),
     (["cluster", "--sys", "hyp.txt", "--sys", "alt.txt"], _METHODS),
-], ids=["score", "extract", "apply", "cluster"])
+    (["vote", "--src", "src.txt", "--sys", "hyp.txt", "--sys", "alt.txt", "--nmin", "0",
+      "--out", "out.txt"], [*_NOT_VOTE, "geckit.scoring"]),
+    (["experiment", "--config", "vote.json"], _NOT_VOTE),
+], ids=["score", "extract", "apply", "cluster", "vote", "experiment-vote"])
 def test_a_command_runs_only_the_modules_it_reads(tmp_path, argv, unexecuted):
     for name, text in _FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    argv = [str(tmp_path / arg) if arg in _FILES else arg for arg in argv]
+    argv = [str(tmp_path / arg) if arg in (*_FILES, "out.txt") else arg for arg in argv]
     result = _fresh_interpreter(
         f"import sys\nfrom geckit.cli import main\ncode = main({argv!r})\n{_EXECUTED}"
         f"print(code, [m for m in {unexecuted!r} if m in executed])\n"

@@ -76,18 +76,21 @@ def test_prompt_shuffle_is_seed_deterministic():
     candidates = cands(*[f"v{i} ." for i in range(5)])
     one = build_prompt("a", SRC, candidates, seed=1234)
     two = build_prompt("a", SRC, candidates, seed=1234)
-    assert one.text == two.text and one.permutation == two.permutation
+    assert one.text == two.text and one.candidates == two.candidates
     other = build_prompt("a", SRC, candidates, seed=1235)
-    assert sorted(other.permutation.values()) == sorted(one.permutation.values())
+    assert sorted(s for _, s in other.candidates) == sorted(s for _, s in one.candidates)
 
 
 def test_prompt_permutation_maps_labels_to_systems():
-    candidates = cands("x .", "y .", names=["sysX", "sysY"])
+    """Labels go in order to the seeded shuffle of the members, and each
+    label is shown with the sentence it maps back to."""
+    candidates = cands("x .", "y .", "z .", names=["sysX", "sysY", "sysZ"])
     prompt = build_prompt("a", SRC, candidates, seed=99)
-    by_label = dict(prompt.candidates)
-    for label, system in prompt.permutation.items():
-        original = dict(candidates)[system]
-        assert by_label[label] == original
+    order = list(candidates)
+    derive_rng(99).shuffle(order)
+    assert prompt.candidates == tuple(zip("ABC", (sentence for _, sentence in order)))
+    for label, sentence in prompt.candidates:
+        assert f"\n{label}: {sentence.text}\n" in prompt.text
 
 
 def test_prompt_validation():

@@ -65,7 +65,7 @@ def test_ensemble_drops_adjacent_gold_pair_to_protect_precision():
         SystemOutput("ens", (ensembled,)), [gold], EditTable()
     )
     assert report.precision == 1.0
-    assert report.totals == (1, 1, 2)
+    assert report == (1, 1, 2)
 
 
 def test_rank_picks_best_candidate():

@@ -18,13 +18,12 @@ from geckit.experiment import ExperimentConfig, ExperimentResult
 from geckit.llm import RankedRun, RankPrompt, RankResponse
 from geckit.oracle import OracleChoice
 from geckit.ranking import SimilarityMatrix, SystemCluster
-from geckit.scoring import ScoreReport, SentenceCounts
+from geckit.scoring import ScoreReport
 from geckit.vote import VotedEdit
 
 SRC = TokenSentence("a b c".split())
 OUT = SystemOutput("s", [("a", "b", "c")])
-COUNTS = SentenceCounts(1, 2, 3)
-REPORT = ScoreReport(0.5, 1 / 3, 0.45, COUNTS, ((0, COUNTS),))
+REPORT = ScoreReport(1, 2, 3)
 
 
 def _config(**changes) -> ExperimentConfig:
@@ -35,12 +34,11 @@ def _config(**changes) -> ExperimentConfig:
 
 RECORDS = [
     Edit(0, 1, ("x",)),
-    COUNTS,
     GoldSentence(SRC, ((Edit(0, 1, ("x",)),), ())),
     OUT,
     _config(),
     ExperimentResult(_config(), (OUT,), (REPORT,)),
-    RankPrompt("a", (("A", SRC),), {"A": "s"}, "text"),
+    RankPrompt("a", (("A", SRC),), "text"),
     RankResponse(("A",), False),
     RankedRun(OUT, ()),
     REPORT,

@@ -2,22 +2,23 @@
 
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_force_score
-from conftest import annotations, corpora_with_hypotheses, vocab
+from conftest import annotations, chosen_annotators, corpora_with_hypotheses, vocab
 from geckit.align import EditTable, apply_edits, extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
 from geckit.scoring import (
     ScoreReport,
-    SentenceCounts,
     best_annotator,
     f_beta,
     prf,
     report_table,
+    report_tsv,
     round_score,
     score_cell,
     score_corpus,
@@ -68,7 +69,7 @@ def test_single_annotator_closed_form():
     ]
     # hyp gets one of two edits right in sentence 0, proposes a wrong one in 1
     report = score_corpus(as_output("x b c d", "e q g"), gold, EditTable())
-    assert report.totals == (1, 2, 3)
+    assert report == (1, 2, 3)
     assert math.isclose(report.precision, 0.5)
     assert math.isclose(report.recall, 1 / 3)
     assert math.isclose(report.f05, f_beta(0.5, 1 / 3))
@@ -85,13 +86,12 @@ def test_annotator_choice_maximizes_f():
     ]
     report = score_corpus(as_output("x b c"), gold, EditTable())
     assert report.f05 == 1.0
-    assert report.per_sentence[0][0] == 1  # chosen annotator id
+    assert best_annotator([Edit(0, 1, ("x",))], gold[0]) == (1, (1, 1, 1))
 
 
 def test_tie_goes_to_lowest_annotator_id():
     gold = [gs("a b c", [Edit(0, 1, ("x",))], [Edit(0, 1, ("x",))])]
-    report = score_corpus(as_output("x b c"), gold, EditTable())
-    assert report.per_sentence[0][0] == 0
+    assert best_annotator([Edit(0, 1, ("x",))], gold[0]) == (0, (1, 1, 1))
 
 
 def test_length_mismatch_rejected():
@@ -107,11 +107,11 @@ def test_matches_brute_force(corpus):
     gold, hyps = corpus
     report = score_corpus(SystemOutput("h", tuple(hyps)), gold, EditTable())
     p, r, f, c, np_, g, assignment = brute_force_score(hyps, gold)
-    assert tuple(report.totals) == (c, np_, g)
+    assert report == (c, np_, g)
     assert abs(report.f05 - f) < 1e-12
     assert abs(report.precision - p) < 1e-12
     assert abs(report.recall - r) < 1e-12
-    assert [ann for ann, _ in report.per_sentence] == assignment
+    assert chosen_annotators(gold, hyps) == assignment
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,7 +121,7 @@ def test_identity_hypothesis_never_loses_precision(corpus):
     hyps = [g.source for g in gold]
     report = score_corpus(SystemOutput("h", tuple(hyps)), gold, EditTable())
     assert report.precision == 1.0
-    assert report.totals.n_proposed == 0
+    assert report.n_proposed == 0
 
 
 def test_round_score_is_half_up_one_decimal():
@@ -141,8 +141,26 @@ def test_report_table_shows_rounded_percentages():
     assert "F0.5" in table
 
 
+def test_a_report_is_its_three_counts():
+    gold = [gs("a b c d", [Edit(0, 1, ("x",)), Edit(2, 3, ("y",))])]
+    report = score_corpus(as_output("x b c q"), gold, EditTable())
+    assert report._fields == ("n_correct", "n_proposed", "n_gold")
+    assert report == (1, 2, 2) and all(type(n) is int for n in report)
+    assert (report.precision, report.recall, report.f05) == prf(1, 2, 2)
+    assert report_tsv(report) == "P\tR\tF0.5\tn_correct\tn_proposed\tn_gold\n" \
+        "50.0\t50.0\t50.0\t1\t2\t2\n"
+
+
 # --------------------------------------------------------------------------
 # the one-set annotator choice against the per-annotator counts it replaced
+
+
+class SentenceCounts(NamedTuple):
+    """The count record the frozen references below were written with."""
+
+    n_correct: int
+    n_proposed: int
+    n_gold: int
 
 
 def _reference_best_annotator(hyp_edits, gold, base=SentenceCounts(0, 0, 0)):
@@ -185,7 +203,9 @@ def annotator_choices(draw):
 @given(annotator_choices())
 def test_best_annotator_equals_per_annotator_counts(choice):
     hyp, gold, base = choice
-    assert best_annotator(hyp, gold, base) == _reference_best_annotator(hyp, gold, base)
+    ann_id, counts, _ = _reference_best_annotator(hyp, gold, base)
+    totals = tuple(b + c for b, c in zip(base, counts))
+    assert best_annotator(hyp, gold, ScoreReport(*base)) == (ann_id, totals)
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +223,7 @@ def _reference_score_corpus(hypothesis, gold, table):
         )
         totals = SentenceCounts(*(t + c for t, c in zip(totals, counts)))
         chosen.append((ann_id, counts))
-    p, r, f = prf(*totals)
-    return ScoreReport(p, r, f, totals, tuple(chosen))
+    return totals, tuple(chosen)
 
 
 def _mutated(rng, source):
@@ -250,8 +269,8 @@ def test_score_corpus_equals_summed_sentence_counts():
     repeated = 0
     for _ in range(2_000):
         gold, hyp = _seeded_corpus(rng)
-        assert score_corpus(hyp, gold, EditTable()) == _reference_score_corpus(
-            hyp, gold, EditTable()
-        )
+        totals, chosen = _reference_score_corpus(hyp, gold, EditTable())
+        assert score_corpus(hyp, gold, EditTable()) == totals
+        assert chosen_annotators(gold, hyp.sentences) == [ann_id for ann_id, _ in chosen]
         repeated += any(len(set(g.annotations)) < len(g.annotations) for g in gold)
     assert repeated >= 500, repeated

@@ -64,7 +64,7 @@ def test_pool_reports_votes_and_members():
     src = TokenSentence("a b c".split())
     systems = members(("s1", "x b c"), ("s2", "x b c"), ("s3", "a b q"))
     pool = pool_edits(src, systems, EditTable(), {})
-    assert [(ve.edit, ve.votes) for ve in pool] == [
+    assert [(ve.edit, len(ve.systems)) for ve in pool] == [
         (Edit(0, 1, ("x",)), 2),
         (Edit(2, 3, ("q",)), 1),
     ]
@@ -152,7 +152,7 @@ def test_survivor_sets_nest_as_threshold_grows(instance):
     pool = pool_edits(source, systems, EditTable(), {})
     previous = None
     for n_min in range(len(systems) + 1):
-        survivors = {ve.edit for ve in pool if ve.votes > n_min}
+        survivors = {ve.edit for ve in pool if len(ve.systems) > n_min}
         if previous is not None:
             assert survivors <= previous
         previous = survivors
@@ -173,7 +173,7 @@ def test_permutation_invariance(instance, n_min):
 @given(vote_instances())
 def test_applied_edits_cleared_the_threshold_and_are_compatible(instance):
     source, systems = instance
-    pool = {ve.edit: ve.votes for ve in pool_edits(source, systems, EditTable(), {})}
+    pool = {ve.edit: len(ve.systems) for ve in pool_edits(source, systems, EditTable(), {})}
     for n_min in range(len(systems)):
         kept = kept_one(source, systems, n_min)
         assert all(pool[e] > n_min for e in kept)
