@@ -64,11 +64,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None = None) -> None:
+    """Write ``text`` to ``out``, or to stdout as UTF-8 whatever the locale."""
     if out:
         corpus.atomic_write_text(out, text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 def _fallback_note(fallbacks: tuple[int, ...]) -> str:
@@ -166,7 +168,7 @@ def _cmd_experiment(args) -> int:
         rows = experiment.ablation_remove_one(config)
         for _, result in rows:
             _print_fallbacks(result)
-        sys.stdout.write(experiment.prf_tsv("variant", rows))
+        _emit(experiment.prf_tsv("variant", rows))
         return 0
     if args.sweep_nmin:
         rows = experiment.sweep_n_min(config)
@@ -175,7 +177,7 @@ def _cmd_experiment(args) -> int:
         return 0
     result = experiment.run_experiment(config, experiment.load_inputs(config))
     _print_fallbacks(result)
-    sys.stdout.write(experiment.result_row_tsv([result]))
+    _emit(experiment.result_row_tsv(result))
     return 0
 
 

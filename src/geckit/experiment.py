@@ -377,7 +377,7 @@ def run_experiment(config: ExperimentConfig, inputs: _Inputs) -> ExperimentResul
 
     result = ExperimentResult(config, tuple(combined), tuple(reports), tuple(fallbacks))
     _write(config, "report.txt", scoring.report_table(result.report))
-    _write(config, "row.tsv", result_row_tsv([result]))
+    _write(config, "row.tsv", result_row_tsv(result))
     return result
 
 
@@ -412,18 +412,16 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     return rows
 
 
-def result_row_tsv(results: Sequence[ExperimentResult]) -> str:
-    """Machine-readable result rows, one per experiment: P, R and F0.5 are
+def result_row_tsv(result: ExperimentResult) -> str:
+    """The machine-readable result row of one experiment: P, R and F0.5 are
     means over its runs, and F0.5_2std is "-" for a single run."""
     import statistics
 
-    rows = []
-    for res in results:
-        mean = map(statistics.fmean, zip(*(scoring.prf(*r) for r in res.reports)))
-        spread = scoring.score_cell(res.spread_f05()) if len(res.reports) > 1 else "-"
-        rows.append((res.config.name, res.config.method, *map(scoring.score_cell, mean), spread,
-                     *map(str, res.report), f"{len(res.reports)}"))
-    return tsv(_ROW_COLUMNS, rows)
+    mean = map(statistics.fmean, zip(*(scoring.prf(*r) for r in result.reports)))
+    spread = scoring.score_cell(result.spread_f05()) if len(result.reports) > 1 else "-"
+    row = (result.config.name, result.config.method, *map(scoring.score_cell, mean), spread,
+           *map(str, result.report), f"{len(result.reports)}")
+    return tsv(_ROW_COLUMNS, [row])
 
 
 def prf_tsv(key: str, rows: Sequence[tuple[object, ExperimentResult]]) -> str:

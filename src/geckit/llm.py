@@ -1,10 +1,11 @@
 """Chat-model candidate ranking.
 
-Per sentence, the member outputs are shuffled into a labeled list (A, B,
-C, ...) and rendered into a prompt that asks the model either for the best
+Per sentence, the member sentences are shuffled, given the labels A, B,
+C, ... and rendered into a prompt that asks the model either for the best
 candidate (variant "a") or for a full ranking (variant "b"; only the top
 label feeds selection). Shuffling breaks positional bias; the prompt keeps
-each label's sentence, so a parsed label maps back to its candidate.
+the shuffled sentences in label order, so a parsed label indexes them.
+The answer is read after the reply's last ``OUTPUT:``, if it has one.
 
 The backend is any callable from (system message, user message,
 temperature) to response text. A real HTTP chat-completions client and
@@ -62,12 +63,12 @@ class RankPrompt(NamedTuple):
     """A rendered ranking request for one sentence."""
 
     variant: str
-    candidates: tuple[tuple[str, TokenSentence], ...]  # (label, sentence)
+    sentences: tuple[TokenSentence, ...]  # the candidates in label order A, B, ...
     text: str
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.candidates)
+        return tuple(_LABELS[: len(self.sentences)])
 
 
 class RankResponse(NamedTuple):
@@ -82,10 +83,10 @@ class RankResponse(NamedTuple):
 def build_prompt(
     variant: str,
     source: TokenSentence,
-    candidates: Sequence[tuple[str, TokenSentence]],
+    candidates: Sequence[TokenSentence],
     seed: int | None,
 ) -> RankPrompt:
-    """Label and render candidates in seeded-shuffled order.
+    """Label and render candidate sentences in seeded-shuffled order.
 
     ``seed=None`` disables shuffling (identity permutation). Requires at
     least 2 candidates and at most 26 (single-letter labels).
@@ -99,22 +100,21 @@ def build_prompt(
     order = list(candidates)
     if seed is not None:
         derive_rng(seed).shuffle(order)
-    labeled = tuple(
-        (_LABELS[i], sentence) for i, (_, sentence) in enumerate(order)
-    )
     lines = ["ORIGINAL:", source.text, "EDITED:"]
-    lines += [f"{label}: {sentence.text}" for label, sentence in labeled]
+    lines += [f"{label}: {sentence.text}" for label, sentence in zip(_LABELS, order)]
     text = "\n".join(lines) + "\n\n" + _INSTRUCTION[variant]
-    return RankPrompt(variant, labeled, text)
+    return RankPrompt(variant, tuple(order), text)
 
 
 def parse_response(text: str, prompt: RankPrompt) -> RankResponse:
     """Extract the chosen label(s); fall back to label A / issued order.
 
-    Variant "a" takes the first standalone capital letter that is an
-    issued label. Variant "b" takes the longest whitespace-separated run
-    of distinct issued labels.
+    Only the text after the reply's last ``OUTPUT:`` is read, or the whole
+    reply when it has none. Variant "a" takes the first standalone capital
+    letter there that is an issued label. Variant "b" takes the longest
+    whitespace-separated run of distinct issued labels there.
     """
+    text = text.rpartition("OUTPUT:")[2]
     labels = prompt.labels
     if prompt.variant == "a":
         for match in re.finditer(r"\b[A-Z]\b", text):
@@ -323,18 +323,17 @@ def llm_rank_corpus(
     for run_index, run_seed in enumerate(seeds):
 
         def rank_one(i: int) -> tuple[TokenSentence, bool]:
-            candidates = [(out.name, out.sentences[i]) for out in outputs]
+            candidates = [out.sentences[i] for out in outputs]
             prompt_seed = derive_seed(run_seed, "sentence", i) if shuffle else None
             prompt = build_prompt(variant, sources[i], candidates, prompt_seed)
-            by_label = dict(prompt.candidates)
             try:
                 raw = call_with_retries(backend, DEFAULT_TASK_DESCRIPTION, prompt.text, 1.0)
             except BackendSetupError:
                 raise
             except Exception:
-                return by_label[prompt.labels[0]], True
+                return prompt.sentences[0], True
             response = parse_response(raw, prompt)
-            return by_label[response.top], response.fallback
+            return prompt.sentences[_LABELS.index(response.top)], response.fallback
 
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor

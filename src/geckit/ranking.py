@@ -1,6 +1,7 @@
 """Score-based candidate selection and system clustering.
 
-Three selection modes over per-sentence candidates:
+Three selection modes over one sentence's member sentences, the first two
+returning the winner's position:
 
 * plain ranking: argmax of an externally supplied quality score;
 * weighted ranking: the same argmax after multiplying each score by
@@ -48,11 +49,9 @@ class SystemCluster(NamedTuple):
     representative: str
 
 
-def rank_by_score(
-    candidates: Sequence[tuple[str, TokenSentence]], scores: Sequence[float]
-) -> tuple[str, TokenSentence]:
-    """Argmax by score; ties go to the lexicographically smallest sentence,
-    then to input order."""
+def rank_by_score(candidates: Sequence[TokenSentence], scores: Sequence[float]) -> int:
+    """The position of the argmax by score; ties go to the lexicographically
+    smallest sentence, then to input order."""
     if len(scores) != len(candidates):
         raise ValidationError(
             f"{len(candidates)} candidates but {len(scores)} scores"
@@ -62,30 +61,27 @@ def rank_by_score(
     best_i = 0
     for i in range(1, len(candidates)):
         if scores[i] > scores[best_i] or (
-            scores[i] == scores[best_i]
-            and tuple(candidates[i][1]) < tuple(candidates[best_i][1])
+            scores[i] == scores[best_i] and candidates[i] < candidates[best_i]
         ):
             best_i = i
-    return candidates[best_i]
+    return best_i
 
 
-def weight_candidates(candidates: Sequence[tuple[str, TokenSentence]]) -> list[float]:
+def weight_candidates(candidates: Sequence[TokenSentence]) -> list[float]:
     """The output-frequency weight w_j = n_j / max_k(n_k) of each candidate,
-    where n_j counts the candidates with candidate j's exact sentence.
+    where n_j counts the candidates equal to candidate j.
 
     >>> s = TokenSentence.parse
-    >>> weight_candidates([("a", s("x y")), ("b", s("x y")), ("c", s("z"))])
+    >>> weight_candidates([s("x y"), s("x y"), s("z")])
     [1.0, 1.0, 0.5]
     """
-    freq = Counter(tuple(sentence) for _, sentence in candidates)
+    freq = Counter(candidates)
     max_n = max(freq.values())
-    return [freq[tuple(sentence)] / max_n for _, sentence in candidates]
+    return [freq[sentence] / max_n for sentence in candidates]
 
 
-def rank_weighted(
-    candidates: Sequence[tuple[str, TokenSentence]], scores: Sequence[float]
-) -> tuple[str, TokenSentence]:
-    """Argmax of score x frequency weight, with rank_by_score tie-breaks."""
+def rank_weighted(candidates: Sequence[TokenSentence], scores: Sequence[float]) -> int:
+    """Position of the argmax of score x weight, with rank_by_score tie-breaks."""
     if len(scores) != len(candidates):
         raise ValidationError(f"{len(candidates)} candidates but {len(scores)} scores")
     if not candidates:  # weight_candidates would take the max of no counts
@@ -125,12 +121,12 @@ def rank_corpus(
     select = rank_weighted if weighted else rank_by_score
     sentences = []
     for i in range(n):
-        candidates = [(out.name, out.sentences[i]) for out in outputs]
-        per_candidate = [scores.get((name, i)) for name, _ in candidates]
+        candidates = [out.sentences[i] for out in outputs]
+        per_candidate = [scores.get((out.name, i)) for out in outputs]
         if None in per_candidate:
-            name = candidates[per_candidate.index(None)][0]
+            name = outputs[per_candidate.index(None)].name
             raise ValidationError(f"sentence {i}: no score for system {name!r}")
-        sentences.append(select(candidates, per_candidate)[1])
+        sentences.append(candidates[select(candidates, per_candidate)])
     members = "+".join(out.name for out in outputs)
     return SystemOutput(f"{method}[{members}]", tuple(sentences))
 
@@ -236,11 +232,11 @@ def cluster_systems(matrix: SimilarityMatrix, threshold: float) -> list[SystemCl
         _average_linkage([[1.0 - v for v in row] for row in values]), threshold
     )
 
-    by_label: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for idx, label in enumerate(labels):
-        by_label.setdefault(label, []).append(idx)
+        groups.setdefault(label, []).append(idx)
     clusters = []
-    for members in sorted(by_label.values(), key=lambda ms: ms[0]):
+    for members in sorted(groups.values(), key=lambda ms: ms[0]):
         best = members[0]
         if len(members) > 1:
             best_mean = -1.0

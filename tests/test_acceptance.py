@@ -296,18 +296,12 @@ def test_criterion_5_weighted_ranking_degeneracy_and_spot_weights():
     for i in range(1000):
         n = rng.randint(2, 6)
         shared = tuple(rng.choice(("the", "a", "one")) for _ in range(rng.randint(1, 6)))
-        candidates = [
-            (f"c{j}", TokenSentence(shared + (f"u{i}x{j}",))) for j in range(n)
-        ]
+        candidates = [TokenSentence(shared + (f"u{i}x{j}",)) for j in range(n)]
         scores = [rng.random() for _ in range(n)]
         assert rank_weighted(candidates, scores) == rank_by_score(candidates, scores)
 
     s = TokenSentence
-    grouped = [
-        ("a1", s(("x",))), ("a2", s(("x",))), ("a3", s(("x",))),
-        ("b1", s(("y",))),
-        ("c1", s(("z",))), ("c2", s(("z",))),
-    ]
+    grouped = [s(("x",)), s(("x",)), s(("x",)), s(("y",)), s(("z",)), s(("z",))]
     weights = weight_candidates(grouped)
     spot_ok = (
         weights[0] == 1.0

@@ -446,12 +446,45 @@ def test_cluster_matrix_bytes_do_not_depend_on_hash_seed(tmp_path):
         matrix = tmp_path / f"matrix{hash_seed}.tsv"
         result = subprocess.run(
             [sys.executable, "-c", code, str(matrix), *map(str, paths)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, encoding="utf-8",
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
         )
         assert result.returncode == 0, result.stderr
         runs.append((matrix.read_bytes(), result.stdout))
     assert runs[0] == runs[1]
     assert runs[0][0].startswith(b"system\ts0\t")
+
+
+def test_llm_rank_variant_b_writes_the_runs_of_variant_a(data):
+    """mock-lexmin ranks by content, so both variants pick the smallest
+    sentence, here member b's in both sentences."""
+    argv = ["llm-rank", "--src", str(data / "src.txt"), "--sys", str(data / "a.txt"),
+            "--sys", str(data / "b.txt"), "--sys", str(data / "c.txt"), "--runs", "2",
+            "--seed", "3", "--mock", "lexmin"]
+    for variant in ("a", "b"):
+        assert main([*argv, "--variant", variant, "--out-prefix", str(data / variant)]) == 0
+    for r in range(2):
+        written = (data / f"b.run{r}.txt").read_bytes()
+        assert written == (data / f"a.run{r}.txt").read_bytes() == (data / "b.txt").read_bytes()
+
+
+def test_stdout_is_utf8_whatever_the_locale(data):
+    """extract to stdout under a Latin-1 locale writes the bytes of --out,
+    and apply reads them back."""
+    (data / "cafe.txt").write_text("I likes café very much .\n" + SRC.splitlines()[1] + "\n",
+                                   encoding="utf-8")
+    extract = ["extract", "--src", str(data / "src.txt"), "--hyp", str(data / "cafe.txt")]
+    result = subprocess.run(
+        [sys.executable, "-m", "geckit.cli", *extract],
+        capture_output=True, env={**os.environ, "PYTHONIOENCODING": "latin-1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert main([*extract, "--out", str(data / "edits.tsv")]) == 0
+    assert result.stdout == (data / "edits.tsv").read_bytes()
+    (data / "stdout.tsv").write_bytes(result.stdout)
+    assert main(["apply", "--src", str(data / "src.txt"), "--edits", str(data / "stdout.tsv"),
+                 "--out", str(data / "applied.txt")]) == 0
+    assert (data / "applied.txt").read_bytes() == (data / "cafe.txt").read_bytes()
 
 
 def test_llm_rank_is_deterministic_across_invocations(data):
@@ -861,7 +894,7 @@ def test_console_script_is_installed(data):
     result = subprocess.run(
         _console_script() + ["score", "--hyp", str(data / "a.txt"),
                              "--gold", str(data / "gold.m2")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     assert result.returncode == 0
     assert "100.0" in result.stdout
@@ -871,7 +904,7 @@ def test_interpreter_entry_point(data):
     result = subprocess.run(
         [sys.executable, "-m", "geckit.cli", "extract",
          "--src", str(data / "src.txt"), "--hyp", str(data / "a.txt")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     assert result.returncode == 0
     assert result.stdout.startswith("sentence_index")

@@ -15,7 +15,9 @@ TRACE_CHILD = Path(__file__).resolve().parent.parent / "bench" / "trace_child.py
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8"
+    )
 
 
 @pytest.mark.parametrize("module", ["geckit", "geckit.cli"])

@@ -1,5 +1,6 @@
 """Prompt building, response parsing, mocks, backends, and rank-run determinism."""
 
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -29,9 +30,8 @@ def ts(text):
     return TokenSentence(text.split())
 
 
-def cands(*texts, names=None):
-    names = names or [f"s{i}" for i in range(len(texts))]
-    return [(n, ts(t)) for n, t in zip(names, texts)]
+def cands(*texts):
+    return [ts(t) for t in texts]
 
 
 def test_prompt_text_layout():
@@ -76,20 +76,20 @@ def test_prompt_shuffle_is_seed_deterministic():
     candidates = cands(*[f"v{i} ." for i in range(5)])
     one = build_prompt("a", SRC, candidates, seed=1234)
     two = build_prompt("a", SRC, candidates, seed=1234)
-    assert one.text == two.text and one.candidates == two.candidates
+    assert one.text == two.text and one.sentences == two.sentences
     other = build_prompt("a", SRC, candidates, seed=1235)
-    assert sorted(s for _, s in other.candidates) == sorted(s for _, s in one.candidates)
+    assert sorted(other.sentences) == sorted(one.sentences)
 
 
 def test_prompt_permutation_maps_labels_to_systems():
-    """Labels go in order to the seeded shuffle of the members, and each
-    label is shown with the sentence it maps back to."""
-    candidates = cands("x .", "y .", "z .", names=["sysX", "sysY", "sysZ"])
+    """Labels go in order to the seeded shuffle of the members' sentences,
+    and each label is shown with the sentence at its position."""
+    candidates = cands("x .", "y .", "z .")
     prompt = build_prompt("a", SRC, candidates, seed=99)
     order = list(candidates)
     derive_rng(99).shuffle(order)
-    assert prompt.candidates == tuple(zip("ABC", (sentence for _, sentence in order)))
-    for label, sentence in prompt.candidates:
+    assert prompt.sentences == tuple(order)
+    for label, sentence in zip(prompt.labels, prompt.sentences):
         assert f"\n{label}: {sentence.text}\n" in prompt.text
 
 
@@ -147,6 +147,24 @@ def test_parse_ranking_fallback_is_issued_order():
     response = parse_response("no labels anywhere", three_prompt("b"))
     assert response.parsed == ("A", "B", "C")
     assert response.fallback
+
+
+@pytest.mark.parametrize(
+    "variant, n, reply, expected",
+    [
+        ("a", 3, "A close call, but C is best.\nOUTPUT:\nC", ("C",)),
+        ("a", 9, "I think the best is C.\nOUTPUT:\nC", ("C",)),
+        ("b", 3, "A B C are all fine, but\nOUTPUT:\nC A", ("C", "A")),
+        ("a", 3, "OUTPUT:\nA\nOn reflection:\nOUTPUT:\nB", ("B",)),
+    ],
+    ids=["article-before-marker", "pronoun-before-marker", "labels-before-marker",
+         "last-marker"],
+)
+def test_parse_reads_the_answer_after_the_last_output_marker(variant, n, reply, expected):
+    prompt = build_prompt(variant, SRC, cands(*[f"v{i} ." for i in range(n)]), seed=None)
+    response = parse_response(reply, prompt)
+    assert response.parsed == expected
+    assert not response.fallback
 
 
 def test_parse_never_raises_on_garbage():
@@ -248,6 +266,24 @@ def test_rank_corpus_invariant_under_member_order_with_content_mock():
     (rev,) = llm_rank_corpus(sources, list(reversed(outputs)), "a", [7],
                              MockLexminBackend())
     assert fwd.output.sentences == rev.output.sentences
+
+
+def test_rank_corpus_variants_pick_the_lexmin_sentence_under_the_content_mock():
+    """mock-lexmin ranks by content, so variant "b"'s top label and variant
+    "a"'s one label both give the lexicographically smallest sentence."""
+    rng = random.Random(30)
+    sources = [ts(f"s{i} .") for i in range(200)]
+    outputs = [
+        SystemOutput(f"m{k}", tuple(
+            TokenSentence(rng.choices("abcd", k=rng.randint(1, 4))) for _ in sources
+        ))
+        for k in range(5)
+    ]
+    lexmin = tuple(min(out.sentences[i] for out in outputs) for i in range(len(sources)))
+    for variant in ("a", "b"):
+        runs = llm_rank_corpus(sources, outputs, variant, run_seeds(0, 5), MockLexminBackend())
+        assert [run.output.sentences for run in runs] == [lexmin] * 5
+        assert [run.fallbacks for run in runs] == [()] * 5
 
 
 def test_rank_corpus_positional_mock_depends_on_seed():
@@ -439,4 +475,4 @@ def test_two_candidate_prompts_cover_both_orders_but_lexmin_pick_is_stable(seed)
     prompt = build_prompt("a", SRC, candidates, seed=seed)
     reply = MockLexminBackend()("sys", prompt.text, 1.0)
     top = parse_response(reply, prompt).top
-    assert dict(prompt.candidates)[top] == ts("a x")
+    assert prompt.sentences[prompt.labels.index(top)] == ts("a x")

@@ -32,30 +32,30 @@ def ts(text):
     return TokenSentence(text.split())
 
 
-def cands(*pairs):
-    return [(name, ts(text)) for name, text in pairs]
+def cands(*texts):
+    return [ts(text) for text in texts]
 
 
 def test_rank_by_score_is_argmax():
-    candidates = cands(("a", "x y"), ("b", "p q"), ("c", "m n"))
-    assert rank_by_score(candidates, [0.1, 0.9, 0.5])[0] == "b"
+    candidates = cands("x y", "p q", "m n")
+    assert rank_by_score(candidates, [0.1, 0.9, 0.5]) == 1
 
 
 def test_rank_by_score_tie_prefers_lexicographically_smaller_sentence():
-    candidates = cands(("a", "z z"), ("b", "a a"))
-    assert rank_by_score(candidates, [0.5, 0.5])[0] == "b"
+    candidates = cands("z z", "a a")
+    assert rank_by_score(candidates, [0.5, 0.5]) == 1
 
 
 def test_rank_by_score_full_tie_keeps_input_order():
-    candidates = cands(("first", "a a"), ("second", "a a"))
-    assert rank_by_score(candidates, [0.5, 0.5])[0] == "first"
+    candidates = cands("a a", "a a")
+    assert rank_by_score(candidates, [0.5, 0.5]) == 0
 
 
 def test_rank_by_score_validates():
     with pytest.raises(ValidationError):
         rank_by_score([], [])
     with pytest.raises(ValidationError):
-        rank_by_score(cands(("a", "x")), [0.5, 0.5])
+        rank_by_score(cands("x"), [0.5, 0.5])
 
 
 def test_rank_weighted_refuses_no_candidates():
@@ -71,23 +71,19 @@ def test_rank_corpus_refuses_an_empty_member_list(weighted):
 
 def test_weights_match_frequency_ratios():
     # frequencies [3, 1, 2] over three distinct outputs
-    candidates = cands(
-        ("s1", "a a"), ("s2", "a a"), ("s3", "a a"),
-        ("s4", "b b"),
-        ("s5", "c c"), ("s6", "c c"),
-    )
+    candidates = cands("a a", "a a", "a a", "b b", "c c", "c c")
     weights = weight_candidates(candidates)
-    by_sentence = {sentence.text: w for (_, sentence), w in zip(candidates, weights)}
+    by_sentence = {sentence.text: w for sentence, w in zip(candidates, weights)}
     assert math.isclose(by_sentence["a a"], 1.0, abs_tol=1e-15)
     assert math.isclose(by_sentence["b b"], 1 / 3, abs_tol=1e-15)
     assert math.isclose(by_sentence["c c"], 2 / 3, abs_tol=1e-15)
 
 
 def test_weighting_prefers_popular_output_on_close_scores():
-    candidates = cands(("s1", "a a"), ("s2", "a a"), ("s3", "b b"))
+    candidates = cands("a a", "a a", "b b")
     # b has the best raw score, but only 1/2 the weight
-    assert rank_by_score(candidates, [0.8, 0.8, 0.9])[0] == "s3"
-    assert rank_weighted(candidates, [0.8, 0.8, 0.9])[0] == "s1"
+    assert rank_by_score(candidates, [0.8, 0.8, 0.9]) == 2
+    assert rank_weighted(candidates, [0.8, 0.8, 0.9]) == 0
 
 
 def _reference_rank_weighted(candidates, scores):
@@ -105,7 +101,7 @@ def _reference_rank_weighted(candidates, scores):
         n_j = freq[tuple(sentence)]
         w_j = n_j / max_n
         weighted.append((name, sentence, score, n_j, w_j, score * w_j))
-    return rank_by_score(candidates, [w[5] for w in weighted])
+    return rank_by_score([sentence for _, sentence in candidates], [w[5] for w in weighted])
 
 
 def test_rank_weighted_equals_weighted_candidate_records():
@@ -125,7 +121,8 @@ def test_rank_weighted_equals_weighted_candidate_records():
         if rng.random() < 0.1:
             scores = scores[:-1] if scores and rng.random() < 0.5 else scores + [0.5]
             mismatched += 1
-        assert outcome(rank_weighted, candidates, scores) == outcome(
+        members = [sentence for _, sentence in candidates]
+        assert outcome(rank_weighted, members, scores) == outcome(
             _reference_rank_weighted, candidates, scores
         ), (candidates, scores)
     assert mismatched >= 1_000, mismatched
@@ -141,9 +138,7 @@ def test_rank_weighted_equals_weighted_candidate_records():
 )
 def test_weighted_equals_plain_when_all_outputs_distinct(seed_rows):
     """Eq-degeneracy: unique outputs give every candidate the same weight."""
-    candidates = [
-        (f"s{i}", TokenSentence((f"tok{i}", f"alt{v}"))) for i, (v, _) in enumerate(seed_rows)
-    ]
+    candidates = [TokenSentence((f"tok{i}", f"alt{v}")) for i, (v, _) in enumerate(seed_rows)]
     # tok{i} makes every sentence distinct regardless of drawn values
     scores = [score for _, score in seed_rows]
     assert rank_weighted(candidates, scores) == rank_by_score(candidates, scores)
@@ -157,7 +152,7 @@ def test_weighted_equals_plain_when_all_outputs_distinct(seed_rows):
 def test_rank_by_score_invariant_under_exact_positive_rescale(scores, factor):
     # power-of-two factors keep the rescale exact; an inexact one (say 0.1)
     # may collapse near-equal floats and legitimately flip the argmax
-    candidates = [(f"s{i}", TokenSentence((f"t{i}",))) for i in range(len(scores))]
+    candidates = [TokenSentence((f"t{i}",)) for i in range(len(scores))]
     scores = [float(s) for s in scores]
     assert rank_by_score(candidates, scores) == rank_by_score(
         candidates, [s * factor for s in scores]

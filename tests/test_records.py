@@ -38,7 +38,7 @@ RECORDS = [
     OUT,
     _config(),
     ExperimentResult(_config(), (OUT,), (REPORT,)),
-    RankPrompt("a", (("A", SRC),), "text"),
+    RankPrompt("a", (SRC,), "text"),
     RankResponse(("A",), False),
     RankedRun(OUT, ()),
     REPORT,
