@@ -120,12 +120,10 @@ def _cmd_method(method: str, args) -> int:
     # a flag whose dest is a config field fills it if given; else the field default holds
     fields = experiment.ExperimentConfig._fields
     given = {"gold": None, **{k: v for k, v in flags.items() if k in fields}}
-    if flags.get("base_url"):
-        given["backend"] = "http"
-    elif "mock" in flags:
-        given["backend"] = f"mock-{flags['mock']}"
     # paths kept as typed: error messages quote them
     config = experiment.ExperimentConfig(name=method, systems=systems, method=method, **given)
+    if method == "llm-rank":
+        corpus.check_parent_dirs(args.out_prefix)
     outputs, choices, fallbacks = experiment.combine(
         config, experiment.load_inputs(config), shuffle=not flags.get("no_shuffle")
     )
@@ -148,7 +146,8 @@ def _cmd_method(method: str, args) -> int:
 def _cmd_cluster(args) -> int:
     named = [corpus.parse_system_spec(spec) for spec in args.sys]
     corpus.check_unique_names(name for name, _ in named)
-    systems = [corpus.load_system_output(path, name) for name, path in named]
+    lines = {}  # one sentence object per distinct line, as experiment.load_inputs
+    systems = [corpus.load_system_output(path, name, lines=lines) for name, path in named]
     matrix = ranking.similarity_matrix(systems)
     clusters = ranking.cluster_systems(matrix, args.threshold)
     _emit(ranking.clusters_tsv(clusters), args.out)
@@ -164,6 +163,7 @@ def _cmd_experiment(args) -> int:
         config = config._replace(jobs=args.jobs)
     if args.seed is not None:
         config = config._replace(seed=args.seed, seeds=None)
+    corpus.check_parent_dirs(config.output_dir / config.name)
     if args.ablation:
         rows = experiment.ablation_remove_one(config)
         for _, result in rows:
@@ -273,10 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("a", "b"))
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mock", choices=("lexmin", "label-a"),
-                   help="offline backend (ignored when --base-url is given)")
-    p.add_argument("--base-url", help="chat-completions endpoint base URL")
-    p.add_argument("--model", help="model name for the http backend")
+    p.add_argument("--backend", help="mock-lexmin (default, offline), mock-label-a or http")
+    p.add_argument("--base-url", help="chat-completions endpoint base URL (http backend)")
+    p.add_argument("--model", help="model name (http backend)")
     p.add_argument("--no-shuffle", action="store_true",
                    help="keep candidates in input order")
     p.add_argument("--jobs", type=int, help="concurrent requests")

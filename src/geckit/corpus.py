@@ -658,6 +658,17 @@ def _load(parse: Callable, path: str | Path, *args):
         raise type(err)(f"{path}: {err}") from None
 
 
+def check_parent_dirs(path: str | Path) -> None:
+    """Raise :class:`ValidationError`, as :func:`atomic_write_text` would,
+    when a file at ``path`` could not get its parent directories: the
+    nearest existing one of them must be a directory. Creates nothing."""
+    for parent in Path(path).parents:
+        if os.path.exists(parent):
+            if os.path.isdir(parent):
+                return
+            raise ValidationError(f"{path}: a parent is a file, not a directory")
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file and rename, so partial output is never visible.
     A ``path`` that is a directory, runs through a file, or that the file

@@ -31,21 +31,24 @@ and ``method``, the fields without a default, are required:
     seed          root seed (default 0); per-run seeds derive from it
     seeds         explicit non-empty per-run seed list (overrides seed
                   derivation)
-    backend       llm backend: mock-lexmin | mock-label-a | http
-    base_url      chat-completions endpoint (http backend)
-    model         model name (http backend)
+    backend       llm backend: mock-lexmin (default) | mock-label-a | http
+    base_url      chat-completions endpoint (http backend only)
+    model         model name (http backend only)
     jobs          request concurrency for llm-rank (default 1)
 
 Relative paths are resolved against the config file's directory.
 ``n_min``, ``runs``, ``seed``, ``jobs`` and each ``seeds`` entry must be
 JSON integers; a float, string or boolean is an error, not rounded.
 ``systems`` must be a list and every other value a string (``source``,
-``scores``, ``base_url`` and ``model`` may be null). Every error in a
-config names the config file.
+``scores``, ``base_url`` and ``model`` may be null). An llm-rank config
+with backend ``http`` needs ``base_url`` and ``model``; with a mock
+backend, which runs offline, it may give neither. Every error in a config
+names the config file, and is raised before any input file is read.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -124,7 +127,8 @@ class ExperimentConfig(CheckedRecord, _ConfigFields):
             raise ValidationError(
                 "aggr-rank takes exactly 2 systems: primary, then alternative"
             )
-        if self.method == "llm-rank":  # llm.py checks some of these too, but after loading
+        if self.method == "llm-rank":
+            llm.check_backend(self.backend, self.base_url, self.model)
             if not 2 <= len(self.systems) <= 26:
                 raise ValidationError(f"llm-rank takes 2 to 26 systems, got {len(self.systems)}")
             if self.variant not in ("a", "b"):
@@ -415,9 +419,9 @@ def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
 def result_row_tsv(result: ExperimentResult) -> str:
     """The machine-readable result row of one experiment: P, R and F0.5 are
     means over its runs, and F0.5_2std is "-" for a single run."""
-    import statistics
-
-    mean = map(statistics.fmean, zip(*(scoring.prf(*r) for r in result.reports)))
+    columns = zip(*(scoring.prf(*r) for r in result.reports))
+    # statistics.fmean's arithmetic, without importing statistics for one run
+    mean = (math.fsum(column) / len(column) for column in columns)
     spread = scoring.score_cell(result.spread_f05()) if len(result.reports) > 1 else "-"
     row = (result.config.name, result.config.method, *map(scoring.score_cell, mean), spread,
            *map(str, result.report), f"{len(result.reports)}")

@@ -71,15 +71,6 @@ class RankPrompt(NamedTuple):
         return tuple(_LABELS[: len(self.sentences)])
 
 
-class RankResponse(NamedTuple):
-    parsed: tuple[str, ...]  # single label for "a", sequence for "b"
-    fallback: bool
-
-    @property
-    def top(self) -> str:
-        return self.parsed[0]
-
-
 def build_prompt(
     variant: str,
     source: TokenSentence,
@@ -106,21 +97,22 @@ def build_prompt(
     return RankPrompt(variant, tuple(order), text)
 
 
-def parse_response(text: str, prompt: RankPrompt) -> RankResponse:
-    """Extract the chosen label(s); fall back to label A / issued order.
+def parse_response(text: str, prompt: RankPrompt) -> tuple[int, bool]:
+    """The position in ``prompt.sentences`` of the chosen candidate, and
+    whether the reply fell back to label A, position 0.
 
     Only the text after the reply's last ``OUTPUT:`` is read, or the whole
     reply when it has none. Variant "a" takes the first standalone capital
-    letter there that is an issued label. Variant "b" takes the longest
-    whitespace-separated run of distinct issued labels there.
+    letter there that is an issued label. Variant "b" takes the first label
+    of the longest whitespace-separated run of distinct issued labels there.
     """
     text = text.rpartition("OUTPUT:")[2]
     labels = prompt.labels
     if prompt.variant == "a":
         for match in re.finditer(r"\b[A-Z]\b", text):
             if match.group(0) in labels:
-                return RankResponse((match.group(0),), False)
-        return RankResponse((labels[0],), True)
+                return labels.index(match.group(0)), False
+        return 0, True
 
     issued = set(labels)
     best: list[str] = []
@@ -135,8 +127,8 @@ def parse_response(text: str, prompt: RankPrompt) -> RankResponse:
     if len(run) > len(best):
         best = run
     if not best:
-        return RankResponse(labels, True)
-    return RankResponse(tuple(best), False)
+        return 0, True
+    return labels.index(best[0]), False
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +226,31 @@ class HttpChatBackend:
         return content
 
 
+# Each backend name, and how to build that backend from (base_url, model)
+_BACKENDS: dict[str, Callable[[str | None, str | None], Backend]] = {
+    "mock-lexmin": lambda base_url, model: MockLexminBackend(),
+    "mock-label-a": lambda base_url, model: MockLabelBackend("A"),
+    "http": HttpChatBackend,
+}
+
+
+def check_backend(kind: str, base_url: str | None, model: str | None) -> None:
+    """Raise :class:`ValidationError` unless backend ``kind`` can run with
+    ``base_url`` and ``model``: ``http`` needs both, an offline mock neither."""
+    if kind not in _BACKENDS:
+        raise ValidationError(f"unknown backend {kind!r}; expected one of {', '.join(_BACKENDS)}")
+    if kind == "http" and not (base_url and model):
+        raise ValidationError("http backend needs base_url and model")
+    if kind != "http" and (base_url is not None or model is not None):
+        raise ValidationError(f"backend {kind} runs offline: base_url and model are for http")
+
+
 def make_backend(
     kind: str, *, base_url: str | None = None, model: str | None = None
 ) -> Backend:
-    """Build a backend from a config/CLI name.
-
-    ``mock-lexmin`` and ``mock-label-a`` run offline; ``http`` needs
-    ``base_url`` and ``model``.
-    """
-    if kind == "mock-lexmin":
-        return MockLexminBackend()
-    if kind == "mock-label-a":
-        return MockLabelBackend("A")
-    if kind == "http":
-        if not base_url or not model:
-            raise ValidationError("http backend needs base_url and model")
-        return HttpChatBackend(base_url, model)
-    raise ValidationError(f"unknown backend {kind!r}")
+    """Build a backend from a config/CLI name, checked by :func:`check_backend`."""
+    check_backend(kind, base_url, model)
+    return _BACKENDS[kind](base_url, model)
 
 
 def call_with_retries(
@@ -332,8 +332,8 @@ def llm_rank_corpus(
                 raise
             except Exception:
                 return prompt.sentences[0], True
-            response = parse_response(raw, prompt)
-            return prompt.sentences[_LABELS.index(response.top)], response.fallback
+            position, fallback = parse_response(raw, prompt)
+            return prompt.sentences[position], fallback
 
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor

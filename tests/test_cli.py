@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from geckit import align, scoring
+from geckit import align, ranking, scoring
 from geckit.cli import main
 from geckit.experiment import METHODS
 
@@ -460,7 +460,7 @@ def test_llm_rank_variant_b_writes_the_runs_of_variant_a(data):
     sentence, here member b's in both sentences."""
     argv = ["llm-rank", "--src", str(data / "src.txt"), "--sys", str(data / "a.txt"),
             "--sys", str(data / "b.txt"), "--sys", str(data / "c.txt"), "--runs", "2",
-            "--seed", "3", "--mock", "lexmin"]
+            "--seed", "3", "--backend", "mock-lexmin"]
     for variant in ("a", "b"):
         assert main([*argv, "--variant", variant, "--out-prefix", str(data / variant)]) == 0
     for r in range(2):
@@ -492,7 +492,7 @@ def test_llm_rank_is_deterministic_across_invocations(data):
         "llm-rank", "--src", str(data / "src.txt"),
         "--sys", str(data / "a.txt"), "--sys", str(data / "b.txt"),
         "--sys", str(data / "c.txt"), "--variant", "a", "--runs", "2",
-        "--seed", "11", "--mock", "lexmin",
+        "--seed", "11", "--backend", "mock-lexmin",
     ]
     assert main(args + ["--out-prefix", str(data / "first")]) == 0
     assert main(args + ["--out-prefix", str(data / "second")]) == 0
@@ -510,7 +510,7 @@ def _distinct_members(tmp_path) -> list[str]:
         member = "".join(f"s{i} m{k} .\n" for i in range(20))
         (tmp_path / f"m{k}.txt").write_text(member, encoding="utf-8")
         argv += ["--sys", str(tmp_path / f"m{k}.txt")]
-    return [*argv, "--mock", "label-a"]
+    return [*argv, "--backend", "mock-label-a"]
 
 
 def test_llm_rank_no_shuffle_keeps_the_first_member_under_label_a(tmp_path):
@@ -646,7 +646,7 @@ _FRONT_ENDS = {
     ),
     "llm-rank": (
         {"runs": 2, "seed": 5, "backend": "mock-lexmin"},
-        ["--src", "src.txt", *_MEMBERS, "--runs", "2", "--seed", "5", "--mock", "lexmin",
+        ["--src", "src.txt", *_MEMBERS, "--runs", "2", "--seed", "5", "--backend", "mock-lexmin",
          "--out-prefix", "cli"],
         {"cli.run0.txt": "run0.txt", "cli.run1.txt": "run1.txt"},
     ),
@@ -714,6 +714,107 @@ def test_llm_rank_member_count_fails_before_loading(tmp_path, monkeypatch, capsy
     assert main(["experiment", "--config", "exp.json"]) == 1
     assert capsys.readouterr().err == f"error: exp.json: {error}\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["exp.json"]
+
+
+_URL = "http://localhost:1"
+_OFFLINE = "runs offline: base_url and model are for http"
+
+# case: (experiment config keys, llm-rank flags, error)
+_BAD_BACKENDS = {
+    "unknown-name": (
+        {"backend": "mock-lexmn"}, ["--backend", "mock-lexmn"],
+        "unknown backend 'mock-lexmn'; expected one of mock-lexmin, mock-label-a, http",
+    ),
+    "http-without-base-url": (
+        {"backend": "http", "model": "m"}, ["--backend", "http", "--model", "m"],
+        "http backend needs base_url and model",
+    ),
+    "http-without-model": (
+        {"backend": "http", "base_url": _URL}, ["--backend", "http", "--base-url", _URL],
+        "http backend needs base_url and model",
+    ),
+    "mock-with-base-url-and-model": (
+        {"base_url": _URL, "model": "m"}, ["--base-url", _URL, "--model", "m"],
+        f"backend mock-lexmin {_OFFLINE}",
+    ),
+    "mock-with-model": ({"model": "gpt-4o"}, ["--model", "gpt-4o"],
+                        f"backend mock-lexmin {_OFFLINE}"),
+    "mock-label-a-with-base-url": (
+        {"backend": "mock-label-a", "base_url": _URL},
+        ["--backend", "mock-label-a", "--base-url", _URL],
+        f"backend mock-label-a {_OFFLINE}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_BACKENDS))
+def test_llm_rank_backend_setting_fails_before_loading(tmp_path, monkeypatch, capsys, case):
+    """A backend that cannot work as set stops both front ends when the
+    config is built: none of the input files exists, so a read would fail
+    first otherwise, and no setting falls back to a mock silently."""
+    bad_config, bad_argv, error = _BAD_BACKENDS[case]
+    monkeypatch.chdir(tmp_path)
+    members = ["m0.txt", "m1.txt"]
+    argv = ["--src", "src.txt", "--sys", "m0.txt", "--sys", "m1.txt", "--out-prefix", "l"]
+    assert main(["llm-rank", *argv, *bad_argv]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    payload = {"name": "exp", "method": "llm-rank", "gold": "gold.m2", "systems": members,
+               **bad_config}
+    Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json"]) == 1
+    assert capsys.readouterr().err == f"error: exp.json: {error}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["exp.json"]
+
+
+# experiment: (config keys, extra flags); each writes under output_dir
+_UNWRITABLE = {
+    "llm-rank": ({"method": "llm-rank", "runs": 2}, []),
+    "llm-rank-ablation": ({"method": "llm-rank"}, ["--ablation"]),
+    "vote-sweep": ({"method": "vote", "n_min": 1}, ["--sweep-nmin"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNWRITABLE))
+def test_a_run_that_cannot_write_fails_before_reading_inputs(data, monkeypatch, capsys, case):
+    """An output directory under a file stops the run before it reads an
+    input or calls a backend, with the error that writing would give."""
+    from geckit import experiment
+
+    def refuse(config):
+        raise AssertionError("inputs were read")
+
+    monkeypatch.setattr(experiment, "load_inputs", refuse)
+    monkeypatch.chdir(data)
+    Path("taken").write_text("", encoding="utf-8")
+    config, flags = _UNWRITABLE[case]
+    payload = {"name": "exp", "gold": "gold.m2", "output_dir": "taken/out",
+               "systems": ["a.txt", "b.txt", "c.txt"], **config}
+    Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json", *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {Path('taken/out/exp')}: a parent is a file, not a directory\n"
+    )
+    prefix = str(Path("taken/x/cli"))
+    assert main(["llm-rank", "--src", "src.txt", *_MEMBERS, "--out-prefix", prefix]) == 1
+    assert capsys.readouterr().err == f"error: {prefix}: a parent is a file, not a directory\n"
+
+
+def test_cluster_members_that_share_a_line_share_its_sentence(data, monkeypatch):
+    """cluster reads its members through one line dict, as an experiment
+    does, so an equal line is one sentence object in every member."""
+    seen = []
+    similarity_matrix = ranking.similarity_matrix
+
+    def recording(systems):
+        seen.extend(systems)
+        return similarity_matrix(systems)
+
+    monkeypatch.setattr(ranking, "similarity_matrix", recording)
+    assert main(["cluster", "--sys", str(data / "a.txt"), "--sys", str(data / "b.txt"),
+                 "--out", str(data / "clusters.tsv")]) == 0
+    a, b = seen
+    assert a.sentences[0] == b.sentences[0] and a.sentences[1] != b.sentences[1]
+    assert a.sentences[0] is b.sentences[0]
 
 
 @pytest.mark.parametrize("method", ["vote", "second-order-vote"])
@@ -799,8 +900,8 @@ def test_main_restores_the_callers_gc_thresholds(data, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["llm-rank", "--src", "src.txt", *_MEMBERS, "--base-url", "http://localhost:1",
-         "--model", "m", "--out-prefix", "cli"],
+        ["llm-rank", "--src", "src.txt", *_MEMBERS, "--backend", "http",
+         "--base-url", "http://localhost:1", "--model", "m", "--out-prefix", "cli"],
         ["experiment", "--config", "exp.json"],
     ],
     ids=["llm-rank", "experiment"],

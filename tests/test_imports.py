@@ -139,12 +139,15 @@ def test_a_command_runs_only_the_modules_it_reads(tmp_path, argv, unexecuted):
     for name, text in _FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(tmp_path / arg) if arg in (*_FILES, "out.txt") else arg for arg in argv]
+    # nor does any load statistics, which only a multi-run llm-rank's spread reads
     result = _fresh_interpreter(
-        f"import sys\nfrom geckit.cli import main\ncode = main({argv!r})\n{_EXECUTED}"
-        f"print(code, [m for m in {unexecuted!r} if m in executed])\n"
+        "import sys\nbefore = set(sys.modules)\n"
+        f"from geckit.cli import main\ncode = main({argv!r})\n{_EXECUTED}"
+        f"print(code, [m for m in {unexecuted!r} if m in executed],\n"
+        "      'statistics' in set(sys.modules) - before)\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 []"
+    assert result.stdout.splitlines()[-1] == "0 [] False"
 
 
 def test_a_module_imported_before_cli_stays_one_module(tmp_path):
@@ -188,7 +191,7 @@ def test_llm_rank_writes_the_same_bytes_with_one_worker_or_four(tmp_path):
     for jobs in ("1", "4"):
         argv = ["llm-rank", "--src", str(tmp_path / "src.txt"),
                 *(arg for name in "xyz" for arg in ("--sys", str(tmp_path / f"{name}.txt"))),
-                "--mock", "lexmin", "--runs", "2", "--seed", "3", "--jobs", jobs,
+                "--backend", "mock-lexmin", "--runs", "2", "--seed", "3", "--jobs", jobs,
                 "--out-prefix", str(tmp_path / f"jobs{jobs}")]
         result = _fresh_interpreter(f"from geckit.cli import main\nprint(main({argv!r}))\n")
         assert result.returncode == 0, result.stderr

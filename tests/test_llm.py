@@ -1,6 +1,7 @@
 """Prompt building, response parsing, mocks, backends, and rank-run determinism."""
 
 import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -16,6 +17,7 @@ from geckit.llm import (
     MockLexminBackend,
     build_prompt,
     call_with_retries,
+    check_backend,
     llm_rank_corpus,
     make_backend,
     parse_response,
@@ -119,60 +121,53 @@ def three_prompt(variant="a"):
     ],
 )
 def test_parse_single_label(reply, expected):
-    response = parse_response(reply, three_prompt())
-    assert response.parsed == (expected,)
-    assert not response.fallback
+    assert parse_response(reply, three_prompt()) == ("ABC".index(expected), False)
 
 
 def test_parse_single_label_ignores_unissued_letters():
-    # Z was never issued; fall back to label A and flag it
-    response = parse_response("the best is Z", three_prompt())
-    assert response.parsed == ("A",)
-    assert response.fallback
+    # Z was never issued; fall back to label A, position 0, and flag it
+    assert parse_response("the best is Z", three_prompt()) == (0, True)
 
 
 def test_parse_ranking_takes_longest_distinct_run():
-    response = parse_response("OUTPUT:\nC A B", three_prompt("b"))
-    assert response.parsed == ("C", "A", "B")
-    assert response.top == "C"
-    assert not response.fallback
+    assert parse_response("OUTPUT:\nC A B", three_prompt("b")) == (2, False)
 
 
 def test_parse_ranking_with_repeats_keeps_longest_segment():
-    response = parse_response("B B A", three_prompt("b"))
-    assert response.parsed == ("B", "A")
+    # runs "B" and "B A": the longer one's first label is B, position 1
+    assert parse_response("B B A", three_prompt("b")) == (1, False)
 
 
 def test_parse_ranking_fallback_is_issued_order():
-    response = parse_response("no labels anywhere", three_prompt("b"))
-    assert response.parsed == ("A", "B", "C")
-    assert response.fallback
+    # no run: the first label in issued order, A, at position 0
+    assert parse_response("no labels anywhere", three_prompt("b")) == (0, True)
+
+
+def test_parse_ranking_counts_only_single_issued_labels():
+    # "AB" is no label, so the longest run is "C B", not "AB C B"
+    assert parse_response("AB C B", three_prompt("b")) == (2, False)
 
 
 @pytest.mark.parametrize(
     "variant, n, reply, expected",
     [
-        ("a", 3, "A close call, but C is best.\nOUTPUT:\nC", ("C",)),
-        ("a", 9, "I think the best is C.\nOUTPUT:\nC", ("C",)),
-        ("b", 3, "A B C are all fine, but\nOUTPUT:\nC A", ("C", "A")),
-        ("a", 3, "OUTPUT:\nA\nOn reflection:\nOUTPUT:\nB", ("B",)),
+        ("a", 3, "A close call, but C is best.\nOUTPUT:\nC", 2),
+        ("a", 9, "I think the best is C.\nOUTPUT:\nC", 2),
+        ("b", 3, "A B C are all fine, but\nOUTPUT:\nC A", 2),
+        ("a", 3, "OUTPUT:\nA\nOn reflection:\nOUTPUT:\nB", 1),
     ],
     ids=["article-before-marker", "pronoun-before-marker", "labels-before-marker",
          "last-marker"],
 )
 def test_parse_reads_the_answer_after_the_last_output_marker(variant, n, reply, expected):
     prompt = build_prompt(variant, SRC, cands(*[f"v{i} ." for i in range(n)]), seed=None)
-    response = parse_response(reply, prompt)
-    assert response.parsed == expected
-    assert not response.fallback
+    assert parse_response(reply, prompt) == (expected, False)
 
 
 def test_parse_never_raises_on_garbage():
     for garbage in ("", "....", "OUTPUT:\n", "42", "\n\n\n"):
         for variant in ("a", "b"):
-            response = parse_response(garbage, three_prompt(variant))
-            assert response.parsed  # always picks something
-            assert response.fallback
+            assert parse_response(garbage, three_prompt(variant)) == (0, True)
 
 
 # --------------------------------------------------------------------------
@@ -181,13 +176,13 @@ def test_parse_never_raises_on_garbage():
 def test_mock_lexmin_is_content_deterministic():
     prompt = build_prompt("a", SRC, cands("b .", "a .", "c ."), seed=None)
     reply = MockLexminBackend()("sys", prompt.text, 1.0)
-    assert parse_response(reply, prompt).top == "B"  # "a ." got label B
+    assert parse_response(reply, prompt) == (1, False)  # "a ." got label B
 
 
 def test_mock_label_backend_answers_fixed_label():
     prompt = three_prompt()
     reply = MockLabelBackend("B")("sys", prompt.text, 1.0)
-    assert parse_response(reply, prompt).top == "B"
+    assert parse_response(reply, prompt) == (1, False)
 
 
 def test_make_backend_kinds():
@@ -195,6 +190,20 @@ def test_make_backend_kinds():
     assert isinstance(make_backend("mock-label-a"), MockLabelBackend)
     with pytest.raises(ValidationError):
         make_backend("nonsense")
+
+
+@pytest.mark.parametrize("kind, base_url, model", [
+    ("nonsense", None, None),
+    ("http", None, "m"),
+    ("http", "http://localhost:1", None),
+    ("mock-lexmin", "http://localhost:1", None),
+    ("mock-label-a", None, "m"),
+], ids=["unknown", "http-no-base-url", "http-no-model", "mock-base-url", "mock-model"])
+def test_make_backend_refuses_what_check_backend_refuses(kind, base_url, model):
+    with pytest.raises(ValidationError) as checked:
+        check_backend(kind, base_url, model)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(checked.value))}$"):
+        make_backend(kind, base_url=base_url, model=model)
 
 
 def test_http_backend_requires_api_key(monkeypatch):
@@ -474,5 +483,5 @@ def test_two_candidate_prompts_cover_both_orders_but_lexmin_pick_is_stable(seed)
     candidates = cands("b x", "a x")
     prompt = build_prompt("a", SRC, candidates, seed=seed)
     reply = MockLexminBackend()("sys", prompt.text, 1.0)
-    top = parse_response(reply, prompt).top
-    assert prompt.sentences[prompt.labels.index(top)] == ts("a x")
+    position, _ = parse_response(reply, prompt)
+    assert prompt.sentences[position] == ts("a x")

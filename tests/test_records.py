@@ -15,7 +15,7 @@ from geckit.corpus import (
     ValidationError,
 )
 from geckit.experiment import ExperimentConfig, ExperimentResult
-from geckit.llm import RankedRun, RankPrompt, RankResponse
+from geckit.llm import RankedRun, RankPrompt
 from geckit.oracle import OracleChoice
 from geckit.ranking import SimilarityMatrix, SystemCluster
 from geckit.scoring import ScoreReport
@@ -39,7 +39,6 @@ RECORDS = [
     _config(),
     ExperimentResult(_config(), (OUT,), (REPORT,)),
     RankPrompt("a", (SRC,), "text"),
-    RankResponse(("A",), False),
     RankedRun(OUT, ()),
     REPORT,
     OracleChoice(0, "oracle-rank", 0, "s", 1),
