@@ -122,8 +122,6 @@ def _cmd_method(method: str, args) -> int:
     given = {"gold": None, **{k: v for k, v in flags.items() if k in fields}}
     # paths kept as typed: error messages quote them
     config = experiment.ExperimentConfig(name=method, systems=systems, method=method, **given)
-    if method == "llm-rank":
-        corpus.check_parent_dirs(args.out_prefix)
     outputs, choices, fallbacks = experiment.combine(
         config, experiment.load_inputs(config), shuffle=not flags.get("no_shuffle")
     )
@@ -159,10 +157,10 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = experiment.load_config(args.config)
+    overrides = {} if args.seed is None else {"seed": args.seed, "seeds": None}
     if args.jobs is not None:
-        config = config._replace(jobs=args.jobs)
-    if args.seed is not None:
-        config = config._replace(seed=args.seed, seeds=None)
+        overrides["jobs"] = args.jobs
+    config = config._replace(**overrides)  # checked as one config: the first bad key is named
     corpus.check_parent_dirs(config.output_dir / config.name)
     if args.ablation:
         rows = experiment.ablation_remove_one(config)
@@ -310,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     thresholds = gc.get_threshold()
     gc.set_threshold(100_000, 50, 1000)
     try:
+        for flag in ("out", "audit", "matrix", "out_prefix"):  # checked before any input is read
+            if getattr(args, flag, None):
+                corpus.check_parent_dirs(getattr(args, flag))
         return args.func(args)
     except corpus.ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

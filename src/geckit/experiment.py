@@ -13,7 +13,9 @@ through the CLI, which registers them lazily, runs only the ones it uses.
 
 Config schema (JSON object). Each key is also the name of the
 :class:`ExperimentConfig` field it fills; ``name``, ``gold``, ``systems``
-and ``method``, the fields without a default, are required:
+and ``method``, the fields without a default, are required. Every method
+reads the first six keys, and each other key is read by the methods named
+above it, as :data:`METHODS` says:
 
     name          experiment id; prefixes all artifact filenames
     gold          path to the gold M2 file
@@ -24,26 +26,33 @@ and ``method``, the fields without a default, are required:
     source        optional parallel source file (defaults to M2 sources;
                   validated against them when given)
     output_dir    artifact directory (default "results")
-    n_min         vote threshold (vote methods)
-    scores        score TSV path (rank, rank-w)
-    variant       llm prompt variant "a" | "b" (default "a")
-    runs          llm run count (default 1)
+  vote, second-order-vote:
+    n_min         vote threshold (default 0)
+  rank, rank-w:
+    scores        score TSV path
+  llm-rank:
+    variant       prompt variant "a" | "b" (default "a")
+    runs          run count (default 1)
     seed          root seed (default 0); per-run seeds derive from it
-    seeds         explicit non-empty per-run seed list (overrides seed
-                  derivation)
-    backend       llm backend: mock-lexmin (default) | mock-label-a | http
+    seeds         explicit non-empty per-run seed list (overrides seed)
+    backend       mock-lexmin (default) | mock-label-a | http
     base_url      chat-completions endpoint (http backend only)
     model         model name (http backend only)
-    jobs          request concurrency for llm-rank (default 1)
+    jobs          request concurrency (default 1)
 
-Relative paths are resolved against the config file's directory.
-``n_min``, ``runs``, ``seed``, ``jobs`` and each ``seeds`` entry must be
-JSON integers; a float, string or boolean is an error, not rounded.
-``systems`` must be a list and every other value a string (``source``,
-``scores``, ``base_url`` and ``model`` may be null). An llm-rank config
-with backend ``http`` needs ``base_url`` and ``model``; with a mock
-backend, which runs offline, it may give neither. Every error in a config
-names the config file, and is raised before any input file is read.
+Any other key of a config must be absent or hold its default: ``"n_min":
+3`` in an oracle-rank config is an error (``method oracle-rank does not
+read key 'n_min'``), not ignored. Relative paths are resolved against the
+config file's directory; ``gold``, ``source`` and ``scores`` must not be
+``""``, and an ``output_dir`` of ``""`` is that directory. ``n_min``,
+``runs``, ``seed``, ``jobs`` and each ``seeds`` entry must be JSON
+integers (a float, string or boolean is an error, not rounded), ``systems``
+a list and every other value a string (``source``, ``scores``, ``base_url``
+and ``model`` may be null). An llm-rank config with backend ``http`` needs
+``base_url`` and ``model``; a mock backend, which runs offline, takes
+neither. Every error in a config names the config file, and is raised
+before any input file is read; of two keys of the wrong type, or two that
+the method does not read, the first in field order is reported.
 """
 
 from __future__ import annotations
@@ -75,16 +84,19 @@ from .corpus import (
     tsv,
 )
 
-METHODS = (
-    "vote",
-    "second-order-vote",
-    "oracle-ensemble",
-    "oracle-rank",
-    "rank",
-    "rank-w",
-    "aggr-rank",
-    "llm-rank",
-)
+# The config keys each method reads beyond the six that every method reads:
+# name, gold, systems, method, source and output_dir. Every other field of a
+# method's config holds its default (ExperimentConfig refuses any other value).
+METHODS = {
+    "vote": ("n_min",),
+    "second-order-vote": ("n_min",),
+    "oracle-ensemble": (),
+    "oracle-rank": (),
+    "rank": ("scores",),
+    "rank-w": ("scores",),
+    "aggr-rank": (),
+    "llm-rank": ("variant", "runs", "seed", "seeds", "backend", "base_url", "model", "jobs"),
+}
 
 
 class _ConfigFields(NamedTuple):  # each field is named by its config key
@@ -119,34 +131,33 @@ class ExperimentConfig(CheckedRecord, _ConfigFields):
             raise ValidationError(
                 f"unknown method {self.method!r}; expected one of {', '.join(METHODS)}"
             )
+        reads = ("source", "output_dir", *METHODS[self.method])
+        for key, default in self._field_defaults.items():
+            if key not in reads and getattr(self, key) != default:
+                raise ValidationError(f"method {self.method} does not read key {key!r}")
         if not self.systems:
             raise ValidationError("config needs at least one member system")
         if self.method in ("rank", "rank-w") and self.scores is None:
             raise ValidationError(f"method {self.method} needs a score file")
         if self.method == "aggr-rank" and len(self.systems) != 2:
-            raise ValidationError(
-                "aggr-rank takes exactly 2 systems: primary, then alternative"
-            )
+            raise ValidationError("aggr-rank takes exactly 2 systems: primary, then alternative")
         if self.method == "llm-rank":
             llm.check_backend(self.backend, self.base_url, self.model)
             if not 2 <= len(self.systems) <= 26:
                 raise ValidationError(f"llm-rank takes 2 to 26 systems, got {len(self.systems)}")
-            if self.variant not in ("a", "b"):
-                raise ValidationError(f"unknown prompt variant {self.variant!r}")
-            if self.seeds is not None and len(self.seeds) != self.runs:
-                raise ValidationError(f"{self.runs} runs but {len(self.seeds)} seeds")
-            if self.runs < 1:
-                raise ValidationError("runs must be >= 1")
-            if self.jobs < 1:
-                raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
+        # a method that does not read a field holds its default, which passes its check
+        if self.variant not in ("a", "b"):
+            raise ValidationError(f"unknown prompt variant {self.variant!r}")
+        if self.seeds is not None and len(self.seeds) != self.runs:
+            raise ValidationError(f"{self.runs} runs but {len(self.seeds)} seeds")
+        if self.runs < 1:
+            raise ValidationError("runs must be >= 1")
+        if self.jobs < 1:
+            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
         check_unique_names(name for name, _ in self.systems)
         # majority_vote_corpus checks this too, but only after every pair is extracted
-        if self.method in ("vote", "second-order-vote") and not (
-            0 <= self.n_min <= len(self.systems)
-        ):
-            raise ValidationError(
-                f"n_min must be within 0..{len(self.systems)}, got {self.n_min}"
-            )
+        if not 0 <= self.n_min <= len(self.systems):
+            raise ValidationError(f"n_min must be within 0..{len(self.systems)}, got {self.n_min}")
         return self
 
 
@@ -191,6 +202,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise type(err)(f"{path}: {err}") from None
 
 
+_PATH_KEYS = ("gold", "source", "output_dir", "scores")  # relative to the config file
+
+
 def _config(raw: object, base: Path) -> ExperimentConfig:
     """The config of the JSON value ``raw``, with paths relative to ``base``."""
     if not isinstance(raw, dict):
@@ -198,16 +212,8 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
     unknown = set(raw).difference(ExperimentConfig._fields)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    defaults = ExperimentConfig._field_defaults
-    for required in ExperimentConfig._fields:
-        if required not in raw and required not in defaults:
-            raise ValidationError(f"missing required key {required!r}")
 
     import json
-
-    def resolve(p: str | Path) -> Path:
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
 
     def typed(key: str, value: object, kind: type) -> object:
         if isinstance(value, bool) or not isinstance(value, kind):
@@ -215,54 +221,43 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
             raise ValidationError(f"key {key!r} must be {noun}, got {json.dumps(value)}")
         return value
 
-    def get(key: str, kind: type) -> object:
-        """``raw[key]``, or the field's default when absent; null only
-        stands for absent in an optional key whose default is None."""
+    defaults = ExperimentConfig._field_defaults
+    # an absent key takes the field default, and output_dir's lies under base
+    fields = {"output_dir": base / defaults["output_dir"]}
+    for key in ExperimentConfig._fields:
         if key not in raw:
-            return defaults.get(key)
-        if raw[key] is None and key in defaults and defaults[key] is None:
-            return None
-        return typed(key, raw[key], kind)
-
-    systems = tuple(
-        _parse_system_entry(entry, resolve) for entry in typed("systems", raw["systems"], list)
-    )
-    seeds = None
-    if "seeds" in raw:
-        if not isinstance(raw["seeds"], list) or not raw["seeds"]:
-            raise ValidationError(
-                f"key 'seeds' must be a non-empty list, got {json.dumps(raw['seeds'])}"
-            )
-        seeds = tuple(typed(f"seeds[{k}]", seed, int) for k, seed in enumerate(raw["seeds"]))
-    source, scores = get("source", str), get("scores", str)
-    return ExperimentConfig(
-        name=get("name", str),
-        gold=resolve(get("gold", str)),
-        systems=systems,
-        method=get("method", str),
-        source=resolve(source) if source else None,
-        output_dir=resolve(get("output_dir", str)),
-        n_min=get("n_min", int),
-        scores=resolve(scores) if scores else None,
-        variant=get("variant", str),
-        runs=get("runs", int),
-        seed=get("seed", int),
-        seeds=seeds,
-        backend=get("backend", str),
-        base_url=get("base_url", str),
-        model=get("model", str),
-        jobs=get("jobs", int),
-    )
+            if key not in defaults:
+                raise ValidationError(f"missing required key {key!r}")
+            continue
+        value = raw[key]
+        if key == "systems":
+            value = tuple(_parse_system_entry(entry, base) for entry in typed(key, value, list))
+        elif key == "seeds":
+            if not isinstance(value, list) or not value:
+                raise ValidationError(
+                    f"key 'seeds' must be a non-empty list, got {json.dumps(value)}"
+                )
+            value = tuple(typed(f"seeds[{k}]", seed, int) for k, seed in enumerate(value))
+        elif value is None and key in defaults and defaults[key] is None:
+            pass  # null stands for absent in an optional key whose default is None
+        elif key in _PATH_KEYS:
+            if typed(key, value, str) == "" and key != "output_dir":  # "" is base itself
+                raise ValidationError(f'key {key!r} must be a non-empty string, got ""')
+            value = base / value
+        else:  # the integer fields are those with an integer default
+            value = typed(key, value, int if isinstance(defaults.get(key), int) else str)
+        fields[key] = value
+    return ExperimentConfig(**fields)
 
 
-def _parse_system_entry(entry, resolve) -> tuple[str, Path]:
+def _parse_system_entry(entry, base: Path) -> tuple[str, Path]:
     if isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values()):
         if set(entry) != {"name", "path"}:
             raise ValidationError(f"system entry needs exactly name and path: {entry}")
-        return entry["name"], resolve(entry["path"])
+        return entry["name"], base / entry["path"]
     if isinstance(entry, str):
         name, path = parse_system_spec(entry)
-        return name, resolve(path)
+        return name, base / path
     raise ValidationError(f"bad system entry: {entry!r}")
 
 
@@ -404,7 +399,7 @@ def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentR
 
 def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     """Rerun a vote experiment at every n_min from 0 to the member count."""
-    if config.method not in ("vote", "second-order-vote"):
+    if "n_min" not in METHODS[config.method]:
         raise ValidationError("n_min sweep applies to vote methods only")
     inputs = load_inputs(config)
     inputs.applied = {}

@@ -799,6 +799,82 @@ def test_a_run_that_cannot_write_fails_before_reading_inputs(data, monkeypatch, 
     assert capsys.readouterr().err == f"error: {prefix}: a parent is a file, not a directory\n"
 
 
+_SCORED = [*_MEMBERS, "--scores", "scores.tsv"]
+# command: (input arguments, output flags); none of these inputs is read
+_OUTPUTS = {
+    "score": (["--hyp", "a.txt", "--gold", "gold.m2"], ["--out"]),
+    "extract": (["--src", "src.txt", "--hyp", "a.txt"], ["--out"]),
+    "apply": (["--src", "src.txt", "--edits", "edits.tsv"], ["--out"]),
+    "cluster": (["--sys", "a.txt", "--sys", "b.txt"], ["--out", "--matrix"]),
+    "vote": (["--src", "src.txt", *_MEMBERS, "--nmin", "1"], ["--out"]),
+    "oracle-ensemble": (["--gold", "gold.m2", *_MEMBERS], ["--out", "--audit"]),
+    "oracle-rank": (["--gold", "gold.m2", *_MEMBERS], ["--out", "--audit"]),
+    "rank": (_SCORED, ["--out"]),
+    "rank-w": (_SCORED, ["--out"]),
+    "aggr-rank": (["--src", "src.txt", "--primary", "a.txt", "--alt", "b.txt"], ["--out"]),
+    "llm-rank": (["--src", "src.txt", *_MEMBERS], ["--out-prefix"]),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, flags) in _OUTPUTS.items() for flag in flags
+])
+def test_every_output_path_is_checked_before_any_input_is_read(data, monkeypatch, capsys,
+                                                                command, flag):
+    """An output path through a file stops the command before it reads an
+    input, and before it writes any of its other outputs."""
+    from geckit import corpus
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(corpus, "read_text", refuse)
+    monkeypatch.chdir(data)
+    Path("taken").write_text("", encoding="utf-8")
+    before = sorted(os.listdir(data))
+    inputs, flags = _OUTPUTS[command]
+    outputs = [arg for other in flags for arg in (other, "taken/x" if other == flag else other[2:])]
+    assert main([command, *inputs, *outputs]) == 1
+    assert capsys.readouterr().err == "error: taken/x: a parent is a file, not a directory\n"
+    assert sorted(os.listdir(data)) == before
+
+
+# case: (experiment config keys, experiment flags, error)
+_FOREIGN_KEYS = {
+    # the first key in field order that the method does not read is named
+    "vote-with-llm-keys": (
+        {"method": "vote", "n_min": 1, "backend": "mock-lexmn", "variant": "z", "runs": 0}, [],
+        "exp.json: method vote does not read key 'variant'",
+    ),
+    "oracle-rank-with-n_min": ({"method": "oracle-rank", "n_min": 3}, [],
+                               "exp.json: method oracle-rank does not read key 'n_min'"),
+    "vote-seed-and-jobs-flags": ({"method": "vote", "n_min": 1}, ["--jobs", "3", "--seed", "5"],
+                                 "method vote does not read key 'seed'"),
+    "vote-jobs-flag": ({"method": "vote", "n_min": 1}, ["--jobs", "3"],
+                       "method vote does not read key 'jobs'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOREIGN_KEYS))
+def test_a_key_the_method_does_not_read_fails_before_loading(data, monkeypatch, capsys, case):
+    """A setting for another method is refused, not ignored, before any
+    input is read; the config's refusal names the config file first."""
+    from geckit import experiment
+
+    def refuse(config):
+        raise AssertionError("inputs were read")
+
+    monkeypatch.setattr(experiment, "load_inputs", refuse)
+    monkeypatch.chdir(data)
+    config, flags, error = _FOREIGN_KEYS[case]
+    payload = {"name": "exp", "gold": "gold.m2", "output_dir": "results",
+               "systems": ["a.txt", "b.txt", "c.txt"], **config}
+    Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not Path("results").exists()
+
+
 def test_cluster_members_that_share_a_line_share_its_sentence(data, monkeypatch):
     """cluster reads its members through one line dict, as an experiment
     does, so an equal line is one sentence object in every member."""

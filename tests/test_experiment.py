@@ -119,10 +119,14 @@ def test_load_config_requires_core_keys(tmp_path):
         ("name", "a\nb", "experiment name 'a\\nb' contains a tab or a line break"),
         ("method", "sorcery", "unknown method 'sorcery'; expected one of"),
         ("n_min", 5, "n_min must be within 0..3, got 5"),
+        ("gold", "", 'key \'gold\' must be a non-empty string, got ""'),
+        ("source", "", 'key \'source\' must be a non-empty string, got ""'),
+        ("scores", "", 'key \'scores\' must be a non-empty string, got ""'),
     ],
     ids=["n_min-float", "runs-string", "seed-float", "jobs-bool", "seeds-empty",
          "seeds-not-a-list", "seeds-float-entry", "gold-int", "base_url-int",
-         "systems-string", "name-newline", "unknown-method", "n_min-too-big"],
+         "systems-string", "name-newline", "unknown-method", "n_min-too-big",
+         "gold-empty", "source-empty", "scores-empty"],
 )
 def test_config_numbers_must_be_json_integers(tmp_path, key, value, problem):
     """So must every other config value have its type and range; each error
@@ -136,9 +140,12 @@ def test_config_numbers_must_be_json_integers(tmp_path, key, value, problem):
 
 def test_config_integers_load_as_given(tmp_path):
     payload = write_fixture(tmp_path)
-    payload.update(n_min=2, runs=3, seed=-4, jobs=2, seeds=[5, 6, 7])
+    payload.update(n_min=2)
+    vote_config = load_config(write_config(tmp_path, payload))
+    del payload["n_min"]
+    payload.update(method="llm-rank", runs=3, seed=-4, jobs=2, seeds=[5, 6, 7])
     config = load_config(write_config(tmp_path, payload))
-    assert (config.n_min, config.runs, config.seed, config.jobs) == (2, 3, -4, 2)
+    assert (vote_config.n_min, config.runs, config.seed, config.jobs) == (2, 3, -4, 2)
     assert config.seeds == (5, 6, 7)
     del payload["seeds"]
     assert load_config(write_config(tmp_path, payload)).seeds is None
@@ -152,8 +159,14 @@ def test_absent_keys_take_the_field_defaults(tmp_path):
     assert {key: getattr(config, key) for key in defaults} == defaults
 
 
+def test_an_empty_output_dir_is_the_config_directory(tmp_path):
+    payload = dict(write_fixture(tmp_path), output_dir="")
+    assert load_config(write_config(tmp_path, payload)).output_dir == tmp_path
+
+
 def test_config_validation_rules(tmp_path):
     payload = write_fixture(tmp_path)
+    del payload["n_min"]  # so that the rank and aggr-rank cases reach their own checks
     base = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError):
         ExperimentConfig(**{**base._asdict(), "method": "sorcery"})
@@ -263,6 +276,7 @@ def test_rank_experiment_uses_score_file(tmp_path):
 def test_rank_experiment_reports_score_holes_with_sentence(tmp_path):
     payload = write_fixture(tmp_path)
     payload.update(method="rank", scores="scores.tsv")
+    del payload["n_min"]
     (tmp_path / "scores.tsv").write_text(
         "system\tsentence_index\tscore\na\t0\t1\nb\t0\t1\nc\t0\t1\n",
         encoding="utf-8",
@@ -338,9 +352,11 @@ def test_tsv_artifacts_keep_their_bytes(tmp_path):
     ablation_remove_one(load_config(write_config(tmp_path, payload)))
     sweep_n_min(load_config(write_config(tmp_path, payload)))
     payload.update(name="llm", method="llm-rank", runs=3)
+    del payload["n_min"]
     config = load_config(write_config(tmp_path, payload))
     run_experiment(config, load_inputs(config))
     payload.update(name="orank", method="oracle-rank")
+    del payload["runs"]
     config = load_config(write_config(tmp_path, payload))
     run_experiment(config, load_inputs(config))
     row_header = "experiment\tmethod\tP\tR\tF0.5\tF0.5_2std\tn_correct\tn_proposed\tn_gold\truns\n"
@@ -380,6 +396,8 @@ def _artifacts(directory):
 def _shared_and_standalone(tmp_path, method):
     payload = write_fixture(tmp_path, systems=("a", "b", "c", "noise"))
     payload.update(method=method, source="src.txt")
+    if "n_min" not in METHODS[method]:
+        del payload["n_min"]
     (tmp_path / "src.txt").write_text(
         "".join(line[2:] + "\n" for line in GOLD.splitlines() if line.startswith("S ")),
         encoding="utf-8",
@@ -530,6 +548,8 @@ def _method_config(tmp_path, method):
     members."""
     payload = _write_seeded_corpus(tmp_path)
     payload.update(name=method, method=method)
+    if "n_min" not in METHODS[method]:
+        del payload["n_min"]
     if method in ("rank", "rank-w"):
         rng = random.Random(5)
         scores = {(f"m{k}", i): rng.random() for k in range(5) for i in range(40)}

@@ -91,6 +91,7 @@ def test_system_output_validates_on_construction():
     ({"name": ""}, "experiment name must be non-empty"),
     ({"method": "llm-rank", "jobs": 0}, "jobs must be >= 1, got 0"),
     ({"method": "llm-rank", "runs": 2, "seeds": (1,)}, "2 runs but 1 seeds"),
+    ({"seed": 5}, "method vote does not read key 'seed'"),
 ])
 def test_experiment_config_validates_on_construction_and_replace(changes, message):
     with pytest.raises(ValidationError, match=message):
@@ -100,7 +101,7 @@ def test_experiment_config_validates_on_construction_and_replace(changes, messag
 
 
 def test_experiment_config_replace_keeps_the_other_fields():
-    config = _config(n_min=1, seed=5)
+    config = _config(n_min=1)
     changed = config._replace(n_min=2, name="exp.nmin2")
     assert type(changed) is ExperimentConfig
     assert changed == config._replace(n_min=2, name="exp.nmin2")
