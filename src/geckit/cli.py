@@ -4,7 +4,8 @@ One binary, verb subcommands: extract, apply, score, vote,
 oracle-ensemble, oracle-rank, rank, rank-w, aggr-rank, cluster, llm-rank,
 experiment. Data goes to files or stdout; diagnostics go to stderr. Exit
 codes: 0 success, 1 validation/usage error, 2 runtime error. File outputs
-are written atomically. All randomness derives from --seed.
+are checked before any input is read, then written atomically. All
+randomness derives from --seed.
 
 Member systems are given as repeated --sys flags, either a bare path
 (system name = file stem) or explicit name=path.
@@ -122,12 +123,15 @@ def _cmd_method(method: str, args) -> int:
     given = {"gold": None, **{k: v for k, v in flags.items() if k in fields}}
     # paths kept as typed: error messages quote them
     config = experiment.ExperimentConfig(name=method, systems=systems, method=method, **given)
+    prefix = flags.get("out_prefix")  # llm-rank's: one PREFIX.runK.txt per run
+    run_paths = [f"{prefix}.run{k}.txt" for k in range(config.runs)] if prefix else []
+    for path in run_paths:  # before any input is read, as main checks the other flags
+        corpus.check_output(path)
     outputs, choices, fallbacks = experiment.combine(
         config, experiment.load_inputs(config), shuffle=not flags.get("no_shuffle")
     )
     if method == "llm-rank":
-        for run_index, (output, run_fallbacks) in enumerate(zip(outputs, fallbacks)):
-            path = f"{args.out_prefix}.run{run_index}.txt"
+        for path, output, run_fallbacks in zip(run_paths, outputs, fallbacks, strict=True):
             corpus.atomic_write_text(path, corpus.serialize_parallel(output.sentences))
             print(f"wrote {path}{_fallback_note(run_fallbacks)}", file=sys.stderr)
         return 0
@@ -157,18 +161,22 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = experiment.load_config(args.config)
-    overrides = {} if args.seed is None else {"seed": args.seed, "seeds": None}
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
+    overrides = {key: getattr(args, key) for key in ("seed", "jobs")
+                 if getattr(args, key) is not None}
+    for key in overrides:  # a flag given is a setting, even at its default
+        experiment.check_reads(config.method, key)
+    if "seed" in overrides:
+        overrides["seeds"] = None
     config = config._replace(**overrides)  # checked as one config: the first bad key is named
-    corpus.check_parent_dirs(config.output_dir / config.name)
-    if args.ablation:
+    for path in experiment.artifact_paths(config, args.study):  # before any input is read
+        corpus.check_output(path)
+    if args.study == "ablation":
         rows = experiment.ablation_remove_one(config)
         for _, result in rows:
             _print_fallbacks(result)
         _emit(experiment.prf_tsv("variant", rows))
         return 0
-    if args.sweep_nmin:
+    if args.study == "sweep":
         rows = experiment.sweep_n_min(config)
         for n_min, result in rows:
             print(f"n_min={n_min}: F0.5={result.report.f05:.4f}", file=sys.stderr)
@@ -284,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("experiment", "run a JSON experiment config")
     p.add_argument("--config", required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--ablation", action="store_true", help="remove-one member ablation")
-    mode.add_argument("--sweep-nmin", action="store_true", help="sweep the vote threshold")
+    mode.add_argument("--ablation", dest="study", action="store_const", const="ablation",
+                      help="remove-one member ablation")
+    mode.add_argument("--sweep-nmin", dest="study", action="store_const", const="sweep",
+                      help="sweep the vote threshold")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--jobs", type=int, help="override the config jobs")
     p.set_defaults(func=_cmd_experiment)
@@ -308,9 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     thresholds = gc.get_threshold()
     gc.set_threshold(100_000, 50, 1000)
     try:
-        for flag in ("out", "audit", "matrix", "out_prefix"):  # checked before any input is read
+        for flag in ("out", "audit", "matrix"):  # before any input is read
             if getattr(args, flag, None):
-                corpus.check_parent_dirs(getattr(args, flag))
+                corpus.check_output(getattr(args, flag))
         return args.func(args)
     except corpus.ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

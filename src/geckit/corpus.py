@@ -41,6 +41,7 @@ from __future__ import annotations
 import errno
 import math
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -607,41 +608,36 @@ def load_edit_tsv(path: str | Path, sources: Sequence[Sequence[str]]) -> list[li
 # ---------------------------------------------------------------------------
 
 
-# Why the file system refuses a path, for the errors without an OSError subclass
+# Why the file system refuses a path, by errno, for inputs and outputs alike
 _PATH_REASONS = {
+    errno.ENOENT: "no such file",
+    errno.EISDIR: "is a directory, not a file",
+    errno.ENOTDIR: "a parent is a file, not a directory",
+    errno.EACCES: "permission denied",
+    errno.EPERM: "permission denied",
     errno.ENAMETOOLONG: "a name in the path is too long",
     errno.ELOOP: "symbolic links in the path form a loop",
 }
 
 
-def _raise_if_refused(path: str | Path, err: BaseException) -> None:
-    """Raise :class:`ValidationError` naming ``path`` when ``err`` is the
-    file system refusing it; return for any other error."""
+def _refused(path: str | Path, err: BaseException) -> BaseException:
+    """``err`` as a :class:`ValidationError` naming ``path`` if it refuses the path."""
     if isinstance(err, OSError) and err.errno in _PATH_REASONS:
-        raise ValidationError(f"{path}: {_PATH_REASONS[err.errno]}") from None
+        return ValidationError(f"{path}: {_PATH_REASONS[err.errno]}")
+    return err
 
 
 def read_text(path: str | Path) -> str:
     """The text of the UTF-8 file at ``path``, with universal newlines.
 
-    Every input file is read here, so an input that is missing, a directory,
-    under a file, unreadable, refused by the file system (see
-    ``_PATH_REASONS``) or not UTF-8 raises :class:`ValidationError` naming
-    the file. Other I/O failures propagate.
+    Every input file is read here, so an input that the file system refuses
+    (see ``_PATH_REASONS``) or that is not UTF-8 raises
+    :class:`ValidationError` naming the file. Other I/O failures propagate.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ValidationError(f"{path}: no such file") from None
-    except IsADirectoryError:
-        raise ValidationError(f"{path}: is a directory, not a file") from None
-    except NotADirectoryError:
-        raise ValidationError(f"{path}: a parent is a file, not a directory") from None
-    except PermissionError:
-        raise ValidationError(f"{path}: permission denied") from None
     except OSError as err:
-        _raise_if_refused(path, err)
-        raise
+        raise _refused(path, err) from None
     except UnicodeDecodeError as err:  # decoded in one piece: err.start is a file offset
         byte = err.object[err.start]
         raise ValidationError(
@@ -658,46 +654,58 @@ def _load(parse: Callable, path: str | Path, *args):
         raise type(err)(f"{path}: {err}") from None
 
 
-def check_parent_dirs(path: str | Path) -> None:
-    """Raise :class:`ValidationError`, as :func:`atomic_write_text` would,
-    when a file at ``path`` could not get its parent directories: the
-    nearest existing one of them must be a directory. Creates nothing."""
-    for parent in Path(path).parents:
-        if os.path.exists(parent):
-            if os.path.isdir(parent):
-                return
-            raise ValidationError(f"{path}: a parent is a file, not a directory")
+def check_output(path: str | Path) -> None:
+    """Raise :class:`ValidationError` naming ``path`` unless a file can be written
+    there: it is no directory, the nearest of its parents that exists is one,
+    and no name in it is refused (``_PATH_REASONS``). Creates nothing."""
+    target = Path(path)
+    for place in (target, *target.parents):
+        try:  # os.stat follows links, so a link loop is an error, not a missing file
+            is_dir = stat.S_ISDIR(os.stat(place).st_mode)
+        except FileNotFoundError:
+            continue
+        except OSError as err:
+            raise _refused(path, err) from None
+        if is_dir == (place is target):  # a directory target, or a parent that is not one
+            raise _refused(path, OSError(errno.EISDIR if is_dir else errno.ENOTDIR, ""))
+        return
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file and rename, so partial output is never visible.
-    A ``path`` that is a directory, runs through a file, or that the file
-    system refuses (see ``_PATH_REASONS``) raises :class:`ValidationError`."""
-    if os.path.isdir(path):  # else the rename below fails naming the temp file
-        raise ValidationError(f"{path}: is a directory, not a file")
-    path = Path(path)
+    A ``path`` that :func:`check_output` refuses raises its error first. The
+    file gets the mode ``open(path, "w")`` would give it: an existing file
+    keeps its mode, and a new one gets ``0o666`` less the umask."""
+    check_output(path)
+    dest = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        try:  # a symlink loop exists too, yet is neither a file nor a directory
-            os.stat(path.parent)
-        except OSError as err:
-            _raise_if_refused(path, err)
-        raise ValidationError(f"{path}: a parent is a file, not a directory") from None
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        # The temp name keeps at most 32 characters of the target's: at most
+        # 142 bytes in all, so it fits wherever a 255-byte name does
+        fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=f".{dest.name[:32]}.", suffix=".tmp")
     except OSError as err:
-        _raise_if_refused(path, err)
-        raise
-    # The temp name keeps at most 32 characters of the target's: at most
-    # 142 bytes in all, so it fits wherever a 255-byte name does
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name[:32]}.", suffix=".tmp")
+        check_output(path)  # the path may have changed since it was checked
+        raise _refused(path, err) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.chmod(tmp, _mode(dest))  # mkstemp made it 0o600
+        os.replace(tmp, dest)
     except BaseException as err:
         try:
             os.unlink(tmp)
         except OSError:
             pass
-        _raise_if_refused(path, err)
-        raise
+        raise _refused(path, err) from None
+
+
+def _mode(path: Path) -> int:
+    """The permission bits ``open(path, "w")`` leaves the file at ``path`` with."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        # The umask is read by setting it, for the whole process: a file that
+        # another thread creates between these two calls gets 0o022
+        umask = os.umask(0o022)
+        os.umask(umask)
+        return 0o666 & ~umask

@@ -99,6 +99,16 @@ METHODS = {
 }
 
 
+_ORACLES = ("oracle-ensemble", "oracle-rank")  # the methods that write an audit table
+
+
+def check_reads(method: str, key: str) -> None:
+    """Raise :class:`ValidationError` unless ``method`` reads ``key``, a config
+    key with a default."""
+    if key not in ("source", "output_dir", *METHODS[method]):
+        raise ValidationError(f"method {method} does not read key {key!r}")
+
+
 class _ConfigFields(NamedTuple):  # each field is named by its config key
     name: str
     gold: str | Path | None  # None: a method subcommand without --gold
@@ -131,10 +141,9 @@ class ExperimentConfig(CheckedRecord, _ConfigFields):
             raise ValidationError(
                 f"unknown method {self.method!r}; expected one of {', '.join(METHODS)}"
             )
-        reads = ("source", "output_dir", *METHODS[self.method])
         for key, default in self._field_defaults.items():
-            if key not in reads and getattr(self, key) != default:
-                raise ValidationError(f"method {self.method} does not read key {key!r}")
+            if getattr(self, key) != default:
+                check_reads(self.method, key)
         if not self.systems:
             raise ValidationError("config needs at least one member system")
         if self.method in ("rank", "rank-w") and self.scores is None:
@@ -327,7 +336,7 @@ def combine(
         combined = [vote.majority_vote_corpus(
             sources, inputs.pools, members, config.n_min, inputs.applied
         )]
-    elif config.method in ("oracle-ensemble", "oracle-rank"):
+    elif config.method in _ORACLES:
         ensemble = config.method == "oracle-ensemble"
         run = oracle.oracle_ensemble_corpus if ensemble else oracle.oracle_rank_corpus
         result, choices = run(gold, outputs, table)
@@ -366,48 +375,58 @@ def run_experiment(config: ExperimentConfig, inputs: _Inputs) -> ExperimentResul
         raise ValidationError(f"experiment {config.name!r} needs a gold file")
     combined, choices, fallbacks = combine(config, inputs)
 
+    paths = artifact_paths(config)
     if choices is not None:
-        _write(config, "audit.tsv", oracle.choices_tsv(choices))
+        atomic_write_text(paths.pop(0), oracle.choices_tsv(choices))
+    *output_paths, report_path, row_path = paths
     reports = []
-    for run_index, output in enumerate(combined):
-        suffix = f"run{run_index}.txt" if len(combined) > 1 else "out.txt"
-        _write(config, suffix, serialize_parallel(output.sentences))
+    for path, output in zip(output_paths, combined, strict=True):
+        atomic_write_text(path, serialize_parallel(output.sentences))
         reports.append(scoring.score_corpus(output, inputs.gold, inputs.table))
 
     result = ExperimentResult(config, tuple(combined), tuple(reports), tuple(fallbacks))
-    _write(config, "report.txt", scoring.report_table(result.report))
-    _write(config, "row.tsv", result_row_tsv(result))
+    atomic_write_text(report_path, scoring.report_table(result.report))
+    atomic_write_text(row_path, result_row_tsv(result))
     return result
 
 
 def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentResult]]:
     """The full ensemble plus one rerun per left-out member system."""
-    if len(config.systems) < 3:
-        raise ValidationError("remove-one ablation needs at least 3 member systems")
-    inputs = load_inputs(config)
-    inputs.applied = {}
-    rows = [("full", run_experiment(config, inputs))]
-    for name, _ in config.systems:
-        reduced = config._replace(
-            name=f"{config.name}.wo-{name}",
-            systems=tuple(s for s in config.systems if s[0] != name),
-        )
-        rows.append((f"w/o {name}", run_experiment(reduced, inputs)))
-    _write(config, "ablation.tsv", prf_tsv("variant", rows))
-    return rows
+    return _run_study(config, "ablation")
 
 
 def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
     """Rerun a vote experiment at every n_min from 0 to the member count."""
+    return _run_study(config, "sweep")
+
+
+def _ablation_runs(config: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
+    if len(config.systems) < 3:
+        raise ValidationError("remove-one ablation needs at least 3 member systems")
+    return [("full", config), *((f"w/o {name}", config._replace(
+        name=f"{config.name}.wo-{name}",
+        systems=tuple(s for s in config.systems if s[0] != name),
+    )) for name, _ in config.systems)]
+
+
+def _sweep_runs(config: ExperimentConfig) -> list[tuple[int, ExperimentConfig]]:
     if "n_min" not in METHODS[config.method]:
         raise ValidationError("n_min sweep applies to vote methods only")
+    return [(n_min, config._replace(name=f"{config.name}.nmin{n_min}", n_min=n_min))
+            for n_min in range(len(config.systems) + 1)]
+
+
+# study: (its labelled runs of a config, the label column of its NAME.STUDY.tsv)
+_STUDIES = {"ablation": (_ablation_runs, "variant"), "sweep": (_sweep_runs, "n_min")}
+
+
+def _run_study(config: ExperimentConfig, study: str) -> list:
+    runs, key = _STUDIES[study]
+    variants = runs(config)  # its errors come before any input is read
     inputs = load_inputs(config)
     inputs.applied = {}
-    rows = []
-    for n_min in range(len(config.systems) + 1):
-        variant = config._replace(name=f"{config.name}.nmin{n_min}", n_min=n_min)
-        rows.append((n_min, run_experiment(variant, inputs)))
-    _write(config, "sweep.tsv", prf_tsv("n_min", rows))
+    rows = [(label, run_experiment(variant, inputs)) for label, variant in variants]
+    atomic_write_text(artifact_path(config, f"{study}.tsv"), prf_tsv(key, rows))
     return rows
 
 
@@ -432,5 +451,19 @@ def prf_tsv(key: str, rows: Sequence[tuple[object, ExperimentResult]]) -> str:
     ))
 
 
-def _write(config: ExperimentConfig, suffix: str, text: str) -> None:
-    atomic_write_text(config.output_dir / f"{config.name}.{suffix}", text)
+def artifact_path(config: ExperimentConfig, suffix: str) -> Path:
+    """Where ``config``'s artifact ``suffix`` (``out.txt``, ``row.tsv``, ...) is written."""
+    return config.output_dir / f"{config.name}.{suffix}"
+
+
+def artifact_paths(config: ExperimentConfig, study: str | None = None) -> list[Path]:
+    """Every file a run of ``config`` writes, in the order written: those of
+    :func:`run_experiment`, or with ``study`` (``"sweep"`` or ``"ablation"``)
+    those of each of its runs and then ``NAME.STUDY.tsv``. Reads no file."""
+    if study is not None:
+        variants = _STUDIES[study][0](config)
+        return [*(path for _, variant in variants for path in artifact_paths(variant)),
+                artifact_path(config, f"{study}.tsv")]
+    audit = ["audit.tsv"] if config.method in _ORACLES else []
+    outputs = [f"run{k}.txt" for k in range(config.runs)] if config.runs > 1 else ["out.txt"]
+    return [artifact_path(config, suffix) for suffix in (*audit, *outputs, "report.txt", "row.tsv")]

@@ -6,8 +6,10 @@ import json
 import os
 import random
 import shutil
+import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -766,11 +768,11 @@ def test_llm_rank_backend_setting_fails_before_loading(tmp_path, monkeypatch, ca
     assert sorted(path.name for path in tmp_path.iterdir()) == ["exp.json"]
 
 
-# experiment: (config keys, extra flags); each writes under output_dir
+# experiment: (config keys, extra flags, the file it writes first); each writes under output_dir
 _UNWRITABLE = {
-    "llm-rank": ({"method": "llm-rank", "runs": 2}, []),
-    "llm-rank-ablation": ({"method": "llm-rank"}, ["--ablation"]),
-    "vote-sweep": ({"method": "vote", "n_min": 1}, ["--sweep-nmin"]),
+    "llm-rank": ({"method": "llm-rank", "runs": 2}, [], "exp.run0.txt"),
+    "llm-rank-ablation": ({"method": "llm-rank"}, ["--ablation"], "exp.out.txt"),
+    "vote-sweep": ({"method": "vote", "n_min": 1}, ["--sweep-nmin"], "exp.nmin0.out.txt"),
 }
 
 
@@ -786,17 +788,19 @@ def test_a_run_that_cannot_write_fails_before_reading_inputs(data, monkeypatch, 
     monkeypatch.setattr(experiment, "load_inputs", refuse)
     monkeypatch.chdir(data)
     Path("taken").write_text("", encoding="utf-8")
-    config, flags = _UNWRITABLE[case]
+    config, flags, first = _UNWRITABLE[case]
     payload = {"name": "exp", "gold": "gold.m2", "output_dir": "taken/out",
                "systems": ["a.txt", "b.txt", "c.txt"], **config}
     Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
     assert main(["experiment", "--config", "exp.json", *flags]) == 1
     assert capsys.readouterr().err == (
-        f"error: {Path('taken/out/exp')}: a parent is a file, not a directory\n"
+        f"error: {Path('taken/out', first)}: a parent is a file, not a directory\n"
     )
     prefix = str(Path("taken/x/cli"))
     assert main(["llm-rank", "--src", "src.txt", *_MEMBERS, "--out-prefix", prefix]) == 1
-    assert capsys.readouterr().err == f"error: {prefix}: a parent is a file, not a directory\n"
+    assert capsys.readouterr().err == (
+        f"error: {prefix}.run0.txt: a parent is a file, not a directory\n"
+    )
 
 
 _SCORED = [*_MEMBERS, "--scores", "scores.tsv"]
@@ -835,8 +839,161 @@ def test_every_output_path_is_checked_before_any_input_is_read(data, monkeypatch
     inputs, flags = _OUTPUTS[command]
     outputs = [arg for other in flags for arg in (other, "taken/x" if other == flag else other[2:])]
     assert main([command, *inputs, *outputs]) == 1
-    assert capsys.readouterr().err == "error: taken/x: a parent is a file, not a directory\n"
+    written = "taken/x.run0.txt" if flag == "--out-prefix" else "taken/x"
+    assert capsys.readouterr().err == f"error: {written}: a parent is a file, not a directory\n"
     assert sorted(os.listdir(data)) == before
+
+
+# case: (output path, the writer's reason to refuse it); a directory is made there first.
+# A parent that is a file is the case of the test above, and of the one before for
+# an experiment's output_dir.
+_REFUSED_OUTPUTS = {
+    "directory": ("d", "is a directory, not a file"),
+    "symlink-loop-parent": ("loop1/x", "symbolic links in the path form a loop"),
+    "long-name": ("n" * 300, "a name in the path is too long"),
+}
+
+
+def _tree(root: Path) -> list[str]:
+    """Every path under ``root``, links not followed."""
+    return sorted(os.path.join(d, name) for d, dirs, files in os.walk(root)
+                  for name in dirs + files)
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_OUTPUTS))
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command, (_, flags) in _OUTPUTS.items() for flag in flags),
+    ("experiment", "output_dir"),
+])
+def test_an_output_the_writer_refuses_stops_the_command_before_any_input_is_read(
+    data, monkeypatch, capsys, command, flag, case
+):
+    """A path that atomic_write_text refuses, given to any output flag or as an
+    experiment's output_dir, stops the command with the writer's error, naming
+    the file it would write, before it reads an input or creates a file. So a
+    directory given to --audit or --matrix leaves no --out file behind."""
+    from geckit import corpus
+
+    read_text = corpus.read_text
+
+    def refuse(path):
+        if Path(path).name != "exp.json":
+            raise AssertionError(f"{path} was read")
+        return read_text(path)
+
+    monkeypatch.setattr(corpus, "read_text", refuse)
+    monkeypatch.chdir(data)
+    os.symlink("loop2", "loop1")
+    os.symlink("loop1", "loop2")
+    path, reason = _REFUSED_OUTPUTS[case]
+    if command == "experiment":
+        written = str(Path(path, "exp.out.txt"))  # the first file a vote run writes
+        payload = {"name": "exp", "method": "vote", "gold": "gold.m2", "output_dir": path,
+                   "systems": ["a.txt", "b.txt", "c.txt"]}
+        Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["experiment", "--config", "exp.json"]
+    else:
+        written = f"{path}.run0.txt" if flag == "--out-prefix" else path
+        inputs, flags = _OUTPUTS[command]
+        argv = [command, *inputs, *(arg for other in flags
+                                    for arg in (other, path if other == flag else other[2:]))]
+    if case == "directory":
+        os.makedirs(written)
+    before = _tree(data)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {written}: {reason}\n"
+    assert _tree(data) == before
+
+
+# case: (experiment config keys, flags, one of the files it writes, made a directory here)
+_ARTIFACTS = {
+    "oracle-out": ({"method": "oracle-ensemble"}, [], "exp.out.txt"),
+    "oracle-report": ({"method": "oracle-rank"}, [], "exp.report.txt"),
+    "llm-rank-run1": ({"method": "llm-rank", "runs": 2}, [], "exp.run1.txt"),
+    "sweep-variant": ({"method": "vote"}, ["--sweep-nmin"], "exp.nmin2.row.tsv"),
+    "sweep-table": ({"method": "vote"}, ["--sweep-nmin"], "exp.sweep.tsv"),
+    "ablation-variant": ({"method": "llm-rank"}, ["--ablation"], "exp.wo-b.out.txt"),
+    "ablation-table": ({"method": "oracle-ensemble"}, ["--ablation"], "exp.ablation.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARTIFACTS))
+def test_every_file_an_experiment_writes_is_checked_before_any_input_is_read(
+    data, monkeypatch, capsys, case
+):
+    """Any artifact of a run, a sweep or an ablation that cannot be written
+    stops it before an input is read, so no earlier artifact is left behind."""
+    from geckit import experiment
+
+    def refuse(config):
+        raise AssertionError("inputs were read")
+
+    monkeypatch.setattr(experiment, "load_inputs", refuse)
+    monkeypatch.chdir(data)
+    config, flags, artifact = _ARTIFACTS[case]
+    payload = {"name": "exp", "gold": "gold.m2", "systems": ["a.txt", "b.txt", "c.txt"], **config}
+    Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    os.makedirs(Path("results", artifact))
+    before = _tree(data)
+    assert main(["experiment", "--config", "exp.json", *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {Path('results', artifact)}: is a directory, not a file\n"
+    )
+    assert _tree(data) == before
+
+
+def test_existing_directories_that_are_not_outputs_do_not_stop_a_command(data, monkeypatch):
+    """Only the files a command writes are checked: llm-rank's --out-prefix and
+    the NAME under an experiment's output_dir may be existing directories."""
+    monkeypatch.chdir(data)
+    Path("cli").mkdir()
+    assert main(["llm-rank", "--src", "src.txt", *_MEMBERS, "--out-prefix", "cli"]) == 0
+    assert Path("cli.run0.txt").is_file()
+    Path("results", "exp").mkdir(parents=True)
+    payload = {"name": "exp", "method": "vote", "gold": "gold.m2", "output_dir": "results",
+               "systems": ["a.txt", "b.txt", "c.txt"]}
+    Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json"]) == 0
+    assert Path("results", "exp.row.tsv").is_file()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_written_files_get_the_mode_open_would_give_them(data, monkeypatch, umask):
+    """A new file gets 0o666 less the umask, as open(path, "w") gives it, and
+    an overwritten file keeps its mode; the caller's umask is left as it was."""
+    monkeypatch.chdir(data)
+
+    def mode(name):
+        return stat.S_IMODE(os.stat(name).st_mode)
+
+    oracle = ["oracle-ensemble", "--gold", "gold.m2", *_MEMBERS, "--out", "o.txt",
+              "--audit", "a.tsv"]
+    saved = os.umask(umask)
+    try:
+        with open("opened.txt", "w", encoding="utf-8"):
+            pass
+        assert main(["cluster", "--sys", "a.txt", "--sys", "b.txt", "--out", "c.tsv",
+                     "--matrix", "m.tsv"]) == 0
+        assert main(oracle) == 0
+        for name in ("c.tsv", "m.tsv", "o.txt", "a.tsv"):
+            assert mode(name) == mode("opened.txt") == 0o666 & ~umask
+        os.chmod("o.txt", 0o640)
+        assert main(oracle) == 0
+        assert mode("o.txt") == 0o640
+    finally:
+        assert os.umask(saved) == umask
+
+
+def test_a_temp_file_the_system_refuses_exits_one_naming_the_output(data, monkeypatch, capsys):
+    def refuse(*args, **kwargs):  # root may create a file anywhere, whatever the modes
+        raise PermissionError(errno.EACCES, "Permission denied", str(kwargs.get("dir")))
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    monkeypatch.chdir(data)
+    before = _tree(data)
+    assert main(["extract", "--src", "src.txt", "--hyp", "a.txt", "--out", "e.tsv"]) == 1
+    assert capsys.readouterr().err == "error: e.tsv: permission denied\n"
+    assert _tree(data) == before
 
 
 # case: (experiment config keys, experiment flags, error)
@@ -852,6 +1009,11 @@ _FOREIGN_KEYS = {
                                  "method vote does not read key 'seed'"),
     "vote-jobs-flag": ({"method": "vote", "n_min": 1}, ["--jobs", "3"],
                        "method vote does not read key 'jobs'"),
+    # a flag given is refused even at the default value that the config holds
+    "vote-seed-0-flag": ({"method": "vote", "n_min": 1}, ["--seed", "0"],
+                         "method vote does not read key 'seed'"),
+    "vote-jobs-1-flag": ({"method": "vote", "n_min": 1}, ["--jobs", "1"],
+                         "method vote does not read key 'jobs'"),
 }
 
 
@@ -873,6 +1035,21 @@ def test_a_key_the_method_does_not_read_fails_before_loading(data, monkeypatch, 
     assert main(["experiment", "--config", "exp.json", *flags]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not Path("results").exists()
+
+
+def test_seed_and_jobs_flags_at_their_defaults_run_an_llm_rank_config(data, monkeypatch,
+                                                                        capsys):
+    """llm-rank reads seed and jobs, so the flags at their default values
+    run it, and print the row that the config alone prints."""
+    monkeypatch.chdir(data)
+    payload = {"name": "exp", "method": "llm-rank", "gold": "gold.m2", "output_dir": "results",
+               "systems": ["a.txt", "b.txt", "c.txt"]}
+    Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    rows = []
+    for flags in ([], ["--seed", "0"], ["--jobs", "1"], ["--seed", "0", "--jobs", "1"]):
+        assert main(["experiment", "--config", "exp.json", *flags]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0].startswith("experiment\t") and rows == rows[:1] * 4
 
 
 def test_cluster_members_that_share_a_line_share_its_sentence(data, monkeypatch):

@@ -1,5 +1,6 @@
 """M2, parallel-text, score-file and edit-TSV round trips and error reporting."""
 
+import os
 import random
 import re
 import sys
@@ -22,6 +23,7 @@ from geckit.corpus import (
     TokenSentence,
     ValidationError,
     atomic_write_text,
+    check_output,
     load_parallel,
     parse_edit_tsv,
     parse_m2,
@@ -326,6 +328,18 @@ def test_tsv_writes_what_the_reader_reads():
 def test_tsv_refuses_a_row_the_reader_would_split_differently(row):
     with pytest.raises(ValidationError, match="TSV rows need 2 fields free of tabs and line"):
         tsv(("k", "v"), [("x", "1"), row])
+
+
+def test_check_output_accepts_what_can_be_written_and_creates_nothing(tmp_path):
+    """A file to overwrite, a new name, missing parents and a parent that is a
+    link to a directory pass; nothing is created."""
+    (tmp_path / "f.txt").write_text("x", encoding="utf-8")
+    (tmp_path / "d").mkdir()
+    os.symlink("d", tmp_path / "link")
+    for path in ("f.txt", "new.txt", "a/b/c.txt", "link/x.txt", "d/sub/x.txt"):
+        check_output(tmp_path / path)
+    assert sorted(os.listdir(tmp_path)) == ["d", "f.txt", "link"]
+    assert os.listdir(tmp_path / "d") == []
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):

@@ -32,6 +32,7 @@ from geckit.experiment import (
     METHODS,
     ExperimentConfig,
     ablation_remove_one,
+    artifact_paths,
     combine,
     load_config,
     load_inputs,
@@ -344,6 +345,31 @@ def test_sweep_covers_all_thresholds(tmp_path):
     sweep = (tmp_path / "results" / "fixture.sweep.tsv").read_text(encoding="utf-8")
     assert sweep.splitlines()[0] == "n_min\tP\tR\tF0.5"
     assert len(sweep.splitlines()) == 5
+
+
+@pytest.mark.parametrize("method, study", [
+    ("vote", None), ("vote", "sweep"), ("vote", "ablation"), ("oracle-ensemble", None),
+    ("oracle-rank", "ablation"), ("llm-rank", None), ("llm-rank", "ablation"),
+])
+def test_artifact_paths_are_the_files_a_run_writes_in_order(tmp_path, monkeypatch,
+                                                            method, study):
+    """What the CLI checks before a run is what the run then writes."""
+    payload = write_fixture(tmp_path, systems=("a", "b", "c", "noise"))
+    payload["method"] = method
+    if method != "vote":
+        del payload["n_min"]
+    if method == "llm-rank":
+        payload["runs"] = 2
+    config = load_config(write_config(tmp_path, payload))
+    written = []
+    write = geckit.experiment.atomic_write_text
+    monkeypatch.setattr(geckit.experiment, "atomic_write_text",
+                        lambda path, text: (written.append(path), write(path, text)))
+    {None: lambda c: run_experiment(c, load_inputs(c)), "sweep": sweep_n_min,
+     "ablation": ablation_remove_one}[study](config)
+    assert written == artifact_paths(config, study)
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == sorted(
+        p.name for p in written)
 
 
 def test_tsv_artifacts_keep_their_bytes(tmp_path):
