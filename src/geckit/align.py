@@ -1,8 +1,8 @@
 """Token-level edit extraction and application.
 
 Edits are recovered from (source, hypothesis) pairs by unit-cost
-Levenshtein alignment over tokens, then maximal runs of contiguous
-non-match operations are merged into single span edits.
+Levenshtein alignment over tokens: each maximal run of contiguous
+non-match operations is one span edit.
 
 The alignment is exact and bit-parallel: Myers' bit-vector recurrence
 (Myers 1999, JACM 46(3)) in Hyyrö's global edit-distance form, with Python
@@ -18,7 +18,9 @@ operations and the traceback reads only the cells it visits.
 The traceback walks back from the bottom-right corner ``d[m][n]`` and at
 each cell takes the first move whose cost is consistent with the matrix,
 in the preference order match > substitute > delete > insert. That keeps
-edit keys stable across runs and platforms: voting depends on that.
+edit keys stable across runs and platforms: voting depends on that. The
+walk builds the edits in the same pass: a run of changes becomes one edit
+at the next match, or on the top row or left column, whose tokens join it.
 
 The matrix is only built for the block between the common suffix and the
 common prefix, and both strips are exact. The walk consumes the suffix as
@@ -75,55 +77,27 @@ def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> tuple[Edi
     m = len(src) - k
     n = len(hyp) - k
 
-    # Then strip the common prefix, of length p, and walk the block between.
-    # When the walk leaves the block on an edge whose remaining tokens hold
-    # the last prefix token, the full walk would match that token instead,
-    # so walk again with the prefix (see the module docstring).
+    # Then strip the common prefix, of length p, walk the block between and
+    # shift its edits by p. When the walk leaves the block on an edge whose
+    # remaining tokens hold the last prefix token, the full walk would match
+    # that token instead, so walk again with the prefix (see the module
+    # docstring).
     p = 0
     limit = min(m, n)
     while p < limit and src[p] == hyp[p]:
         p += 1
     block_src, block_hyp = src[p:m], hyp[p:n]
-    ops, i, j = _walk(block_src, block_hyp)
-    if p and (src[p - 1] in block_hyp[:j] or src[p - 1] in block_src[:i]):
-        ops, _, _ = _walk(src[:m], hyp[:n])
-        p = 0
-
-    # Merge contiguous non-match runs into single edits.
-    edits: list[Edit] = []
-    si = hi = p
-    run_start: tuple[int, int] | None = None
-
-    def close_run(si_end: int, hi_end: int) -> None:
-        nonlocal run_start
-        if run_start is not None:
-            s0, h0 = run_start
-            edits.append(Edit(s0, si_end, tuple(hyp[h0:hi_end])))
-            run_start = None
-
-    for op in ops:
-        if op == "m":
-            close_run(si, hi)
-            si += 1
-            hi += 1
-        else:
-            if run_start is None:
-                run_start = (si, hi)
-            if op == "s":
-                si += 1
-                hi += 1
-            elif op == "d":
-                si += 1
-            else:
-                hi += 1
-    close_run(si, hi)
-    return tuple(edits)
+    edits, i, j = _walk(block_src, block_hyp)
+    if not p:
+        return edits
+    if src[p - 1] in block_hyp[:j] or src[p - 1] in block_src[:i]:
+        return _walk(src[:m], hyp[:n])[0]
+    return tuple(Edit(e.start + p, e.end + p, e.replacement) for e in edits)
 
 
-def _walk(src: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[list[str], int, int]:
-    """The alignment of ``src`` to ``hyp`` as operations in source order
-    (``m``atch, ``s``ubstitute, ``d``elete, ``i``nsert), and the cell
-    ``(i, j)`` where the walk back reached the top row or left column."""
+def _walk(src: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[tuple[Edit, ...], int, int]:
+    """The edits of the alignment of ``src`` to ``hyp``, in source order, and
+    the cell ``(i, j)`` where the walk back reached the top row or left column."""
     m = len(src)
     # Match masks: bit i of peq[t] is set when src[i] == t.
     peq: dict[str, int] = {}
@@ -153,34 +127,37 @@ def _walk(src: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[list[str], int, i
 
     # Traceback from the bottom-right corner. At each cell take the first
     # move in preference order whose cost is consistent with the matrix.
-    # cost is d[i][j]: every move but a match lowers it by one.
-    ops: list[str] = []
+    # cost is d[i][j]: every move but a match lowers it by one. run_end is
+    # the cell where the current run of changes began, walking back.
+    edits: list[Edit] = []
+    run_end: tuple[int, int] | None = None
     i, j = m, len(hyp)
     cost = j + vp.bit_count() - vn.bit_count()
     while i > 0 and j > 0:
         if src[i - 1] == hyp[j - 1]:
             # Equal tokens always give d[i-1][j-1] == d[i][j].
-            ops.append("m")
+            if run_end:
+                edits.append(Edit(i, run_end[0], hyp[j : run_end[1]]))
+                run_end = None
             i -= 1
             j -= 1
             continue
+        run_end = run_end or (i, j)
         mask = (1 << (i - 1)) - 1
         if j + (vps[j - 1] & mask).bit_count() - (vns[j - 1] & mask).bit_count() == cost:
-            ops.append("s")
-            i -= 1
+            i -= 1  # substitute
             j -= 1
         elif j + 1 + (vps[j] & mask).bit_count() - (vns[j] & mask).bit_count() == cost:
-            ops.append("d")
-            i -= 1
+            i -= 1  # delete
         else:
-            ops.append("i")
-            j -= 1
+            j -= 1  # insert
         cost -= 1
-    # On the top row only insertions remain, in the left column only deletions.
-    ops.extend("d" * i)
-    ops.extend("i" * j)
-    ops.reverse()
-    return ops, i, j
+    # On the top row only insertions remain, in the left column only
+    # deletions: they join the run they precede, or are an edit of their own.
+    run_end = run_end or (i, j)
+    if run_end != (0, 0):
+        edits.append(Edit(0, run_end[0], hyp[: run_end[1]]))
+    return tuple(reversed(edits)), i, j
 
 
 class EditTable:

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("llm-rank", "rank candidates with a chat model (or offline mock)")
     p.add_argument("--src", dest="source", metavar="SRC", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
-    p.add_argument("--variant", choices=("a", "b"))
+    p.add_argument("--variant", help="prompt variant: a (default) or b")
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--backend", help="mock-lexmin (default, offline), mock-label-a or http")
@@ -318,9 +318,14 @@ def main(argv: list[str] | None = None) -> int:
     thresholds = gc.get_threshold()
     gc.set_threshold(100_000, 50, 1000)
     try:
+        named: dict[Path, str] = {}  # each output file and its first flag
         for flag in ("out", "audit", "matrix"):  # before any input is read
-            if getattr(args, flag, None):
-                corpus.check_output(getattr(args, flag))
+            path = getattr(args, flag, None)
+            if path:
+                corpus.check_output(path)
+                first = named.setdefault(Path(path).resolve(), flag)
+                if first != flag:
+                    raise corpus.ValidationError(f"{path}: named by both --{first} and --{flag}")
         return args.func(args)
     except corpus.ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

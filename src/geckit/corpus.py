@@ -617,6 +617,7 @@ _PATH_REASONS = {
     errno.EPERM: "permission denied",
     errno.ENAMETOOLONG: "a name in the path is too long",
     errno.ELOOP: "symbolic links in the path form a loop",
+    errno.EROFS: "read-only file system",
 }
 
 
@@ -628,14 +629,15 @@ def _refused(path: str | Path, err: BaseException) -> BaseException:
 
 
 def read_text(path: str | Path) -> str:
-    """The text of the UTF-8 file at ``path``, with universal newlines.
+    """The text of the UTF-8 file at ``path``, with universal newlines and
+    without a leading byte-order mark.
 
     Every input file is read here, so an input that the file system refuses
     (see ``_PATH_REASONS``) or that is not UTF-8 raises
     :class:`ValidationError` naming the file. Other I/O failures propagate.
     """
-    try:
-        return Path(path).read_text(encoding="utf-8")
+    try:  # the mark is dropped after decoding, so error offsets are file offsets
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as err:
         raise _refused(path, err) from None
     except UnicodeDecodeError as err:  # decoded in one piece: err.start is a file offset
@@ -656,8 +658,9 @@ def _load(parse: Callable, path: str | Path, *args):
 
 def check_output(path: str | Path) -> None:
     """Raise :class:`ValidationError` naming ``path`` unless a file can be written
-    there: it is no directory, the nearest of its parents that exists is one,
-    and no name in it is refused (``_PATH_REASONS``). Creates nothing."""
+    there: it is no directory, the nearest of its parents that exists is one
+    and may be written in, and no name in it is refused (``_PATH_REASONS``).
+    Creates nothing."""
     target = Path(path)
     for place in (target, *target.parents):
         try:  # os.stat follows links, so a link loop is an error, not a missing file
@@ -668,6 +671,10 @@ def check_output(path: str | Path) -> None:
             raise _refused(path, err) from None
         if is_dir == (place is target):  # a directory target, or a parent that is not one
             raise _refused(path, OSError(errno.EISDIR if is_dir else errno.ENOTDIR, ""))
+        folder = target.parent if place is target else place
+        if not os.access(folder, os.W_OK | os.X_OK):
+            read_only = os.statvfs(folder).f_flag & os.ST_RDONLY
+            raise _refused(path, OSError(errno.EROFS if read_only else errno.EACCES, ""))
         return
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -682,6 +683,8 @@ _BAD_PARAMETERS = {
     "runs": ("llm-rank", {"runs": 0}, ["--runs", "0"], "runs must be >= 1", True),
     "jobs": ("llm-rank", {"jobs": 0}, ["--jobs", "0"], "jobs must be >= 1, got 0", True),
     "n_min": ("vote", {"n_min": 4}, ["--nmin", "4"], "n_min must be within 0..3, got 4", True),
+    "variant": ("llm-rank", {"variant": "c"}, ["--variant", "c"], "unknown prompt variant 'c'",
+                True),
 }
 
 
@@ -985,15 +988,85 @@ def test_written_files_get_the_mode_open_would_give_them(data, monkeypatch, umas
 
 
 def test_a_temp_file_the_system_refuses_exits_one_naming_the_output(data, monkeypatch, capsys):
-    def refuse(*args, **kwargs):  # root may create a file anywhere, whatever the modes
-        raise PermissionError(errno.EACCES, "Permission denied", str(kwargs.get("dir")))
-
-    monkeypatch.setattr(tempfile, "mkstemp", refuse)
     monkeypatch.chdir(data)
     before = _tree(data)
-    assert main(["extract", "--src", "src.txt", "--hyp", "a.txt", "--out", "e.tsv"]) == 1
-    assert capsys.readouterr().err == "error: e.tsv: permission denied\n"
+    for code, reason in [(errno.EACCES, "permission denied"),
+                         (errno.EROFS, "read-only file system")]:
+        def refuse(*args, code=code, **kwargs):  # root may create a file anywhere
+            raise OSError(code, os.strerror(code), str(kwargs.get("dir")))
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        assert main(["extract", "--src", "src.txt", "--hyp", "a.txt", "--out", "e.tsv"]) == 1
+        assert capsys.readouterr().err == f"error: e.tsv: {reason}\n"
+        assert _tree(data) == before
+
+
+@pytest.mark.parametrize("read_only, reason", [
+    (False, "permission denied"), (True, "read-only file system"),
+], ids=["no-permission", "read-only"])
+def test_an_output_directory_that_cannot_be_written_stops_the_command_before_any_input_is_read(
+    data, monkeypatch, capsys, read_only, reason
+):
+    """Root passes every permission check, so the file system's answers are
+    patched: the directory refuses writing, and is or is not mounted read-only."""
+    from geckit import corpus
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(corpus, "read_text", refuse)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    monkeypatch.setattr(os, "statvfs", lambda path: SimpleNamespace(
+        f_flag=os.ST_RDONLY if read_only else 0))
+    monkeypatch.chdir(data)
+    before = _tree(data)
+    assert main(["vote", "--src", "src.txt", *_MEMBERS, "--nmin", "1", "--out", "v.txt"]) == 1
+    assert capsys.readouterr().err == f"error: v.txt: {reason}\n"
     assert _tree(data) == before
+
+
+@pytest.mark.parametrize("command, inputs, first, second", [
+    ("oracle-ensemble", ["--gold", "gold.m2", *_MEMBERS], "--out", "--audit"),
+    ("cluster", ["--sys", "a.txt", "--sys", "b.txt"], "--out", "--matrix"),
+], ids=["oracle-out-audit", "cluster-out-matrix"])
+def test_two_output_flags_naming_one_file_are_refused_before_any_input_is_read(
+    data, monkeypatch, capsys, command, inputs, first, second
+):
+    """The second flag names the first one's file by another spelling: the
+    command would write one output over the other."""
+    from geckit import corpus
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(corpus, "read_text", refuse)
+    monkeypatch.chdir(data)
+    before = _tree(data)
+    same = str(data / "o.txt")
+    assert main([command, *inputs, first, "o.txt", second, same]) == 1
+    assert capsys.readouterr().err == f"error: {same}: named by both {first} and {second}\n"
+    assert _tree(data) == before
+
+
+def test_a_member_with_a_byte_order_mark_scores_like_the_plain_one(data, monkeypatch, capsys):
+    monkeypatch.chdir(data)
+    Path("bom.txt").write_text("\ufeff" + SYS_A, encoding="utf-8")
+    assert main(["score", "--hyp", "a.txt", "--gold", "gold.m2"]) == 0
+    plain = capsys.readouterr().out
+    assert plain.splitlines()[1].split()[:3] == ["100.0"] * 3  # P, R and F0.5
+    assert main(["score", "--hyp", "bom.txt", "--gold", "gold.m2"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["extract", "--src", "src.txt", "--hyp", "a.txt"]) == 0
+    edits = capsys.readouterr().out
+    assert main(["extract", "--src", "src.txt", "--hyp", "bom.txt"]) == 0
+    assert capsys.readouterr().out == edits
+
+
+def test_a_byte_order_mark_leaves_the_offset_of_a_bad_byte_a_file_offset(data, capsys):
+    member = data / "bom-latin1.txt"
+    member.write_bytes(b"\xef\xbb\xbfa\ncaf\xe9\n")
+    assert main(["extract", "--src", str(data / "src.txt"), "--hyp", str(member)]) == 1
+    assert capsys.readouterr().err == f"error: {member}: not UTF-8: byte 0xe9 at offset 8\n"
 
 
 # case: (experiment config keys, experiment flags, error)

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import annotations, vocab
 from geckit import corpus
 from geckit.align import extract_edits
+from geckit.experiment import load_config
 from geckit.corpus import (
     Edit,
     GoldSentence,
@@ -340,6 +342,39 @@ def test_check_output_accepts_what_can_be_written_and_creates_nothing(tmp_path):
         check_output(tmp_path / path)
     assert sorted(os.listdir(tmp_path)) == ["d", "f.txt", "link"]
     assert os.listdir(tmp_path / "d") == []
+
+
+@pytest.mark.parametrize("read_only, reason", [
+    (False, "permission denied"), (True, "read-only file system"),
+], ids=["no-permission", "read-only"])
+def test_check_output_refuses_a_directory_it_cannot_write_in(tmp_path, monkeypatch,
+                                                             read_only, reason):
+    """The directory the file goes in is asked: the target's parent when it
+    exists, else the nearest parent that exists. Root may write anywhere, so
+    the answers are patched."""
+    (tmp_path / "f.txt").write_text("x", encoding="utf-8")
+    asked = []
+    monkeypatch.setattr(os, "access", lambda path, mode: asked.append((path, mode)) and False)
+    monkeypatch.setattr(os, "statvfs", lambda path: SimpleNamespace(
+        f_flag=os.ST_RDONLY if read_only else 0))
+    for path, folder in (("f.txt", tmp_path), ("a/b/c.txt", tmp_path)):
+        with pytest.raises(ValidationError) as exc:
+            check_output(tmp_path / path)
+        assert str(exc.value) == f"{tmp_path / path}: {reason}"
+        assert asked.pop() == (folder, os.W_OK | os.X_OK)
+
+
+@pytest.mark.parametrize("load, text", [
+    (corpus.load_m2, SAMPLE_M2),
+    (corpus.load_score_file, "system\tsentence_index\tscore\nx\t0\t1.5\n"),
+    (load_config, '{"name": "exp", "method": "vote", "gold": "g.m2", "systems": ["a", "b"]}'),
+    (lambda path: load_parallel(path, 2), "a b\nc\n"),
+], ids=["m2", "score-file", "config", "parallel"])
+def test_a_leading_byte_order_mark_is_not_read_as_text(tmp_path, load, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load(marked) == load(plain)
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):
