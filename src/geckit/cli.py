@@ -66,12 +66,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, out: str | None = None) -> None:
-    """Write ``text`` to ``out``, or to stdout as UTF-8 whatever the locale."""
-    if out:
+    """Write ``text`` to ``out``, or to stdout: as UTF-8 whatever the locale,
+    or as text to a stream that takes no bytes."""
+    if out is not None:
         corpus.atomic_write_text(out, text)
-    else:
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
 
 
 def _fallback_note(fallbacks: tuple[int, ...]) -> str:
@@ -124,7 +127,9 @@ def _cmd_method(method: str, args) -> int:
     # paths kept as typed: error messages quote them
     config = experiment.ExperimentConfig(name=method, systems=systems, method=method, **given)
     prefix = flags.get("out_prefix")  # llm-rank's: one PREFIX.runK.txt per run
-    run_paths = [f"{prefix}.run{k}.txt" for k in range(config.runs)] if prefix else []
+    if prefix == "":
+        raise corpus.ValidationError("--out-prefix must not be empty")
+    run_paths = [f"{prefix}.run{k}.txt" for k in range(config.runs)] if prefix is not None else []
     for path in run_paths:  # before any input is read, as main checks the other flags
         corpus.check_output(path)
     outputs, choices, fallbacks = experiment.combine(
@@ -137,7 +142,7 @@ def _cmd_method(method: str, args) -> int:
         return 0
     _emit(corpus.serialize_parallel(outputs[0].sentences), args.out)
     if choices is not None:
-        if args.audit:
+        if args.audit is not None:
             corpus.atomic_write_text(args.audit, oracle.choices_tsv(choices))
         print(f"wrote {args.out}", file=sys.stderr)
     elif method == "vote":
@@ -153,7 +158,7 @@ def _cmd_cluster(args) -> int:
     matrix = ranking.similarity_matrix(systems)
     clusters = ranking.cluster_systems(matrix, args.threshold)
     _emit(ranking.clusters_tsv(clusters), args.out)
-    if args.matrix:
+    if args.matrix is not None:
         corpus.atomic_write_text(args.matrix, ranking.matrix_tsv(matrix))
     print(f"{len(clusters)} clusters at threshold {args.threshold}", file=sys.stderr)
     return 0
@@ -170,20 +175,19 @@ def _cmd_experiment(args) -> int:
     config = config._replace(**overrides)  # checked as one config: the first bad key is named
     for path in experiment.artifact_paths(config, args.study):  # before any input is read
         corpus.check_output(path)
-    if args.study == "ablation":
-        rows = experiment.ablation_remove_one(config)
-        for _, result in rows:
-            _print_fallbacks(result)
-        _emit(experiment.prf_tsv("variant", rows))
+    if args.study is None:
+        result = experiment.run_experiment(config, experiment.load_inputs(config))
+        _print_fallbacks(result)
+        _emit(experiment.result_row_tsv(result))
         return 0
+    rows = experiment.run_study(config, args.study)
     if args.study == "sweep":
-        rows = experiment.sweep_n_min(config)
         for n_min, result in rows:
             print(f"n_min={n_min}: F0.5={result.report.f05:.4f}", file=sys.stderr)
         return 0
-    result = experiment.run_experiment(config, experiment.load_inputs(config))
-    _print_fallbacks(result)
-    _emit(experiment.result_row_tsv(result))
+    for _, result in rows:
+        _print_fallbacks(result)
+    _emit(experiment.prf_tsv("variant", rows))
     return 0
 
 
@@ -321,7 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         named: dict[Path, str] = {}  # each output file and its first flag
         for flag in ("out", "audit", "matrix"):  # before any input is read
             path = getattr(args, flag, None)
-            if path:
+            if path == "":
+                raise corpus.ValidationError(f"--{flag} must not be empty")
+            if path is not None:
                 corpus.check_output(path)
                 first = named.setdefault(Path(path).resolve(), flag)
                 if first != flag:

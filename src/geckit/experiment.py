@@ -3,10 +3,12 @@
 A JSON config names the gold corpus, the member system outputs, a
 combination method and its parameters; running it produces the combined
 output file, its score report, and a one-row machine-readable TSV, all
-deterministic given the config and seeds. Remove-one ablations and
-vote-threshold sweeps reuse the same runner; they read and validate their
-input files once and share one edit table across all their runs, and their
-vote runs share each sentence's member edits, pooled once. The method step,
+deterministic given the config and seeds. A run reads one record built by
+:func:`load_inputs`: the input files, the score file among them, read and
+validated once, the edit table, the vote pools (each sentence's member
+edits, pooled once) and the vote-output memo. Remove-one ablations and
+vote-threshold sweeps (:func:`run_study`) share that record across all
+their runs, so each input file is read once per study. The method step,
 :func:`combine`, is also what the method subcommands of the CLI run. The
 method modules are read by module (``vote.pool_corpus``), so a command run
 through the CLI, which registers them lazily, runs only the ones it uses.
@@ -42,7 +44,8 @@ above it, as :data:`METHODS` says:
 
 Any other key of a config must be absent or hold its default: ``"n_min":
 3`` in an oracle-rank config is an error (``method oracle-rank does not
-read key 'n_min'``), not ignored. Relative paths are resolved against the
+read key 'n_min'``), not ignored, and a key given twice, at any depth, is
+an error, not its last value. Relative paths are resolved against the
 config file's directory; ``gold``, ``source`` and ``scores`` must not be
 ``""``, and an ``output_dir`` of ``""`` is that directory. ``n_min``,
 ``runs``, ``seed``, ``jobs`` and each ``seeds`` entry must be JSON
@@ -100,6 +103,7 @@ METHODS = {
 
 
 _ORACLES = ("oracle-ensemble", "oracle-rank")  # the methods that write an audit table
+_VOTES = ("vote", "second-order-vote")  # the methods that vote over pooled member edits
 
 
 def check_reads(method: str, key: str) -> None:
@@ -199,16 +203,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
     import json  # loaded on first use: most commands read no JSON
 
     path = Path(path)
+    text = read_text(path)
     try:
-        raw = json.loads(read_text(path))
+        return _config(json.loads(text, object_pairs_hook=_json_object), path.parent)
     except json.JSONDecodeError as err:
         raise ValidationError(
             f"{path}: line {err.lineno} column {err.colno}: invalid JSON: {err.msg}"
         ) from None
-    try:
-        return _config(raw, path.parent)
     except ValidationError as err:
         raise type(err)(f"{path}: {err}") from None
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's dict: a key given twice is an error, not its last value."""
+    obj: dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
 
 
 _PATH_KEYS = ("gold", "source", "output_dir", "scores")  # relative to the config file
@@ -270,30 +283,26 @@ def _parse_system_entry(entry, base: Path) -> tuple[str, Path]:
     raise ValidationError(f"bad system entry: {entry!r}")
 
 
-class _Inputs:
-    """A config's input files, read and validated once, and the edit table
-    and vote pools shared by every run over them."""
+class _Inputs(NamedTuple):
+    """Everything the runs over a config's input files read or share: the
+    files, read and checked once, the edit table, the vote pools and the
+    vote-output memo. Built by :func:`load_inputs`, so a run reads no file."""
 
-    __slots__ = ("gold", "sources", "members", "table", "pools", "applied")
-
-    def __init__(
-        self,
-        gold: list[GoldSentence] | None,  # None without a gold file
-        sources: list[TokenSentence] | None,  # None with neither gold nor source
-        members: dict[str, SystemOutput],  # by system name
-    ) -> None:
-        self.gold, self.sources, self.members = gold, sources, members
-        self.table = EditTable()
-        # each sentence's edits pooled over all members; built by the first vote run
-        self.pools: list[list[vote.VotedEdit]] | None = None
-        # the vote output of each (sentence index, kept edit set) met by runs over
-        # pools; set by sweeps and ablations only, see majority_vote_corpus
-        self.applied: dict[tuple, TokenSentence] | None = None
+    gold: list[GoldSentence] | None  # None without a gold file
+    sources: list[TokenSentence] | None  # None with neither gold nor source
+    members: dict[str, SystemOutput]  # by system name
+    scores: dict[tuple[str, int], float] | None  # the score file's, if the config names one
+    table: EditTable
+    # each sentence's edits pooled over all members; None unless the method votes
+    pools: list[list[vote.VotedEdit]] | None
+    # the vote output of each (sentence index, kept edit set): see majority_vote_corpus
+    applied: dict[tuple, TokenSentence]
 
 
 def load_inputs(config: ExperimentConfig) -> _Inputs:
-    """Read and check a config's input files. The sources are the gold's
-    (checked against the source file if given), else the source file's.
+    """Read and check a config's input files, then the score file, and pool
+    the members' edits if ``config.method`` votes. The sources are the
+    gold's (checked against the source file if given), else the source file's.
 
     Every file is read through one line dict, so equal lines are one
     sentence object across the gold, the source and the members."""
@@ -311,27 +320,32 @@ def load_inputs(config: ExperimentConfig) -> _Inputs:
         name: load_system_output(path, name, expected_len=n, lines=lines)
         for name, path in config.systems
     }
-    return _Inputs(gold, sources, members)
+    scores = None if config.scores is None else load_score_file(config.scores)
+    table, pools = EditTable(), None
+    if config.method in _VOTES:
+        pools = vote.pool_corpus(sources, list(members.values()), table)
+    return _Inputs(gold, sources, members, scores, table, pools, {})
 
 
 def combine(
     config: ExperimentConfig, inputs: _Inputs, *, shuffle: bool = True
 ) -> tuple[list[SystemOutput], list[oracle.OracleChoice] | None, list[tuple[int, ...]]]:
-    """The method step: run ``config.method`` over the loaded ``inputs``.
+    """The method step: run ``config.method`` over the loaded ``inputs``,
+    :func:`load_inputs` of ``config`` or of a config with the same method and
+    input files. It reads no file and changes no field of ``inputs``; it
+    only adds to the edit table and the vote-output memo.
 
     Returns the outputs (one per run; one except for llm-rank), the oracle
     choices (None for other methods) and, per llm-rank run, the sentence
     indices that fell back to label A. ``shuffle=False`` is ``--no-shuffle``.
     """
-    gold, sources, table = inputs.gold, inputs.sources, inputs.table
+    gold, sources, scores, table = inputs.gold, inputs.sources, inputs.scores, inputs.table
     outputs = [inputs.members[name] for name, _ in config.systems]
 
     combined: list[SystemOutput]
     choices = None
     fallbacks: list[tuple[int, ...]] = []
-    if config.method in ("vote", "second-order-vote"):
-        if inputs.pools is None:
-            inputs.pools = vote.pool_corpus(sources, list(inputs.members.values()), table)
+    if config.method in _VOTES:
         members = [name for name, _ in config.systems]
         combined = [vote.majority_vote_corpus(
             sources, inputs.pools, members, config.n_min, inputs.applied
@@ -342,7 +356,6 @@ def combine(
         result, choices = run(gold, outputs, table)
         combined = [result]
     elif config.method in ("rank", "rank-w"):
-        scores = load_score_file(config.scores)
         # a misaligned member is no fault of the score file, so check it unprefixed
         check_aligned(outputs, len(outputs[0].sentences))
         try:
@@ -368,7 +381,7 @@ def run_experiment(config: ExperimentConfig, inputs: _Inputs) -> ExperimentResul
     """Run one configured experiment over ``inputs`` and write its artifacts.
 
     ``inputs`` is :func:`load_inputs` of ``config``, or of a config with the
-    same gold, source and member files, from which this run takes its
+    same method and the same input files, from which this run takes its
     members by name: sweeps and ablations load once for all their runs.
     """
     if inputs.gold is None:
@@ -390,16 +403,6 @@ def run_experiment(config: ExperimentConfig, inputs: _Inputs) -> ExperimentResul
     return result
 
 
-def ablation_remove_one(config: ExperimentConfig) -> list[tuple[str, ExperimentResult]]:
-    """The full ensemble plus one rerun per left-out member system."""
-    return _run_study(config, "ablation")
-
-
-def sweep_n_min(config: ExperimentConfig) -> list[tuple[int, ExperimentResult]]:
-    """Rerun a vote experiment at every n_min from 0 to the member count."""
-    return _run_study(config, "sweep")
-
-
 def _ablation_runs(config: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
     if len(config.systems) < 3:
         raise ValidationError("remove-one ablation needs at least 3 member systems")
@@ -410,7 +413,7 @@ def _ablation_runs(config: ExperimentConfig) -> list[tuple[str, ExperimentConfig
 
 
 def _sweep_runs(config: ExperimentConfig) -> list[tuple[int, ExperimentConfig]]:
-    if "n_min" not in METHODS[config.method]:
+    if config.method not in _VOTES:
         raise ValidationError("n_min sweep applies to vote methods only")
     return [(n_min, config._replace(name=f"{config.name}.nmin{n_min}", n_min=n_min))
             for n_min in range(len(config.systems) + 1)]
@@ -420,11 +423,15 @@ def _sweep_runs(config: ExperimentConfig) -> list[tuple[int, ExperimentConfig]]:
 _STUDIES = {"ablation": (_ablation_runs, "variant"), "sweep": (_sweep_runs, "n_min")}
 
 
-def _run_study(config: ExperimentConfig, study: str) -> list:
+def run_study(config: ExperimentConfig, study: str) -> list[tuple[object, ExperimentResult]]:
+    """Run ``study`` over ``config`` and write ``NAME.STUDY.tsv`` after the
+    artifacts of its runs, which share one :func:`load_inputs`. The study
+    ``"ablation"`` is the full ensemble plus one rerun per left-out member
+    system, and ``"sweep"`` reruns a vote experiment at every n_min from 0
+    to the member count. Returns (label, result) per run, in order."""
     runs, key = _STUDIES[study]
     variants = runs(config)  # its errors come before any input is read
     inputs = load_inputs(config)
-    inputs.applied = {}
     rows = [(label, run_experiment(variant, inputs)) for label, variant in variants]
     atomic_write_text(artifact_path(config, f"{study}.tsv"), prf_tsv(key, rows))
     return rows

@@ -236,12 +236,25 @@ _BACKENDS: dict[str, Callable[[str | None, str | None], Backend]] = {
 
 def check_backend(kind: str, base_url: str | None, model: str | None) -> None:
     """Raise :class:`ValidationError` unless backend ``kind`` can run with
-    ``base_url`` and ``model``: ``http`` needs both, an offline mock neither."""
+    ``base_url`` and ``model``: ``http`` needs both, the URL with an http or
+    https scheme, a host and a valid port if any, and an offline mock neither."""
     if kind not in _BACKENDS:
         raise ValidationError(f"unknown backend {kind!r}; expected one of {', '.join(_BACKENDS)}")
-    if kind == "http" and not (base_url and model):
-        raise ValidationError("http backend needs base_url and model")
-    if kind != "http" and (base_url is not None or model is not None):
+    if kind == "http":
+        if not (base_url and model):
+            raise ValidationError("http backend needs base_url and model")
+        from urllib.parse import urlsplit  # loaded on first use: the mocks take no URL
+
+        try:
+            url = urlsplit(base_url)
+            url.port  # raises ValueError unless the port is absent or in 0..65535
+        except ValueError:  # as urlsplit does on an unclosed "[" of an IPv6 host
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValidationError(
+                f"base_url must be an http:// or https:// URL with a host, got {base_url!r}"
+            )
+    elif base_url is not None or model is not None:
         raise ValidationError(f"backend {kind} runs offline: base_url and model are for http")
 
 

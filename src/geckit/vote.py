@@ -85,8 +85,8 @@ def pool_corpus(
     """Each sentence's :func:`pool_edits` over all of ``outputs``: the pools
     :func:`majority_vote_corpus` counts votes in.
 
-    A sweep or ablation pools once over its full member list and passes the
-    result to every run over those members.
+    An experiment pools once over its full member list, and a sweep or
+    ablation passes the result to every run over those members.
     Pooled edits with the same voters share one ``systems`` frozenset.
     """
     check_aligned(outputs, len(sources))
@@ -102,7 +102,7 @@ def majority_vote_corpus(
     pools: Sequence[Sequence[VotedEdit]],
     members: Sequence[str],
     n_min: int,
-    applied: dict[tuple, TokenSentence] | None = None,
+    applied: dict[tuple, TokenSentence],
 ) -> SystemOutput:
     """Per-sentence majority vote of ``members`` over ``pools``.
 
@@ -113,12 +113,12 @@ def majority_vote_corpus(
     skips of :func:`_kept_edits`. The ensemble's name records the members
     and the threshold.
 
-    ``applied`` is for sweeps and ablations: the output sentence of each
-    (sentence index, kept edit set) that runs over these pools applied
-    before, so equal kept sets are applied once. Its keys are flat
-    ``(index, *edits)`` tuples, the edits sorted: a kept set is
-    conflict-free and :func:`apply_edits` ignores its order. Without it,
-    every edited sentence is applied.
+    ``applied`` holds the output sentence of each (sentence index, kept
+    edit set) that runs over these pools applied before, and gets each one
+    this run applies, so the runs of a sweep or an ablation apply equal
+    kept sets once. Its keys are flat ``(index, *edits)`` tuples, the edits
+    sorted: a kept set is conflict-free and :func:`apply_edits` ignores its
+    order.
     """
     if len(pools) != len(sources):
         raise ValidationError(f"{len(pools)} vote pools for {len(sources)} sentences")
@@ -131,13 +131,10 @@ def majority_vote_corpus(
         if not kept:  # apply_edits(source, []) equals source
             sentences.append(source)
             continue
-        if applied is None:
-            sentence = _apply(i, source, kept)
-        else:
-            key = (i, *sorted(kept))
-            sentence = applied.get(key)
-            if sentence is None:
-                sentence = applied[key] = _apply(i, source, kept)
+        key = (i, *sorted(kept))
+        sentence = applied.get(key)
+        if sentence is None:
+            sentence = applied[key] = _apply(i, source, kept)
         sentences.append(sentence)
     return SystemOutput(f"majority-vote(n_min={n_min})[{'+'.join(members)}]", tuple(sentences))
 

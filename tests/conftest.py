@@ -179,7 +179,8 @@ def chosen_annotators(gold, hyps):
 def vote_one(source, members, n_min):
     """The majority-vote output of one sentence."""
     pools = pool_corpus([source], _one_sentence(members), EditTable())
-    return majority_vote_corpus([source], pools, [name for name, _ in members], n_min).sentences[0]
+    names = [name for name, _ in members]
+    return majority_vote_corpus([source], pools, names, n_min, {}).sentences[0]
 
 
 def kept_one(source, members, n_min):

@@ -391,7 +391,7 @@ def test_criterion_8_conll14_reproduction():
         for slug, path in zip(BEST7, member_paths)
     ]
 
-    voted = majority_vote_corpus(sources, pool_corpus(sources, outputs, EditTable()), BEST7, 3)
+    voted = majority_vote_corpus(sources, pool_corpus(sources, outputs, EditTable()), BEST7, 3, {})
     vote_report = score_corpus(voted, gold, EditTable())
     vote_f = round_score(vote_report.f05)
 

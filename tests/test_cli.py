@@ -1,7 +1,9 @@
 """Exit codes, file outputs, and determinism of the command-line interface."""
 
+import contextlib
 import errno
 import gc
+import io
 import json
 import os
 import random
@@ -490,6 +492,22 @@ def test_stdout_is_utf8_whatever_the_locale(data):
     assert (data / "applied.txt").read_bytes() == (data / "cafe.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["score", "extract"])
+def test_stdout_without_a_byte_buffer_gets_the_text_of_out(data, command):
+    """A caller that redirects stdout to a StringIO gets the text, not an
+    AttributeError: the bytes --out writes, decoded."""
+    (data / "cafe.txt").write_text("I like café very much .\n" + SRC.splitlines()[1] + "\n",
+                                   encoding="utf-8")
+    argv = {"score": ["score", "--hyp", str(data / "cafe.txt"), "--gold", str(data / "gold.m2")],
+            "extract": ["extract", "--src", str(data / "src.txt"),
+                        "--hyp", str(data / "cafe.txt")]}[command]
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        assert main(argv) == 0
+    assert main([*argv, "--out", str(data / "out.txt")]) == 0
+    assert stream.getvalue() == (data / "out.txt").read_bytes().decode("utf-8")
+
+
 def test_llm_rank_is_deterministic_across_invocations(data):
     args = [
         "llm-rank", "--src", str(data / "src.txt"),
@@ -771,6 +789,40 @@ def test_llm_rank_backend_setting_fails_before_loading(tmp_path, monkeypatch, ca
     assert sorted(path.name for path in tmp_path.iterdir()) == ["exp.json"]
 
 
+@pytest.mark.parametrize("url", ["localhost:8000", "ftp://host/v1", "http://", "http://[::1",
+                                 "http://localhost:abc"])
+def test_an_http_base_url_without_a_scheme_or_host_stops_both_front_ends(data, monkeypatch,
+                                                                         capsys, url):
+    """urllib refuses such a URL on every request, which would be retried
+    with backoff and then fall back to label A on every sentence; it is
+    refused when the config is built, before any sleep or input read."""
+    from geckit import corpus
+
+    read_text = corpus.read_text
+
+    def refuse(path):
+        if Path(path).name != "exp.json":
+            raise AssertionError(f"{path} was read")
+        return read_text(path)
+
+    monkeypatch.setattr(corpus, "read_text", refuse)
+    sleeps = []
+    monkeypatch.setattr("geckit.llm.time.sleep", sleeps.append)
+    monkeypatch.setenv("GECKIT_API_KEY", "key")
+    monkeypatch.chdir(data)
+    error = f"base_url must be an http:// or https:// URL with a host, got {url!r}"
+    http = ["--backend", "http", "--base-url", url, "--model", "m"]
+    assert main(["llm-rank", "--src", "src.txt", *_MEMBERS, *http, "--out-prefix", "l"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    payload = {"name": "exp", "method": "llm-rank", "gold": "gold.m2", "backend": "http",
+               "base_url": url, "model": "m", "systems": ["a.txt", "b.txt", "c.txt"]}
+    Path("exp.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["experiment", "--config", "exp.json"]) == 1
+    assert capsys.readouterr().err == f"error: exp.json: {error}\n"
+    assert sleeps == []
+    assert not Path("results").exists()
+
+
 # experiment: (config keys, extra flags, the file it writes first); each writes under output_dir
 _UNWRITABLE = {
     "llm-rank": ({"method": "llm-rank", "runs": 2}, [], "exp.run0.txt"),
@@ -1045,6 +1097,29 @@ def test_two_output_flags_naming_one_file_are_refused_before_any_input_is_read(
     same = str(data / "o.txt")
     assert main([command, *inputs, first, "o.txt", second, same]) == 1
     assert capsys.readouterr().err == f"error: {same}: named by both {first} and {second}\n"
+    assert _tree(data) == before
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("vote", "--out"), ("oracle-rank", "--audit"), ("cluster", "--matrix"),
+    ("llm-rank", "--out-prefix"),
+])
+def test_an_empty_output_flag_is_refused_before_any_input_is_read(data, monkeypatch, capsys,
+                                                                  command, flag):
+    """An empty --out would write to stdout, an empty --audit or --matrix
+    nothing, and an empty --out-prefix would fail after every sentence."""
+    from geckit import corpus
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(corpus, "read_text", refuse)
+    monkeypatch.chdir(data)
+    before = _tree(data)
+    inputs, flags = _OUTPUTS[command]
+    outputs = [arg for other in flags for arg in (other, "" if other == flag else other[2:])]
+    assert main([command, *inputs, *outputs]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
     assert _tree(data) == before
 
 

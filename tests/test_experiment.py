@@ -12,6 +12,7 @@ import pytest
 
 from conftest import kept_one
 import geckit.align
+import geckit.corpus
 import geckit.experiment
 import geckit.vote
 from geckit.align import apply_edits
@@ -31,13 +32,12 @@ from geckit.corpus import (
 from geckit.experiment import (
     METHODS,
     ExperimentConfig,
-    ablation_remove_one,
     artifact_paths,
     combine,
     load_config,
     load_inputs,
     run_experiment,
-    sweep_n_min,
+    run_study,
 )
 
 GOLD = """S I likes turtles very much .
@@ -316,7 +316,7 @@ def test_ablation_needs_three_systems(tmp_path):
     payload = write_fixture(tmp_path, systems=("a", "b"))
     config = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError):
-        ablation_remove_one(config)
+        run_study(config, "ablation")
 
 
 def test_ablation_rows_and_noise_system_is_harmless(tmp_path):
@@ -324,7 +324,7 @@ def test_ablation_rows_and_noise_system_is_harmless(tmp_path):
     the noise member cannot change the vote output."""
     payload = write_fixture(tmp_path, systems=("a", "b", "c", "noise"))
     config = load_config(write_config(tmp_path, payload))
-    rows = ablation_remove_one(config)
+    rows = run_study(config, "ablation")
     assert [label for label, _ in rows] == [
         "full", "w/o a", "w/o b", "w/o c", "w/o noise",
     ]
@@ -337,7 +337,7 @@ def test_ablation_rows_and_noise_system_is_harmless(tmp_path):
 
 def test_sweep_covers_all_thresholds(tmp_path):
     config = load_config(write_config(tmp_path, write_fixture(tmp_path)))
-    rows = sweep_n_min(config)
+    rows = run_study(config, "sweep")
     assert [n for n, _ in rows] == [0, 1, 2, 3]
     # at n_min = N_sys nothing can win the vote, so output equals source
     saturated = rows[-1][1]
@@ -365,8 +365,10 @@ def test_artifact_paths_are_the_files_a_run_writes_in_order(tmp_path, monkeypatc
     write = geckit.experiment.atomic_write_text
     monkeypatch.setattr(geckit.experiment, "atomic_write_text",
                         lambda path, text: (written.append(path), write(path, text)))
-    {None: lambda c: run_experiment(c, load_inputs(c)), "sweep": sweep_n_min,
-     "ablation": ablation_remove_one}[study](config)
+    if study is None:
+        run_experiment(config, load_inputs(config))
+    else:
+        run_study(config, study)
     assert written == artifact_paths(config, study)
     assert sorted(p.name for p in (tmp_path / "results").iterdir()) == sorted(
         p.name for p in written)
@@ -375,8 +377,8 @@ def test_artifact_paths_are_the_files_a_run_writes_in_order(tmp_path, monkeypatc
 def test_tsv_artifacts_keep_their_bytes(tmp_path):
     """The sweep, ablation, row and audit tables, pinned byte for byte."""
     payload = write_fixture(tmp_path, systems=("a", "b", "c", "noise"))
-    ablation_remove_one(load_config(write_config(tmp_path, payload)))
-    sweep_n_min(load_config(write_config(tmp_path, payload)))
+    run_study(load_config(write_config(tmp_path, payload)), "ablation")
+    run_study(load_config(write_config(tmp_path, payload)), "sweep")
     payload.update(name="llm", method="llm-rank", runs=3)
     del payload["n_min"]
     config = load_config(write_config(tmp_path, payload))
@@ -407,7 +409,7 @@ def test_sweep_rejects_non_vote_methods(tmp_path):
     del payload["n_min"]
     config = load_config(write_config(tmp_path, payload))
     with pytest.raises(ValidationError):
-        sweep_n_min(config)
+        run_study(config, "sweep")
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +437,7 @@ def _shared_and_standalone(tmp_path, method):
 
 def test_sweep_artifacts_equal_standalone_runs(tmp_path):
     config, alone = _shared_and_standalone(tmp_path, "vote")
-    rows = sweep_n_min(config)
+    rows = run_study(config, "sweep")
     for n_min, _ in rows:
         run_experiment(
             alone._replace(name=f"{config.name}.nmin{n_min}", n_min=n_min), load_inputs(alone)
@@ -448,7 +450,7 @@ def test_sweep_artifacts_equal_standalone_runs(tmp_path):
 @pytest.mark.parametrize("method", ["vote", "oracle-ensemble", "oracle-rank"])
 def test_ablation_artifacts_equal_standalone_runs(tmp_path, method):
     config, alone = _shared_and_standalone(tmp_path, method)
-    ablation_remove_one(config)
+    run_study(config, "ablation")
     run_experiment(alone, load_inputs(alone))
     for name, _ in config.systems:
         systems = tuple(s for s in config.systems if s[0] != name)
@@ -460,9 +462,9 @@ def test_ablation_artifacts_equal_standalone_runs(tmp_path, method):
     assert shared == _artifacts(alone.output_dir)
 
 
-@pytest.mark.parametrize("repeat", [sweep_n_min, ablation_remove_one])
+@pytest.mark.parametrize("study", ["sweep", "ablation"])
 def test_repeated_runs_extract_each_pair_once_and_load_each_file_once(
-    tmp_path, monkeypatch, repeat
+    tmp_path, monkeypatch, study
 ):
     payload = write_fixture(tmp_path)  # then cut down to 2 sentences
     gold = GOLD.split("\n\n")[:2]
@@ -494,7 +496,7 @@ def test_repeated_runs_extract_each_pair_once_and_load_each_file_once(
         monkeypatch.setattr(
             geckit.experiment, loader, counting(getattr(geckit.experiment, loader))
         )
-    repeat(config)
+    run_study(config, study)
 
     sources = [stanza.split("\n")[0][2:].split() for stanza in gold]
     member_pairs = {
@@ -505,6 +507,25 @@ def test_repeated_runs_extract_each_pair_once_and_load_each_file_once(
     assert member_pairs <= set(extracted)
     assert set(extracted.values()) == {1}
     assert loaded == Counter([config.gold] + [path for _, path in config.systems])
+
+
+def test_a_rank_ablation_loads_its_score_file_once(tmp_path, monkeypatch):
+    payload = write_fixture(tmp_path)
+    del payload["n_min"]
+    rows = ((name, f"{i}", f"{(k + i) % 3}") for k, name in enumerate("abc") for i in range(3))
+    (tmp_path / "scores.tsv").write_text(tsv(SCORE_FILE_HEADER, rows), encoding="utf-8")
+    payload.update(method="rank", scores="scores.tsv")
+    config = load_config(write_config(tmp_path, payload))
+    loaded = Counter()
+    real_load = geckit.experiment.load_score_file
+
+    def counting_load(path):
+        loaded[path] += 1
+        return real_load(path)
+
+    monkeypatch.setattr(geckit.experiment, "load_score_file", counting_load)
+    assert len(run_study(config, "ablation")) == 4
+    assert loaded == Counter([config.scores])
 
 
 # --------------------------------------------------------------------------
@@ -556,8 +577,8 @@ def _write_seeded_corpus(tmp_path, seed=17, n_sentences=40, n_members=5):
 
 def test_sweep_ablation_and_vote_bytes_stay_pinned(tmp_path):
     config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
-    sweep_n_min(config)
-    ablation_remove_one(config)
+    run_study(config, "sweep")
+    run_study(config, "ablation")
     run_experiment(config._replace(name="vote"), load_inputs(config))
     digest = hashlib.sha256()
     for name, data in _artifacts(config.output_dir).items():
@@ -621,7 +642,6 @@ def test_method_bytes_stay_pinned(tmp_path, method):
 def test_one_experiment_extracts_each_pair_once(tmp_path, monkeypatch, method):
     """The method step and the scoring of its output share one edit table."""
     config = _method_config(tmp_path, method)
-    inputs = load_inputs(config)
     extracted = Counter()
     real_extract = geckit.align.extract_edits
 
@@ -630,6 +650,7 @@ def test_one_experiment_extracts_each_pair_once(tmp_path, monkeypatch, method):
         return real_extract(source, hypothesis)
 
     monkeypatch.setattr(geckit.align, "extract_edits", counting_extract)
+    inputs = load_inputs(config)  # which pools the members' edits of a vote
     result = run_experiment(config, inputs)
 
     scored = {  # the pairs of the members and of the output scored
@@ -639,6 +660,20 @@ def test_one_experiment_extracts_each_pair_once(tmp_path, monkeypatch, method):
     }
     assert scored <= set(extracted)
     assert set(extracted.values()) == {1}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_combine_reads_no_file(tmp_path, monkeypatch, method):
+    """load_inputs reads every file a run reads, the score file included."""
+    config = _method_config(tmp_path, method)
+    inputs = load_inputs(config)
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(geckit.corpus, "read_text", refuse)
+    outputs, _, _ = combine(config, inputs)
+    assert len(outputs) == config.runs
 
 
 def test_score_and_cluster_bytes_stay_pinned(tmp_path):
@@ -658,8 +693,8 @@ def test_score_and_cluster_bytes_stay_pinned(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("repeat", [sweep_n_min, ablation_remove_one])
-def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, repeat):
+@pytest.mark.parametrize("study", ["sweep", "ablation"])
+def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, study):
     config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
     applied = Counter()
     real_apply = geckit.vote.apply_edits
@@ -669,13 +704,13 @@ def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, repe
         return real_apply(source, edits)
 
     monkeypatch.setattr(geckit.vote, "apply_edits", counting_apply)
-    repeat(config)
+    run_study(config, study)
 
     # every run's kept sets, recounted one sentence at a time
     inputs = load_inputs(config)
     runs = (
         [(config.systems, n_min) for n_min in range(len(config.systems) + 1)]
-        if repeat is sweep_n_min
+        if study == "sweep"
         else [(config.systems, config.n_min)] + [
             (tuple(s for s in config.systems if s != left_out), config.n_min)
             for left_out in config.systems
@@ -694,7 +729,7 @@ def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, repe
     assert len(expected) < len(runs) * len(inputs.sources) / 2
 
 
-def test_a_single_vote_run_applies_without_a_shared_table(tmp_path, monkeypatch):
+def test_a_single_vote_run_applies_each_edited_sentence_once(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
     calls = []
     real_apply = geckit.vote.apply_edits
@@ -706,7 +741,6 @@ def test_a_single_vote_run_applies_without_a_shared_table(tmp_path, monkeypatch)
     monkeypatch.setattr(geckit.vote, "apply_edits", counting_apply)
     inputs = load_inputs(config)
     run_experiment(config, inputs)
-    assert inputs.applied is None
     edited = [
         i for i, source in enumerate(inputs.sources)
         if kept_one(
@@ -715,6 +749,8 @@ def test_a_single_vote_run_applies_without_a_shared_table(tmp_path, monkeypatch)
         )
     ]
     assert calls == [inputs.sources[i] for i in edited]
+    # the run's memo holds one entry per edited sentence
+    assert sorted(key[0] for key in inputs.applied) == edited
 
 
 def test_load_inputs_holds_one_sentence_per_distinct_line(tmp_path):
@@ -771,6 +807,21 @@ def test_a_json_syntax_error_names_the_config_and_its_line(tmp_path):
     with pytest.raises(ValidationError) as exc:
         load_config(path)
     assert str(exc.value).startswith(f"{path}: line 3 column 1: invalid JSON: ")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"name": "x", "method": "vote", "gold": "gold.m2", "n_min": 1,'
+     ' "systems": ["a.txt", "b.txt"], "n_min": 2}', "n_min"),
+    ('{"name": "x", "method": "vote", "gold": "gold.m2",'
+     ' "systems": [{"name": "a", "path": "a.txt", "path": "b.txt"}, "c.txt"]}', "path"),
+], ids=["top-level", "systems-entry"])
+def test_a_config_that_gives_a_key_twice_is_refused(tmp_path, capsys, text, key):
+    """json keeps the last value of a repeated key; a config refuses the
+    repeat at any depth, before any input is read: none of its files exists."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: key {key!r} given twice\n"
 
 
 def test_an_empty_experiment_name_is_refused(tmp_path):

@@ -101,13 +101,13 @@ def test_corpus_wrapper_validates_and_names():
     sources = [TokenSentence("a b".split())]
     systems = [out("s1", "x b"), out("s2", "x b")]
     pools = pool_corpus(sources, systems, EditTable())
-    ensemble = majority_vote_corpus(sources, pools, ["s1", "s2"], 1)
+    ensemble = majority_vote_corpus(sources, pools, ["s1", "s2"], 1, {})
     assert ensemble.name == "majority-vote(n_min=1)[s1+s2]"
     assert ensemble.sentences[0].text == "x b"
     with pytest.raises(ValidationError):
-        majority_vote_corpus(sources, pools, ["s1", "s2"], -1)
+        majority_vote_corpus(sources, pools, ["s1", "s2"], -1, {})
     with pytest.raises(ValidationError):
-        majority_vote_corpus(sources, pools, ["s1", "s2"], 3)  # n_min > N_sys
+        majority_vote_corpus(sources, pools, ["s1", "s2"], 3, {})  # n_min > N_sys
     with pytest.raises(ValidationError):
         pool_corpus(sources, [out("s1", "x b", "too long")], EditTable())
 
@@ -119,7 +119,7 @@ def test_vote_refuses_pools_for_another_sentence_count(n_pools):
     pools = pool_corpus(sources, [out("s1", "x b", "c d")], EditTable())
     pools = (pools * 2)[:n_pools]
     with pytest.raises(ValidationError, match=f"^{n_pools} vote pools for 2 sentences$"):
-        majority_vote_corpus(sources, pools, ["s1"], 0)
+        majority_vote_corpus(sources, pools, ["s1"], 0, {})
 
 
 # --------------------------------------------------------------------------
@@ -233,9 +233,9 @@ def _assert_pooled_votes_equal_reference(sources, outputs):
                 _reference_vote(source, [(out.name, out.sentences[i]) for out in subset], n_min)
                 for i, source in enumerate(sources)
             )
-            pooled = majority_vote_corpus(sources, pools, names, n_min)
+            pooled = majority_vote_corpus(sources, pools, names, n_min, {})
             assert pooled.sentences == expected, (names, n_min)
-            assert majority_vote_corpus(sources, own_pools, names, n_min).sentences == expected
+            assert majority_vote_corpus(sources, own_pools, names, n_min, {}).sentences == expected
             shared = majority_vote_corpus(sources, pools, names, n_min, applied)
             assert shared.sentences == expected, (names, n_min)
 
@@ -250,8 +250,8 @@ def _assert_pooled_votes_ignore_member_order(sources, outputs, rng):
         reordered = [out for out in shuffled if out in subset]
         names, reordered_names = [o.name for o in subset], [o.name for o in reordered]
         for n_min in range(len(subset) + 1):
-            one = majority_vote_corpus(sources, pools, names, n_min)
-            two = majority_vote_corpus(sources, shuffled_pools, reordered_names, n_min)
+            one = majority_vote_corpus(sources, pools, names, n_min, {})
+            two = majority_vote_corpus(sources, shuffled_pools, reordered_names, n_min, {})
             assert one.sentences == two.sentences
 
 
