@@ -3,8 +3,9 @@
 One binary, verb subcommands: extract, apply, score, vote,
 oracle-ensemble, oracle-rank, rank, rank-w, aggr-rank, cluster, llm-rank,
 experiment. Data goes to files or stdout; diagnostics go to stderr. Exit
-codes: 0 success, 1 validation/usage error, 2 runtime error. File outputs
-are checked before any input is read, then written atomically. All
+codes: 0 success, 1 validation/usage error, 2 runtime error. A command's
+plan, the files it reads and writes, is checked before any input is read
+(no output may be an input), then outputs are written atomically. All
 randomness derives from --seed.
 
 Member systems are given as repeated --sys flags, either a bare path
@@ -53,16 +54,11 @@ corpus, align, scoring, vote, oracle, ranking, llm, experiment = map(_lazy, (
 ))
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract wants usage errors -> 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise _UsageError(message)
+        self.exit(1, f"error: {message}\n")
 
 
 def _emit(text: str, out: str | None = None) -> None:
@@ -86,7 +82,7 @@ def _fallback_note(fallbacks: tuple[int, ...]) -> str:
 # Subcommands
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args, _) -> int:
     sources = corpus.load_parallel(args.src)
     hyps = corpus.load_parallel(args.hyp, expected_len=len(sources))
     edits = [align.extract_edits(src, hyp) for src, hyp in zip(sources, hyps)]
@@ -94,7 +90,7 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args, _) -> int:
     sources = corpus.load_parallel(args.src)
     edits = corpus.load_edit_tsv(args.edits, sources)
     edited = [align.apply_edits(src, edit_set) for src, edit_set in zip(sources, edits)]
@@ -102,7 +98,7 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args, _) -> int:
     gold = corpus.load_m2(args.gold)
     if args.src:
         corpus.check_source_file(args.src, gold)
@@ -113,30 +109,15 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _cmd_method(method: str, args) -> int:
+def _cmd_method(args, config: experiment.ExperimentConfig) -> int:
     """Run a method subcommand through :func:`experiment.combine`, the method
-    step of an experiment with the same method; write where the flags say."""
-    flags = {k: v for k, v in vars(args).items() if v is not None}  # the flags given
-    if method == "aggr-rank":  # named by role, so the two files may share a stem
-        systems = (("primary", Path(args.primary)), ("alternative", Path(args.alt)))
-    else:
-        systems = tuple(corpus.parse_system_spec(spec) for spec in args.sys)
-    # a flag whose dest is a config field fills it if given; else the field default holds
-    fields = experiment.ExperimentConfig._fields
-    given = {"gold": None, **{k: v for k, v in flags.items() if k in fields}}
-    # paths kept as typed: error messages quote them
-    config = experiment.ExperimentConfig(name=method, systems=systems, method=method, **given)
-    prefix = flags.get("out_prefix")  # llm-rank's: one PREFIX.runK.txt per run
-    if prefix == "":
-        raise corpus.ValidationError("--out-prefix must not be empty")
-    run_paths = [f"{prefix}.run{k}.txt" for k in range(config.runs)] if prefix is not None else []
-    for path in run_paths:  # before any input is read, as main checks the other flags
-        corpus.check_output(path)
+    step of an experiment with the same method; write where its plan says."""
     outputs, choices, fallbacks = experiment.combine(
-        config, experiment.load_inputs(config), shuffle=not flags.get("no_shuffle")
+        config, experiment.load_inputs(config), shuffle=not vars(args).get("no_shuffle")
     )
-    if method == "llm-rank":
-        for path, output, run_fallbacks in zip(run_paths, outputs, fallbacks, strict=True):
+    if config.method == "llm-rank":
+        for (_, path), output, run_fallbacks in zip(plan(args, config)[1], outputs, fallbacks,
+                                                   strict=True):
             corpus.atomic_write_text(path, corpus.serialize_parallel(output.sentences))
             print(f"wrote {path}{_fallback_note(run_fallbacks)}", file=sys.stderr)
         return 0
@@ -145,12 +126,12 @@ def _cmd_method(method: str, args) -> int:
         if args.audit is not None:
             corpus.atomic_write_text(args.audit, oracle.choices_tsv(choices))
         print(f"wrote {args.out}", file=sys.stderr)
-    elif method == "vote":
+    elif config.method == "vote":
         print(f"wrote {args.out} ({outputs[0].name})", file=sys.stderr)
     return 0
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_cluster(args, _) -> int:
     named = [corpus.parse_system_spec(spec) for spec in args.sys]
     corpus.check_unique_names(name for name, _ in named)
     lines = {}  # one sentence object per distinct line, as experiment.load_inputs
@@ -164,38 +145,71 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    config = experiment.load_config(args.config)
-    overrides = {key: getattr(args, key) for key in ("seed", "jobs")
-                 if getattr(args, key) is not None}
-    for key in overrides:  # a flag given is a setting, even at its default
-        experiment.check_reads(config.method, key)
-    if "seed" in overrides:
-        overrides["seeds"] = None
-    config = config._replace(**overrides)  # checked as one config: the first bad key is named
-    for path in experiment.artifact_paths(config, args.study):  # before any input is read
-        corpus.check_output(path)
+def _cmd_experiment(args, config: experiment.ExperimentConfig) -> int:
     if args.study is None:
-        result = experiment.run_experiment(config, experiment.load_inputs(config))
-        _print_fallbacks(result)
-        _emit(experiment.result_row_tsv(result))
-        return 0
-    rows = experiment.run_study(config, args.study)
-    if args.study == "sweep":
-        for n_min, result in rows:
-            print(f"n_min={n_min}: F0.5={result.report.f05:.4f}", file=sys.stderr)
-        return 0
-    for _, result in rows:
-        _print_fallbacks(result)
-    _emit(experiment.prf_tsv("variant", rows))
+        rows = [(None, experiment.run_experiment(config, experiment.load_inputs(config)))]
+    else:
+        rows = experiment.run_study(config, args.study)
+    for label, result in rows:  # a sweep votes, so no run of it falls back
+        if args.study == "sweep":
+            print(f"n_min={label}: F0.5={result.report.f05:.4f}", file=sys.stderr)
+        for run_index, fallbacks in enumerate(result.fallbacks):
+            if fallbacks:
+                print(f"{result.config.name} run{run_index}{_fallback_note(fallbacks)}",
+                      file=sys.stderr)
+    if args.study is None:
+        _emit(experiment.result_row_tsv(rows[0][1]))
+    elif args.study == "ablation":
+        _emit(experiment.prf_tsv("variant", rows))
     return 0
 
 
-def _print_fallbacks(result: experiment.ExperimentResult) -> None:
-    for run_index, fallbacks in enumerate(result.fallbacks):
-        if fallbacks:
-            print(f"{result.config.name} run{run_index}{_fallback_note(fallbacks)}",
-                  file=sys.stderr)
+def _config(args) -> experiment.ExperimentConfig | None:
+    """The config of a method subcommand, or of ``experiment --config`` (the
+    one file read before the plan is checked), with the flags that fill its
+    fields. None for the other commands, which run no experiment code."""
+    if args.func is not _cmd_method and args.func is not _cmd_experiment:
+        return None
+    # a flag given whose dest is a config field fills it; else the field default holds
+    given = {key: value for key, value in vars(args).items()
+             if key in experiment.ExperimentConfig._fields and value is not None}
+    if args.func is _cmd_experiment:
+        config = experiment.load_config(args.config)
+        for key in given:  # a flag given is a setting, even at its default
+            experiment.check_reads(config.method, key)
+        if "seed" in given:
+            given["seeds"] = None
+        return config._replace(**given)  # checked as one config: the first bad key is named
+    if args.command == "aggr-rank":  # named by role, so the two files may share a stem
+        systems = (("primary", Path(args.primary)), ("alternative", Path(args.alt)))
+    else:
+        systems = tuple(corpus.parse_system_spec(spec) for spec in args.sys)
+    # paths kept as typed: error messages quote them
+    return experiment.ExperimentConfig(**{"gold": None, **given}, name=args.command,
+                                       systems=systems, method=args.command)
+
+
+def plan(args, config: experiment.ExperimentConfig | None = None) -> tuple[list, list]:
+    """The files the command of ``args`` reads and the files it writes, in
+    order, as (role, path) pairs for :func:`corpus.check_plan`; ``config`` is
+    the command's :func:`_config`. Reads no file."""
+    if args.command == "experiment":
+        reads, writes = experiment.plan(config, args.study)
+        return [("config", args.config), *reads], writes
+    writes = [(f"--{flag}", getattr(args, flag)) for flag in ("out", "audit", "matrix")
+              if getattr(args, flag, None) is not None]
+    if config is not None:  # a method subcommand
+        prefix = vars(args).get("out_prefix")  # llm-rank's: one PREFIX.runK.txt per run
+        if prefix is not None:  # "" stays "", which the check refuses
+            writes = [("--out-prefix", prefix and f"{prefix}.run{k}.txt")
+                      for k in range(config.runs)]
+        return experiment.plan(config)[0], writes
+    # extract, apply, score and cluster: (role, dest) of each file read, in the order read
+    reads = [(role, vars(args).get(dest)) for role, dest in (
+        ("gold", "gold"), ("source", "src"), ("hypothesis", "hyp"), ("edits", "edits"))]
+    members = map(corpus.parse_system_spec, vars(args).get("sys") or ())  # cluster's
+    reads += ((f"member {name}", path) for name, path in members)
+    return [(role, path) for role, path in reads if path is not None], writes
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +219,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="geckit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text)
+    def add(name: str, help_text: str, func=_cmd_method):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = add("extract", "extract edit spans between source and hypothesis files")
+    p = add("extract", "extract edit spans between source and hypothesis files", _cmd_extract)
     p.add_argument("--src", required=True, help="source parallel text")
     p.add_argument("--hyp", required=True, help="hypothesis parallel text")
     p.add_argument("--out", help="output TSV (default: stdout)")
-    p.set_defaults(func=_cmd_extract)
 
-    p = add("apply", "apply an extract-format edit TSV to source sentences")
+    p = add("apply", "apply an extract-format edit TSV to source sentences", _cmd_apply)
     p.add_argument("--src", required=True)
     p.add_argument("--edits", required=True, help="TSV from the extract subcommand")
     p.add_argument("--out", help="output text (default: stdout)")
-    p.set_defaults(func=_cmd_apply)
 
-    p = add("score", "score a hypothesis file against gold M2")
+    p = add("score", "score a hypothesis file against gold M2", _cmd_score)
     p.add_argument("--hyp", required=True)
     p.add_argument("--gold", required=True, help="gold M2 file")
     p.add_argument("--src", help="optional source file, validated against the M2")
     p.add_argument("--tsv", action="store_true", help="emit TSV instead of a table")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_score)
 
     # a method subcommand's flag has the config field it fills as its dest
     p = add("vote", "majority-vote ensemble of member outputs")
@@ -235,47 +248,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmin", dest="n_min", metavar="NMIN", type=int, required=True,
                    help="keep edits with votes > nmin")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=lambda a: _cmd_method("vote", a))
 
     p = add("oracle-ensemble", "gold-informed best edit subset (upper bound)")
     p.add_argument("--gold", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--out", required=True)
     p.add_argument("--audit", help="write per-sentence choice TSV here")
-    p.set_defaults(func=lambda a: _cmd_method("oracle-ensemble", a))
 
     p = add("oracle-rank", "gold-informed best candidate per sentence (upper bound)")
     p.add_argument("--gold", required=True)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--out", required=True)
     p.add_argument("--audit", help="write per-sentence choice TSV here")
-    p.set_defaults(func=lambda a: _cmd_method("oracle-rank", a))
 
     p = add("rank", "pick the highest-scored candidate per sentence")
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--scores", required=True, help="score TSV (system, sentence_index, score)")
     p.add_argument("--out", help="output text (default: stdout)")
-    p.set_defaults(func=lambda a: _cmd_method("rank", a))
 
     p = add("rank-w", "rank with output-frequency weighting")
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--scores", required=True)
     p.add_argument("--out", help="output text (default: stdout)")
-    p.set_defaults(func=lambda a: _cmd_method("rank-w", a))
 
     p = add("aggr-rank", "prefer the primary candidate when it edits less (but edits)")
     p.add_argument("--src", dest="source", metavar="SRC", required=True)
     p.add_argument("--primary", required=True)
     p.add_argument("--alt", required=True)
     p.add_argument("--out", help="output text (default: stdout)")
-    p.set_defaults(func=lambda a: _cmd_method("aggr-rank", a))
 
-    p = add("cluster", "cluster systems by output similarity; pick representatives")
+    p = add("cluster", "cluster systems by output similarity; pick representatives", _cmd_cluster)
     p.add_argument("--sys", action="append", required=True, metavar="[NAME=]PATH")
     p.add_argument("--threshold", type=float, default=0.11, help="dendrogram cut distance")
     p.add_argument("--out", help="cluster TSV (default: stdout)")
     p.add_argument("--matrix", help="write the similarity matrix TSV here")
-    p.set_defaults(func=_cmd_cluster)
 
     p = add("llm-rank", "rank candidates with a chat model (or offline mock)")
     p.add_argument("--src", dest="source", metavar="SRC", required=True)
@@ -291,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, help="concurrent requests")
     p.add_argument("--out-prefix", required=True,
                    help="one output per run: PREFIX.runN.txt")
-    p.set_defaults(func=lambda a: _cmd_method("llm-rank", a))
 
-    p = add("experiment", "run a JSON experiment config")
+    p = add("experiment", "run a JSON experiment config", _cmd_experiment)
     p.add_argument("--config", required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--ablation", dest="study", action="store_const", const="ablation",
@@ -302,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sweep the vote threshold")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--jobs", type=int, help="override the config jobs")
-    p.set_defaults(func=_cmd_experiment)
 
     return parser
 
@@ -311,9 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
-        return 1
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
     # The loaded corpora hold no reference cycles (tuples of interned str,
     # Edit tuples, NamedTuple records), yet the default thresholds walk them
@@ -322,17 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     thresholds = gc.get_threshold()
     gc.set_threshold(100_000, 50, 1000)
     try:
-        named: dict[Path, str] = {}  # each output file and its first flag
-        for flag in ("out", "audit", "matrix"):  # before any input is read
-            path = getattr(args, flag, None)
-            if path == "":
-                raise corpus.ValidationError(f"--{flag} must not be empty")
-            if path is not None:
-                corpus.check_output(path)
-                first = named.setdefault(Path(path).resolve(), flag)
-                if first != flag:
-                    raise corpus.ValidationError(f"{path}: named by both --{first} and --{flag}")
-        return args.func(args)
+        config = _config(args)
+        corpus.check_plan(*plan(args, config))  # before any other input is read
+        return args.func(args, config)
     except corpus.ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -678,6 +678,40 @@ def check_output(path: str | Path) -> None:
         return
 
 
+def _file_id(path: str | Path) -> object:
+    """What names the file at ``path``: its device and inode if it exists, as
+    ``os.path.samefile`` compares them, so links to one file are one file;
+    else its ``os.path.realpath``, which a symlink loop does not make raise,
+    as it does ``Path.resolve`` before Python 3.13."""
+    try:
+        st = os.stat(path)
+    except OSError:  # missing or refused: its reader or check_output says why
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def check_plan(reads: Iterable[tuple[str, str | Path]],
+               writes: Iterable[tuple[str, str | Path]]) -> None:
+    """Raise :class:`ValidationError` unless a command may write each of
+    ``writes``, (role, path) pairs in the order written, after reading
+    ``reads``: no path is empty, :func:`check_output` passes each, and no
+    two writes, nor a write and a read, are one file. Reads no file."""
+    read_as: dict[object, str] = {}
+    for role, path in reads:
+        read_as.setdefault(_file_id(path), role)
+    named: dict[object, str] = {}
+    for role, path in writes:
+        if path == "":
+            raise ValidationError(f"{role} must not be empty")
+        check_output(path)
+        file = _file_id(path)
+        if file in named:
+            raise ValidationError(f"{path}: named by both {named[file]} and {role}")
+        if file in read_as:
+            raise ValidationError(f"{path}: named by {role} and read as {read_as[file]}")
+        named[file] = role
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file and rename, so partial output is never visible.
     A ``path`` that :func:`check_output` refuses raises its error first. The

@@ -388,7 +388,7 @@ def run_experiment(config: ExperimentConfig, inputs: _Inputs) -> ExperimentResul
         raise ValidationError(f"experiment {config.name!r} needs a gold file")
     combined, choices, fallbacks = combine(config, inputs)
 
-    paths = artifact_paths(config)
+    paths = [path for _, path in plan(config)[1]]
     if choices is not None:
         atomic_write_text(paths.pop(0), oracle.choices_tsv(choices))
     *output_paths, report_path, row_path = paths
@@ -463,14 +463,20 @@ def artifact_path(config: ExperimentConfig, suffix: str) -> Path:
     return config.output_dir / f"{config.name}.{suffix}"
 
 
-def artifact_paths(config: ExperimentConfig, study: str | None = None) -> list[Path]:
-    """Every file a run of ``config`` writes, in the order written: those of
+def plan(config: ExperimentConfig, study: str | None = None) -> tuple[list, list]:
+    """The files a run of ``config`` reads, in the order :func:`load_inputs`
+    reads them, and the files it writes, in the order written: those of
     :func:`run_experiment`, or with ``study`` (``"sweep"`` or ``"ablation"``)
-    those of each of its runs and then ``NAME.STUDY.tsv``. Reads no file."""
-    if study is not None:
-        variants = _STUDIES[study][0](config)
-        return [*(path for _, variant in variants for path in artifact_paths(variant)),
-                artifact_path(config, f"{study}.tsv")]
-    audit = ["audit.tsv"] if config.method in _ORACLES else []
-    outputs = [f"run{k}.txt" for k in range(config.runs)] if config.runs > 1 else ["out.txt"]
-    return [artifact_path(config, suffix) for suffix in (*audit, *outputs, "report.txt", "row.tsv")]
+    those of each of its runs, then ``NAME.STUDY.tsv``. Each is a (role, path)
+    pair for :func:`corpus.check_plan`; the runs write through this list."""
+    members = ((f"member {name}", path) for name, path in config.systems)
+    reads = [("gold", config.gold), ("source", config.source), *members, ("scores", config.scores)]
+    if study is None:
+        audit = ["audit.tsv"] if config.method in _ORACLES else []
+        outputs = [f"run{k}.txt" for k in range(config.runs)] if config.runs > 1 else ["out.txt"]
+        written = [artifact_path(config, s) for s in (*audit, *outputs, "report.txt", "row.tsv")]
+    else:
+        written = [path for _, run in _STUDIES[study][0](config) for _, path in plan(run)[1]]
+        written.append(artifact_path(config, f"{study}.tsv"))
+    return ([(role, path) for role, path in reads if path is not None],
+            [(f"artifact {path.name}", path) for path in written])

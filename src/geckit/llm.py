@@ -11,10 +11,11 @@ The backend is any callable from (system message, user message,
 temperature) to response text. A real HTTP chat-completions client and
 deterministic offline mocks both satisfy it, so every test runs without
 network access. Responses that cannot be parsed, and transient backend
-failures that outlast the retries, fall back to label A and are flagged. A
-backend that cannot work as configured (:class:`BackendSetupError`: a
-missing API key, a request the server rejects, a malformed reply) is
-neither retried nor falls back: it stops the run at once.
+failures (:func:`_transient`) that outlast the retries, fall back to label
+A and are flagged. Any other error is neither retried nor falls back: it
+stops the run at once, as a backend that cannot work as configured does
+(:class:`BackendSetupError`: a missing API key, a request the server
+rejects, a malformed reply).
 """
 
 from __future__ import annotations
@@ -179,10 +180,13 @@ class HttpChatBackend:
 
     The bearer token is read from the environment variable
     :data:`API_KEY_ENV` so credentials never appear in configs or argv.
-    Timeouts, connection errors, 429 and 5xx raise ordinary exceptions,
-    which :func:`call_with_retries` retries. Any other 4xx, with the
+    A timeout, a connection lost or refused (a ``URLError`` whose reason is
+    an ``OSError``), a reply cut short (``RemoteDisconnected``,
+    ``IncompleteRead``) and HTTP 429 and 5xx propagate as raised, and
+    :func:`call_with_retries` retries them. Any other 4xx, with the
     ``urllib.error.HTTPError`` as its cause, and a reply without a string
-    at ``choices[0].message.content`` raise :class:`BackendSetupError`.
+    at ``choices[0].message.content`` raise :class:`BackendSetupError`;
+    anything else, such as ``http.client.InvalidURL``, propagates unretried.
     """
 
     def __init__(self, base_url: str, model: str, timeout: float = 60.0):
@@ -266,6 +270,22 @@ def make_backend(
     return _BACKENDS[kind](base_url, model)
 
 
+def _transient(err: BaseException) -> bool:
+    """Whether a retry may fix the backend error ``err``: a timeout, a
+    ``ConnectionError`` (``RemoteDisconnected`` is one), a ``URLError`` whose
+    reason is an ``OSError``, ``IncompleteRead``, or HTTP 429 or 5xx."""
+    if isinstance(err, (TimeoutError, ConnectionError)):
+        return True
+    import http.client  # loaded on first use: the mocks raise nothing
+    import urllib.error
+
+    if isinstance(err, urllib.error.HTTPError):
+        return err.code == 429 or err.code >= 500
+    if isinstance(err, urllib.error.URLError):
+        return isinstance(err.reason, OSError)
+    return isinstance(err, http.client.IncompleteRead)
+
+
 def call_with_retries(
     backend: Backend,
     system_message: str,
@@ -274,18 +294,14 @@ def call_with_retries(
     retries: int = 3,
     backoff: float = 1.0,
 ) -> str:
-    """Call the backend, retrying failures with exponential backoff.
-
-    A :class:`BackendSetupError` is raised at once, without retries.
-    """
+    """Call the backend, retrying a :func:`_transient` error with exponential
+    backoff; the last one, or any other error, is raised at once."""
     attempt = 0
     while True:
         try:
             return backend(system_message, user_message, temperature)
-        except BackendSetupError:
-            raise
-        except Exception:
-            if attempt >= retries:
+        except Exception as err:
+            if attempt >= retries or not _transient(err):
                 raise
             time.sleep(backoff * (2**attempt))
             attempt += 1
@@ -322,9 +338,10 @@ def llm_rank_corpus(
     Each run reshuffles candidates with its own seed (see :func:`run_seeds`)
     and samples the backend at temperature 1.0. Evaluation averages
     scores across the returned runs; the runs are never merged into one
-    output. Backend failures that survive the retry budget select label A
-    for that sentence and are recorded in the run's ``fallbacks``; a
-    :class:`BackendSetupError` propagates instead.
+    output. A :func:`_transient` backend error that outlasts its retries
+    selects label A for that sentence and is recorded in the run's
+    ``fallbacks``; any other error, a :class:`BackendSetupError` among
+    them, propagates instead.
     """
     if not seeds:
         raise ValidationError("runs must be >= 1")
@@ -341,9 +358,9 @@ def llm_rank_corpus(
             prompt = build_prompt(variant, sources[i], candidates, prompt_seed)
             try:
                 raw = call_with_retries(backend, DEFAULT_TASK_DESCRIPTION, prompt.text, 1.0)
-            except BackendSetupError:
-                raise
-            except Exception:
+            except Exception as err:  # only a transient error outlasts its retries
+                if not _transient(err):
+                    raise
                 return prompt.sentences[0], True
             position, fallback = parse_response(raw, prompt)
             return prompt.sentences[position], fallback

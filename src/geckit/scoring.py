@@ -21,23 +21,15 @@ from .corpus import Edit, GoldSentence, SystemOutput, check_aligned, tsv
 
 
 class ScoreReport(NamedTuple):
-    """Corpus edit counts, in report column order. ``precision``,
-    ``recall`` and ``f05`` are :func:`prf` of them, fractions in [0, 1];
-    use :func:`report_table` / :func:`report_tsv` for the conventional
-    x100, one-decimal presentation.
+    """Corpus edit counts, in report column order. ``prf(*report)`` gives
+    P, R and F0.5, fractions in [0, 1], and ``f05`` is its F0.5; use
+    :func:`report_table` / :func:`report_tsv` for the conventional x100,
+    one-decimal presentation.
     """
 
     n_correct: int
     n_proposed: int
     n_gold: int
-
-    @property
-    def precision(self) -> float:
-        return prf(*self)[0]
-
-    @property
-    def recall(self) -> float:
-        return prf(*self)[1]
 
     @property
     def f05(self) -> float:

@@ -38,7 +38,7 @@ from geckit.ranking import (
     similarity_matrix,
     weight_candidates,
 )
-from geckit.scoring import ScoreReport, best_annotator, round_score, score_corpus
+from geckit.scoring import ScoreReport, best_annotator, prf, round_score, score_corpus
 from geckit.vote import majority_vote_corpus, pool_corpus, pool_edits
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -226,8 +226,8 @@ def test_criterion_2_scorer_matches_brute_force_on_1000_corpora():
         assert chosen_annotators(gold, hyps) == assignment
         worst = max(
             worst,
-            abs(report.precision - p),
-            abs(report.recall - r),
+            abs(prf(*report)[0] - p),
+            abs(prf(*report)[1] - r),
             abs(report.f05 - f),
         )
         assert worst <= 1e-12
@@ -249,8 +249,8 @@ def test_criterion_3_oracle_ensemble_precision_100_on_100_corpora():
         gold, outputs = _exact_oracle_corpus(rng, corpus_idx)
         ensembled, _ = oracle_ensemble_corpus(gold, outputs, EditTable())
         report = score_corpus(ensembled, gold, EditTable())
-        assert report.precision == 1.0
-        assert round_score(report.precision) == 100.0
+        assert prf(*report)[0] == 1.0
+        assert round_score(prf(*report)[0]) == 100.0
     _verdict(
         3,
         True,
@@ -420,7 +420,7 @@ def test_criterion_8_conll14_reproduction():
     ok = (
         abs(vote_f - 71.8) <= 0.3 + 1e-9
         and abs(rank_f - 84.2) <= 0.3 + 1e-9
-        and ens_report.precision == 1.0
+        and prf(*ens_report)[0] == 1.0
         and abs(ens_f - 87.2) <= 0.3 + 1e-9
         and elapsed < 120.0
     )
@@ -428,7 +428,7 @@ def test_criterion_8_conll14_reproduction():
         8,
         ok,
         f"vote n_min=3 F0.5={vote_f} (71.8 +/- 0.3), oracle-rank F0.5={rank_f} "
-        f"(84.2 +/- 0.3), oracle-ensemble P={round_score(ens_report.precision)} "
+        f"(84.2 +/- 0.3), oracle-ensemble P={round_score(prf(*ens_report)[0])} "
         f"(100.0 exactly) F0.5={ens_f} (87.2 +/- 0.3), {elapsed:.1f}s (< 120s)",
     )
 

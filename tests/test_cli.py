@@ -1077,50 +1077,180 @@ def test_an_output_directory_that_cannot_be_written_stops_the_command_before_any
     assert _tree(data) == before
 
 
-@pytest.mark.parametrize("command, inputs, first, second", [
-    ("oracle-ensemble", ["--gold", "gold.m2", *_MEMBERS], "--out", "--audit"),
-    ("cluster", ["--sys", "a.txt", "--sys", "b.txt"], "--out", "--matrix"),
-], ids=["oracle-out-audit", "cluster-out-matrix"])
-def test_two_output_flags_naming_one_file_are_refused_before_any_input_is_read(
-    data, monkeypatch, capsys, command, inputs, first, second
+_VOTE = ["vote", "--src", "src.txt", *_MEMBERS, "--nmin", "1"]
+_VOTE_CONFIG = {"name": "exp", "method": "vote", "gold": "gold.m2"}
+_EXPERIMENT = ["experiment", "--config", "exp.json"]
+# case: (argv, with {tmp} for the directory it runs in; files made there first:
+# text, a config as a dict, or (os.symlink or os.link, target); the one stderr line)
+_REFUSALS = {
+    # two outputs that are one file, by another spelling
+    "oracle-out-audit": (["oracle-ensemble", "--gold", "gold.m2", *_MEMBERS, "--out", "o.txt",
+                          "--audit", "{tmp}/o.txt"], {},
+                         "error: {tmp}/o.txt: named by both --out and --audit"),
+    "cluster-out-matrix": (["cluster", "--sys", "a.txt", "--sys", "b.txt", "--out", "o.txt",
+                            "--matrix", "{tmp}/o.txt"], {},
+                           "error: {tmp}/o.txt: named by both --out and --matrix"),
+    # an empty output flag would write to stdout or nothing, and an empty
+    # --out-prefix would fail after every sentence
+    "vote---out": ([*_VOTE, "--out", ""], {}, "error: --out must not be empty"),
+    "oracle-rank---audit": (["oracle-rank", "--gold", "gold.m2", *_MEMBERS, "--out", "out",
+                             "--audit", ""], {}, "error: --audit must not be empty"),
+    "cluster---matrix": (["cluster", "--sys", "a.txt", "--sys", "b.txt", "--out", "out",
+                          "--matrix", ""], {}, "error: --matrix must not be empty"),
+    "llm-rank---out-prefix": (["llm-rank", "--src", "src.txt", *_MEMBERS, "--out-prefix", ""],
+                              {}, "error: --out-prefix must not be empty"),
+    # an output that is one of the command's inputs
+    "extract-out-is-source": (["extract", "--src", "src.txt", "--hyp", "a.txt", "--out",
+                               "src.txt"], {}, "error: src.txt: named by --out and read as source"),
+    "extract-out-is-hypothesis": (["extract", "--src", "src.txt", "--hyp", "a.txt", "--out",
+                                   "a.txt"], {},
+                                  "error: a.txt: named by --out and read as hypothesis"),
+    "apply-out-is-edits": (["apply", "--src", "src.txt", "--edits", "e.tsv", "--out", "e.tsv"],
+                           {"e.tsv": ""}, "error: e.tsv: named by --out and read as edits"),
+    "score-out-is-hypothesis": (["score", "--hyp", "a.txt", "--gold", "gold.m2", "--out",
+                                 "a.txt"], {}, "error: a.txt: named by --out and read as hypothesis"),
+    "score-out-is-gold": (["score", "--hyp", "a.txt", "--gold", "gold.m2", "--out", "gold.m2"],
+                          {}, "error: gold.m2: named by --out and read as gold"),
+    "score-out-is-source": (["score", "--hyp", "a.txt", "--gold", "gold.m2", "--src", "src.txt",
+                             "--out", "src.txt"], {},
+                            "error: src.txt: named by --out and read as source"),
+    "vote-out-is-member": ([*_VOTE, "--out", "a.txt"], {},
+                           "error: a.txt: named by --out and read as member a"),
+    "vote-out-is-source": ([*_VOTE, "--out", "src.txt"], {},
+                           "error: src.txt: named by --out and read as source"),
+    "oracle-audit-is-gold": (["oracle-rank", "--gold", "gold.m2", *_MEMBERS, "--out", "o.txt",
+                              "--audit", "gold.m2"], {},
+                             "error: gold.m2: named by --audit and read as gold"),
+    "rank-out-is-scores": (["rank", *_MEMBERS, "--scores", "s.tsv", "--out", "s.tsv"],
+                           {"s.tsv": ""}, "error: s.tsv: named by --out and read as scores"),
+    "aggr-rank-out-is-alternative": (["aggr-rank", "--src", "src.txt", "--primary", "a.txt",
+                                      "--alt", "b.txt", "--out", "b.txt"], {},
+                                     "error: b.txt: named by --out and read as member alternative"),
+    "cluster-matrix-is-member": (["cluster", "--sys", "a.txt", "--sys", "b.txt", "--matrix",
+                                  "b.txt"], {}, "error: b.txt: named by --matrix and read as member b"),
+    "llm-rank-run0-is-member": (["llm-rank", "--src", "src.txt", "--sys", "a=x.run0.txt",
+                                 "--sys", "b.txt", "--out-prefix", "x"], {"x.run0.txt": SYS_A},
+                                "error: x.run0.txt: named by --out-prefix and read as member a"),
+    "llm-rank-run1-is-source": (["llm-rank", "--src", "x.run1.txt", *_MEMBERS, "--runs", "2",
+                                 "--out-prefix", "x"], {"x.run1.txt": SRC},
+                                "error: x.run1.txt: named by --out-prefix and read as source"),
+    # ... by a symbolic or a hard link
+    "symlink-to-member": ([*_VOTE, "--out", "link.txt"], {"link.txt": (os.symlink, "a.txt")},
+                          "error: link.txt: named by --out and read as member a"),
+    "hard-link-to-member": ([*_VOTE, "--out", "link.txt"], {"link.txt": (os.link, "{tmp}/b.txt")},
+                            "error: link.txt: named by --out and read as member b"),
+    "symlinked-directory": ([*_VOTE, "--out", "d/src.txt"], {"d": (os.symlink, "{tmp}")},
+                            "error: d/src.txt: named by --out and read as source"),
+    # an experiment's artifact that is one of its inputs
+    "experiment-out-is-member": (_EXPERIMENT, {
+        "results/exp.out.txt": SYS_A,
+        "exp.json": {**_VOTE_CONFIG, "systems": ["results/exp.out.txt", "b.txt", "c.txt"]},
+    }, "error: results/exp.out.txt: named by artifact exp.out.txt and read as member exp.out"),
+    "experiment-row-is-gold": (_EXPERIMENT, {
+        "exp.json": {**_VOTE_CONFIG, "gold": "exp.row.tsv", "output_dir": "",
+                     "systems": ["a.txt", "b.txt"]},
+        "exp.row.tsv": GOLD,
+    }, "error: exp.row.tsv: named by artifact exp.row.tsv and read as gold"),
+    "sweep-artifact-is-member": ([*_EXPERIMENT, "--sweep-nmin"], {
+        "results/exp.nmin2.out.txt": SYS_C,
+        "exp.json": {**_VOTE_CONFIG, "systems": ["a.txt", "b.txt", "results/exp.nmin2.out.txt"]},
+    }, "error: results/exp.nmin2.out.txt: named by artifact exp.nmin2.out.txt and read as member "
+       "exp.nmin2.out"),
+    "ablation-artifact-is-member": ([*_EXPERIMENT, "--ablation"], {
+        "results/exp.wo-b.out.txt": SYS_C,
+        "exp.json": {**_VOTE_CONFIG,
+                     "systems": ["a.txt", "b.txt", "c.txt", "results/exp.wo-b.out.txt"]},
+    }, "error: results/exp.wo-b.out.txt: named by artifact exp.wo-b.out.txt and read as member "
+       "exp.wo-b.out"),
+}
+
+
+def _contents(root: Path) -> dict[str, object]:
+    """Every path under ``root`` and what it holds: a link's target, a file's
+    bytes, or None for a directory; links not followed."""
+    return {path: os.readlink(path) if os.path.islink(path)
+            else None if os.path.isdir(path) else Path(path).read_bytes()
+            for path in _tree(root)}
+
+
+def _assert_refused(root: Path, monkeypatch, capsys, argv: list[str], error: str) -> None:
+    """``main(argv)``, run in ``root`` with every read of an input but the
+    config exp.json refused, exits 1 with ``error`` as its one stderr line
+    and leaves every file under ``root`` as it was."""
+    from geckit import corpus
+
+    read_text = corpus.read_text
+
+    def refuse(path):
+        if Path(path).name != "exp.json":
+            raise AssertionError(f"{path} was read")
+        return read_text(path)
+
+    monkeypatch.setattr(corpus, "read_text", refuse)
+    monkeypatch.chdir(root)
+    before = _contents(root)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{error}\n"
+    assert _contents(root) == before
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_a_plan_the_check_refuses_stops_the_command_before_any_input_is_read(
+    data, monkeypatch, capsys, case
 ):
-    """The second flag names the first one's file by another spelling: the
-    command would write one output over the other."""
-    from geckit import corpus
+    """The check of a command's plan refuses an empty output, two outputs
+    that are one file, and an output that is one of its inputs, before any
+    input but an experiment's config is read and before any file is written."""
+    argv, files, error = _REFUSALS[case]
+    for name, made in files.items():
+        (data / name).parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(made, tuple):
+            make, target = made
+            make(target.format(tmp=data), data / name)
+        else:
+            text = json.dumps(made) if isinstance(made, dict) else made
+            (data / name).write_text(text, encoding="utf-8")
+    argv = [arg.format(tmp=data) for arg in argv]
+    _assert_refused(data, monkeypatch, capsys, argv, error.format(tmp=data))
 
-    def refuse(path):
-        raise AssertionError(f"{path} was read")
 
-    monkeypatch.setattr(corpus, "read_text", refuse)
-    monkeypatch.chdir(data)
-    before = _tree(data)
-    same = str(data / "o.txt")
-    assert main([command, *inputs, first, "o.txt", second, same]) == 1
-    assert capsys.readouterr().err == f"error: {same}: named by both {first} and {second}\n"
-    assert _tree(data) == before
+# flags whose value is no path: each other flag that takes a string must be in the plan
+_NOT_PATHS = {"variant", "backend", "base_url", "model"}
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("vote", "--out"), ("oracle-rank", "--audit"), ("cluster", "--matrix"),
-    ("llm-rank", "--out-prefix"),
-])
-def test_an_empty_output_flag_is_refused_before_any_input_is_read(data, monkeypatch, capsys,
-                                                                  command, flag):
-    """An empty --out would write to stdout, an empty --audit or --matrix
-    nothing, and an empty --out-prefix would fail after every sentence."""
-    from geckit import corpus
+def test_every_path_flag_of_every_command_is_in_its_plan(tmp_path, monkeypatch):
+    """So a new output flag cannot skip the check of the plan unnoticed."""
+    import argparse
 
-    def refuse(path):
-        raise AssertionError(f"{path} was read")
+    from geckit import cli
 
-    monkeypatch.setattr(corpus, "read_text", refuse)
-    monkeypatch.chdir(data)
-    before = _tree(data)
-    inputs, flags = _OUTPUTS[command]
-    outputs = [arg for other in flags for arg in (other, "" if other == flag else other[2:])]
-    assert main([command, *inputs, *outputs]) == 1
-    assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
-    assert _tree(data) == before
+    monkeypatch.chdir(tmp_path)
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        argv, paths = [command], {}
+        for action in sub._actions:
+            if action.nargs == 0 or not action.option_strings:  # --help, --tsv, --ablation
+                continue
+            if action.type in (int, float) or action.dest in _NOT_PATHS:
+                argv += [action.option_strings[0], "1"] if action.required else []
+                continue
+            # each path flag named twice, so a member list has two entries
+            for k in range(2 if isinstance(action, argparse._AppendAction) else 1):
+                value = f"{action.dest}{k}.txt"
+                paths[value] = action.option_strings[0]
+                argv += [action.option_strings[0], value]
+        if command == "experiment":
+            Path("config0.txt").write_text(json.dumps(
+                {**_VOTE_CONFIG, "systems": ["a.txt", "b.txt"]}), encoding="utf-8")
+        args = parser.parse_args(argv)
+        reads, writes = cli.plan(args, cli._config(args))
+        planned = {str(path) for _, path in reads + writes}
+        for value, flag in paths.items():
+            # a prefix is in the plan as the files it names
+            name = f"{value}.run0.txt" if flag == "--out-prefix" else value
+            assert name in planned, f"{command} {flag} {value} is not in its plan"
+        assert paths, command  # the walk found the command's path flags
 
 
 def test_a_member_with_a_byte_order_mark_scores_like_the_plain_one(data, monkeypatch, capsys):

@@ -32,10 +32,10 @@ from geckit.corpus import (
 from geckit.experiment import (
     METHODS,
     ExperimentConfig,
-    artifact_paths,
     combine,
     load_config,
     load_inputs,
+    plan,
     run_experiment,
     run_study,
 )
@@ -369,7 +369,7 @@ def test_artifact_paths_are_the_files_a_run_writes_in_order(tmp_path, monkeypatc
         run_experiment(config, load_inputs(config))
     else:
         run_study(config, study)
-    assert written == artifact_paths(config, study)
+    assert written == [path for _, path in plan(config, study)[1]]
     assert sorted(p.name for p in (tmp_path / "results").iterdir()) == sorted(
         p.name for p in written)
 

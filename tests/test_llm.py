@@ -1,8 +1,10 @@
 """Prompt building, response parsing, mocks, backends, and rank-run determinism."""
 
+import http.client
 import random
 import re
 import threading
+import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -322,6 +324,88 @@ def test_rank_corpus_backend_failure_falls_back_and_is_recorded(sleeps):
     assert run.output.sentences == outputs[0].sentences  # label A = first
     assert run.fallbacks == (0, 1, 2)
     assert sleeps == [1.0, 2.0, 4.0] * 3  # each sentence's retries, then its fallback
+
+
+def _http_error(code):
+    return urllib.error.HTTPError("http://h/chat/completions", code, "status", {}, None)
+
+
+# case: an error a backend raises that a retry may fix
+_TRANSIENT = {
+    "timeout": lambda: TimeoutError("timed out"),
+    "connection-refused": lambda: ConnectionRefusedError(111, "refused"),
+    "url-error-of-an-os-error": lambda: urllib.error.URLError(OSError(101, "unreachable")),
+    "url-error-of-a-timeout": lambda: urllib.error.URLError(TimeoutError("timed out")),
+    "remote-disconnected": lambda: http.client.RemoteDisconnected("closed"),
+    "incomplete-read": lambda: http.client.IncompleteRead(b"{", 10),
+    "http-429": lambda: _http_error(429),
+    "http-500": lambda: _http_error(500),
+    "http-503": lambda: _http_error(503),
+}
+# case: an error no retry can fix, and the class it propagates as
+_PERMANENT = {
+    "invalid-url": (lambda: http.client.InvalidURL("nonnumeric port"), http.client.InvalidURL),
+    "url-error-of-a-string": (lambda: urllib.error.URLError("unknown url type: x"),
+                              urllib.error.URLError),
+    "http-404": (lambda: _http_error(404), urllib.error.HTTPError),
+    "bug": (lambda: KeyError("choices"), KeyError),
+    "setup": (lambda: BackendSetupError("bad key"), BackendSetupError),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRANSIENT))
+def test_an_error_a_retry_may_fix_is_retried_then_falls_back(sleeps, case):
+    calls = []
+
+    def failing(sys_msg, user_msg, temperature):
+        calls.append(1)
+        raise _TRANSIENT[case]()
+
+    sources, outputs = corpus_fixture()
+    (run,) = llm_rank_corpus(sources, outputs, "a", [0], failing, shuffle=False)
+    assert run.output.sentences == outputs[0].sentences  # label A = first
+    assert run.fallbacks == (0, 1, 2)
+    assert len(calls) == 3 * 4
+    assert sleeps == [1.0, 2.0, 4.0] * 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", list(_PERMANENT))
+def test_an_error_no_retry_can_fix_stops_the_run_at_once(sleeps, case, jobs):
+    error, kind = _PERMANENT[case]
+    prompts = []
+
+    def failing(sys_msg, user_msg, temperature):
+        prompts.append(user_msg)
+        raise error()
+
+    sources, outputs = corpus_fixture()
+    with pytest.raises(kind):
+        llm_rank_corpus(sources, outputs, "a", [0], failing, jobs=jobs)
+    assert sleeps == []
+    assert len(set(prompts)) == len(prompts)  # no sentence is asked again
+    if jobs == 1:
+        assert len(prompts) == 1  # the first error stops the run
+
+
+def test_an_error_no_retry_can_fix_is_a_traceback_from_the_cli(tmp_path, monkeypatch, capsys):
+    """Not a run of fallbacks that exits 0: the error is a bug, so exit 2."""
+    import geckit.llm
+
+    def failing(sys_msg, user_msg, temperature):
+        raise http.client.InvalidURL("nonnumeric port")
+
+    monkeypatch.setitem(geckit.llm._BACKENDS, "mock-lexmin", lambda base_url, model: failing)
+    monkeypatch.setattr("geckit.llm.time.sleep", lambda seconds: pytest.fail("slept"))
+    argv = ["llm-rank", "--src", str(tmp_path / "src.txt"), "--out-prefix", str(tmp_path / "o")]
+    for name, text in (("src", "a b .\n"), ("m1", "a c .\n"), ("m2", "a d .\n")):
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        argv += [] if name == "src" else ["--sys", str(tmp_path / f"{name}.txt")]
+    from geckit.cli import main
+
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "http.client.InvalidURL: nonnumeric port"
+    assert not (tmp_path / "o.run0.txt").exists()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
