@@ -100,7 +100,7 @@ def _cmd_apply(args, _) -> int:
 
 def _cmd_score(args, _) -> int:
     gold = corpus.load_m2(args.gold)
-    if args.src:
+    if args.src is not None:
         corpus.check_source_file(args.src, gold)
     hyp = corpus.load_system_output(args.hyp, expected_len=len(gold))
     report = scoring.score_corpus(hyp, gold, align.EditTable())
@@ -134,6 +134,7 @@ def _cmd_method(args, config: experiment.ExperimentConfig) -> int:
 def _cmd_cluster(args, _) -> int:
     named = [corpus.parse_system_spec(spec) for spec in args.sys]
     corpus.check_unique_names(name for name, _ in named)
+    ranking.check_cluster(len(named), args.threshold)
     lines = {}  # one sentence object per distinct line, as experiment.load_inputs
     systems = [corpus.load_system_output(path, name, lines=lines) for name, path in named]
     matrix = ranking.similarity_matrix(systems)
@@ -189,6 +190,18 @@ def _config(args) -> experiment.ExperimentConfig | None:
                                        systems=systems, method=args.command)
 
 
+def _check_paths(args) -> None:
+    """Refuse a flag that names a file given "", and ``--sys NAME=``, by name:
+    it would read the working directory, or write to stdout or nowhere."""
+    for dest in ("src", "source", "hyp", "gold", "edits", "scores", "primary", "alt", "sys",
+                 "config", "out", "audit", "matrix", "out_prefix"):
+        value = vars(args).get(dest)
+        paths = [spec.split("=", 1)[-1] for spec in value] if dest == "sys" and value else [value]
+        if "" in paths:  # the --src of vote, aggr-rank and llm-rank fills source
+            flag = "--src" if dest == "source" else "--" + dest.replace("_", "-")
+            raise corpus.ValidationError(f"{flag} must not be empty")
+
+
 def plan(args, config: experiment.ExperimentConfig | None = None) -> tuple[list, list]:
     """The files the command of ``args`` reads and the files it writes, in
     order, as (role, path) pairs for :func:`corpus.check_plan`; ``config`` is
@@ -199,10 +212,8 @@ def plan(args, config: experiment.ExperimentConfig | None = None) -> tuple[list,
     writes = [(f"--{flag}", getattr(args, flag)) for flag in ("out", "audit", "matrix")
               if getattr(args, flag, None) is not None]
     if config is not None:  # a method subcommand
-        prefix = vars(args).get("out_prefix")  # llm-rank's: one PREFIX.runK.txt per run
-        if prefix is not None:  # "" stays "", which the check refuses
-            writes = [("--out-prefix", prefix and f"{prefix}.run{k}.txt")
-                      for k in range(config.runs)]
+        if args.command == "llm-rank":  # one PREFIX.runK.txt per run
+            writes = [("--out-prefix", f"{args.out_prefix}.run{k}.txt") for k in range(config.runs)]
         return experiment.plan(config)[0], writes
     # extract, apply, score and cluster: (role, dest) of each file read, in the order read
     reads = [(role, vars(args).get(dest)) for role, dest in (
@@ -324,6 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     thresholds = gc.get_threshold()
     gc.set_threshold(100_000, 50, 1000)
     try:
+        _check_paths(args)  # before the config, the one file read before the plan
         config = _config(args)
         corpus.check_plan(*plan(args, config))  # before any other input is read
         return args.func(args, config)

@@ -694,15 +694,13 @@ def check_plan(reads: Iterable[tuple[str, str | Path]],
                writes: Iterable[tuple[str, str | Path]]) -> None:
     """Raise :class:`ValidationError` unless a command may write each of
     ``writes``, (role, path) pairs in the order written, after reading
-    ``reads``: no path is empty, :func:`check_output` passes each, and no
-    two writes, nor a write and a read, are one file. Reads no file."""
+    ``reads``: :func:`check_output` passes each, and no two writes, nor a
+    write and a read, are one file. Reads no file."""
     read_as: dict[object, str] = {}
     for role, path in reads:
         read_as.setdefault(_file_id(path), role)
     named: dict[object, str] = {}
     for role, path in writes:
-        if path == "":
-            raise ValidationError(f"{role} must not be empty")
         check_output(path)
         file = _file_id(path)
         if file in named:

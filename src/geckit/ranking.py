@@ -203,6 +203,14 @@ def similarity_matrix(outputs: Sequence[SystemOutput]) -> SimilarityMatrix:
     return SimilarityMatrix(tuple(out.name for out in outputs), tuple(map(tuple, mean)))
 
 
+def check_cluster(n_systems: int, threshold: float) -> None:
+    """Raise :class:`ValidationError` unless ``n_systems >= 2`` and ``0 <= threshold < inf``."""
+    if n_systems < 2:
+        raise ValidationError("similarity needs at least 2 systems")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValidationError(f"cluster threshold must be finite and >= 0, got {threshold}")
+
+
 def cluster_systems(matrix: SimilarityMatrix, threshold: float) -> list[SystemCluster]:
     """Cut the average-linkage dendrogram over 1 - similarity at ``threshold``.
 
@@ -210,15 +218,11 @@ def cluster_systems(matrix: SimilarityMatrix, threshold: float) -> list[SystemCl
     matrix of finite similarities. Within a cluster the representative is
     the member with the highest mean similarity to the other members (ties
     to input order); singletons represent themselves. Clusters are ordered
-    by their first member's input position. The threshold must be finite
-    and >= 0.
+    by their first member's input position; see :func:`check_cluster`.
     """
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValidationError(f"cluster threshold must be finite and >= 0, got {threshold}")
     names, values = matrix.names, matrix.values
     n = len(names)
-    if n < 2:
-        raise ValidationError(f"clustering needs at least 2 systems, got {n}")
+    check_cluster(n, threshold)
     columns = next((len(row) for row in values if len(row) != n), n)
     if len(values) != n or columns != n:
         raise ValidationError(
