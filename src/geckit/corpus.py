@@ -508,10 +508,12 @@ def tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     >>> tsv(("a", "b"), [("1", "x y")])
     'a\\tb\\n1\\tx y\\n'
     """
-    text = "\n".join(["\t".join(header), *map("\t".join, rows)]) + "\n"
+    lines = ["\t".join(header), *map("\t".join, rows)]
+    text = "\n".join(lines) + "\n"
     # a field holding a tab or a line break, or a row of the wrong length,
-    # puts a line off the header's count of tabs
-    if "\r" in text or text.count("\t") != (len(header) - 1) * text.count("\n"):
+    # puts its line off the header's count of tabs, or adds a line
+    if "\r" in text or text.count("\n") != len(lines) or any(
+            line.count("\t") != len(header) - 1 for line in lines):
         raise ValidationError(f"TSV rows need {len(header)} fields free of tabs and line breaks")
     return text
 

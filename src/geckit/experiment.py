@@ -46,8 +46,8 @@ Any other key of a config must be absent or hold its default: ``"n_min":
 3`` in an oracle-rank config is an error (``method oracle-rank does not
 read key 'n_min'``), not ignored, and a key given twice, at any depth, is
 an error, not its last value. Relative paths are resolved against the
-config file's directory; ``gold``, ``source`` and ``scores`` must not be
-``""``, and an ``output_dir`` of ``""`` is that directory. ``n_min``,
+config file's directory; ``gold``, ``source``, ``scores`` and a member's
+path must not be ``""``, and an ``output_dir`` of ``""`` is that directory. ``n_min``,
 ``runs``, ``seed``, ``jobs`` and each ``seeds`` entry must be JSON
 integers (a float, string or boolean is an error, not rounded), ``systems``
 a list and every other value a string (``source``, ``scores``, ``base_url``
@@ -73,7 +73,6 @@ from .corpus import (
     TokenSentence,
     ValidationError,
     atomic_write_text,
-    check_aligned,
     check_name,
     check_source_file,
     check_unique_names,
@@ -156,11 +155,7 @@ class ExperimentConfig(CheckedRecord, _ConfigFields):
             raise ValidationError("aggr-rank takes exactly 2 systems: primary, then alternative")
         if self.method == "llm-rank":
             llm.check_backend(self.backend, self.base_url, self.model)
-            if not 2 <= len(self.systems) <= 26:
-                raise ValidationError(f"llm-rank takes 2 to 26 systems, got {len(self.systems)}")
-        # a method that does not read a field holds its default, which passes its check
-        if self.variant not in ("a", "b"):
-            raise ValidationError(f"unknown prompt variant {self.variant!r}")
+            llm.check_prompt(self.variant, len(self.systems))
         if self.seeds is not None and len(self.seeds) != self.runs:
             raise ValidationError(f"{self.runs} runs but {len(self.seeds)} seeds")
         if self.runs < 1:
@@ -276,11 +271,14 @@ def _parse_system_entry(entry, base: Path) -> tuple[str, Path]:
     if isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values()):
         if set(entry) != {"name", "path"}:
             raise ValidationError(f"system entry needs exactly name and path: {entry}")
-        return entry["name"], base / entry["path"]
-    if isinstance(entry, str):
-        name, path = parse_system_spec(entry)
-        return name, base / path
-    raise ValidationError(f"bad system entry: {entry!r}")
+        name, path = entry["name"], entry["path"]
+    elif isinstance(entry, str):
+        name, path = parse_system_spec(entry)[0], entry.split("=", 1)[-1]
+    else:
+        raise ValidationError(f"bad system entry: {entry!r}")
+    if not path:  # it would be read as the config's directory
+        raise ValidationError(f"system {name!r} needs a non-empty path")
+    return name, base / path
 
 
 class _Inputs(NamedTuple):
@@ -315,11 +313,11 @@ def load_inputs(config: ExperimentConfig) -> _Inputs:
         sources = [gs.source for gs in gold]
     elif config.source is not None:
         sources = load_parallel(config.source, lines=lines)
-    n = None if sources is None else len(sources)
-    members = {
-        name: load_system_output(path, name, expected_len=n, lines=lines)
-        for name, path in config.systems
-    }
+    # without gold or source, each member has the first one's sentence count
+    n, members = None if sources is None else len(sources), {}
+    for name, path in config.systems:
+        members[name] = load_system_output(path, name, expected_len=n, lines=lines)
+        n = len(members[name].sentences)
     scores = None if config.scores is None else load_score_file(config.scores)
     table, pools = EditTable(), None
     if config.method in _VOTES:
@@ -356,8 +354,6 @@ def combine(
         result, choices = run(gold, outputs, table)
         combined = [result]
     elif config.method in ("rank", "rank-w"):
-        # a misaligned member is no fault of the score file, so check it unprefixed
-        check_aligned(outputs, len(outputs[0].sentences))
         try:
             combined = [ranking.rank_corpus(outputs, scores, weighted=config.method == "rank-w")]
         except ValidationError as err:

@@ -72,23 +72,25 @@ class RankPrompt(NamedTuple):
         return tuple(_LABELS[: len(self.sentences)])
 
 
+def check_prompt(variant: str, n_candidates: int) -> None:
+    """Raise :class:`ValidationError` unless a prompt can label ``n_candidates``
+    candidates, 2 to 26 (one letter each), and ``variant`` is "a" or "b"."""
+    if not 2 <= n_candidates <= len(_LABELS):
+        raise ValidationError(f"llm-rank takes 2 to 26 systems, got {n_candidates}")
+    if variant not in _INSTRUCTION:
+        raise ValidationError(f"unknown prompt variant {variant!r}")
+
+
 def build_prompt(
     variant: str,
     source: TokenSentence,
     candidates: Sequence[TokenSentence],
     seed: int | None,
 ) -> RankPrompt:
-    """Label and render candidate sentences in seeded-shuffled order.
-
-    ``seed=None`` disables shuffling (identity permutation). Requires at
-    least 2 candidates and at most 26 (single-letter labels).
-    """
-    if variant not in ("a", "b"):
-        raise ValidationError(f"unknown prompt variant {variant!r}")
-    if len(candidates) < 2:
-        raise ValidationError("prompt needs at least 2 candidates")
-    if len(candidates) > len(_LABELS):
-        raise ValidationError("at most 26 candidates supported")
+    """Label and render candidate sentences in seeded-shuffled order, as
+    :func:`check_prompt` allows. ``seed=None`` disables shuffling (identity
+    permutation)."""
+    check_prompt(variant, len(candidates))
     order = list(candidates)
     if seed is not None:
         derive_rng(seed).shuffle(order)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import reference
 from conftest import sentence_pairs
 from geckit import align
 from geckit.align import EditTable, apply_edits, extract_edits
@@ -105,27 +106,13 @@ def test_conflicts_truth_table(a, b, expected):
     assert conflicts(b, a) is expected  # symmetric
 
 
-def _two_part_conflict_rule(a, b):
-    """The conflict rule as two predicates, frozen for the differential test:
-    span overlap with same-start insertions, plus an insertion strictly
-    inside the other edit's span."""
-    if max(a.start, b.start) < min(a.end, b.end):
-        overlap = True
-    else:
-        overlap = a.start == b.start and (a.start == a.end or b.start == b.end)
-    nested = (a.start == a.end and b.start < a.start < b.end) or (
-        b.start == b.end and a.start < b.start < a.end
-    )
-    return overlap or nested
-
-
 def test_conflicts_equals_the_two_part_rule_on_every_span_pair():
     # every span of a 6-token sentence, insertions (start == end) included
     spans = [Edit(s, e, ("x",)) for s in range(7) for e in range(s, 7)]
     pairs = [(a, b) for a in spans for b in spans]
     assert len(pairs) == 28 * 28
     for a, b in pairs:
-        assert conflicts(a, b) is _two_part_conflict_rule(a, b), (a, b)
+        assert conflicts(a, b) is reference.conflicts(a, b), (a, b)
 
 
 # --------------------------------------------------------------------------
@@ -220,88 +207,7 @@ def test_edit_table_lookup_survives_caller_mutation():
 
 
 # --------------------------------------------------------------------------
-# the bit-parallel alignment against the full-matrix DP it replaced
-
-
-def _reference_extract_edits(source, hypothesis):
-    """The O(mn) full-matrix DP and traceback, frozen for the differential test."""
-    src = tuple(source)
-    hyp = tuple(hypothesis)
-    k = 0
-    limit = min(len(src), len(hyp))
-    while k < limit and src[len(src) - 1 - k] == hyp[len(hyp) - 1 - k]:
-        k += 1
-    m = len(src) - k
-    n = len(hyp) - k
-
-    rows = [list(range(n + 1))]
-    for i in range(1, m + 1):
-        s_tok = src[i - 1]
-        prev = rows[-1]
-        cur = [0] * (n + 1)
-        cur[0] = i
-        left = i
-        for j in range(1, n + 1):
-            best = prev[j - 1]
-            if s_tok != hyp[j - 1]:
-                best += 1
-            up = prev[j] + 1
-            if up < best:
-                best = up
-            left += 1
-            if left < best:
-                best = left
-            cur[j] = left = best
-        rows.append(cur)
-
-    ops = []
-    i, j = m, n
-    while i > 0 or j > 0:
-        cost = rows[i][j]
-        if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and rows[i - 1][j - 1] == cost:
-            ops.append("m")
-            i -= 1
-            j -= 1
-        elif i > 0 and j > 0 and src[i - 1] != hyp[j - 1] and rows[i - 1][j - 1] + 1 == cost:
-            ops.append("s")
-            i -= 1
-            j -= 1
-        elif i > 0 and rows[i - 1][j] + 1 == cost:
-            ops.append("d")
-            i -= 1
-        else:
-            ops.append("i")
-            j -= 1
-    ops.reverse()
-
-    edits = []
-    si = hi = 0
-    run_start = None
-
-    def close_run(si_end, hi_end):
-        nonlocal run_start
-        if run_start is not None:
-            s0, h0 = run_start
-            edits.append(Edit(s0, si_end, tuple(hyp[h0:hi_end])))
-            run_start = None
-
-    for op in ops:
-        if op == "m":
-            close_run(si, hi)
-            si += 1
-            hi += 1
-        else:
-            if run_start is None:
-                run_start = (si, hi)
-            if op == "s":
-                si += 1
-                hi += 1
-            elif op == "d":
-                si += 1
-            else:
-                hi += 1
-    close_run(si, hi)
-    return tuple(edits)
+# the bit-parallel alignment and its strips against the full-matrix reference
 
 
 def _mutated(rng, tokens, alphabet, rate):
@@ -328,7 +234,7 @@ def test_extract_edits_equals_reference_dp():
         alphabet = "abcde"[: rng.randint(1, 5)]
         src = [rng.choice(alphabet) for _ in range(rng.randint(0, 14))]
         hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, 14))]
-        assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp), (src, hyp)
+        assert extract_edits(src, hyp) == reference.extract_edits(src, hyp), (src, hyp)
 
     # long pairs: bit vectors wider than CPython's 30-bit digits and than 64 bits
     wide = 0
@@ -339,7 +245,7 @@ def test_extract_edits_equals_reference_dp():
             hyp = [rng.choice(alphabet) for _ in range(rng.randint(25, 130))]
         else:
             hyp = _mutated(rng, src, alphabet + ["x"], rng.uniform(0.02, 0.3))
-        assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp), (src, hyp)
+        assert extract_edits(src, hyp) == reference.extract_edits(src, hyp), (src, hyp)
         suffix = 0
         while suffix < min(len(src), len(hyp)) and src[~suffix] == hyp[~suffix]:
             suffix += 1
@@ -350,7 +256,7 @@ def test_extract_edits_equals_reference_dp():
     @given(sentence_pairs())
     def matches_reference(pair):
         src, hyp = pair
-        assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp)
+        assert extract_edits(src, hyp) == reference.extract_edits(src, hyp)
 
     matches_reference()
 
@@ -374,7 +280,7 @@ def test_prefix_strip_equals_reference_dp(monkeypatch):
         if rng.random() < 0.5:
             src, hyp = hyp, src
         blocks.clear()
-        assert extract_edits(src, hyp) == _reference_extract_edits(src, hyp), (src, hyp)
+        assert extract_edits(src, hyp) == reference.extract_edits(src, hyp), (src, hyp)
         if len(blocks) == 2:
             fallbacks += 1
         elif blocks and blocks[0] != tuple(src[: len(blocks[0])]):

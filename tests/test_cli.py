@@ -294,6 +294,18 @@ def test_rank_rejects_a_nan_score_in_either_member_order(tmp_path, monkeypatch, 
         assert captured.err == "error: s.tsv: score file line 2: non-finite score 'nan'\n"
 
 
+@pytest.mark.parametrize("method", ["rank", "rank-w"])
+def test_a_short_rank_member_is_named_by_its_file_as_it_loads(tmp_path, monkeypatch, capsys,
+                                                              method):
+    # members load before the score file, which would be refused here
+    monkeypatch.chdir(tmp_path)
+    Path("h1.txt").write_text("a\nb\nc\n", encoding="utf-8")
+    Path("h2.txt").write_text("a\nb\n", encoding="utf-8")
+    Path("s.tsv").write_text("no header\n", encoding="utf-8")
+    assert main([method, "--sys", "h1.txt", "--sys", "h2.txt", "--scores", "s.tsv"]) == 1
+    assert capsys.readouterr().err == "error: h2.txt: expected 3 sentences, found 2\n"
+
+
 def test_aggr_rank_cli(data, capsys):
     code = main([
         "aggr-rank", "--src", str(data / "src.txt"),
@@ -752,6 +764,10 @@ _REFUSALS = {
     ]},
     "vote---sys-NAME=": ([*_VOTE, "--sys", "d=", "--out", "out"], {},
                          "error: --sys must not be empty"),
+    **{f"experiment-member-{form}-with-empty-path": (
+        _EXPERIMENT, {"exp.json": {**_VOTE_CONFIG, "systems": [entry, "b.txt"]}},
+        "error: exp.json: system 'a' needs a non-empty path")
+       for form, entry in [("NAME=", "a="), ("dict", {"name": "a", "path": ""})]},
     # checked before the config, so ahead of a bad parameter
     "vote---out-before-n_min": ([*_VOTE, "--nmin", "9", "--out", ""], {},
                                 "error: --out must not be empty"),

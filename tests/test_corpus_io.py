@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import annotations, vocab
 from geckit import corpus
 from geckit.align import extract_edits
@@ -324,12 +325,13 @@ def test_tsv_writes_what_the_reader_reads():
     assert [tuple(parts) for _, parts in corpus._tsv_rows(text, header, "test")] == rows
 
 
-@pytest.mark.parametrize(
-    "row", [("a\tb", "0"), ("a\nb", "0"), ("a\r", "0"), ("a",), ("a", "0", "1")]
-)
-def test_tsv_refuses_a_row_the_reader_would_split_differently(row):
+@pytest.mark.parametrize("rows", [
+    *([row] for row in [("a\tb", "0"), ("a\nb", "0"), ("a\r", "0"), ("a",), ("a", "0", "1")]),
+    [("a\tb", "0"), ("a",)],  # a column too many and one too few: the text's tally holds
+])
+def test_tsv_refuses_a_row_the_reader_would_split_differently(rows):
     with pytest.raises(ValidationError, match="TSV rows need 2 fields free of tabs and line"):
-        tsv(("k", "v"), [("x", "1"), row])
+        tsv(("k", "v"), [("x", "1"), *rows])
 
 
 def test_check_output_accepts_what_can_be_written_and_creates_nothing(tmp_path):
@@ -427,54 +429,6 @@ def test_edit_tsv_rejects_bad_rows_with_their_line(row, fragment):
     assert "line 3" in str(exc.value)
 
 
-def _check_edits_all_pairs(source, edits):
-    """Frozen reference: the whole-set check that compared every pair."""
-    for e in edits:
-        if not (0 <= e.start <= e.end <= len(source)):
-            raise ValidationError(
-                f"edit span ({e.start},{e.end}) out of bounds for "
-                f"{len(source)}-token sentence"
-            )
-        if tuple(e.replacement) == tuple(source[e.start : e.end]):
-            raise ValidationError(
-                f"no-op edit at ({e.start},{e.end}): replacement equals source span"
-            )
-    for i, a in enumerate(edits):
-        for b in edits[i + 1 :]:
-            if a.start == b.start or a.start < b.start < a.end or b.start < a.start < b.end:
-                raise OverlapError(f"conflicting edits: {a} / {b}")
-
-
-def _parse_edit_tsv_rechecking_every_pair(text, sources):
-    """Frozen reference: the per-row loop that re-ran the whole-set check on
-    the row's sentence, with the frozen copy of that check."""
-    lines = text.rstrip("\n").split("\n")
-    if lines[0].rstrip("\r") != _EDIT_HEADER.rstrip("\n"):
-        raise ValidationError(f"edit file must start with header {_EDIT_HEADER.rstrip()!r}")
-    n = len(sources)
-    edits = [[] for _ in range(n)]
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.rstrip("\r")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValidationError(f"edit file line {lineno}: expected 4 columns")
-        try:
-            index, start, end = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValidationError(f"edit file line {lineno}: non-integer field") from None
-        if not 0 <= index < n:
-            raise ValidationError(f"edit file line {lineno}: sentence {index} not in 0..{n - 1}")
-        repl = () if parts[3] == "-NONE-" else tuple(parts[3].split())
-        edits[index].append(Edit(start, end, repl))
-        try:
-            _check_edits_all_pairs(sources[index], edits[index])
-        except ValidationError as err:
-            raise type(err)(f"edit file line {lineno}: {err}") from None
-    return edits
-
-
 def _random_edit_file(rng):
     """Sources and an edit TSV: the extracted edits of random hypotheses in
     shuffled order, with random rows mixed in about half the time."""
@@ -511,7 +465,7 @@ def test_edit_tsv_per_row_check_equals_rechecking_every_pair():
     kinds = set()
     for _ in range(3000):
         sources, text = _random_edit_file(rng)
-        expected = outcome(_parse_edit_tsv_rechecking_every_pair, text, sources)
+        expected = outcome(reference.parse_edit_tsv, text, sources)
         assert outcome(parse_edit_tsv, text, sources) == expected, text
         if isinstance(expected, list):
             kinds.add("valid")
@@ -548,7 +502,7 @@ def _random_edit_set(rng):
 def test_check_edits_equals_the_all_pairs_check_of_the_sorted_set():
     def outcome(check, source, edits):
         try:
-            return check(source, edits)
+            return None, check(source, edits)
         except ValidationError as err:
             return type(err), str(err)
 
@@ -557,12 +511,9 @@ def test_check_edits_equals_the_all_pairs_check_of_the_sorted_set():
     for _ in range(5000):
         source, edits = _random_edit_set(rng)
         ordered = sorted(edits, key=lambda e: (e.start, e.end))
-        expected = outcome(_check_edits_all_pairs, source, ordered)
-        if expected is None:
-            expected = tuple(ordered)
-            seen.add("valid")
-        else:  # the first word of the message names the check
-            seen.add(expected[1].split(" ")[0])
+        expected = outcome(reference.check_edits, source, ordered)
+        # the first word of an error names the check
+        seen.add("valid" if expected[0] is None else expected[1].split(" ")[0])
         assert outcome(corpus.check_edits, source, edits) == expected, (source, edits)
         seen.update(
             kind for kind, present in [

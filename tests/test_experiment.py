@@ -4,13 +4,17 @@ import hashlib
 import json
 import random
 import re
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import kept_one
+import reference
+from conftest import gold_corpora, kept_one
 import geckit.align
 import geckit.corpus
 import geckit.experiment
@@ -21,24 +25,29 @@ from geckit.corpus import (
     SCORE_FILE_HEADER,
     Edit,
     GoldSentence,
+    SystemOutput,
     TokenSentence,
     ValidationError,
     conflicts,
-    load_parallel,
     save_m2,
     save_parallel,
+    serialize_parallel,
     tsv,
 )
 from geckit.experiment import (
     METHODS,
     ExperimentConfig,
+    ExperimentResult,
     combine,
     load_config,
     load_inputs,
     plan,
+    result_row_tsv,
     run_experiment,
     run_study,
 )
+from geckit.oracle import OracleChoice, choices_tsv
+from geckit.scoring import ScoreReport, report_table
 
 GOLD = """S I likes turtles very much .
 A 1 2|||SVA|||like|||REQUIRED|||-NONE-|||0
@@ -216,27 +225,12 @@ def test_system_entries_accept_name_equals_path_and_dicts(tmp_path):
     assert [name for name, _ in config.systems] == ["alpha", "beta", "c"]
 
 
-def test_vote_experiment_end_to_end(tmp_path):
-    config = load_config(write_config(tmp_path, write_fixture(tmp_path)))
-    result = run_experiment(config, load_inputs(config))
-    # 2-of-3 agreement fixes both errors
-    out = load_parallel(tmp_path / "results" / "fixture.out.txt")
-    assert out[0].text == "I like turtles very much ."
-    assert out[1].text == "She went to school yesterday ."
-    assert out[2].text == "Nothing wrong here ."
-    assert result.report.f05 == 1.0
-    for suffix in ("out.txt", "report.txt", "row.tsv"):
-        assert (tmp_path / "results" / f"fixture.{suffix}").exists()
-
-
 def test_rerun_is_bit_identical(tmp_path):
     config = load_config(write_config(tmp_path, write_fixture(tmp_path)))
     run_experiment(config, load_inputs(config))
-    artifacts = sorted((tmp_path / "results").iterdir())
-    first = {p.name: p.read_bytes() for p in artifacts}
+    first = _artifacts(config.output_dir)
     run_experiment(config, load_inputs(config))
-    second = {p.name: p.read_bytes() for p in sorted((tmp_path / "results").iterdir())}
-    assert first == second
+    assert _artifacts(config.output_dir) == first
 
 
 def test_llm_rank_experiment_runs_and_reruns_identically(tmp_path):
@@ -249,29 +243,9 @@ def test_llm_rank_experiment_runs_and_reruns_identically(tmp_path):
     assert result.spread_f05() >= 0.0
     files = {p.name for p in (tmp_path / "results").iterdir()}
     assert {"fixture.run0.txt", "fixture.run1.txt", "fixture.run2.txt"} <= files
-    snapshot = {
-        p.name: p.read_bytes() for p in (tmp_path / "results").iterdir()
-    }
+    snapshot = _artifacts(config.output_dir)
     run_experiment(config, load_inputs(config))
-    assert snapshot == {
-        p.name: p.read_bytes() for p in (tmp_path / "results").iterdir()
-    }
-
-
-def test_rank_experiment_uses_score_file(tmp_path):
-    payload = write_fixture(tmp_path)
-    payload.update(method="rank", scores="scores.tsv")
-    del payload["n_min"]
-    rows = ["system\tsentence_index\tscore"]
-    for name in ("a", "b", "c"):
-        for i in range(3):
-            rows.append(f"{name}\t{i}\t{1.0 if name == 'a' else 0.1}")
-    (tmp_path / "scores.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    config = load_config(write_config(tmp_path, payload))
-    result = run_experiment(config, load_inputs(config))
-    assert result.outputs[0].sentences == tuple(
-        load_parallel(tmp_path / "a.txt")
-    )
+    assert _artifacts(config.output_dir) == snapshot
 
 
 def test_rank_experiment_reports_score_holes_with_sentence(tmp_path):
@@ -674,6 +648,108 @@ def test_combine_reads_no_file(tmp_path, monkeypatch, method):
     monkeypatch.setattr(geckit.corpus, "read_text", refuse)
     outputs, _, _ = combine(config, inputs)
     assert len(outputs) == config.runs
+
+
+# --------------------------------------------------------------------------
+# Every method against its reference: run_experiment's artifacts are the
+# reference outputs, scored by the reference scorer and rendered through the
+# writers of the run.
+
+
+@st.composite
+def method_corpora(draw):
+    """(gold, members, scores, n_min, runs, variant): 1-6 gold sentences of
+    1-3 annotators and 2-5 members, each sentence the source, an annotation
+    or one gold edit applied, another member's sentence or new tokens; every
+    score is 0, 0.5 or 1, so scores often tie."""
+    gold = draw(gold_corpora(max_sentences=6, max_edits=8))
+    members = []
+    for _ in range(draw(st.integers(2, 5))):
+        sentences = []
+        for i, gs in enumerate(gold):
+            kind = draw(st.sampled_from(("source", "annotation", "edit", "member", "tokens")))
+            sentence = gs.source
+            edits = sorted({e for ann in gs.annotations for e in ann})
+            if kind == "annotation":
+                sentence = apply_edits(gs.source, draw(st.sampled_from(gs.annotations)))
+            elif kind == "edit" and edits:  # members of one edit each pool touching edits
+                sentence = apply_edits(gs.source, [draw(st.sampled_from(edits))])
+            elif kind == "member" and members:
+                sentence = draw(st.sampled_from(members))[i]
+            elif kind == "tokens":
+                tokens = st.sampled_from((*gs.source, "r0", "r1"))
+                sentence = TokenSentence(draw(st.lists(tokens, min_size=1, max_size=8)))
+            sentences.append(sentence or gs.source)  # a member line is never empty
+        members.append(tuple(sentences))
+    scores = {(f"m{k}", i): draw(st.sampled_from((0.0, 0.5, 1.0)))
+              for k in range(len(members)) for i in range(len(gold))}
+    return gold, members, scores, draw(st.integers(0, len(members))), draw(
+        st.integers(1, 2)), draw(st.sampled_from("ab"))
+
+
+def _reference_sentence(i, gs, members, config, scores):
+    """Sentence ``i`` of the output of ``config.method`` by the references and,
+    for an oracle, its audit (annotator, system, n_selected); ``members`` are
+    (name, sentence) pairs."""
+    method, sentences = config.method, [sentence for _, sentence in members]
+    if method in ("vote", "second-order-vote"):
+        return reference.vote(gs.source, members, config.n_min), None
+    if method == "oracle-ensemble":
+        sentence, ann_id, n_selected = reference.oracle_ensemble(gs, members)
+        return sentence, (ann_id, None, n_selected)
+    if method == "oracle-rank":
+        name, sentence, ann_id, n_correct = reference.oracle_rank(gs, members)
+        return sentence, (ann_id, name, n_correct)
+    if method in ("rank", "rank-w"):
+        ranked = [scores[(name, i)] for name, _ in members]
+        return sentences[reference.rank(sentences, ranked, method == "rank-w")], None
+    if method == "aggr-rank":
+        return reference.aggr_rank(gs.source, *sentences), None
+    if method == "llm-rank":  # with its default backend, mock-lexmin
+        return reference.llm_rank_lexmin(members), None
+    raise AssertionError(f"method {method} has no reference")
+
+
+def _reference_artifacts(config, gold, members, scores):
+    """The bytes of each artifact of ``config``'s run, from the references."""
+    picked = [_reference_sentence(
+        i, gs, [(name, members[int(name[1:])][i]) for name, _ in config.systems], config, scores
+    ) for i, gs in enumerate(gold)]
+    output = SystemOutput(config.method, tuple(sentence for sentence, _ in picked))
+    report = ScoreReport(*reference.score_corpus(output.sentences, gold)[0])
+    result = ExperimentResult(config, (output,) * config.runs, (report,) * config.runs)
+    names = [f"run{k}.txt" for k in range(config.runs)] if config.runs > 1 else ["out.txt"]
+    files = {name: serialize_parallel(output.sentences) for name in names}
+    files.update({"report.txt": report_table(report), "row.tsv": result_row_tsv(result)})
+    if picked[0][1] is not None:
+        files["audit.tsv"] = choices_tsv(
+            [OracleChoice(i, config.method, *audit) for i, (_, audit) in enumerate(picked)])
+    return {f"{config.name}.{name}": text.encode() for name, text in sorted(files.items())}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_equals_its_reference(method):
+    @settings(max_examples=50, deadline=None)
+    @given(method_corpora())
+    def equals_reference(drawn):
+        gold, members, scores, n_min, runs, variant = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save_m2(root / "gold.m2", gold)
+            for k, sentences in enumerate(members):
+                save_parallel(root / f"m{k}.txt", sentences)
+            rows = ((name, f"{i}", f"{score!r}") for (name, i), score in sorted(scores.items()))
+            (root / "scores.tsv").write_text(tsv(SCORE_FILE_HEADER, rows), encoding="utf-8")
+            systems = tuple((f"m{k}", root / f"m{k}.txt") for k in range(len(members)))
+            keys = {"n_min": n_min, "scores": root / "scores.tsv", "runs": runs, "variant": variant}
+            config = ExperimentConfig(
+                "p", root / "gold.m2", systems[:2] if method == "aggr-rank" else systems, method,
+                output_dir=root / "out", **{k: v for k, v in keys.items() if k in METHODS[method]})
+            run_experiment(config, load_inputs(config))
+            assert _artifacts(config.output_dir) == _reference_artifacts(config, gold, members,
+                                                                          scores)
+
+    equals_reference()
 
 
 def test_score_and_cluster_bytes_stay_pinned(tmp_path):

@@ -198,3 +198,25 @@ def test_llm_rank_writes_the_same_bytes_with_one_worker_or_four(tmp_path):
         assert result.stdout == "0\n"
         written.append([(tmp_path / f"jobs{jobs}.run{run}.txt").read_bytes() for run in (0, 1)])
     assert written[0] == written[1]
+
+
+# what tests/reference.py may take from geckit: records and error classes, no code
+_REFERENCE_IMPORTS = {"Edit", "TokenSentence", "GoldSentence", "SystemOutput",
+                      "ValidationError", "OverlapError"}
+
+
+def test_the_references_import_no_geckit_code_and_no_numpy_at_module_level():
+    """So no reference calls the code it checks, and the suite collects
+    without numpy and scipy."""
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # "import geckit..." imports its code: no name passes
+            imported = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [(node.module or "", alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in imported:
+            root = module.split(".")[0]
+            assert root != "geckit" or name in _REFERENCE_IMPORTS, (module, name)
+            assert root not in ("numpy", "scipy") or node not in tree.body, module

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from geckit.corpus import SystemOutput, TokenSentence, ValidationError
 from geckit.llm import (
     BackendSetupError,
@@ -98,11 +99,12 @@ def test_prompt_permutation_maps_labels_to_systems():
 
 
 def test_prompt_validation():
-    with pytest.raises(ValidationError):
+    """build_prompt refuses what an llm-rank config refuses, in its words."""
+    with pytest.raises(ValidationError, match="^unknown prompt variant 'c'$"):
         build_prompt("c", SRC, cands("x .", "y ."), seed=None)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^llm-rank takes 2 to 26 systems, got 1$"):
         build_prompt("a", SRC, cands("x ."), seed=None)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^llm-rank takes 2 to 26 systems, got 27$"):
         build_prompt("a", SRC, cands(*[f"v{i} ." for i in range(27)]), seed=None)
 
 
@@ -290,7 +292,8 @@ def test_rank_corpus_variants_pick_the_lexmin_sentence_under_the_content_mock():
         ))
         for k in range(5)
     ]
-    lexmin = tuple(min(out.sentences[i] for out in outputs) for i in range(len(sources)))
+    lexmin = tuple(reference.llm_rank_lexmin([(out.name, out.sentences[i]) for out in outputs])
+                   for i in range(len(sources)))
     for variant in ("a", "b"):
         runs = llm_rank_corpus(sources, outputs, variant, run_seeds(0, 5), MockLexminBackend())
         assert [run.output.sentences for run in runs] == [lexmin] * 5

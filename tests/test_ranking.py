@@ -3,17 +3,15 @@
 import math
 import random
 import re
-from collections import Counter
-from itertools import chain
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import vocab
 from geckit.align import EditTable
-from geckit.corpus import SystemOutput, TokenSentence, ValidationError, check_aligned
+from geckit.corpus import SystemOutput, TokenSentence, ValidationError
 from geckit.ranking import (
     SimilarityMatrix,
     _average_linkage,
@@ -58,11 +56,6 @@ def test_rank_by_score_validates():
         rank_by_score(cands("x"), [0.5, 0.5])
 
 
-def test_rank_weighted_refuses_no_candidates():
-    with pytest.raises(ValidationError, match="rank_weighted needs at least one candidate"):
-        rank_weighted([], [])
-
-
 @pytest.mark.parametrize("weighted", [False, True])
 def test_rank_corpus_refuses_an_empty_member_list(weighted):
     with pytest.raises(ValidationError, match="needs at least one candidate"):
@@ -86,45 +79,26 @@ def test_weighting_prefers_popular_output_on_close_scores():
     assert rank_weighted(candidates, [0.8, 0.8, 0.9]) == 0
 
 
-def _reference_rank_weighted(candidates, scores):
-    """rank_weighted through one six-field record per candidate (system,
-    sentence, raw score, frequency, weight, weighted score), frozen for the
-    differential test."""
-    if len(scores) != len(candidates):
-        raise ValidationError(f"{len(candidates)} candidates but {len(scores)} scores")
-    if not candidates:
-        raise ValidationError("rank_weighted needs at least one candidate")
-    freq = Counter(tuple(sentence) for _, sentence in candidates)
-    max_n = max(freq.values())
-    weighted = []
-    for (name, sentence), score in zip(candidates, scores):
-        n_j = freq[tuple(sentence)]
-        w_j = n_j / max_n
-        weighted.append((name, sentence, score, n_j, w_j, score * w_j))
-    return rank_by_score([sentence for _, sentence in candidates], [w[5] for w in weighted])
-
-
-def test_rank_weighted_equals_weighted_candidate_records():
-    def outcome(select, candidates, scores):
-        try:
-            return select(candidates, scores)
-        except (ValidationError, ValueError) as err:
-            return type(err), str(err)
-
+def test_rank_by_score_and_rank_weighted_equal_the_reference():
     rng = random.Random(20261019)
     sentences = [ts("a"), ts("b"), ts("a b"), ts("b a"), ts("c")]
     mismatched = 0
     for _ in range(20_000):
         n = rng.randint(0, 7)
-        candidates = [(f"s{k}", rng.choice(sentences)) for k in range(n)]
+        candidates = [rng.choice(sentences) for _ in range(n)]
         scores = [rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(-2, 2)]) for _ in range(n)]
         if rng.random() < 0.1:
             scores = scores[:-1] if scores and rng.random() < 0.5 else scores + [0.5]
             mismatched += 1
-        members = [sentence for _, sentence in candidates]
-        assert outcome(rank_weighted, members, scores) == outcome(
-            _reference_rank_weighted, candidates, scores
-        ), (candidates, scores)
+        if len(scores) != n or not n:
+            error = "rank_weighted needs at least one" if n == len(scores) else (
+                f"{n} candidates but {len(scores)} scores")
+            with pytest.raises(ValidationError, match=f"^{error}"):
+                rank_weighted(candidates, scores)
+            continue
+        for weighted, select in ((False, rank_by_score), (True, rank_weighted)):
+            assert select(candidates, scores) == reference.rank(candidates, scores, weighted), (
+                candidates, scores)
     assert mismatched >= 1_000, mismatched
 
 
@@ -347,47 +321,6 @@ def test_cluster_rejects_bad_matrix(names, values, problem):
         cluster_systems(matrix, 0.11)
 
 
-def _numpy_similarity_matrix(outputs):
-    """Frozen copy of the numpy similarity_matrix that the pure-Python one
-    replaced; returns the (N, N) array."""
-    import numpy as np
-
-    if len(outputs) < 2:
-        raise ValidationError("similarity needs at least 2 systems")
-    n_sys = len(outputs)
-    n_sentences = len(outputs[0].sentences)
-    check_aligned(outputs, n_sentences)
-    if n_sentences == 0:
-        raise ValidationError("similarity needs at least 1 sentence")
-
-    acc = np.zeros((n_sys, n_sys))
-    for i in range(n_sentences):
-        docs = [Counter(out.sentences[i]) for out in outputs]
-        vocab = sorted(set().union(*docs))
-        index = {tok: k for k, tok in enumerate(vocab)}
-        df = Counter(tok for doc in docs for tok in doc)
-        idf = np.array(
-            [math.log((1 + n_sys) / (1 + df[tok])) + 1 for tok in vocab]
-        )
-        vectors = np.zeros((n_sys, len(vocab)))
-        for s, doc in enumerate(docs):
-            for tok, count in doc.items():
-                vectors[s, index[tok]] = count
-        vectors *= idf
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        if not norms.all():
-            empty = outputs[int(np.argmin(norms))].name
-            raise ValidationError(f"sentence {i}: empty output from {empty!r}")
-        vectors /= norms
-        acc += vectors @ vectors.T
-
-    mean = acc / n_sentences
-    mean = (mean + mean.T) / 2  # exact symmetry despite float noise
-    mean = np.clip(mean, 0.0, 1.0)
-    np.fill_diagonal(mean, 1.0)
-    return mean
-
-
 def _near_duplicate_outputs(rng):
     """2-9 systems over 1-40 sentences of a small vocabulary: each system is
     an exact copy of an earlier one, or the base output with its tokens
@@ -418,8 +351,7 @@ def test_similarity_matrix_matches_numpy_reference():
     for k in range(2_000):
         outs = _near_duplicate_outputs(rng)
         got = similarity_matrix(outs)
-        reference = _numpy_similarity_matrix(outs).tolist()
-        ref = SimilarityMatrix(got.names, tuple(map(tuple, reference)))
+        ref = SimilarityMatrix(got.names, tuple(map(tuple, reference.numpy_similarity_matrix(outs))))
         for i, (row, ref_row) in enumerate(zip(got.values, ref.values)):
             for j, (v, r) in enumerate(zip(row, ref_row)):
                 assert abs(v - r) <= 1e-12, f"corpus {k}: entry ({i}, {j}) {v!r} vs {r!r}"
@@ -437,34 +369,6 @@ def test_similarity_matrix_matches_numpy_reference():
             assert members == expected, f"corpus {k} at threshold {t!r}"
 
 
-def _similarity_matrix_per_system(outputs):
-    """similarity_matrix as it was before it shared vectors and products
-    between systems with the same output: one vector per system, one
-    product per system pair. Frozen as the reference of the test below."""
-    n_sys = len(outputs)
-    n_sentences = len(outputs[0].sentences)
-    acc = [[0.0] * n_sys for _ in range(n_sys)]
-    for i in range(n_sentences):
-        docs = [Counter(out.sentences[i]) for out in outputs]
-        df = Counter(chain.from_iterable(docs))
-        idf = [(tok, math.log((1 + n_sys) / (1 + d)) + 1) for tok, d in df.items()]
-        vectors = []
-        for out, doc in zip(outputs, docs):
-            vec = [doc.get(tok, 0) * w for tok, w in idf]
-            norm = math.sqrt(math.fsum(map(mul, vec, vec)))
-            if not norm:
-                raise ValidationError(f"sentence {i}: empty output from {out.name!r}")
-            vectors.append([x / norm for x in vec])
-        for a, u in enumerate(vectors):
-            for b in range(a + 1, n_sys):
-                acc[a][b] += math.fsum(map(mul, u, vectors[b]))
-    mean = [[1.0] * n_sys for _ in range(n_sys)]
-    for a in range(n_sys):
-        for b in range(a + 1, n_sys):
-            mean[a][b] = mean[b][a] = min(acc[a][b] / n_sentences, 1.0)
-    return SimilarityMatrix(tuple(out.name for out in outputs), tuple(map(tuple, mean)))
-
-
 def test_similarity_matrix_equals_the_per_system_computation():
     """Sharing work between repeated outputs changes no bit of the matrix."""
     rng = random.Random(20240918)
@@ -476,9 +380,9 @@ def test_similarity_matrix_equals_the_per_system_computation():
             for i in range(len(outs[0].sentences))
         )
         got = similarity_matrix(outs)
-        reference = _similarity_matrix_per_system(outs)
-        assert got == reference, f"corpus {k}"
-        assert matrix_tsv(got) == matrix_tsv(reference), f"corpus {k}"
+        expected = SimilarityMatrix(*reference.similarity_matrix(outs))
+        assert got == expected, f"corpus {k}"
+        assert matrix_tsv(got) == matrix_tsv(expected), f"corpus {k}"
     assert repeated > 500  # most corpora repeat some output
 
 
@@ -486,7 +390,7 @@ def test_empty_output_error_names_the_first_empty_system():
     outs = [sys_out("a", "x"), SystemOutput("b", (TokenSentence(()),)),
             SystemOutput("c", (TokenSentence(()),))]
     errors = []
-    for compute in (similarity_matrix, _similarity_matrix_per_system):
+    for compute in (similarity_matrix, reference.similarity_matrix):
         with pytest.raises(ValidationError) as err:
             compute(outs)
         errors.append(str(err.value))

@@ -1,14 +1,13 @@
-"""Corpus scoring vs. an independent brute-force oracle, plus pinned values."""
+"""Corpus scoring vs. the brute-force reference, plus pinned values."""
 
 import math
 import random
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_force_score
+import reference
 from conftest import annotations, chosen_annotators, corpora_with_hypotheses, vocab
 from geckit.align import EditTable, apply_edits, extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
@@ -105,11 +104,9 @@ def test_matches_brute_force(corpus):
     """The running-totals shortcut equals per-step re-summation from scratch."""
     gold, hyps = corpus
     report = score_corpus(SystemOutput("h", tuple(hyps)), gold, EditTable())
-    p, r, f, c, np_, g, assignment = brute_force_score(hyps, gold)
-    assert report == (c, np_, g)
-    assert abs(report.f05 - f) < 1e-12
-    assert abs(prf(*report)[0] - p) < 1e-12
-    assert abs(prf(*report)[1] - r) < 1e-12
+    counts, assignment = reference.score_corpus(hyps, gold)
+    assert report == counts
+    assert prf(*report) == reference.prf(*counts)
     assert chosen_annotators(gold, hyps) == assignment
 
 
@@ -151,29 +148,7 @@ def test_a_report_is_its_three_counts():
 
 
 # --------------------------------------------------------------------------
-# the one-set annotator choice against the per-annotator counts it replaced
-
-
-class SentenceCounts(NamedTuple):
-    """The count record the frozen references below were written with."""
-
-    n_correct: int
-    n_proposed: int
-    n_gold: int
-
-
-def _reference_best_annotator(hyp_edits, gold, base=SentenceCounts(0, 0, 0)):
-    """best_annotator as per-annotator counts + a sum + prf, frozen for the differential test."""
-    best = None
-    hyp = set(hyp_edits)
-    for ann_id, ann in enumerate(gold.annotations):
-        gold_edits = set(ann)
-        counts = SentenceCounts(len(hyp & gold_edits), len(hyp), len(gold_edits))
-        total = SentenceCounts(*(b + c for b, c in zip(base, counts)))
-        key = (prf(*total)[2], total.n_correct, -total.n_proposed)
-        if best is None or key > best[2]:
-            best = (ann_id, counts, key)
-    return best
+# the annotator choice and the corpus totals against the reference
 
 
 @st.composite
@@ -192,37 +167,15 @@ def annotator_choices(draw):
     hyp = draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
     hyp += draw(annotations(source, max_edits=2, repl_vocab=vocab(2, "r")))
     n_correct = draw(st.integers(0, 6))
-    base = SentenceCounts(
-        n_correct, n_correct + draw(st.integers(0, 4)), n_correct + draw(st.integers(0, 4))
-    )
-    return draw(st.permutations(hyp)), gold, draw(st.sampled_from([SentenceCounts(0, 0, 0), base]))
+    base = (n_correct, n_correct + draw(st.integers(0, 4)), n_correct + draw(st.integers(0, 4)))
+    return draw(st.permutations(hyp)), gold, draw(st.sampled_from([(0, 0, 0), base]))
 
 
 @settings(max_examples=500, deadline=None)
 @given(annotator_choices())
 def test_best_annotator_equals_per_annotator_counts(choice):
     hyp, gold, base = choice
-    ann_id, counts, _ = _reference_best_annotator(hyp, gold, base)
-    totals = tuple(b + c for b, c in zip(base, counts))
-    assert best_annotator(hyp, gold, ScoreReport(*base)) == (ann_id, totals)
-
-
-# --------------------------------------------------------------------------
-# totals read from the annotator key against the SentenceCounts sums they replaced
-
-
-def _reference_score_corpus(hypothesis, gold, table):
-    """score_corpus as running SentenceCounts totals, each summed with the
-    chosen counts, frozen for the differential test."""
-    totals = SentenceCounts(0, 0, 0)
-    chosen = []
-    for gs, hyp_sentence in zip(gold, hypothesis.sentences):
-        ann_id, counts, _ = _reference_best_annotator(
-            table.edits(gs.source, hyp_sentence), gs, totals
-        )
-        totals = SentenceCounts(*(t + c for t, c in zip(totals, counts)))
-        chosen.append((ann_id, counts))
-    return totals, tuple(chosen)
+    assert best_annotator(hyp, gold, ScoreReport(*base)) == reference.best_annotator(hyp, gold, base)
 
 
 def _mutated(rng, source):
@@ -268,8 +221,8 @@ def test_score_corpus_equals_summed_sentence_counts():
     repeated = 0
     for _ in range(2_000):
         gold, hyp = _seeded_corpus(rng)
-        totals, chosen = _reference_score_corpus(hyp, gold, EditTable())
+        totals, chosen = reference.score_corpus(hyp.sentences, gold)
         assert score_corpus(hyp, gold, EditTable()) == totals
-        assert chosen_annotators(gold, hyp.sentences) == [ann_id for ann_id, _ in chosen]
+        assert chosen_annotators(gold, hyp.sentences) == chosen
         repeated += any(len(set(g.annotations)) < len(g.annotations) for g in gold)
     assert repeated >= 500, repeated

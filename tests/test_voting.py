@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import (
     corpora_with_hypotheses, kept_one, oracle_corpora, sentence_pairs, vocab, vote_one,
 )
-from geckit.align import EditTable, apply_edits, extract_edits
+from geckit.align import EditTable, apply_edits
 from geckit.corpus import Edit, SystemOutput, TokenSentence, ValidationError, conflicts
 from geckit.vote import VotedEdit, majority_vote_corpus, pool_corpus, pool_edits
 
@@ -195,24 +196,7 @@ def test_self_ensemble_reproduces_the_system(pair):
 # --------------------------------------------------------------------------
 # Pool once, threshold per run: sweeps and ablations pool each sentence's
 # edits over the full member list and let every run count only its own
-# members' votes. Checked against a frozen copy of the per-sentence vote.
-
-
-def _reference_vote(source, outputs, n_min):
-    """The vote of one sentence before pooling and thresholding were split:
-    pool these members' edits, keep those with more than n_min votes and
-    apply them in decreasing-vote order, ties by edit, skipping conflicts."""
-    by_edit = {}
-    for name, sentence in outputs:
-        for edit in extract_edits(source, sentence):
-            by_edit.setdefault(edit, set()).add(name)
-    survivors = [(edit, len(names)) for edit, names in by_edit.items() if len(names) > n_min]
-    survivors.sort(key=lambda pair: (-pair[1], pair[0]))
-    kept = []
-    for edit, _ in survivors:
-        if not any(conflicts(edit, k) for k in kept):
-            kept.append(edit)
-    return apply_edits(source, kept)
+# members' votes. Checked against the reference vote of each sentence.
 
 
 def _full_and_remove_one(outputs):
@@ -230,7 +214,7 @@ def _assert_pooled_votes_equal_reference(sources, outputs):
         own_pools = pool_corpus(sources, subset, EditTable())
         for n_min in range(len(subset) + 1):
             expected = tuple(
-                _reference_vote(source, [(out.name, out.sentences[i]) for out in subset], n_min)
+                reference.vote(source, [(out.name, out.sentences[i]) for out in subset], n_min)
                 for i, source in enumerate(sources)
             )
             pooled = majority_vote_corpus(sources, pools, names, n_min, {})
