@@ -658,7 +658,7 @@ def test_combine_reads_no_file(tmp_path, monkeypatch, method):
 
 @st.composite
 def method_corpora(draw):
-    """(gold, members, scores, n_min, runs, variant): 1-6 gold sentences of
+    """(gold, members by name, scores, n_min, runs, variant): 1-6 gold sentences of
     1-3 annotators and 2-5 members, each sentence the source, an annotation
     or one gold edit applied, another member's sentence or new tokens; every
     score is 0, 0.5 or 1, so scores often tie."""
@@ -681,8 +681,9 @@ def method_corpora(draw):
                 sentence = TokenSentence(draw(st.lists(tokens, min_size=1, max_size=8)))
             sentences.append(sentence or gs.source)  # a member line is never empty
         members.append(tuple(sentences))
-    scores = {(f"m{k}", i): draw(st.sampled_from((0.0, 0.5, 1.0)))
-              for k in range(len(members)) for i in range(len(gold))}
+    members = {f"m{k}": sentences for k, sentences in enumerate(members)}
+    scores = {(name, i): draw(st.sampled_from((0.0, 0.5, 1.0)))
+              for name in members for i in range(len(gold))}
     return gold, members, scores, draw(st.integers(0, len(members))), draw(
         st.integers(1, 2)), draw(st.sampled_from("ab"))
 
@@ -713,7 +714,7 @@ def _reference_sentence(i, gs, members, config, scores):
 def _reference_artifacts(config, gold, members, scores):
     """The bytes of each artifact of ``config``'s run, from the references."""
     picked = [_reference_sentence(
-        i, gs, [(name, members[int(name[1:])][i]) for name, _ in config.systems], config, scores
+        i, gs, [(name, members[name][i]) for name, _ in config.systems], config, scores
     ) for i, gs in enumerate(gold)]
     output = SystemOutput(config.method, tuple(sentence for sentence, _ in picked))
     report = ScoreReport(*reference.score_corpus(output.sentences, gold)[0])
@@ -736,11 +737,11 @@ def test_every_method_equals_its_reference(method):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             save_m2(root / "gold.m2", gold)
-            for k, sentences in enumerate(members):
-                save_parallel(root / f"m{k}.txt", sentences)
+            for name, sentences in members.items():
+                save_parallel(root / f"{name}.txt", sentences)
             rows = ((name, f"{i}", f"{score!r}") for (name, i), score in sorted(scores.items()))
             (root / "scores.tsv").write_text(tsv(SCORE_FILE_HEADER, rows), encoding="utf-8")
-            systems = tuple((f"m{k}", root / f"m{k}.txt") for k in range(len(members)))
+            systems = tuple((name, root / f"{name}.txt") for name in members)
             keys = {"n_min": n_min, "scores": root / "scores.tsv", "runs": runs, "variant": variant}
             config = ExperimentConfig(
                 "p", root / "gold.m2", systems[:2] if method == "aggr-rank" else systems, method,
