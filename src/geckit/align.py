@@ -34,9 +34,13 @@ only, the pair is walked again over the matrix with its prefix.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import Edit, TokenSentence, check_edits
+
+# What a function that reads edits takes: extract_edits itself, or a
+# functools.cache of it that a run's functions share.
+Extract = Callable[[Sequence[str], Sequence[str]], tuple[Edit, ...]]
 
 
 def extract_edits(source: Sequence[str], hypothesis: Sequence[str]) -> tuple[Edit, ...]:
@@ -160,44 +164,15 @@ def _walk(src: tuple[str, ...], hyp: tuple[str, ...]) -> tuple[tuple[Edit, ...],
     return tuple(reversed(edits)), i, j
 
 
-class EditTable:
-    """The edits of (source, hypothesis) pairs, each distinct pair extracted once.
-
-    Ensembling, oracles, ranking and scoring all ask for the edits of the
-    same member outputs; pass one table to all of them to share the work.
-    Entries are keyed on the sentences themselves (no copies) and compared
-    by value, which is exact because extraction depends on token values
-    only. A table lives as long as its owner keeps it: there is no global
-    cache.
-
-    >>> table = EditTable()
-    >>> src, hyp = TokenSentence.parse("a b"), TokenSentence.parse("a c")
-    >>> table.edits(src, hyp)
-    (Edit(start=1, end=2, replacement=('c',)),)
-    """
-
-    __slots__ = ("_edits",)
-
-    def __init__(self) -> None:
-        self._edits: dict[tuple[TokenSentence, TokenSentence], tuple[Edit, ...]] = {}
-
-    def edits(self, source: TokenSentence, hypothesis: TokenSentence) -> tuple[Edit, ...]:
-        """:func:`extract_edits` of the pair."""
-        key = (source, hypothesis)
-        edits = self._edits.get(key)
-        if edits is None:
-            edits = self._edits[key] = extract_edits(source, hypothesis)
-        return edits
-
-
 def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:
     """Apply an edit set that passes :func:`geckit.corpus.check_edits` to source.
 
     Order-independent: any permutation of the same set gives the same
     result. Raises what :func:`~geckit.corpus.check_edits` raises for an
-    invalid set.
+    invalid set, and what :class:`~geckit.corpus.TokenSentence` raises for
+    a source that is not one.
     """
-    src = tuple(source)
+    src = source if isinstance(source, TokenSentence) else TokenSentence(source)
     out: list[str] = []
     pos = 0
     for e in check_edits(src, edits):
@@ -205,4 +180,5 @@ def apply_edits(source: Sequence[str], edits: Sequence[Edit]) -> TokenSentence:
         out.extend(e.replacement)
         pos = e.end
     out.extend(src[pos:])
-    return TokenSentence(out)
+    # Source tokens and replacement tokens are both checked already
+    return tuple.__new__(TokenSentence, out)

@@ -103,7 +103,7 @@ def _cmd_score(args, _) -> int:
     if args.src is not None:
         corpus.check_source_file(args.src, gold)
     hyp = corpus.load_system_output(args.hyp, expected_len=len(gold))
-    report = scoring.score_corpus(hyp, gold, align.EditTable())
+    report = scoring.score_corpus(hyp, gold, align.extract_edits)
     text = scoring.report_tsv(report) if args.tsv else scoring.report_table(report)
     _emit(text, args.out)
     return 0

@@ -96,11 +96,7 @@ class TokenSentence(tuple):
     def __new__(cls, tokens: Iterable[str] = ()) -> "TokenSentence":
         toks = tuple(tokens)
         for t in toks:
-            if not isinstance(t, str) or not t:
-                raise ValidationError(f"empty or non-string token: {t!r}")
-            # str.split() separators are exactly the str.isspace() characters
-            if t.split() != [t]:
-                raise ValidationError(f"token contains whitespace: {t!r}")
+            _check_token(t)
         return super().__new__(cls, toks)
 
     @classmethod
@@ -122,6 +118,16 @@ class TokenSentence(tuple):
     def text(self) -> str:
         """Tokens joined by single spaces."""
         return " ".join(self)
+
+
+def _check_token(t: object) -> None:
+    """Raise :class:`ValidationError` unless ``t`` can be a token: a
+    non-empty string with no whitespace."""
+    if not isinstance(t, str) or not t:
+        raise ValidationError(f"empty or non-string token: {t!r}")
+    # str.split() separators are exactly the str.isspace() characters
+    if t.split() != [t]:
+        raise ValidationError(f"token contains whitespace: {t!r}")
 
 
 def _tokens(text: str) -> tuple[str, ...]:
@@ -185,10 +191,12 @@ def check_edits(source: Sequence[str], edits: Iterable[Edit]) -> tuple[Edit, ...
     """``edits`` sorted by (start, end), the normal form of an edit set;
     raise unless it is a valid edit set on ``source``.
 
-    Every edit must lie within the source and change it
-    (:class:`ValidationError`), and no two may :func:`conflicts`
-    (:class:`OverlapError`). In sorted order, an edit that conflicts with
-    a later one also conflicts with the next, so neighbours are compared.
+    Every edit must lie within the source, change it and replace it with
+    tokens that :class:`TokenSentence` accepts, so that it is written and
+    read back as itself (:class:`ValidationError`), and no two may
+    :func:`conflicts` (:class:`OverlapError`). In sorted order, an edit
+    that conflicts with a later one also conflicts with the next, so
+    neighbours are compared.
     """
     ordered = tuple(sorted(edits, key=lambda e: (e.start, e.end)))
     for e in ordered:
@@ -207,6 +215,8 @@ def _check_span(source: Sequence[str], e: Edit) -> None:
         raise ValidationError(
             f"no-op edit at ({e.start},{e.end}): replacement equals source span"
         )
+    for t in e.replacement:
+        _check_token(t)
 
 
 def _check_pair(a: Edit, b: Edit) -> None:

@@ -5,13 +5,14 @@ combination method and its parameters; running it produces the combined
 output file, its score report, and a one-row machine-readable TSV, all
 deterministic given the config and seeds. A run reads one record built by
 :func:`load_inputs`: the input files, the score file among them, read and
-validated once, the edit table, the vote pools (each sentence's member
-edits, pooled once) and the vote-output memo. Remove-one ablations and
-vote-threshold sweeps (:func:`run_study`) share that record across all
-their runs, so each input file is read once per study. The method step,
-:func:`combine`, is also what the method subcommands of the CLI run. The
-method modules are read by module (``vote.pool_corpus``), so a command run
-through the CLI, which registers them lazily, runs only the ones it uses.
+validated once, a cached :func:`geckit.align.extract_edits`, the vote
+pools (each sentence's member edits, pooled once) and the vote-output
+memo. Remove-one ablations and vote-threshold sweeps (:func:`run_study`)
+share that record across all their runs, so each input file is read once
+per study. The method step, :func:`combine`, is also what the method
+subcommands of the CLI run. The method modules are read by module
+(``vote.pool_corpus``), so a command run through the CLI, which registers
+them lazily, runs only the ones it uses.
 
 Config schema (JSON object). Each key is also the name of the
 :class:`ExperimentConfig` field it fills; ``name``, ``gold``, ``systems``
@@ -60,12 +61,12 @@ the method does not read, the first in field order is reported.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from . import llm, oracle, ranking, scoring, vote  # read by module: see above
-from .align import EditTable
+from . import align, llm, oracle, ranking, scoring, vote  # read by module: see above
 from .corpus import (
     CheckedRecord,
     GoldSentence,
@@ -283,14 +284,15 @@ def _parse_system_entry(entry, base: Path) -> tuple[str, Path]:
 
 class _Inputs(NamedTuple):
     """Everything the runs over a config's input files read or share: the
-    files, read and checked once, the edit table, the vote pools and the
-    vote-output memo. Built by :func:`load_inputs`, so a run reads no file."""
+    files, read and checked once, the edit extraction every method and
+    every scoring of a run calls, the vote pools and the vote-output memo.
+    Built by :func:`load_inputs`, so a run reads no file."""
 
     gold: list[GoldSentence] | None  # None without a gold file
     sources: list[TokenSentence] | None  # None with neither gold nor source
     members: dict[str, SystemOutput]  # by system name
     scores: dict[tuple[str, int], float] | None  # the score file's, if the config names one
-    table: EditTable
+    extract: align.Extract  # functools.cache of align.extract_edits
     # each sentence's edits pooled over all members; None unless the method votes
     pools: list[list[vote.VotedEdit]] | None
     # the vote output of each (sentence index, kept edit set): see majority_vote_corpus
@@ -301,6 +303,8 @@ def load_inputs(config: ExperimentConfig) -> _Inputs:
     """Read and check a config's input files, then the score file, and pool
     the members' edits if ``config.method`` votes. The sources are the
     gold's (checked against the source file if given), else the source file's.
+    Edits come from ``functools.cache`` of ``align.extract_edits`` as that
+    name is bound when this runs, so a replaced function is the one cached.
 
     Every file is read through one line dict, so equal lines are one
     sentence object across the gold, the source and the members."""
@@ -319,10 +323,10 @@ def load_inputs(config: ExperimentConfig) -> _Inputs:
         members[name] = load_system_output(path, name, expected_len=n, lines=lines)
         n = len(members[name].sentences)
     scores = None if config.scores is None else load_score_file(config.scores)
-    table, pools = EditTable(), None
+    extract, pools = functools.cache(align.extract_edits), None
     if config.method in _VOTES:
-        pools = vote.pool_corpus(sources, list(members.values()), table)
-    return _Inputs(gold, sources, members, scores, table, pools, {})
+        pools = vote.pool_corpus(sources, list(members.values()), extract)
+    return _Inputs(gold, sources, members, scores, extract, pools, {})
 
 
 def combine(
@@ -331,13 +335,13 @@ def combine(
     """The method step: run ``config.method`` over the loaded ``inputs``,
     :func:`load_inputs` of ``config`` or of a config with the same method and
     input files. It reads no file and changes no field of ``inputs``; it
-    only adds to the edit table and the vote-output memo.
+    only adds to the extraction cache and the vote-output memo.
 
     Returns the outputs (one per run; one except for llm-rank), the oracle
     choices (None for other methods) and, per llm-rank run, the sentence
     indices that fell back to label A. ``shuffle=False`` is ``--no-shuffle``.
     """
-    gold, sources, scores, table = inputs.gold, inputs.sources, inputs.scores, inputs.table
+    gold, sources, scores, extract = inputs.gold, inputs.sources, inputs.scores, inputs.extract
     outputs = [inputs.members[name] for name, _ in config.systems]
 
     combined: list[SystemOutput]
@@ -351,7 +355,7 @@ def combine(
     elif config.method in _ORACLES:
         ensemble = config.method == "oracle-ensemble"
         run = oracle.oracle_ensemble_corpus if ensemble else oracle.oracle_rank_corpus
-        result, choices = run(gold, outputs, table)
+        result, choices = run(gold, outputs, extract)
         combined = [result]
     elif config.method in ("rank", "rank-w"):
         try:
@@ -359,7 +363,7 @@ def combine(
         except ValidationError as err:
             raise type(err)(f"{config.scores}: {err}") from None
     elif config.method == "aggr-rank":
-        combined = [ranking.aggr_rank_corpus(sources, *outputs, table)]
+        combined = [ranking.aggr_rank_corpus(sources, *outputs, extract)]
     else:  # llm-rank
         backend = llm.make_backend(
             config.backend, base_url=config.base_url, model=config.model
@@ -391,7 +395,7 @@ def run_experiment(config: ExperimentConfig, inputs: _Inputs) -> ExperimentResul
     reports = []
     for path, output in zip(output_paths, combined, strict=True):
         atomic_write_text(path, serialize_parallel(output.sentences))
-        reports.append(scoring.score_corpus(output, inputs.gold, inputs.table))
+        reports.append(scoring.score_corpus(output, inputs.gold, inputs.extract))
 
     result = ExperimentResult(config, tuple(combined), tuple(reports), tuple(fallbacks))
     atomic_write_text(report_path, scoring.report_table(result.report))

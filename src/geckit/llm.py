@@ -6,6 +6,8 @@ candidate (variant "a") or for a full ranking (variant "b"; only the top
 label feeds selection). Shuffling breaks positional bias; the prompt keeps
 the shuffled sentences in label order, so a parsed label indexes them.
 The answer is read after the reply's last ``OUTPUT:``, if it has one.
+A sentence whose member sentences are all equal gets no prompt: any label
+would pick that sentence.
 
 The backend is any callable from (system message, user message,
 temperature) to response text. A real HTTP chat-completions client and
@@ -338,24 +340,30 @@ def llm_rank_corpus(
     """Rank every sentence once per run, one run per seed; runs stay separate.
 
     Each run reshuffles candidates with its own seed (see :func:`run_seeds`)
-    and samples the backend at temperature 1.0. Evaluation averages
-    scores across the returned runs; the runs are never merged into one
-    output. A :func:`_transient` backend error that outlasts its retries
-    selects label A for that sentence and is recorded in the run's
-    ``fallbacks``; any other error, a :class:`BackendSetupError` among
-    them, propagates instead.
+    and samples the backend at temperature 1.0. A sentence whose candidates
+    are all one sentence gets that sentence, with no prompt and no backend
+    call, since any label would pick it; each prompt's shuffle seed comes
+    from the run seed and the sentence index, so no other sentence moves.
+    Evaluation averages scores across the returned runs; the runs are never
+    merged into one output. A :func:`_transient` backend error that
+    outlasts its retries selects label A for that sentence and is recorded
+    in the run's ``fallbacks``; any other error, a
+    :class:`BackendSetupError` among them, propagates instead.
     """
     if not seeds:
         raise ValidationError("runs must be >= 1")
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     check_aligned(outputs, len(sources))
+    check_prompt(variant, len(outputs))  # also when no sentence needs a prompt
 
     results: list[RankedRun] = []
     for run_index, run_seed in enumerate(seeds):
 
         def rank_one(i: int) -> tuple[TokenSentence, bool]:
             candidates = [out.sentences[i] for out in outputs]
+            if candidates.count(candidates[0]) == len(candidates):
+                return candidates[0], False
             prompt_seed = derive_seed(run_seed, "sentence", i) if shuffle else None
             prompt = build_prompt(variant, sources[i], candidates, prompt_seed)
             try:

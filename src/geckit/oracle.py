@@ -10,15 +10,15 @@ Two oracles bound what ensembling and ranking could ever achieve:
   (F0.5, n_correct, -n_proposed) against its most favorable annotator.
 
 Both emit audit records of what they chose for offline inspection. Edits
-are read from an :class:`geckit.align.EditTable`, so scoring that shares
-the table extracts nothing again.
+come from the caller's ``extract`` function (see :data:`geckit.align.Extract`),
+so scoring that shares a cached one extracts nothing again.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .align import EditTable, apply_edits
+from .align import Extract, apply_edits
 from .corpus import (
     Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError, check_aligned, tsv,
 )
@@ -36,7 +36,7 @@ class OracleChoice(NamedTuple):
 
 
 def _stable_subset(
-    source: TokenSentence, edits: tuple[Edit, ...], table: EditTable
+    source: TokenSentence, edits: tuple[Edit, ...], extract: Extract
 ) -> tuple[Edit, ...]:
     """Greedily keep (in position order) edits whose application re-extracts
     verbatim.
@@ -49,19 +49,19 @@ def _stable_subset(
     kept: tuple[Edit, ...] = ()
     for edit in edits:
         trial = (*kept, edit)
-        if table.edits(source, apply_edits(source, trial)) == trial:
+        if extract(source, apply_edits(source, trial)) == trial:
             kept = trial
     return kept
 
 
 def _ensemble_choice(
-    gold: GoldSentence, sentences: Sequence[TokenSentence], table: EditTable
+    gold: GoldSentence, sentences: Sequence[TokenSentence], extract: Extract
 ) -> tuple[TokenSentence, int, tuple[Edit, ...]]:
     """One sentence's oracle-ensemble output, annotator id and applied edits."""
     source = gold.source
     pool: set[Edit] = set()
     for sentence in sentences:
-        pool.update(table.edits(source, sentence))
+        pool.update(extract(source, sentence))
     best_id = 0
     best: set[Edit] = set()
     for ann_id, ann in enumerate(gold.annotations):
@@ -71,8 +71,8 @@ def _ensemble_choice(
             best_id, best = ann_id, selected
     chosen = tuple(sorted(best))
     applied = apply_edits(source, chosen)
-    if table.edits(source, applied) != chosen:
-        chosen = _stable_subset(source, chosen, table)
+    if extract(source, applied) != chosen:
+        chosen = _stable_subset(source, chosen, extract)
         applied = apply_edits(source, chosen)
     return applied, best_id, chosen
 
@@ -80,16 +80,16 @@ def _ensemble_choice(
 def oracle_ensemble_corpus(
     gold: Sequence[GoldSentence],
     outputs: Sequence[SystemOutput],
-    table: EditTable,
+    extract: Extract,
 ) -> tuple[SystemOutput, list[OracleChoice]]:
-    """Corpus-level oracle ensembling with an audit trail; edits are read
-    from ``table``."""
+    """Corpus-level oracle ensembling with an audit trail; edits come from
+    ``extract``."""
     check_aligned(outputs, len(gold))
     sentences = []
     choices = []
     for i, gs in enumerate(gold):
         members = [out.sentences[i] for out in outputs]
-        sentence, ann_id, selected = _ensemble_choice(gs, members, table)
+        sentence, ann_id, selected = _ensemble_choice(gs, members, extract)
         sentences.append(sentence)
         choices.append(OracleChoice(i, "oracle-ensemble", ann_id, None, len(selected)))
     return SystemOutput("oracle-ensemble", tuple(sentences)), choices
@@ -98,13 +98,13 @@ def oracle_ensemble_corpus(
 def oracle_rank_corpus(
     gold: Sequence[GoldSentence],
     outputs: Sequence[SystemOutput],
-    table: EditTable,
+    extract: Extract,
 ) -> tuple[SystemOutput, list[OracleChoice]]:
     """Corpus-level oracle ranking with an audit trail.
 
     Each sentence takes the member output with the best
     :func:`geckit.scoring.choice_key` against its most favorable annotator;
-    full ties keep the earliest member in ``outputs``. Edits are read from ``table``.
+    full ties keep the earliest member in ``outputs``. Edits come from ``extract``.
     """
     if not outputs:
         raise ValidationError("oracle-rank needs at least one candidate")
@@ -114,7 +114,7 @@ def oracle_rank_corpus(
     for i, gs in enumerate(gold):
         best = None
         for out in outputs:
-            ann_id, counts = best_annotator(table.edits(gs.source, out.sentences[i]), gs)
+            ann_id, counts = best_annotator(extract(gs.source, out.sentences[i]), gs)
             key = choice_key(*counts)
             if best is None or key > best[0]:  # strictly better: the earliest keeps ties
                 best = (key, out, ann_id, counts.n_correct)

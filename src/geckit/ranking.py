@@ -33,7 +33,7 @@ from itertools import chain
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .align import EditTable
+from .align import Extract
 from .corpus import SystemOutput, TokenSentence, ValidationError, check_aligned, tsv
 
 
@@ -94,16 +94,16 @@ def aggr_rank(
     primary: TokenSentence,
     alternative: TokenSentence,
     source: TokenSentence,
-    table: EditTable,
+    extract: Extract,
 ) -> TokenSentence:
     """Keep the primary candidate only when it is the less aggressive one.
 
     Primary wins iff it proposes strictly fewer edits than the alternative
     and proposes at least one; everything else falls back to the
-    alternative. Edits are read from ``table``.
+    alternative. Edits come from ``extract``.
     """
-    e_p = len(table.edits(source, primary))
-    e_a = len(table.edits(source, alternative))
+    e_p = len(extract(source, primary))
+    e_a = len(extract(source, alternative))
     return primary if 1 <= e_p < e_a else alternative
 
 
@@ -135,12 +135,12 @@ def aggr_rank_corpus(
     sources: Sequence[TokenSentence],
     primary: SystemOutput,
     alternative: SystemOutput,
-    table: EditTable,
+    extract: Extract,
 ) -> SystemOutput:
-    """Per-sentence :func:`aggr_rank`; edits are read from ``table``."""
+    """Per-sentence :func:`aggr_rank`; edits come from ``extract``."""
     check_aligned((primary, alternative), len(sources))
     sentences = tuple(
-        aggr_rank(p, a, s, table)
+        aggr_rank(p, a, s, extract)
         for p, a, s in zip(primary.sentences, alternative.sentences, sources)
     )
     return SystemOutput(f"aggr-rank[{primary.name}|{alternative.name}]", sentences)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple, Sequence
 
-from .align import EditTable
+from .align import Extract
 from .corpus import Edit, GoldSentence, SystemOutput, check_aligned, tsv
 
 
@@ -96,19 +96,19 @@ def best_annotator(
 def score_corpus(
     hypothesis: SystemOutput,
     gold: Sequence[GoldSentence],
-    table: EditTable,
+    extract: Extract,
 ) -> ScoreReport:
     """Score a system against a multi-annotator gold corpus.
 
-    Hypothesis edits against each gold source are read from ``table``, so a
-    table shared with the method that built the hypothesis extracts each
-    pair once. Raises :class:`ValidationError` when the hypothesis and gold
-    corpus lengths differ.
+    The edits of each hypothesis sentence are ``extract(source, sentence)``,
+    so a cached ``extract`` shared with the method that built the
+    hypothesis extracts each pair once. Raises :class:`ValidationError`
+    when the hypothesis and gold corpus lengths differ.
     """
     check_aligned([hypothesis], len(gold))
     totals = ScoreReport(0, 0, 0)
     for gs, hyp_sentence in zip(gold, hypothesis.sentences):
-        _, totals = best_annotator(table.edits(gs.source, hyp_sentence), gs, totals)
+        _, totals = best_annotator(extract(gs.source, hyp_sentence), gs, totals)
     return totals
 
 

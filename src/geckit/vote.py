@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .align import EditTable, apply_edits
+from .align import Extract, apply_edits
 from .corpus import Edit, SystemOutput, TokenSentence, ValidationError, check_aligned, conflicts
 
 
@@ -36,10 +36,11 @@ class VotedEdit(NamedTuple):
 def pool_edits(
     source: TokenSentence,
     outputs: Sequence[tuple[str, TokenSentence]],
-    table: EditTable,
+    extract: Extract,
     voters: dict[frozenset[str], frozenset[str]],
 ) -> list[VotedEdit]:
-    """Pool all member edits for one sentence, read from ``table``.
+    """Pool all member edits for one sentence, ``extract(source, sentence)``
+    of each member sentence.
 
     Returns one :class:`VotedEdit` per distinct (start, end, replacement)
     key, sorted by position. Each voter set already in ``voters`` is reused,
@@ -47,7 +48,7 @@ def pool_edits(
     """
     by_edit: dict[Edit, set[str]] = {}
     for name, sentence in outputs:
-        for edit in table.edits(source, sentence):
+        for edit in extract(source, sentence):
             by_edit.setdefault(edit, set()).add(name)
     pool = []
     for edit, names in sorted(by_edit.items()):
@@ -80,7 +81,7 @@ def _kept_edits(pool: Sequence[VotedEdit], members: frozenset[str], n_min: int) 
 def pool_corpus(
     sources: Sequence[TokenSentence],
     outputs: Sequence[SystemOutput],
-    table: EditTable,
+    extract: Extract,
 ) -> list[list[VotedEdit]]:
     """Each sentence's :func:`pool_edits` over all of ``outputs``: the pools
     :func:`majority_vote_corpus` counts votes in.
@@ -92,7 +93,7 @@ def pool_corpus(
     check_aligned(outputs, len(sources))
     voters: dict[frozenset[str], frozenset[str]] = {}
     return [
-        pool_edits(source, [(out.name, out.sentences[i]) for out in outputs], table, voters)
+        pool_edits(source, [(out.name, out.sentences[i]) for out in outputs], extract, voters)
         for i, source in enumerate(sources)
     ]
 

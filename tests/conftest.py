@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from geckit.align import EditTable, extract_edits
+from geckit.align import extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, conflicts
 from geckit.oracle import oracle_ensemble_corpus, oracle_rank_corpus
 from geckit.scoring import ScoreReport, best_annotator
@@ -178,25 +178,25 @@ def chosen_annotators(gold, hyps):
 
 def vote_one(source, members, n_min):
     """The majority-vote output of one sentence."""
-    pools = pool_corpus([source], _one_sentence(members), EditTable())
+    pools = pool_corpus([source], _one_sentence(members), extract_edits)
     names = [name for name, _ in members]
     return majority_vote_corpus([source], pools, names, n_min, {}).sentences[0]
 
 
 def kept_one(source, members, n_min):
     """The edits the majority vote of one sentence applies, in application order."""
-    pool = pool_corpus([source], _one_sentence(members), EditTable())[0]
+    pool = pool_corpus([source], _one_sentence(members), extract_edits)[0]
     return _kept_edits(pool, frozenset(name for name, _ in members), n_min)
 
 
 def oracle_ensemble_one(gold, members):
     """The oracle-ensemble output of one gold sentence."""
-    return oracle_ensemble_corpus([gold], _one_sentence(members), EditTable())[0].sentences[0]
+    return oracle_ensemble_corpus([gold], _one_sentence(members), extract_edits)[0].sentences[0]
 
 
 def oracle_rank_one(gold, members):
     """The (member name, sentence) oracle-rank picks for one gold sentence."""
-    combined, choices = oracle_rank_corpus([gold], _one_sentence(members), EditTable())
+    combined, choices = oracle_rank_corpus([gold], _one_sentence(members), extract_edits)
     return choices[0].system, combined.sentences[0]
 
 

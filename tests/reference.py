@@ -29,9 +29,10 @@ def conflicts(a: Edit, b: Edit) -> bool:
 
 
 def check_edits(source, edits) -> tuple[Edit, ...]:
-    """``edits`` sorted by (start, end), if each lies in ``source`` and changes
-    it and no two conflict. Each edit is checked, then each pair, in the order
-    given; the first failure raises."""
+    """``edits`` sorted by (start, end), if each lies in ``source``, changes
+    it and replaces it with non-empty tokens free of whitespace, and no two
+    conflict. Each edit is checked, then each pair, in the order given; the
+    first failure raises."""
     for e in edits:
         if not 0 <= e.start <= e.end <= len(source):
             raise ValidationError(
@@ -39,6 +40,11 @@ def check_edits(source, edits) -> tuple[Edit, ...]:
         if tuple(e.replacement) == tuple(source[e.start : e.end]):
             raise ValidationError(
                 f"no-op edit at ({e.start},{e.end}): replacement equals source span")
+        for t in e.replacement:
+            if not isinstance(t, str) or not t:
+                raise ValidationError(f"empty or non-string token: {t!r}")
+            if any(c.isspace() for c in t):
+                raise ValidationError(f"token contains whitespace: {t!r}")
     for i, a in enumerate(edits):
         for b in edits[i + 1 :]:
             if conflicts(a, b):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import reference
 from conftest import sentence_pairs
 from geckit import align
-from geckit.align import EditTable, apply_edits, extract_edits
+from geckit.align import apply_edits, extract_edits
 from geckit.corpus import (
     Edit, OverlapError, TokenSentence, ValidationError, check_edits, conflicts,
 )
@@ -76,6 +76,13 @@ def test_apply_rejects_insertion_inside_replaced_span():
 def test_apply_rejects_out_of_bounds():
     with pytest.raises(ValidationError):
         apply_edits(["a"], [Edit(0, 2, ("x",))])
+
+
+def test_apply_checks_replacement_tokens_and_a_plain_source():
+    with pytest.raises(ValidationError, match=r"^token contains whitespace: 'x y'$"):
+        apply_edits(TokenSentence.parse("a b"), [Edit(0, 1, ("x y",))])
+    with pytest.raises(ValidationError, match=r"^empty or non-string token: ''$"):
+        apply_edits(["", "b"], [Edit(1, 2, ("c",))])
 
 
 def test_apply_allows_insertion_at_replacement_boundary():
@@ -159,51 +166,6 @@ def test_result_type_is_token_sentence():
     out = apply_edits(("a", "b"), [Edit(0, 1, ("x",))])
     assert isinstance(out, TokenSentence)
     assert out.text == "x b"
-
-
-# --------------------------------------------------------------------------
-# EditTable: a lookup must equal a fresh extraction, hit or miss
-
-
-def test_edit_table_equals_extract_edits_on_random_pairs():
-    rng = random.Random(303)
-    table = EditTable()
-    pairs = []
-    for _ in range(10_000):
-        alphabet = [f"w{j}" for j in range(rng.randint(2, 50))]
-        source = TokenSentence(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
-        if pairs and rng.random() < 0.2:
-            source = rng.choice(pairs)[0]  # one source, several hypotheses
-        if rng.random() < 0.5:
-            hyp = TokenSentence(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
-        else:
-            hyp = TokenSentence(t for t in source if rng.random() < 0.9)
-        pairs.append((source, hyp))
-        assert table.edits(source, hyp) == extract_edits(source, hyp)
-    # second lookups hit, also through equal but distinct sentence objects
-    for source, hyp in pairs[::7]:
-        assert table.edits(TokenSentence(source), hyp) == extract_edits(source, hyp)
-
-
-@settings(max_examples=300, deadline=None)
-@given(sentence_pairs())
-def test_edit_table_equals_extract_edits(pair):
-    src, hyp = TokenSentence(pair[0]), TokenSentence(pair[1])
-    table = EditTable()
-    expected = extract_edits(src, hyp)
-    assert table.edits(src, hyp) == expected  # miss
-    assert table.edits(src, hyp) == expected  # hit
-
-
-def test_edit_table_lookup_survives_caller_mutation():
-    # the stored edit set is an immutable tuple, handed out itself on a hit
-    table = EditTable()
-    src, hyp = TokenSentence("a b c d".split()), TokenSentence("x b c y".split())
-    first = table.edits(src, hyp)
-    assert type(first) is tuple and first == extract_edits(src, hyp)
-    with pytest.raises(TypeError):
-        first[0] = Edit(0, 0, ("q",))
-    assert table.edits(TokenSentence(src), TokenSentence(hyp)) is first
 
 
 # --------------------------------------------------------------------------

@@ -164,6 +164,20 @@ def test_score_tsv_mode(data, capsys):
     assert lines[1].split("\t") == ["100.0", "50.0", "83.3", "1", "1", "2"]
 
 
+def test_score_keeps_no_memo_of_edits(data, monkeypatch):
+    # each pair is read once, so score passes extract_edits itself, uncached
+    passed = []
+    score = scoring.score_corpus
+
+    def recording(hyp, gold, extract):
+        passed.append(extract)
+        return score(hyp, gold, extract)
+
+    monkeypatch.setattr(scoring, "score_corpus", recording)
+    assert main(["score", "--hyp", str(data / "a.txt"), "--gold", str(data / "gold.m2")]) == 0
+    assert len(passed) == 1 and passed[0] is align.extract_edits
+
+
 def test_score_src_crosscheck(data, capsys):
     code = main([
         "score", "--hyp", str(data / "a.txt"), "--gold", str(data / "gold.m2"),

@@ -90,6 +90,15 @@ def test_writers_refuse_a_replacement_that_reads_back_as_a_deletion():
     assert parse_m2(serialize_m2(gold)) == gold
 
 
+@pytest.mark.parametrize("token, message", [
+    ("x y", "token contains whitespace: 'x y'"),  # would read back as ("x", "y")
+    ("", "empty or non-string token: ''"),  # written -NONE-, a deletion
+])
+def test_gold_refuses_a_replacement_token_that_would_not_read_back(token, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        GoldSentence(TokenSentence.parse("a b c"), [[Edit(0, 1, (token,))]])
+
+
 def test_stanza_without_a_lines_means_one_empty_annotation():
     gold = parse_m2("S a b c\n")
     assert gold[0].annotations == ((),)
@@ -477,8 +486,8 @@ def test_edit_tsv_per_row_check_equals_rechecking_every_pair():
 def _random_edit_set(rng):
     """A source and a shuffled edit set on it: the extracted edits of a random
     hypothesis and, about half the time, random edits that may be
-    insertions, share a start, repeat an edit, leave the source or change
-    nothing."""
+    insertions, share a start, repeat an edit, leave the source, change
+    nothing or end their replacement with a token no sentence can hold."""
     words = vocab(3)
     source = [rng.choice(words) for _ in range(rng.randint(1, 7))]
     edits = list(extract_edits(source, [rng.choice(words) for _ in range(rng.randint(0, 8))]))
@@ -494,6 +503,8 @@ def _random_edit_set(rng):
                 replacement = tuple(source[start:end])
             else:
                 replacement = tuple(rng.choice(words) for _ in range(rng.randint(0, 2)))
+                if roll > 0.95:
+                    replacement += (rng.choice(("", "x y", "x\u2028")),)
             edits.append(Edit(start, end, replacement))
     rng.shuffle(edits)
     return source, edits
@@ -522,7 +533,7 @@ def test_check_edits_equals_the_all_pairs_check_of_the_sorted_set():
                 ("equal starts", len({e.start for e in set(edits)}) < len(set(edits))),
             ] if present
         )
-    assert seen == {"valid", "edit", "no-op", "conflicting",
+    assert seen == {"valid", "edit", "no-op", "empty", "token", "conflicting",
                     "insertion", "duplicate", "equal starts"}
 
 

@@ -387,7 +387,7 @@ def test_sweep_rejects_non_vote_methods(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# Sweeps and ablations load their inputs once and share one edit table; the
+# Sweeps and ablations load their inputs once and share one cached extraction; the
 # artifacts must not change.
 
 

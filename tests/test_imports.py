@@ -220,3 +220,23 @@ def test_the_references_import_no_geckit_code_and_no_numpy_at_module_level():
             root = module.split(".")[0]
             assert root != "geckit" or name in _REFERENCE_IMPORTS, (module, name)
             assert root not in ("numpy", "scipy") or node not in tree.body, module
+
+
+# the modules that may name align.extract_edits: its own, and the two that
+# hand it, plain or cached, to the functions that read edits
+_EXTRACTORS = {"align", "cli", "experiment"}
+
+
+def test_only_the_callers_name_extract_edits():
+    """vote, oracle, ranking and scoring read edits through their ``extract``
+    argument only, so no method can bypass the cache a run passes."""
+    src = Path(__file__).resolve().parent.parent / "src" / "geckit"
+    naming = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            # a name read, an attribute, an import alias or a definition
+            fields = ("id", "attr", "name", "asname")
+            if "extract_edits" in (getattr(node, field, None) for field in fields):
+                naming.add(path.stem)
+    assert naming == _EXTRACTORS

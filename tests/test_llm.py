@@ -318,6 +318,42 @@ def test_rank_corpus_no_shuffle_gives_input_order_to_positional_mock():
     assert run.output.sentences == outputs[0].sentences
 
 
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_rank_corpus_sends_no_request_for_a_unanimous_sentence(jobs):
+    """Any label picks the one sentence that every candidate is, so that
+    sentence gets no prompt; every other prompt keeps its own shuffle seed."""
+    sources, outputs = corpus_fixture()
+    sources.insert(1, ts("u source ."))
+    same = ts("u output .")
+    outputs = [SystemOutput(out.name, (out.sentences[0], same, *out.sentences[1:]))
+               for out in outputs]
+    requests = []
+
+    def recording(sys_msg, user_msg, temperature):
+        requests.append(user_msg)
+        return "OUTPUT:\nB"
+
+    seeds = run_seeds(0, 4)
+    runs = llm_rank_corpus(sources, outputs, "a", seeds, recording, jobs=jobs)
+    assert len(requests) == 3 * len(seeds)
+    assert not [r for r in requests if "u source" in r or "u output" in r]
+    for run, run_seed in zip(runs, seeds):
+        assert run.output.sentences[1] is same
+        assert run.fallbacks == ()
+        for i in (0, 2, 3):
+            candidates = [out.sentences[i] for out in outputs]
+            prompt = build_prompt("a", sources[i], candidates, derive_seed(run_seed, "sentence", i))
+            assert run.output.sentences[i] == prompt.sentences[1]
+
+
+def test_rank_corpus_checks_the_prompt_when_no_sentence_needs_one():
+    sources, outputs = corpus_fixture()
+    with pytest.raises(ValidationError, match="2 to 26 systems, got 1"):
+        llm_rank_corpus(sources, outputs[:1], "a", [0], MockLexminBackend())
+    with pytest.raises(ValidationError, match="unknown prompt variant 'z'"):
+        llm_rank_corpus(sources, [outputs[0]] * 2, "z", [0], MockLexminBackend())
+
+
 def test_rank_corpus_backend_failure_falls_back_and_is_recorded(sleeps):
     def broken(sys_msg, user_msg, temperature):
         raise ConnectionError("down")

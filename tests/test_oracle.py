@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import reference
 from conftest import oracle_corpora, oracle_ensemble_one, oracle_rank_one
-from geckit.align import EditTable
+from geckit.align import extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
 from geckit.oracle import choices_tsv, oracle_ensemble_corpus, oracle_rank_corpus
 from geckit.scoring import prf, score_corpus
@@ -63,7 +63,7 @@ def test_ensemble_drops_adjacent_gold_pair_to_protect_precision():
     ensembled = oracle_ensemble_one(gold, outputs)
     assert ensembled.text == "a x c d e"
     report = score_corpus(
-        SystemOutput("ens", (ensembled,)), [gold], EditTable()
+        SystemOutput("ens", (ensembled,)), [gold], extract_edits
     )
     assert prf(*report)[0] == 1.0
     assert report == (1, 1, 2)
@@ -102,15 +102,15 @@ def test_corpus_wrappers_misalignment_rejected():
     gold = [gs("a b", [Edit(0, 1, ("x",))])]
     short = [SystemOutput("s", ())]
     with pytest.raises(ValidationError):
-        oracle_ensemble_corpus(gold, short, EditTable())
+        oracle_ensemble_corpus(gold, short, extract_edits)
     with pytest.raises(ValidationError):
-        oracle_rank_corpus(gold, short, EditTable())
+        oracle_rank_corpus(gold, short, extract_edits)
 
 
 def test_audit_trail_and_tsv():
     gold = [gs("a b", [Edit(0, 1, ("x",))])]
     outputs = [SystemOutput("s", (TokenSentence("x b".split()),))]
-    combined, choices = oracle_rank_corpus(gold, outputs, EditTable())
+    combined, choices = oracle_rank_corpus(gold, outputs, extract_edits)
     assert combined.sentences[0].text == "x b"
     assert choices[0].system == "s"
     text = choices_tsv(choices)
@@ -126,8 +126,8 @@ def test_audit_trail_and_tsv():
 def test_ensemble_precision_is_always_perfect(corpus):
     """Every applied edit is a gold edit, so precision stays at 1.0."""
     gold, outputs = corpus
-    combined, _ = oracle_ensemble_corpus(gold, outputs, EditTable())
-    report = score_corpus(combined, gold, EditTable())
+    combined, _ = oracle_ensemble_corpus(gold, outputs, extract_edits)
+    report = score_corpus(combined, gold, extract_edits)
     assert prf(*report)[0] == 1.0
 
 
@@ -135,8 +135,8 @@ def test_ensemble_precision_is_always_perfect(corpus):
 @given(oracle_corpora())
 def test_ensemble_is_member_order_invariant(corpus):
     gold, outputs = corpus
-    baseline, _ = oracle_ensemble_corpus(gold, outputs, EditTable())
-    flipped, _ = oracle_ensemble_corpus(gold, list(reversed(outputs)), EditTable())
+    baseline, _ = oracle_ensemble_corpus(gold, outputs, extract_edits)
+    flipped, _ = oracle_ensemble_corpus(gold, list(reversed(outputs)), extract_edits)
     assert baseline.sentences == flipped.sentences
 
 
@@ -144,8 +144,8 @@ def test_ensemble_is_member_order_invariant(corpus):
 @given(oracle_corpora())
 def test_both_oracles_equal_the_reference(corpus):
     gold, outputs = corpus
-    ensemble, ensemble_choices = oracle_ensemble_corpus(gold, outputs, EditTable())
-    ranked, rank_choices = oracle_rank_corpus(gold, outputs, EditTable())
+    ensemble, ensemble_choices = oracle_ensemble_corpus(gold, outputs, extract_edits)
+    ranked, rank_choices = oracle_rank_corpus(gold, outputs, extract_edits)
     for i, gs in enumerate(gold):
         members = [(out.name, out.sentences[i]) for out in outputs]
         e, r = ensemble_choices[i], rank_choices[i]

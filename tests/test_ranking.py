@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import vocab
-from geckit.align import EditTable
+from geckit.align import extract_edits
 from geckit.corpus import SystemOutput, TokenSentence, ValidationError
 from geckit.ranking import (
     SimilarityMatrix,
@@ -170,7 +170,7 @@ SRC = ts("a b c d e")
     ],
 )
 def test_aggr_rank_truth_table(primary, alternative, expected):
-    chosen = aggr_rank(ts(primary), ts(alternative), SRC, EditTable())
+    chosen = aggr_rank(ts(primary), ts(alternative), SRC, extract_edits)
     assert chosen == (ts(primary) if expected == "primary" else ts(alternative))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import annotations, chosen_annotators, corpora_with_hypotheses, vocab
-from geckit.align import EditTable, apply_edits, extract_edits
+from geckit.align import apply_edits, extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, ValidationError
 from geckit.scoring import (
     ScoreReport,
@@ -49,13 +49,13 @@ def test_f_beta_weights_precision_over_recall():
 
 def test_perfect_hypothesis_scores_one():
     gold = [gs("I likes turtles .", [Edit(1, 2, ("like",))])]
-    report = score_corpus(as_output("I like turtles ."), gold, EditTable())
+    report = score_corpus(as_output("I like turtles ."), gold, extract_edits)
     assert prf(*report) == (1.0, 1.0, 1.0)
 
 
 def test_unedited_hypothesis_has_perfect_precision_zero_recall():
     gold = [gs("I likes turtles .", [Edit(1, 2, ("like",))])]
-    report = score_corpus(as_output("I likes turtles ."), gold, EditTable())
+    report = score_corpus(as_output("I likes turtles ."), gold, extract_edits)
     assert prf(*report)[:2] == (1.0, 0.0)  # proposed nothing, broke nothing
     assert report.f05 == 0.0
 
@@ -66,7 +66,7 @@ def test_single_annotator_closed_form():
         gs("e f g", [Edit(1, 2, ("z",))]),
     ]
     # hyp gets one of two edits right in sentence 0, proposes a wrong one in 1
-    report = score_corpus(as_output("x b c d", "e q g"), gold, EditTable())
+    report = score_corpus(as_output("x b c d", "e q g"), gold, extract_edits)
     assert report == (1, 2, 3)
     assert math.isclose(prf(*report)[0], 0.5)
     assert math.isclose(prf(*report)[1], 1 / 3)
@@ -82,7 +82,7 @@ def test_annotator_choice_maximizes_f():
             [Edit(0, 1, ("x",))],
         )
     ]
-    report = score_corpus(as_output("x b c"), gold, EditTable())
+    report = score_corpus(as_output("x b c"), gold, extract_edits)
     assert report.f05 == 1.0
     assert best_annotator([Edit(0, 1, ("x",))], gold[0]) == (1, (1, 1, 1))
 
@@ -95,7 +95,7 @@ def test_tie_goes_to_lowest_annotator_id():
 def test_length_mismatch_rejected():
     gold = [gs("a b", [Edit(0, 1, ("x",))])]
     with pytest.raises(ValidationError):
-        score_corpus(as_output("x b", "extra sentence"), gold, EditTable())
+        score_corpus(as_output("x b", "extra sentence"), gold, extract_edits)
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,7 +103,7 @@ def test_length_mismatch_rejected():
 def test_matches_brute_force(corpus):
     """The running-totals shortcut equals per-step re-summation from scratch."""
     gold, hyps = corpus
-    report = score_corpus(SystemOutput("h", tuple(hyps)), gold, EditTable())
+    report = score_corpus(SystemOutput("h", tuple(hyps)), gold, extract_edits)
     counts, assignment = reference.score_corpus(hyps, gold)
     assert report == counts
     assert prf(*report) == reference.prf(*counts)
@@ -115,7 +115,7 @@ def test_matches_brute_force(corpus):
 def test_identity_hypothesis_never_loses_precision(corpus):
     gold, _ = corpus
     hyps = [g.source for g in gold]
-    report = score_corpus(SystemOutput("h", tuple(hyps)), gold, EditTable())
+    report = score_corpus(SystemOutput("h", tuple(hyps)), gold, extract_edits)
     assert prf(*report)[0] == 1.0
     assert report.n_proposed == 0
 
@@ -132,14 +132,14 @@ def test_round_score_is_half_up_one_decimal():
 
 def test_report_table_shows_rounded_percentages():
     gold = [gs("I likes turtles .", [Edit(1, 2, ("like",))])]
-    table = report_table(score_corpus(as_output("I like turtles ."), gold, EditTable()))
+    table = report_table(score_corpus(as_output("I like turtles ."), gold, extract_edits))
     assert "100.0" in table
     assert "F0.5" in table
 
 
 def test_a_report_is_its_three_counts():
     gold = [gs("a b c d", [Edit(0, 1, ("x",)), Edit(2, 3, ("y",))])]
-    report = score_corpus(as_output("x b c q"), gold, EditTable())
+    report = score_corpus(as_output("x b c q"), gold, extract_edits)
     assert report._fields == ("n_correct", "n_proposed", "n_gold")
     assert report == (1, 2, 2) and all(type(n) is int for n in report)
     assert report.f05 == prf(*report)[2] == prf(1, 2, 2)[2]
@@ -222,7 +222,7 @@ def test_score_corpus_equals_summed_sentence_counts():
     for _ in range(2_000):
         gold, hyp = _seeded_corpus(rng)
         totals, chosen = reference.score_corpus(hyp.sentences, gold)
-        assert score_corpus(hyp, gold, EditTable()) == totals
+        assert score_corpus(hyp, gold, extract_edits) == totals
         assert chosen_annotators(gold, hyp.sentences) == chosen
         repeated += any(len(set(g.annotations)) < len(g.annotations) for g in gold)
     assert repeated >= 500, repeated
