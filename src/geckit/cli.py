@@ -19,6 +19,7 @@ lazily and runs when the command first reads one of its names, so
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib.util
 import sys
@@ -135,8 +136,8 @@ def _cmd_cluster(args, _) -> int:
     named = [corpus.parse_system_spec(spec) for spec in args.sys]
     corpus.check_unique_names(name for name, _ in named)
     ranking.check_cluster(len(named), args.threshold)
-    lines = {}  # one sentence object per distinct line, as experiment.load_inputs
-    systems = [corpus.load_system_output(path, name, lines=lines) for name, path in named]
+    parse = functools.cache(corpus.TokenSentence.parse)  # as experiment.load_inputs
+    systems = [corpus.load_system_output(path, name, parse=parse) for name, path in named]
     matrix = ranking.similarity_matrix(systems)
     clusters = ranking.cluster_systems(matrix, args.threshold)
     _emit(ranking.clusters_tsv(clusters), args.out)

@@ -120,6 +120,11 @@ class TokenSentence(tuple):
         return " ".join(self)
 
 
+# What a loader reads each line with: TokenSentence.parse itself, or a
+# functools.cache of it that a run's loads share.
+Parse = Callable[[str], TokenSentence]
+
+
 def _check_token(t: object) -> None:
     """Raise :class:`ValidationError` unless ``t`` can be a token: a
     non-empty string with no whitespace."""
@@ -133,17 +138,6 @@ def _check_token(t: object) -> None:
 def _tokens(text: str) -> tuple[str, ...]:
     """The whitespace tokens of ``text``, interned (see :meth:`TokenSentence.parse`)."""
     return tuple(map(sys.intern, text.split()))
-
-
-def _sentence(text: str, lines: dict[str, TokenSentence] | None) -> TokenSentence:
-    """``TokenSentence.parse(text)``, or the sentence ``lines`` already holds
-    for this text, which then holds it for the next caller."""
-    if lines is None:
-        return TokenSentence.parse(text)
-    sentence = lines.get(text)
-    if sentence is None:
-        sentence = lines[text] = TokenSentence.parse(text)
-    return sentence
 
 
 class Edit(NamedTuple):
@@ -322,7 +316,7 @@ def parse_system_spec(spec: str) -> tuple[str, Path]:
 # M2 gold files
 
 
-def parse_m2(text: str, lines: dict[str, TokenSentence] | None = None) -> list[GoldSentence]:
+def parse_m2(text: str, parse: Parse = TokenSentence.parse) -> list[GoldSentence]:
     """Parse M2 text into gold sentences.
 
     Edit type strings are discarded: edit identity is (start, end,
@@ -336,9 +330,8 @@ def parse_m2(text: str, lines: dict[str, TokenSentence] | None = None) -> list[G
     malformed lines, and what :func:`check_edits` raises on an annotator's
     edit set it rejects, naming the stanza's line.
 
-    ``lines`` maps line text to its sentence, shared across loads (see
-    :func:`load_parallel`); the text of an ``S`` line is what follows
-    ``"S "``.
+    ``parse`` reads the sentence of each ``S`` line, the text that follows
+    ``"S "`` (see :func:`load_parallel`).
     """
     sentences: list[GoldSentence] = []
     source: TokenSentence | None = None
@@ -365,7 +358,7 @@ def parse_m2(text: str, lines: dict[str, TokenSentence] | None = None) -> list[G
         if line.startswith("S ") or line == "S":
             if source is not None:
                 raise M2ParseError(f"line {lineno}: stanza has a second S line")
-            source = _sentence(line[2:], lines)
+            source = parse(line[2:])
             stanza_line = lineno
             if not source:
                 raise M2ParseError(f"line {lineno}: empty source sentence")
@@ -424,20 +417,18 @@ def serialize_m2(sentences: Sequence[GoldSentence]) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
-def load_m2(
-    path: str | Path, lines: dict[str, TokenSentence] | None = None
-) -> list[GoldSentence]:
-    return _load(parse_m2, path, lines)
+def load_m2(path: str | Path, parse: Parse = TokenSentence.parse) -> list[GoldSentence]:
+    return _load(parse_m2, path, parse)
 
 
 def check_source_file(
     path: str | Path,
     gold: Sequence[GoldSentence],
-    lines: dict[str, TokenSentence] | None = None,
+    parse: Parse = TokenSentence.parse,
 ) -> None:
     """Raise :class:`ValidationError` unless the parallel file at ``path``
     holds exactly the source sentences of ``gold``."""
-    sources = load_parallel(path, expected_len=len(gold), lines=lines)
+    sources = load_parallel(path, expected_len=len(gold), parse=parse)
     for i, (a, gs) in enumerate(zip(sources, gold)):
         if a != gs.source:
             raise ValidationError(f"{path}: sentence {i} disagrees with the gold M2 source")
@@ -454,19 +445,18 @@ def save_m2(path: str | Path, sentences: Sequence[GoldSentence]) -> None:
 def load_parallel(
     path: str | Path,
     expected_len: int | None = None,
-    lines: dict[str, TokenSentence] | None = None,
+    parse: Parse = TokenSentence.parse,
 ) -> list[TokenSentence]:
-    """Read one sentence per line.
+    """Read one sentence per line, ``parse`` of its text without its CR or LF.
 
     Raises :class:`ValidationError` on empty lines (a sentence must have at
     least one token) or when the file does not have ``expected_len`` lines.
 
-    ``lines`` maps the text of a line (without its CR or LF) to its
-    sentence. Loads given one dict return one sentence object per distinct
-    line text: members mostly repeat the source and each other, so a
-    corpus then holds one tuple per distinct line. Equality still goes by
-    value. The dict lives as long as its owner keeps it: there is no
-    global cache.
+    Loads given one ``functools.cache(TokenSentence.parse)`` return one
+    sentence object per distinct line text: members mostly repeat the
+    source and each other, so a corpus then holds one tuple per distinct
+    line. Equality still goes by value. The cache lives as long as its
+    owner keeps it: there is no global cache.
     """
     text = read_text(path)
     if text.endswith("\n"):
@@ -474,7 +464,7 @@ def load_parallel(
     rows = text.split("\n") if text else []
     sentences = []
     for lineno, line in enumerate(rows, start=1):
-        s = _sentence(line.rstrip("\r"), lines)
+        s = parse(line.rstrip("\r"))
         if not s:
             raise ValidationError(f"{path}: line {lineno} is empty")
         sentences.append(s)
@@ -497,12 +487,12 @@ def load_system_output(
     path: str | Path,
     name: str | None = None,
     expected_len: int | None = None,
-    lines: dict[str, TokenSentence] | None = None,
+    parse: Parse = TokenSentence.parse,
 ) -> SystemOutput:
     """Read a parallel text file as a named system; name defaults to the
-    file stem. ``lines`` is :func:`load_parallel`'s."""
+    file stem. ``parse`` is :func:`load_parallel`'s."""
     p = Path(path)
-    return SystemOutput(name or p.stem, tuple(load_parallel(p, expected_len, lines)))
+    return SystemOutput(name or p.stem, tuple(load_parallel(p, expected_len, parse)))
 
 
 # ---------------------------------------------------------------------------

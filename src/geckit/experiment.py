@@ -5,11 +5,12 @@ combination method and its parameters; running it produces the combined
 output file, its score report, and a one-row machine-readable TSV, all
 deterministic given the config and seeds. A run reads one record built by
 :func:`load_inputs`: the input files, the score file among them, read and
-validated once, a cached :func:`geckit.align.extract_edits`, the vote
-pools (each sentence's member edits, pooled once) and the vote-output
-memo. Remove-one ablations and vote-threshold sweeps (:func:`run_study`)
-share that record across all their runs, so each input file is read once
-per study. The method step, :func:`combine`, is also what the method
+validated once, the vote pools (each sentence's member edits, pooled
+once) and one ``functools.cache`` each of
+:func:`geckit.align.extract_edits` and :func:`geckit.align.apply_edits`.
+Remove-one ablations and vote-threshold sweeps (:func:`run_study`) share
+that record across all their runs, so each input file is read once per
+study. The method step, :func:`combine`, is also what the method
 subcommands of the CLI run. The method modules are read by module
 (``vote.pool_corpus``), so a command run through the CLI, which registers
 them lazily, runs only the ones it uses.
@@ -64,11 +65,12 @@ from __future__ import annotations
 import functools
 import math
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import align, llm, oracle, ranking, scoring, vote  # read by module: see above
 from .corpus import (
     CheckedRecord,
+    Edit,
     GoldSentence,
     SystemOutput,
     TokenSentence,
@@ -285,8 +287,8 @@ def _parse_system_entry(entry, base: Path) -> tuple[str, Path]:
 class _Inputs(NamedTuple):
     """Everything the runs over a config's input files read or share: the
     files, read and checked once, the edit extraction every method and
-    every scoring of a run calls, the vote pools and the vote-output memo.
-    Built by :func:`load_inputs`, so a run reads no file."""
+    every scoring of a run calls, the vote pools and the edit application
+    every vote calls. Built by :func:`load_inputs`, so a run reads no file."""
 
     gold: list[GoldSentence] | None  # None without a gold file
     sources: list[TokenSentence] | None  # None with neither gold nor source
@@ -295,38 +297,40 @@ class _Inputs(NamedTuple):
     extract: align.Extract  # functools.cache of align.extract_edits
     # each sentence's edits pooled over all members; None unless the method votes
     pools: list[list[vote.VotedEdit]] | None
-    # the vote output of each (sentence index, kept edit set): see majority_vote_corpus
-    applied: dict[tuple, TokenSentence]
+    apply: Callable[[TokenSentence, tuple[Edit, ...]], TokenSentence]  # cached align.apply_edits
 
 
 def load_inputs(config: ExperimentConfig) -> _Inputs:
     """Read and check a config's input files, then the score file, and pool
     the members' edits if ``config.method`` votes. The sources are the
     gold's (checked against the source file if given), else the source file's.
-    Edits come from ``functools.cache`` of ``align.extract_edits`` as that
-    name is bound when this runs, so a replaced function is the one cached.
+    Edits come from ``functools.cache`` of ``align.extract_edits``, and vote
+    outputs from one of ``align.apply_edits``, each as that name is bound
+    when this runs, so a replaced function is the one cached.
 
-    Every file is read through one line dict, so equal lines are one
-    sentence object across the gold, the source and the members."""
-    lines: dict[str, TokenSentence] = {}
+    Every file is read through one ``functools.cache`` of
+    ``TokenSentence.parse``, so equal lines are one sentence object across
+    the gold, the source and the members."""
+    parse = functools.cache(TokenSentence.parse)
     gold = sources = None
     if config.gold is not None:
-        gold = load_m2(config.gold, lines)
+        gold = load_m2(config.gold, parse)
         if config.source is not None:
-            check_source_file(config.source, gold, lines)
+            check_source_file(config.source, gold, parse)
         sources = [gs.source for gs in gold]
     elif config.source is not None:
-        sources = load_parallel(config.source, lines=lines)
+        sources = load_parallel(config.source, parse=parse)
     # without gold or source, each member has the first one's sentence count
     n, members = None if sources is None else len(sources), {}
     for name, path in config.systems:
-        members[name] = load_system_output(path, name, expected_len=n, lines=lines)
+        members[name] = load_system_output(path, name, expected_len=n, parse=parse)
         n = len(members[name].sentences)
     scores = None if config.scores is None else load_score_file(config.scores)
     extract, pools = functools.cache(align.extract_edits), None
     if config.method in _VOTES:
         pools = vote.pool_corpus(sources, list(members.values()), extract)
-    return _Inputs(gold, sources, members, scores, extract, pools, {})
+    return _Inputs(gold, sources, members, scores, extract, pools,
+                   functools.cache(align.apply_edits))
 
 
 def combine(
@@ -335,7 +339,7 @@ def combine(
     """The method step: run ``config.method`` over the loaded ``inputs``,
     :func:`load_inputs` of ``config`` or of a config with the same method and
     input files. It reads no file and changes no field of ``inputs``; it
-    only adds to the extraction cache and the vote-output memo.
+    only adds to the caches of edit extraction and application.
 
     Returns the outputs (one per run; one except for llm-rank), the oracle
     choices (None for other methods) and, per llm-rank run, the sentence
@@ -350,7 +354,7 @@ def combine(
     if config.method in _VOTES:
         members = [name for name, _ in config.systems]
         combined = [vote.majority_vote_corpus(
-            sources, inputs.pools, members, config.n_min, inputs.applied
+            sources, inputs.pools, members, config.n_min, inputs.apply
         )]
     elif config.method in _ORACLES:
         ensemble = config.method == "oracle-ensemble"

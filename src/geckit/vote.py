@@ -16,9 +16,9 @@ under reordering of the member systems.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .align import Extract, apply_edits
+from .align import Extract
 from .corpus import Edit, SystemOutput, TokenSentence, ValidationError, check_aligned, conflicts
 
 
@@ -103,7 +103,7 @@ def majority_vote_corpus(
     pools: Sequence[Sequence[VotedEdit]],
     members: Sequence[str],
     n_min: int,
-    applied: dict[tuple, TokenSentence],
+    apply: Callable[[TokenSentence, tuple[Edit, ...]], TokenSentence],
 ) -> SystemOutput:
     """Per-sentence majority vote of ``members`` over ``pools``.
 
@@ -114,12 +114,11 @@ def majority_vote_corpus(
     skips of :func:`_kept_edits`. The ensemble's name records the members
     and the threshold.
 
-    ``applied`` holds the output sentence of each (sentence index, kept
-    edit set) that runs over these pools applied before, and gets each one
-    this run applies, so the runs of a sweep or an ablation apply equal
-    kept sets once. Its keys are flat ``(index, *edits)`` tuples, the edits
-    sorted: a kept set is conflict-free and :func:`apply_edits` ignores its
-    order.
+    Each edited sentence is ``apply(source, kept)``, the kept edits sorted:
+    ``apply`` is :func:`geckit.align.apply_edits`, which ignores their
+    order, or a ``functools.cache`` of it, which the runs of a sweep or an
+    ablation share so that they apply an equal kept set of a source once.
+    An error names the sentence.
     """
     if len(pools) != len(sources):
         raise ValidationError(f"{len(pools)} vote pools for {len(sources)} sentences")
@@ -132,17 +131,8 @@ def majority_vote_corpus(
         if not kept:  # apply_edits(source, []) equals source
             sentences.append(source)
             continue
-        key = (i, *sorted(kept))
-        sentence = applied.get(key)
-        if sentence is None:
-            sentence = applied[key] = _apply(i, source, kept)
-        sentences.append(sentence)
+        try:
+            sentences.append(apply(source, tuple(sorted(kept))))
+        except ValidationError as err:
+            raise type(err)(f"sentence {i}: {err}") from None
     return SystemOutput(f"majority-vote(n_min={n_min})[{'+'.join(members)}]", tuple(sentences))
-
-
-def _apply(i: int, source: TokenSentence, kept: list[Edit]) -> TokenSentence:
-    """``apply_edits(source, kept)``, its error naming sentence ``i``."""
-    try:
-        return apply_edits(source, kept)
-    except ValidationError as err:
-        raise type(err)(f"sentence {i}: {err}") from None

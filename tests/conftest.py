@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from geckit.align import extract_edits
+from geckit.align import apply_edits, extract_edits
 from geckit.corpus import Edit, GoldSentence, SystemOutput, TokenSentence, conflicts
 from geckit.oracle import oracle_ensemble_corpus, oracle_rank_corpus
 from geckit.scoring import ScoreReport, best_annotator
@@ -146,8 +146,6 @@ def oracle_corpora(draw, max_sentences=4, max_annotators=3, max_systems=4):
             tuple(e for e, o in zip(master, owner) if o == a) for a in range(n_ann)
         )
         gold.append(GoldSentence(source, anns))
-        from geckit.align import apply_edits
-
         for out in members:
             chosen = [e for e in master if draw(st.booleans())]
             out.append(apply_edits(source, chosen))
@@ -180,7 +178,7 @@ def vote_one(source, members, n_min):
     """The majority-vote output of one sentence."""
     pools = pool_corpus([source], _one_sentence(members), extract_edits)
     names = [name for name, _ in members]
-    return majority_vote_corpus([source], pools, names, n_min, {}).sentences[0]
+    return majority_vote_corpus([source], pools, names, n_min, apply_edits).sentences[0]
 
 
 def kept_one(source, members, n_min):

@@ -387,7 +387,7 @@ def test_criterion_8_conll14_reproduction():
     ]
 
     pools = pool_corpus(sources, outputs, extract_edits)
-    voted = majority_vote_corpus(sources, pools, BEST7, 3, {})
+    voted = majority_vote_corpus(sources, pools, BEST7, 3, apply_edits)
     vote_report = score_corpus(voted, gold, extract_edits)
     vote_f = round_score(vote_report.f05)
 

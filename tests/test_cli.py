@@ -1145,7 +1145,7 @@ def test_seed_and_jobs_flags_at_their_defaults_run_an_llm_rank_config(data, monk
 
 
 def test_cluster_members_that_share_a_line_share_its_sentence(data, monkeypatch):
-    """cluster reads its members through one line dict, as an experiment
+    """cluster reads its members through one parse cache, as an experiment
     does, so an equal line is one sentence object in every member."""
     seen = []
     similarity_matrix = ranking.similarity_matrix

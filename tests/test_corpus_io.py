@@ -1,5 +1,6 @@
 """M2, parallel-text, score-file and edit-TSV round trips and error reporting."""
 
+import functools
 import os
 import random
 import re
@@ -582,8 +583,9 @@ def test_repeated_lines_cost_one_string_per_distinct_token(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Sentence sharing: loads given one line dict hold one sentence per distinct
-# line, and must read exactly what loads without it read.
+# Sentence sharing: loads given one functools.cache of TokenSentence.parse
+# hold one sentence per distinct line, and must read exactly what loads
+# without it read.
 
 _SHARED_M2 = (
     "S a b c\nA 0 1|||X|||z|||REQUIRED|||-NONE-|||0\n\n"
@@ -593,24 +595,31 @@ _SHARED_M2 = (
 
 
 def _shared_loads(tmp_path, files):
-    """Every file of ``files`` ({name: text}) loaded with one shared dict
-    and with none: (shared, unshared) lists of sentence lists."""
+    """Every file of ``files`` ({name: text}) loaded with one shared parse
+    cache and with none: (shared, unshared) lists of sentence lists."""
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / name
         paths[name].write_bytes(text.encode("utf-8"))
 
-    def load(lines):
+    def load(parse):
         return [
-            [gs.source for gs in corpus.load_m2(p, lines)] if p.suffix == ".m2"
-            else corpus.load_parallel(p, lines=lines)
+            [gs.source for gs in corpus.load_m2(p, parse)] if p.suffix == ".m2"
+            else corpus.load_parallel(p, parse=parse)
             for p in paths.values()
         ]
 
-    return load({}), load(None)
+    return load(functools.cache(TokenSentence.parse)), load(TokenSentence.parse)
 
 
-def test_shared_line_dict_loads_what_an_unshared_load_loads(tmp_path):
+def _primed_parse():
+    """A parse cache that one earlier call has filled."""
+    parse = functools.cache(TokenSentence.parse)
+    parse("a b")
+    return parse
+
+
+def test_shared_parse_cache_loads_what_an_unshared_load_loads(tmp_path):
     shared, unshared = _shared_loads(tmp_path, {
         "gold.m2": _SHARED_M2,  # its S lines repeat, one stanza ends in CRLF
         "crlf.txt": "a b c\r\nd e\r\na b c\r\n",
@@ -629,18 +638,20 @@ def test_shared_line_dict_loads_what_an_unshared_load_loads(tmp_path):
     assert no_final_lf[2] == gold[1] and no_final_lf[2] is not gold[1]
 
 
-@pytest.mark.parametrize("lines", [None, {}, {"a b": TokenSentence.parse("a b")}])
-def test_shared_line_dict_keeps_every_load_error(tmp_path, lines):
+@pytest.mark.parametrize("parse", [
+    TokenSentence.parse, functools.cache(TokenSentence.parse), _primed_parse(),
+], ids=["unshared", "cache", "primed"])
+def test_shared_parse_cache_keeps_every_load_error(tmp_path, parse):
     p = tmp_path / "x.txt"
     p.write_text("a b\r\n\r\nc d\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}: line 2 is empty$"):
-        load_parallel(p, lines=lines)
+        load_parallel(p, parse=parse)
     p.write_text("a b\nc d", encoding="utf-8")
     with pytest.raises(ValidationError, match=r"expected 3 sentences, found 2$"):
-        load_parallel(p, expected_len=3, lines=lines)
+        load_parallel(p, expected_len=3, parse=parse)
     with pytest.raises(M2ParseError, match=r"^line 4: empty source sentence$"):
-        parse_m2("S a b\nA 0 1|||X|||z|||REQUIRED|||-NONE-|||0\n\nS \n", lines)
-    gold = parse_m2("S a b\n\nS a c\n", lines)
+        parse_m2("S a b\nA 0 1|||X|||z|||REQUIRED|||-NONE-|||0\n\nS \n", parse)
+    gold = parse_m2("S a b\n\nS a c\n", parse)
     p.write_text("a b\na d\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=r"sentence 1 disagrees with the gold M2 source"):
-        corpus.check_source_file(p, gold, lines)
+        corpus.check_source_file(p, gold, parse)

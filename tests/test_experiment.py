@@ -774,13 +774,13 @@ def test_score_and_cluster_bytes_stay_pinned(tmp_path):
 def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, study):
     config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
     applied = Counter()
-    real_apply = geckit.vote.apply_edits
+    real_apply = geckit.align.apply_edits
 
     def counting_apply(source, edits):
         applied[(tuple(source), frozenset(edits))] += 1
         return real_apply(source, edits)
 
-    monkeypatch.setattr(geckit.vote, "apply_edits", counting_apply)
+    monkeypatch.setattr(geckit.align, "apply_edits", counting_apply)
     run_study(config, study)
 
     # every run's kept sets, recounted one sentence at a time
@@ -809,13 +809,13 @@ def test_repeated_runs_apply_each_kept_edit_set_once(tmp_path, monkeypatch, stud
 def test_a_single_vote_run_applies_each_edited_sentence_once(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path, _write_seeded_corpus(tmp_path)))
     calls = []
-    real_apply = geckit.vote.apply_edits
+    real_apply = geckit.align.apply_edits
 
     def counting_apply(source, edits):
         calls.append(source)
         return real_apply(source, edits)
 
-    monkeypatch.setattr(geckit.vote, "apply_edits", counting_apply)
+    monkeypatch.setattr(geckit.align, "apply_edits", counting_apply)
     inputs = load_inputs(config)
     run_experiment(config, inputs)
     edited = [
@@ -826,8 +826,8 @@ def test_a_single_vote_run_applies_each_edited_sentence_once(tmp_path, monkeypat
         )
     ]
     assert calls == [inputs.sources[i] for i in edited]
-    # the run's memo holds one entry per edited sentence
-    assert sorted(key[0] for key in inputs.applied) == edited
+    # the run's cache holds one entry per edited sentence
+    assert inputs.apply.cache_info().currsize == len(edited)
 
 
 def test_load_inputs_holds_one_sentence_per_distinct_line(tmp_path):

@@ -222,14 +222,20 @@ def test_the_references_import_no_geckit_code_and_no_numpy_at_module_level():
             assert root not in ("numpy", "scipy") or node not in tree.body, module
 
 
-# the modules that may name align.extract_edits: its own, and the two that
-# hand it, plain or cached, to the functions that read edits
-_EXTRACTORS = {"align", "cli", "experiment"}
+# Each function a run shares through a cache, and the modules that may name
+# it: its own, those that hand it, plain or cached, to the functions that
+# call it, and for apply_edits the oracle, whose trials no run shares.
+_CALLERS = {
+    "extract_edits": {"align", "cli", "experiment"},
+    "apply_edits": {"align", "cli", "experiment", "oracle"},
+}
 
 
-def test_only_the_callers_name_extract_edits():
+@pytest.mark.parametrize("function", sorted(_CALLERS))
+def test_only_the_callers_name_a_shared_function(function):
     """vote, oracle, ranking and scoring read edits through their ``extract``
-    argument only, so no method can bypass the cache a run passes."""
+    argument only, and a vote applies them through its ``apply`` argument
+    only, so no method can bypass the cache a run passes."""
     src = Path(__file__).resolve().parent.parent / "src" / "geckit"
     naming = set()
     for path in sorted(src.glob("*.py")):
@@ -237,6 +243,6 @@ def test_only_the_callers_name_extract_edits():
         for node in ast.walk(tree):
             # a name read, an attribute, an import alias or a definition
             fields = ("id", "attr", "name", "asname")
-            if "extract_edits" in (getattr(node, field, None) for field in fields):
+            if function in (getattr(node, field, None) for field in fields):
                 naming.add(path.stem)
-    assert naming == _EXTRACTORS
+    assert naming == _CALLERS[function]

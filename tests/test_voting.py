@@ -1,5 +1,6 @@
 """Majority-vote ensembling: agreement thresholds, ordering, invariances."""
 
+import functools
 import itertools
 
 import pytest
@@ -102,13 +103,13 @@ def test_corpus_wrapper_validates_and_names():
     sources = [TokenSentence("a b".split())]
     systems = [out("s1", "x b"), out("s2", "x b")]
     pools = pool_corpus(sources, systems, extract_edits)
-    ensemble = majority_vote_corpus(sources, pools, ["s1", "s2"], 1, {})
+    ensemble = majority_vote_corpus(sources, pools, ["s1", "s2"], 1, apply_edits)
     assert ensemble.name == "majority-vote(n_min=1)[s1+s2]"
     assert ensemble.sentences[0].text == "x b"
     with pytest.raises(ValidationError):
-        majority_vote_corpus(sources, pools, ["s1", "s2"], -1, {})
+        majority_vote_corpus(sources, pools, ["s1", "s2"], -1, apply_edits)
     with pytest.raises(ValidationError):
-        majority_vote_corpus(sources, pools, ["s1", "s2"], 3, {})  # n_min > N_sys
+        majority_vote_corpus(sources, pools, ["s1", "s2"], 3, apply_edits)  # n_min > N_sys
     with pytest.raises(ValidationError):
         pool_corpus(sources, [out("s1", "x b", "too long")], extract_edits)
 
@@ -120,7 +121,16 @@ def test_vote_refuses_pools_for_another_sentence_count(n_pools):
     pools = pool_corpus(sources, [out("s1", "x b", "c d")], extract_edits)
     pools = (pools * 2)[:n_pools]
     with pytest.raises(ValidationError, match=f"^{n_pools} vote pools for 2 sentences$"):
-        majority_vote_corpus(sources, pools, ["s1"], 0, {})
+        majority_vote_corpus(sources, pools, ["s1"], 0, apply_edits)
+
+
+def test_vote_error_names_its_sentence():
+    """A pool edit past the end of its source, which no pool_corpus builds,
+    is refused when the sentence is applied, naming that sentence."""
+    sources = [TokenSentence("a b".split()), TokenSentence("c d".split())]
+    pools = [[], [VotedEdit(Edit(2, 3, ("x",)), frozenset({"s1"}))]]
+    with pytest.raises(ValidationError, match=r"^sentence 1: edit span \(2,3\) out of bounds"):
+        majority_vote_corpus(sources, pools, ["s1"], 0, apply_edits)
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +218,7 @@ def _full_and_remove_one(outputs):
 
 def _assert_pooled_votes_equal_reference(sources, outputs):
     pools = pool_corpus(sources, outputs, extract_edits)
-    applied = {}  # shared by every run below, as a sweep and an ablation share it
+    apply = functools.cache(apply_edits)  # shared by every run below, as in a sweep or ablation
     for subset in _full_and_remove_one(outputs):
         names = [out.name for out in subset]
         own_pools = pool_corpus(sources, subset, extract_edits)
@@ -217,10 +227,11 @@ def _assert_pooled_votes_equal_reference(sources, outputs):
                 reference.vote(source, [(out.name, out.sentences[i]) for out in subset], n_min)
                 for i, source in enumerate(sources)
             )
-            pooled = majority_vote_corpus(sources, pools, names, n_min, {})
+            pooled = majority_vote_corpus(sources, pools, names, n_min, apply_edits)
             assert pooled.sentences == expected, (names, n_min)
-            assert majority_vote_corpus(sources, own_pools, names, n_min, {}).sentences == expected
-            shared = majority_vote_corpus(sources, pools, names, n_min, applied)
+            own = majority_vote_corpus(sources, own_pools, names, n_min, apply_edits)
+            assert own.sentences == expected
+            shared = majority_vote_corpus(sources, pools, names, n_min, apply)
             assert shared.sentences == expected, (names, n_min)
 
 
@@ -234,8 +245,10 @@ def _assert_pooled_votes_ignore_member_order(sources, outputs, rng):
         reordered = [out for out in shuffled if out in subset]
         names, reordered_names = [o.name for o in subset], [o.name for o in reordered]
         for n_min in range(len(subset) + 1):
-            one = majority_vote_corpus(sources, pools, names, n_min, {})
-            two = majority_vote_corpus(sources, shuffled_pools, reordered_names, n_min, {})
+            one = majority_vote_corpus(sources, pools, names, n_min, apply_edits)
+            two = majority_vote_corpus(
+                sources, shuffled_pools, reordered_names, n_min, apply_edits
+            )
             assert one.sentences == two.sentences
 
 
