@@ -179,8 +179,6 @@ def _config(args) -> experiment.ExperimentConfig | None:
         config = experiment.load_config(args.config)
         for key in given:  # a flag given is a setting, even at its default
             experiment.check_reads(config.method, key)
-        if "seed" in given:
-            given["seeds"] = None
         return config._replace(**given)  # checked as one config: the first bad key is named
     if args.command == "aggr-rank":  # named by role, so the two files may share a stem
         systems = (("primary", Path(args.primary)), ("alternative", Path(args.alt)))

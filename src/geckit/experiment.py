@@ -23,8 +23,7 @@ above it, as :data:`METHODS` says:
 
     name          experiment id; prefixes all artifact filenames
     gold          path to the gold M2 file
-    systems       list of member outputs: "path", "name=path", or
-                  {"name": ..., "path": ...}
+    systems       list of member outputs: "path" or "name=path", as --sys
     method        vote | second-order-vote | oracle-ensemble | oracle-rank
                   | rank | rank-w | aggr-rank | llm-rank
     source        optional parallel source file (defaults to M2 sources;
@@ -38,7 +37,6 @@ above it, as :data:`METHODS` says:
     variant       prompt variant "a" | "b" (default "a")
     runs          run count (default 1)
     seed          root seed (default 0); per-run seeds derive from it
-    seeds         explicit non-empty per-run seed list (overrides seed)
     backend       mock-lexmin (default) | mock-label-a | http
     base_url      chat-completions endpoint (http backend only)
     model         model name (http backend only)
@@ -48,16 +46,15 @@ Any other key of a config must be absent or hold its default: ``"n_min":
 3`` in an oracle-rank config is an error (``method oracle-rank does not
 read key 'n_min'``), not ignored, and a key given twice, at any depth, is
 an error, not its last value. Relative paths are resolved against the
-config file's directory; ``gold``, ``source``, ``scores`` and a member's
-path must not be ``""``, and an ``output_dir`` of ``""`` is that directory. ``n_min``,
-``runs``, ``seed``, ``jobs`` and each ``seeds`` entry must be JSON
+config file's directory (``"."`` is that directory itself), and no path
+may be ``""``. ``n_min``, ``runs``, ``seed`` and ``jobs`` must be JSON
 integers (a float, string or boolean is an error, not rounded), ``systems``
-a list and every other value a string (``source``, ``scores``, ``base_url``
-and ``model`` may be null). An llm-rank config with backend ``http`` needs
-``base_url`` and ``model``; a mock backend, which runs offline, takes
-neither. Every error in a config names the config file, and is raised
-before any input file is read; of two keys of the wrong type, or two that
-the method does not read, the first in field order is reported.
+a list of strings and every other value a string. An llm-rank config with
+backend ``http`` needs ``base_url`` and ``model``; a mock backend, which
+runs offline, takes neither. Every error in a config names the config
+file, and is raised before any input file is read; of two keys of the
+wrong type, or two that the method does not read, the first in field order
+is reported.
 """
 
 from __future__ import annotations
@@ -100,7 +97,7 @@ METHODS = {
     "rank": ("scores",),
     "rank-w": ("scores",),
     "aggr-rank": (),
-    "llm-rank": ("variant", "runs", "seed", "seeds", "backend", "base_url", "model", "jobs"),
+    "llm-rank": ("variant", "runs", "seed", "backend", "base_url", "model", "jobs"),
 }
 
 
@@ -127,7 +124,6 @@ class _ConfigFields(NamedTuple):  # each field is named by its config key
     variant: str = "a"
     runs: int = 1
     seed: int = 0
-    seeds: tuple[int, ...] | None = None
     backend: str = "mock-lexmin"
     base_url: str | None = None
     model: str | None = None
@@ -159,8 +155,6 @@ class ExperimentConfig(CheckedRecord, _ConfigFields):
         if self.method == "llm-rank":
             llm.check_backend(self.backend, self.base_url, self.model)
             llm.check_prompt(self.variant, len(self.systems))
-        if self.seeds is not None and len(self.seeds) != self.runs:
-            raise ValidationError(f"{self.runs} runs but {len(self.seeds)} seeds")
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
         if self.jobs < 1:
@@ -252,16 +246,8 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
         value = raw[key]
         if key == "systems":
             value = tuple(_parse_system_entry(entry, base) for entry in typed(key, value, list))
-        elif key == "seeds":
-            if not isinstance(value, list) or not value:
-                raise ValidationError(
-                    f"key 'seeds' must be a non-empty list, got {json.dumps(value)}"
-                )
-            value = tuple(typed(f"seeds[{k}]", seed, int) for k, seed in enumerate(value))
-        elif value is None and key in defaults and defaults[key] is None:
-            pass  # null stands for absent in an optional key whose default is None
         elif key in _PATH_KEYS:
-            if typed(key, value, str) == "" and key != "output_dir":  # "" is base itself
+            if typed(key, value, str) == "":
                 raise ValidationError(f'key {key!r} must be a non-empty string, got ""')
             value = base / value
         else:  # the integer fields are those with an integer default
@@ -271,14 +257,10 @@ def _config(raw: object, base: Path) -> ExperimentConfig:
 
 
 def _parse_system_entry(entry, base: Path) -> tuple[str, Path]:
-    if isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values()):
-        if set(entry) != {"name", "path"}:
-            raise ValidationError(f"system entry needs exactly name and path: {entry}")
-        name, path = entry["name"], entry["path"]
-    elif isinstance(entry, str):
-        name, path = parse_system_spec(entry)[0], entry.split("=", 1)[-1]
-    else:
+    """The (name, path) of a ``systems`` entry, split as ``--sys`` is."""
+    if not isinstance(entry, str):
         raise ValidationError(f"bad system entry: {entry!r}")
+    name, path = parse_system_spec(entry)[0], entry.split("=", 1)[-1]
     if not path:  # it would be read as the config's directory
         raise ValidationError(f"system {name!r} needs a non-empty path")
     return name, base / path
@@ -372,10 +354,9 @@ def combine(
         backend = llm.make_backend(
             config.backend, base_url=config.base_url, model=config.model
         )
-        seeds = llm.run_seeds(config.seed, config.runs) if config.seeds is None else config.seeds
-        runs = llm.llm_rank_corpus(
-            sources, outputs, config.variant, seeds, backend, shuffle=shuffle, jobs=config.jobs
-        )
+        runs = llm.llm_rank_corpus(sources, outputs, config.variant,
+                                   llm.run_seeds(config.seed, config.runs), backend,
+                                   shuffle=shuffle, jobs=config.jobs)
         combined = [run.output for run in runs]
         fallbacks = [run.fallbacks for run in runs]
     return combined, choices, fallbacks

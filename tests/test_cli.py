@@ -356,6 +356,14 @@ def test_cluster_writes_matrix(data, capsys):
     assert matrix.read_text(encoding="utf-8").startswith("system\t")
 
 
+def test_cluster_of_members_without_sentences_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.txt", "b.txt"):
+        Path(name).write_text("", encoding="utf-8")
+    assert main(["cluster", "--sys", "a.txt", "--sys", "b.txt"]) == 1
+    assert capsys.readouterr() == ("", "error: similarity needs at least 1 sentence\n")
+
+
 def test_cluster_matrix_bytes_do_not_depend_on_hash_seed(tmp_path):
     """Two fresh interpreters with different string hashes, so different
     set and dict orders, write the same matrix, clusters and exact values."""
@@ -443,6 +451,17 @@ def test_stdout_without_a_byte_buffer_gets_the_text_of_out(data, command):
     assert stream.getvalue() == (data / "out.txt").read_bytes().decode("utf-8")
 
 
+def test_a_stdout_closed_by_its_reader_ends_the_command_with_exit_zero(data, capsys):
+    """``geckit extract ... | head -1``: a reader that stops early is no error."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    with contextlib.redirect_stdout(ClosedPipe()):
+        assert main(["extract", "--src", str(data / "src.txt"), "--hyp", str(data / "a.txt")]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_llm_rank_is_deterministic_across_invocations(data):
     args = [
         "llm-rank", "--src", str(data / "src.txt"),
@@ -503,6 +522,10 @@ def test_experiment_cli(data, capsys):
     assert (data / "results" / "cli-exp.out.txt").exists()
     assert main(["experiment", "--config", str(config), "--ablation"]) == 0
     assert "w/o" in capsys.readouterr().out
+    # each of the two gold edits has two votes, so it is kept below n_min=2 only
+    assert main(["experiment", "--config", str(config), "--sweep-nmin"]) == 0
+    assert capsys.readouterr() == ("", "n_min=0: F0.5=1.0000\nn_min=1: F0.5=1.0000\n"
+                                       "n_min=2: F0.5=0.0000\nn_min=3: F0.5=0.0000\n")
 
 
 # (bad file contents, arguments that read it as the given path)
@@ -746,7 +769,8 @@ def _refused_outputs() -> dict:
 
 # case: (argv, with {tmp} for the directory it runs in; files made there first:
 # text, a config as a dict, None for a directory, or (os.symlink or os.link,
-# target); the one stderr line, after argparse's usage for a usage error)
+# target); the one stderr line, after argparse's usage for a usage error, with
+# {tmp} as in argv)
 _REFUSALS = {
     # two outputs that are one file, by another spelling
     "oracle-out-audit": (["oracle-ensemble", "--gold", "gold.m2", *_MEMBERS, "--out", "o.txt",
@@ -778,10 +802,27 @@ _REFUSALS = {
     ]},
     "vote---sys-NAME=": ([*_VOTE, "--sys", "d=", "--out", "out"], {},
                          "error: --sys must not be empty"),
-    **{f"experiment-member-{form}-with-empty-path": (
-        _EXPERIMENT, {"exp.json": {**_VOTE_CONFIG, "systems": [entry, "b.txt"]}},
-        "error: exp.json: system 'a' needs a non-empty path")
-       for form, entry in [("NAME=", "a="), ("dict", {"name": "a", "path": ""})]},
+    "experiment-member-NAME=-with-empty-path": (
+        _EXPERIMENT, {"exp.json": {**_VOTE_CONFIG, "systems": ["a=", "b.txt"]}},
+        "error: exp.json: system 'a' needs a non-empty path"),
+    # a config says each setting as the method subcommands do, and no other way:
+    # a member as --sys says it, an optional key by leaving it out, and no
+    # path as "" ("." is the config's directory)
+    "experiment-member-object": (
+        _EXPERIMENT, {"exp.json": {**_VOTE_CONFIG, "systems": [{"name": "a", "path": "a.txt"}]}},
+        "error: exp.json: bad system entry: {{'name': 'a', 'path': 'a.txt'}}"),
+    "experiment-member-number": (
+        _EXPERIMENT, {"exp.json": {**_VOTE_CONFIG, "systems": [3, "b.txt"]}},
+        "error: exp.json: bad system entry: 3"),
+    "experiment-source-null": (_EXPERIMENT, {"exp.json": {**_VOTE_CONFIG, "source": None}},
+                               "error: exp.json: key 'source' must be a string, got null"),
+    "experiment-output_dir-empty": (
+        _EXPERIMENT, {"exp.json": {**_VOTE_CONFIG, "output_dir": ""}},
+        'error: exp.json: key \'output_dir\' must be a non-empty string, got ""'),
+    "experiment-seeds-list": (_EXPERIMENT, {"exp.json": {**_LLM_CONFIG, "seeds": [1, 2, 3]}},
+                              "error: exp.json: unknown config keys: ['seeds']"),
+    "experiment-not-an-object": (_EXPERIMENT, {"exp.json": "[1]"},
+                                 "error: exp.json: config must be a JSON object"),
     # checked before the config, so ahead of a bad parameter
     "vote---out-before-n_min": ([*_VOTE, "--nmin", "9", "--out", ""], {},
                                 "error: --out must not be empty"),
@@ -833,7 +874,7 @@ _REFUSALS = {
         "exp.json": {**_VOTE_CONFIG, "systems": ["results/exp.out.txt", "b.txt", "c.txt"]},
     }, "error: results/exp.out.txt: named by artifact exp.out.txt and read as member exp.out"),
     "experiment-row-is-gold": (_EXPERIMENT, {
-        "exp.json": {**_VOTE_CONFIG, "gold": "exp.row.tsv", "output_dir": "",
+        "exp.json": {**_VOTE_CONFIG, "gold": "exp.row.tsv", "output_dir": ".",
                      "systems": ["a.txt", "b.txt"]},
         "exp.row.tsv": GOLD,
     }, "error: exp.row.tsv: named by artifact exp.row.tsv and read as gold"),
@@ -933,9 +974,6 @@ _REFUSALS = {
     **{f"second-order-vote-n_min-{n}-experiment": (
         _EXPERIMENT, {"exp.json": {**_CONFIG, "method": "second-order-vote", "n_min": n}},
         f"error: exp.json: {_WITHIN} {n}") for n in (-1, 4)},
-    "llm-rank-1-run-3-seeds-experiment": (
-        _EXPERIMENT, {"exp.json": {**_LLM_CONFIG, "seeds": [1, 2, 3]}},
-        "error: exp.json: 1 runs but 3 seeds"),
     # --jobs and --seed replace the config's values through the same checks
     "experiment-jobs-0": (_EXPERIMENT, {"exp.json": {**_LLM_CONFIG, "jobs": 0}},
                           "error: exp.json: jobs must be >= 1, got 0"),
@@ -1174,13 +1212,6 @@ def test_n_min_at_the_member_count_runs_and_extracts(data, monkeypatch, method):
                                 encoding="utf-8")
     assert main(_EXPERIMENT) == 0
     assert pairs
-
-
-def test_an_llm_rank_config_with_a_seed_per_run_runs(data, monkeypatch):
-    monkeypatch.chdir(data)
-    config = {**_LLM_CONFIG, "seeds": [1, 2, 3], "runs": 3}
-    Path("exp.json").write_text(json.dumps(config), encoding="utf-8")
-    assert main(_EXPERIMENT) == 0
 
 
 def test_experiment_jobs_and_seed_flags_in_range_reach_the_inputs(data, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """M2, parallel-text, score-file and edit-TSV round trips and error reporting."""
 
+import errno
 import functools
 import os
 import random
@@ -126,6 +127,7 @@ def test_annotator_ids_are_compacted_in_ascending_order():
         ("A 0 1|||X|||x|||R|||-NONE-|||0\n", "before any S"),
         ("S a b\nA 0 1|||X|||x|||0\n", "6 |||-separated fields"),
         ("S a b\nA zero 1|||X|||x|||R|||-NONE-|||0\n", "span"),
+        ("S a b\nA 0|||X|||x|||R|||-NONE-|||0\n", "line 2: span must be two integers"),
         ("S a b\nA 0 1|||X|||x|||R|||-NONE-|||seven\n", "annotator"),
         ("S a b\nwhat is this\n", "S or A prefix"),
     ],
@@ -301,6 +303,7 @@ def test_score_file_roundtrip():
     assert sorted(scores) == [("sysA", 0), ("sysA", 1), ("sysB", 0)]
     rows = ((s, f"{i}", f"{value!r}") for (s, i), value in sorted(scores.items()))
     assert parse_score_file(tsv(SCORE_FILE_HEADER, rows)) == scores
+    assert parse_score_file(text.replace("\nsysB", "\n\nsysB")) == scores  # a blank row is skipped
 
 
 def test_score_file_header_and_duplicates():
@@ -395,6 +398,28 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     atomic_write_text(p, "new contents\n")
     assert p.read_text(encoding="utf-8") == "new contents\n"
     assert list(tmp_path.iterdir()) == [p]  # no temp files left behind
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES], ids=["no-space", "permission"])
+def test_a_failed_rename_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, code):
+    """A refusal of the path is a ValidationError naming it; any other
+    OSError propagates as it is."""
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old\n")
+
+    def fail(src, dst):
+        raise OSError(code, os.strerror(code), str(dst))
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises((OSError, ValidationError)) as exc:
+        atomic_write_text(target, "new\n")
+    if code == errno.EACCES:
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == f"{target}: permission denied"
+    else:
+        assert type(exc.value) is OSError and exc.value.errno == code
+    assert target.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 # ---------------------------------------------------------------------------

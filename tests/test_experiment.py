@@ -120,9 +120,6 @@ def test_load_config_requires_core_keys(tmp_path):
         ("runs", "2", 'key \'runs\' must be an integer, got "2"'),
         ("seed", 1.5, "key 'seed' must be an integer, got 1.5"),
         ("jobs", True, "key 'jobs' must be an integer, got true"),
-        ("seeds", [], "key 'seeds' must be a non-empty list, got []"),
-        ("seeds", 5, "key 'seeds' must be a non-empty list, got 5"),
-        ("seeds", [3, 4.0], "key 'seeds[1]' must be an integer, got 4.0"),
         ("gold", 5, "key 'gold' must be a string, got 5"),
         ("base_url", 5, "key 'base_url' must be a string, got 5"),
         ("systems", "h1.txt", 'key \'systems\' must be a list, got "h1.txt"'),
@@ -133,8 +130,7 @@ def test_load_config_requires_core_keys(tmp_path):
         ("source", "", 'key \'source\' must be a non-empty string, got ""'),
         ("scores", "", 'key \'scores\' must be a non-empty string, got ""'),
     ],
-    ids=["n_min-float", "runs-string", "seed-float", "jobs-bool", "seeds-empty",
-         "seeds-not-a-list", "seeds-float-entry", "gold-int", "base_url-int",
+    ids=["n_min-float", "runs-string", "seed-float", "jobs-bool", "gold-int", "base_url-int",
          "systems-string", "name-newline", "unknown-method", "n_min-too-big",
          "gold-empty", "source-empty", "scores-empty"],
 )
@@ -153,12 +149,9 @@ def test_config_integers_load_as_given(tmp_path):
     payload.update(n_min=2)
     vote_config = load_config(write_config(tmp_path, payload))
     del payload["n_min"]
-    payload.update(method="llm-rank", runs=3, seed=-4, jobs=2, seeds=[5, 6, 7])
+    payload.update(method="llm-rank", runs=3, seed=-4, jobs=2)
     config = load_config(write_config(tmp_path, payload))
     assert (vote_config.n_min, config.runs, config.seed, config.jobs) == (2, 3, -4, 2)
-    assert config.seeds == (5, 6, 7)
-    del payload["seeds"]
-    assert load_config(write_config(tmp_path, payload)).seeds is None
 
 
 def test_absent_keys_take_the_field_defaults(tmp_path):
@@ -169,8 +162,8 @@ def test_absent_keys_take_the_field_defaults(tmp_path):
     assert {key: getattr(config, key) for key in defaults} == defaults
 
 
-def test_an_empty_output_dir_is_the_config_directory(tmp_path):
-    payload = dict(write_fixture(tmp_path), output_dir="")
+def test_output_dir_dot_is_the_config_directory(tmp_path):
+    payload = dict(write_fixture(tmp_path), output_dir=".")
     assert load_config(write_config(tmp_path, payload)).output_dir == tmp_path
 
 
@@ -214,15 +207,12 @@ def test_only_the_experiment_needs_gold_not_its_method_step(tmp_path):
     assert combine(no_gold, load_inputs(no_gold)) == combine(config, load_inputs(config))
 
 
-def test_system_entries_accept_name_equals_path_and_dicts(tmp_path):
+def test_system_entries_are_split_as_sys_flags_are(tmp_path):
     payload = write_fixture(tmp_path)
-    payload["systems"] = [
-        "alpha=a.txt",
-        {"name": "beta", "path": "b.txt"},
-        "c.txt",
-    ]
+    payload["systems"] = ["alpha=a.txt", "b.txt", "c=d/c.txt"]
     config = load_config(write_config(tmp_path, payload))
-    assert [name for name, _ in config.systems] == ["alpha", "beta", "c"]
+    assert config.systems == (("alpha", tmp_path / "a.txt"), ("b", tmp_path / "b.txt"),
+                              ("c", tmp_path / "d/c.txt"))
 
 
 def test_rerun_is_bit_identical(tmp_path):

@@ -90,7 +90,6 @@ def test_system_output_validates_on_construction():
     ({"n_min": -1}, "n_min must be within 0..2, got -1"),
     ({"name": ""}, "experiment name must be non-empty"),
     ({"method": "llm-rank", "jobs": 0}, "jobs must be >= 1, got 0"),
-    ({"method": "llm-rank", "runs": 2, "seeds": (1,)}, "2 runs but 1 seeds"),
     ({"seed": 5}, "method vote does not read key 'seed'"),
 ])
 def test_experiment_config_validates_on_construction_and_replace(changes, message):
